@@ -179,6 +179,10 @@ class RunResult:
     records_clean: list = field(default_factory=list, repr=False)
     records_poisoned: list = field(default_factory=list, repr=False)
     perturbation: PerturbationSet | None = field(default=None, repr=False)
+    # Per-node homophily of the clean and the perturbed graph, kept for the
+    # histogram CSVs; not part of the summary.
+    homophily_clean: np.ndarray | None = field(default=None, repr=False, compare=False)
+    homophily_perturbed: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -276,8 +280,9 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> RunResult:
     acc_attacked = predict_accuracy(final_poisoned, adj, g.features, g.labels, g.test_mask)
 
     divergence = gradient_norm_divergence(rec_poisoned, cfg.poisoned_worker)
-    g_pert = pert.apply_to(g)
-    homo_dist = distribution_distance(homophily_values(g), homophily_values(g_pert))
+    h_clean = homophily_values(g)
+    h_pert = homophily_values(pert.apply_to(g))
+    homo_dist = distribution_distance(h_clean, h_pert)
 
     return RunResult(
         seed=seed,
@@ -293,6 +298,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> RunResult:
         records_clean=rec_clean,
         records_poisoned=rec_poisoned,
         perturbation=pert,
+        homophily_clean=h_clean,
+        homophily_perturbed=h_pert,
     )
 
 
@@ -407,15 +414,25 @@ def scaling_benchmark(
 # -- emission -----------------------------------------------------------------
 
 
-def _code_version() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).parent, capture_output=True, text=True, timeout=5,
+def _code_version(module_file=__file__) -> str:
+    """Package version, plus ``+g<rev>`` when this module is tracked by git.
+
+    A copy installed inside some other checkout is not tracked there, so it
+    does not report that checkout's HEAD.
+    """
+    path = Path(module_file).resolve()
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=path.parent, capture_output=True, text=True, timeout=5
         )
-        if out.returncode == 0:
-            return f"{distpoison.__version__}+g{out.stdout.strip()}"
-    except OSError:
+
+    try:
+        if git("ls-files", "--error-unmatch", path.name).returncode == 0:
+            out = git("rev-parse", "--short", "HEAD")
+            if out.returncode == 0:
+                return f"{distpoison.__version__}+g{out.stdout.strip()}"
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return distpoison.__version__
 
@@ -468,16 +485,19 @@ def emit_results(
 
 
 def emit_histograms(cfg: ExperimentConfig, results: list[RunResult], out_dir) -> list[Path]:
-    """Clean-vs-perturbed homophily histograms, one CSV per seed."""
+    """Clean-vs-perturbed homophily histograms, one CSV per seed.
+
+    Written from the homophily vectors each run kept, so no dataset is built
+    again; ``cfg`` is not needed for that. Results without the vectors are
+    skipped.
+    """
     out = Path(out_dir)
     written = []
     for r in results:
-        if r.perturbation is None:
+        if r.homophily_clean is None or r.homophily_perturbed is None:
             continue
-        g = build_dataset(cfg, r.seed)
-        gp = r.perturbation.apply_to(g)
         p = out / f"homophily_hist_seed{r.seed}.csv"
-        write_histogram_csv(homophily_values(g), homophily_values(gp), p)
+        write_histogram_csv(r.homophily_clean, r.homophily_perturbed, p)
         written.append(p)
     return written
 
@@ -501,16 +521,15 @@ def replay_perturbation(cfg: ExperimentConfig, pert: PerturbationSet, seed: int)
     adj = normalize_adjacency(g)
     acc_clean = predict_accuracy(final_clean, adj, g.features, g.labels, g.test_mask)
     acc_attacked = predict_accuracy(final_poisoned, adj, g.features, g.labels, g.test_mask)
-    g_pert = pert.apply_to(g)
+    h_clean = homophily_values(g)
+    h_pert = homophily_values(pert.apply_to(g))
     return RunResult(
         seed=seed,
         acc_clean=acc_clean,
         acc_attacked=acc_attacked,
         accuracy_drop=acc_clean - acc_attacked,
         divergence=[float(d) for d in gradient_norm_divergence(rec_poisoned, cfg.poisoned_worker)],
-        homophily_distance=float(
-            distribution_distance(homophily_values(g), homophily_values(g_pert))
-        ),
+        homophily_distance=float(distribution_distance(h_clean, h_pert)),
         attack_seconds=0.0,
         edges_removed=len(pert.edges_removed),
         edges_added=len(pert.edges_added),
@@ -518,4 +537,6 @@ def replay_perturbation(cfg: ExperimentConfig, pert: PerturbationSet, seed: int)
         records_clean=rec_clean,
         records_poisoned=rec_poisoned,
         perturbation=pert,
+        homophily_clean=h_clean,
+        homophily_perturbed=h_pert,
     )

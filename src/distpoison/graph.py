@@ -4,7 +4,8 @@ The graph is stored as CSR (row pointer + sorted column array). Edge removal
 tombstones entries in place and compacts lazily, so that attacks removing a
 handful of edges per iteration do not pay a full rebuild each time. Edges added
 after construction (used by the random/DICE baselines) live in a small overlay
-until the next compaction.
+until the next compaction. The degree vector is kept current by every edit,
+so degree queries never recount the adjacency.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class Graph:
         self._extra: dict[int, set[int]] = {}
         self._num_edges = len(indices) // 2
         self._dead = 0
+        self._deg = np.diff(indptr).astype(np.int64)
 
     # -- queries ---------------------------------------------------------
 
@@ -95,17 +97,42 @@ class Graph:
             cols.sort()
         return cols
 
-    def degree(self, i: int) -> int:
-        n = int(np.count_nonzero(self._alive[self.indptr[i] : self.indptr[i + 1]]))
-        extra = self._extra.get(i)
-        return n + (len(extra) if extra else 0)
+    def neighbor_block(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor lists of ``nodes`` as the rows of one padded block.
 
-    def degrees(self) -> np.ndarray:
-        cs = np.concatenate([[0], np.cumsum(self._alive)])
-        deg = (cs[self.indptr[1:]] - cs[self.indptr[:-1]]).astype(np.int64)
-        for i, extra in self._extra.items():
-            deg[i] += len(extra)
-        return deg
+        Returns ``(ids, counts)``: row k of ``ids`` holds the neighbors of
+        ``nodes[k]`` in its first ``counts[k]`` slots, ascending as
+        ``neighbors`` returns them; the remaining slots hold arbitrary node
+        ids. ``counts`` is the nodes' degree vector.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        lo = self.indptr[nodes]
+        lens = self.indptr[nodes + 1] - lo
+        slot = np.arange(lens.max(initial=0))
+        pos = np.minimum(lo[:, None] + slot, len(self.indices) - 1)
+        ids = self.indices[pos]
+        if self._dead or self._extra:
+            # Overwrite tombstones with the largest id, merge in overlay edges
+            # padded the same way, and sort: each row then starts with its
+            # live neighbors, since a live neighbor equal to that id sorts
+            # among the padding.
+            pad = self.num_nodes - 1
+            ids = np.where((slot < lens[:, None]) & self._alive[pos], ids, pad)
+            if self._extra:
+                extra = [self._extra.get(u, ()) for u in nodes.tolist()]
+                more = np.full((len(nodes), max(map(len, extra))), pad)
+                for k, js in enumerate(extra):
+                    more[k, : len(js)] = list(js)
+                ids = np.concatenate([ids, more], axis=1)
+            ids.sort(axis=1)
+        return ids, self._deg[nodes]
+
+    def degree(self, i: int) -> int:
+        return int(self._deg[i])
+
+    def degrees(self, nodes=None) -> np.ndarray:
+        """Current degrees of every node, or of ``nodes``, as a fresh array."""
+        return self._deg.copy() if nodes is None else self._deg[nodes]
 
     def has_edge(self, i: int, j: int) -> bool:
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -155,6 +182,7 @@ class Graph:
             pos = lo + np.searchsorted(self.indices[lo:hi], b)
             self._alive[pos] = False
             self._dead += 1
+        self._deg[[i, j]] -= 1
         self._num_edges -= 1
         self._maybe_compact()
 
@@ -167,6 +195,7 @@ class Graph:
             raise GraphError(f"edge ({i}, {j}) already present")
         self._extra.setdefault(i, set()).add(j)
         self._extra.setdefault(j, set()).add(i)
+        self._deg[[i, j]] += 1
         self._num_edges += 1
         self._maybe_compact()
 
@@ -206,6 +235,7 @@ class Graph:
         g._extra = {i: set(s) for i, s in self._extra.items()}
         g._num_edges = self._num_edges
         g._dead = self._dead
+        g._deg = self._deg.copy()
         return g
 
 

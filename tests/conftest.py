@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from distpoison.graph import build_graph
 
@@ -30,3 +31,37 @@ def random_instance(seed, n=12, p=0.35, feature_dim=6, num_classes=3, hidden=8):
     labels = rng.integers(0, num_classes, size=n).astype(np.int64)
     g = build_graph(edges, features, labels)
     return g, rng
+
+
+# Graph edit scripts for property tests: (op, k) pairs, k picking the edge.
+edit_ops = st.lists(
+    st.tuples(st.sampled_from(["remove", "add", "compact", "copy"]), st.integers(0, 10**6)),
+    max_size=12,
+)
+
+
+def random_edit_script(g, ops):
+    """Yield ``g`` as it stands before and after each edit of ``ops``.
+
+    Removals leave tombstones, additions go to the overlay, and ``compact``
+    and ``copy`` carry the graph across both, so every storage state shows up.
+    """
+    yield g
+    for op, k in ops:
+        if op == "remove" and g.num_edges:
+            i, j = g.edge_array()[k % g.num_edges]
+            g.remove_edge(int(i), int(j))
+        elif op == "add":
+            absent = [
+                (i, j)
+                for i in range(g.num_nodes)
+                for j in range(i + 1, g.num_nodes)
+                if not g.has_edge(i, j)
+            ]
+            if absent:
+                g.add_edge(*absent[k % len(absent)])
+        elif op == "compact":
+            g.compact()
+        elif op == "copy":
+            g = g.copy()
+        yield g

@@ -5,7 +5,9 @@ Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 3-5 share one
 inside its runtime budgets.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,10 +77,27 @@ def efficacy_config(kind: str, lambda_homo: float) -> ExperimentConfig:
     )
 
 
+# Ordered (i, j) removals and (node, dim) flips of the lambda_homo=1 runs,
+# recorded before the stealth trials were vectorized; any reimplementation
+# of the attack step must reproduce them exactly.
+REFERENCE_PERTURBATIONS = Path(__file__).parent / "data" / "reference_perturbations.json"
+
+
+def assert_reference_perturbations(results) -> None:
+    pinned = json.loads(REFERENCE_PERTURBATIONS.read_text())
+    for r in results:
+        want = pinned[str(r.seed)]
+        got_edges = [[e.i, e.j] for e in r.perturbation.edges_removed]
+        got_flips = [[f.node, f.dim] for f in r.perturbation.features_flipped]
+        assert got_edges == want["edges_removed"], f"seed {r.seed}: edge removals moved"
+        assert got_flips == want["features_flipped"], f"seed {r.seed}: feature flips moved"
+
+
 @pytest.fixture(scope="module")
 def efficacy_runs():
     t0 = time.perf_counter()
     disttack = run_experiment(efficacy_config("disttack", lambda_homo=1.0))
+    assert_reference_perturbations(disttack)
     ra = run_experiment(efficacy_config("ra", lambda_homo=1.0))
     crit3_seconds = time.perf_counter() - t0
     disttack_l0 = run_experiment(efficacy_config("disttack", lambda_homo=0.0))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import yaml
 
+import distpoison
 from distpoison.cli import main
 
 
@@ -104,3 +109,15 @@ def test_replay_round_trip(tmp_path, capsys):
     ])
     assert code == 0
     assert "replayed" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the CLI's start-up; only the unequal-length W1
+    # distance needs it, and that path imports it on first use.
+    src = str(Path(distpoison.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, distpoison.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,11 +1,17 @@
 import json
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distpoison
+from distpoison import experiment as experiment_module
 from distpoison.experiment import (
     ConfigError,
     ExperimentConfig,
+    _code_version,
     build_dataset,
     emit_histograms,
     emit_results,
@@ -14,6 +20,7 @@ from distpoison.experiment import (
     run_experiment,
     scaling_benchmark,
 )
+from distpoison.homophily import homophily_values, write_histogram_csv
 
 
 def base_config(**kw):
@@ -196,6 +203,25 @@ class TestEmitResults:
             "homophily_hist_seed0.csv",
         } <= names
 
+    def test_histograms_from_kept_vectors(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(base_config(seeds=[0, 1]))
+        results = run_experiment(cfg)
+
+        def no_rebuild(*args):
+            raise AssertionError("emit_histograms rebuilt a dataset")
+
+        monkeypatch.setattr(experiment_module, "build_dataset", no_rebuild)
+        written = emit_histograms(cfg, results, tmp_path)
+        monkeypatch.undo()
+        assert len(written) == 2
+        for r, path in zip(results, written):
+            g = build_dataset(cfg, r.seed)
+            ref = tmp_path / "ref.csv"
+            write_histogram_csv(
+                homophily_values(g), homophily_values(r.perturbation.apply_to(g)), ref
+            )
+            assert path.read_bytes() == ref.read_bytes()
+
     def test_rerun_from_summary_bit_identical_gradients(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(seeds=[1]))
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -255,3 +281,34 @@ class TestScalingBenchmark:
         assert times[-1] > times[0]  # monotone growth end to end
         # near-linear: 64x more dims should cost far less than 64^2 x
         assert times[-1] / times[0] < 64 * 8
+
+
+class TestCodeVersion:
+    def git(self, repo, *args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    def test_untracked_copy_in_other_checkout_reports_plain_version(self, tmp_path):
+        # A copy of the package inside someone else's repository must not
+        # report that repository's HEAD.
+        repo = tmp_path / "other"
+        pkg = repo / "site" / "distpoison"
+        repo.mkdir()
+        self.git(repo, "init", "-q")
+        (repo / "README").write_text("other project\n")
+        self.git(repo, "add", "README")
+        self.git(repo, "commit", "-q", "-m", "init")
+        shutil.copytree(Path(experiment_module.__file__).parent, pkg)
+        copy = pkg / "experiment.py"
+        assert _code_version(copy) == distpoison.__version__
+
+        self.git(repo, "add", str(copy))
+        self.git(repo, "commit", "-q", "-m", "track the copy")
+        assert _code_version(copy).startswith(distpoison.__version__ + "+g")
+
+    def test_outside_any_checkout(self, tmp_path):
+        copy = tmp_path / "experiment.py"
+        shutil.copy(experiment_module.__file__, copy)
+        assert _code_version(copy) == distpoison.__version__

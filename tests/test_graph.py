@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import edit_ops, random_edit_script
 
 from distpoison.graph import (
     GraphError,
@@ -213,6 +217,36 @@ class TestMutation:
         h.set_feature(0, 0, 9.0)
         assert g.has_edge(0, 1)
         assert g.features[0, 0] == 0.0
+
+
+class TestDegreeCache:
+    """The degree vector kept by edits equals a recount of the edge list."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), edit_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_degrees_equal_recount(self, seed, n, ops):
+        rng = np.random.default_rng(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        for g in random_edit_script(make_graph(n, edges), ops):
+            recount = np.bincount(g.edge_array().ravel(), minlength=n)
+            np.testing.assert_array_equal(g.degrees(), recount)
+            assert [g.degree(i) for i in range(n)] == recount.tolist()
+            ids, counts = g.neighbor_block(np.arange(n))
+            np.testing.assert_array_equal(counts, recount)
+            for i in range(n):
+                np.testing.assert_array_equal(ids[i, : counts[i]], g.neighbors(i))
+
+    def test_degrees_returns_a_copy(self):
+        g = make_graph(3, [(0, 1)])
+        g.degrees()[0] = 7
+        assert g.degree(0) == 1
+
+    def test_copy_keeps_its_own_degrees(self):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        h = g.copy()
+        h.remove_edge(0, 1)
+        assert g.degrees().tolist() == [1, 2, 1]
+        assert h.degrees().tolist() == [0, 1, 1]
 
 
 class TestGenerateSBM:

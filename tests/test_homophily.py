@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homophily_oracle as oracle
+from conftest import edit_ops, random_edit_script
 from distpoison.graph import build_graph, generate_sbm
 from distpoison.homophily import (
     distribution_distance,
@@ -118,6 +120,69 @@ class TestIncrementalUpdates:
         predicted = homophily_after_feature_change(g, h, node, new_row)
         g.features[node] = new_row
         np.testing.assert_allclose(predicted, homophily_values(g), rtol=1e-10)
+
+
+graph_cases = st.tuples(
+    st.integers(0, 2**32 - 1),  # rng seed
+    st.integers(2, 12),  # nodes
+    st.integers(1, 4),  # feature dim; 1 takes numpy's pairwise-sum path
+    st.floats(0.0, 0.8),  # edge probability
+    edit_ops,
+)
+
+
+def draw_graph(seed, n, dim, p):
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    feats = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    return build_graph(edges, feats, np.zeros(n, dtype=np.int64)), rng
+
+
+class TestTrialsMatchOracle:
+    """The vectorized trials equal the per-node oracle bit for bit."""
+
+    @given(graph_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_every_edge_and_feature_trial(self, case):
+        seed, n, dim, p, ops = case
+        g0, rng = draw_graph(seed, n, dim, p)
+        for g in random_edit_script(g0, ops):
+            for ratio in (True, False):
+                h = homophily_values(g, ratio)
+                for i, j in g.edge_array():
+                    i, j = int(i), int(j)
+                    for a, b in ((i, j), (j, i)):
+                        assert np.array_equal(
+                            homophily_after_edge_removal(g, h, a, b, ratio),
+                            oracle.homophily_after_edge_removal(g, h, a, b, ratio),
+                        )
+                for node in range(g.num_nodes):
+                    row = g.features[node].copy()
+                    row[rng.integers(dim)] *= -3.0
+                    assert np.array_equal(
+                        homophily_after_feature_change(g, h, node, row, ratio),
+                        oracle.homophily_after_feature_change(g, h, node, row, ratio),
+                    )
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("ratio", [True, False])
+    def test_endpoint_left_isolated(self, dim, ratio):
+        # Path 0-1-2 plus 3-4: removing (0, 1) isolates 0, removing (3, 4)
+        # isolates both endpoints.
+        feats = np.arange(5 * dim, dtype=float).reshape(5, dim) - 4.5
+        g = graph_with_features(5, [(0, 1), (1, 2), (3, 4)], feats)
+        h = homophily_values(g, ratio)
+        for i, j in ((0, 1), (3, 4)):
+            got = homophily_after_edge_removal(g, h, i, j, ratio)
+            assert np.array_equal(got, oracle.homophily_after_edge_removal(g, h, i, j, ratio))
+            assert got[i] == np.sqrt((feats[i] ** 2).sum())
+
+    def test_missing_edge_rejected(self):
+        g = graph_with_features(3, [(0, 1)], np.eye(3))
+        h = homophily_values(g)
+        for i, j in ((0, 2), (1, 1)):
+            with pytest.raises(ValueError):
+                homophily_after_edge_removal(g, h, i, j)
 
 
 class TestDistributionDistance:
