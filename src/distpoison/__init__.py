@@ -29,6 +29,7 @@ from distpoison.gnn import (
     backward,
     check_gradients,
     forward,
+    forward_state,
     gcn_forward,
     masked_ce_loss,
     sgc_forward,

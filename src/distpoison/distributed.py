@@ -8,21 +8,22 @@ global update. Poisoning is data poisoning: the designated worker sees a
 perturbed graph view, and everything downstream of that view is honest
 computation.
 
-Results are bit-reproducible for a fixed (graph, partition, seed, config):
-batches come from per-worker RNG streams and the reduction order is fixed by
-worker index, whether workers run sequentially or on a thread pool.
+Workers run one after another. Those that see the same graph view in an
+epoch share one forward pass under that epoch's weights; each worker's reverse
+pass is its own. Results are bit-reproducible for a fixed (graph, partition,
+seed, config): batches come from per-worker RNG streams and the reduction
+order is fixed by worker index.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from distpoison.gnn import GradientBundle, ParamSet, backward, sgd_step
+from distpoison.gnn import GradientBundle, ParamSet, backward, forward_state, sgd_step
 from distpoison.graph import Graph, Partition, normalize_adjacency
 
 __all__ = [
@@ -92,7 +93,6 @@ def train_distributed(
     poison=None,
     poisoned_worker: int = 0,
     aggregation: str = "mean",
-    parallel: bool = False,
     on_epoch=None,
 ) -> tuple[ParamSet, list[SyncRecord]]:
     """Run synchronized multi-worker training; returns final weights + telemetry.
@@ -116,23 +116,27 @@ def train_distributed(
             WorkerState(worker_id=w, pool=pool, poisoned=poison is not None and w == poisoned_worker)
         )
 
-    views = {}
-    clean_view = (normalize_adjacency(g), g.features)
+    views = [(normalize_adjacency(g), g.features)]  # views[0]: the clean graph
+    view_of = []
     for st in states:
         if st.poisoned:
             g_p = poison.apply_to(g)
-            views[st.worker_id] = (normalize_adjacency(g_p), g_p.features)
-        else:
-            views[st.worker_id] = clean_view
+            views.append((normalize_adjacency(g_p), g_p.features))
+        view_of.append(len(views) - 1 if st.poisoned else 0)
 
     rngs = [np.random.default_rng((seed, w)) for w in range(part.n)]
     labels = g.labels
     records: list[SyncRecord] = []
 
-    def worker_pass(st: WorkerState) -> GradientBundle:
-        adj, X = views[st.worker_id]
+    def worker_pass(st: WorkerState, fwd: list) -> GradientBundle:
+        # fwd holds this epoch's forward state per view, made by the first
+        # worker that needs it, so a failure still names that worker.
+        v = view_of[st.worker_id]
+        adj, X = views[v]
         try:
-            return backward(params, adj, X, labels, st.batch)
+            if fwd[v] is None:
+                fwd[v] = forward_state(params, adj, X)
+            return backward(params, adj, X, labels, st.batch, state=fwd[v])
         except FloatingPointError as exc:
             raise TrainingError(
                 f"worker {st.worker_id} produced non-finite gradients "
@@ -144,11 +148,8 @@ def train_distributed(
         for st in states:
             size = min(batch_size, len(st.pool))
             st.batch = rngs[st.worker_id].choice(st.pool, size=size, replace=False)
-        if parallel and part.n > 1:
-            with ThreadPoolExecutor(max_workers=part.n) as pool_exec:
-                bundles = list(pool_exec.map(worker_pass, states))
-        else:
-            bundles = [worker_pass(st) for st in states]
+        fwd = [None] * len(views)
+        bundles = [worker_pass(st, fwd) for st in states]
         for st, b in zip(states, bundles):
             st.bundle = b
         agg = aggregate_gradients(bundles, aggregation)

@@ -149,10 +149,18 @@ class ExperimentConfig:
         model = raw.get("model", "gcn")
         if model not in MODELS:
             errors.append(f"model: must be one of {MODELS}, got {model!r}")
-        for fld, low in (("workers", 1), ("epochs", 0), ("batch_size", 1), ("hidden_dim", 1)):
-            val = raw.get(fld, 1)
+        # Two workers at least: the divergence series compares the poisoned
+        # worker against the mean of the others.
+        for fld, low in (("workers", 2), ("epochs", 0), ("batch_size", 1), ("hidden_dim", 1)):
+            val = raw.get(fld, cls.__dataclass_fields__[fld].default)
             if not isinstance(val, int) or val < low:
                 errors.append(f"{fld}: must be an integer >= {low}")
+        workers = raw.get("workers", cls.__dataclass_fields__["workers"].default)
+        poisoned = raw.get("poisoned_worker", cls.__dataclass_fields__["poisoned_worker"].default)
+        if not isinstance(poisoned, int) or (
+            isinstance(workers, int) and workers >= 2 and not 0 <= poisoned < workers
+        ):
+            errors.append(f"poisoned_worker: must be an integer in [0, workers), got {poisoned!r}")
         if raw.get("aggregation", "mean") not in ("mean", "sum"):
             errors.append("aggregation: must be 'mean' or 'sum'")
         if errors:

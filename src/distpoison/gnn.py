@@ -27,6 +27,7 @@ __all__ = [
     "gcn_forward",
     "sgc_forward",
     "forward",
+    "forward_state",
     "masked_ce_loss",
     "attack_loss",
     "backward",
@@ -145,14 +146,27 @@ def _check_finite(name: str, *arrays) -> None:
             raise NumericalError(f"non-finite values encountered in {name}")
 
 
+def _gcn_state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray) -> tuple:
+    P = X @ params.W0
+    S0 = A @ P
+    H = np.maximum(S0, 0.0)
+    Q = H @ params.W1
+    return P, S0, H, Q, A @ Q
+
+
+def _sgc_state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray, k: int) -> tuple:
+    us = [X @ params.W0]
+    for _ in range(k):
+        us.append(A @ us[-1])
+    return tuple(us)
+
+
 def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
     """Logits of the 2-layer GCN (no activation on the output layer)."""
     if params.W1 is None:
         raise ValueError("gcn_forward requires a two-weight ParamSet")
     _check_finite("gcn_forward inputs", X, params.W0, params.W1)
-    A = adj.matrix
-    H = np.maximum(A @ (X @ params.W0), 0.0)
-    Z = A @ (H @ params.W1)
+    Z = _gcn_state(params, adj.matrix, X)[-1]
     _check_finite("gcn_forward logits", Z)
     return Z
 
@@ -162,9 +176,7 @@ def sgc_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, k: in
     if k < 1:
         raise ValueError(f"propagation depth must be >= 1, got {k}")
     _check_finite("sgc_forward inputs", X, params.W0)
-    U = X @ params.W0
-    for _ in range(k):
-        U = adj.matrix @ U
+    U = _sgc_state(params, adj.matrix, X, k)[-1]
     _check_finite("sgc_forward logits", U)
     return U
 
@@ -173,6 +185,21 @@ def forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.nda
     if params.W1 is None:
         return sgc_forward(params, adj, X, params.k)
     return gcn_forward(params, adj, X)
+
+
+def forward_state(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> tuple:
+    """The forward intermediates that ``backward`` reverses; logits last.
+
+    For the GCN this is ``(P, S0, H, Q, Z)`` with ``P = X W0``, ``S0 = A P``,
+    ``H = relu(S0)``, ``Q = H W1`` and ``Z = A Q``; for the linear model it is
+    ``(U_0, ..., U_k)`` with ``U_0 = X W0`` and ``U_t = A U_{t-1}``. The state
+    depends on the weights, the adjacency and the features only, so every
+    batch on the same graph view under the same weights can share one.
+    """
+    _check_finite("forward inputs", X, *params.weights())
+    if params.W1 is None:
+        return _sgc_state(params, adj.matrix, X, params.k)
+    return _gcn_state(params, adj.matrix, X)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -257,6 +284,43 @@ def _adjacency_entry_grads(
     return dA
 
 
+# A reverse product is limited to the rows that carry gradient once A holds at
+# least _LIMITED_MIN_NNZ entries and those rows hold at most 1/_LIMITED_SHARE of
+# them; on smaller or more fully reached matrices the gather costs more than
+# the full product.
+_LIMITED_MIN_NNZ = 1 << 14
+_LIMITED_SHARE = 8
+
+
+def _reverse_product(
+    A: sp.csr_matrix, M: np.ndarray, rows: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``A @ M`` for the symmetric A and an M that is zero outside ``rows``.
+
+    ``rows`` may be unsorted and hold repeats. Returns the product and the
+    sorted rows it can be nonzero on, or None when the full product was
+    taken. A symmetric A gives ``A @ M == A[rows].T @ M[rows]``: the limited
+    path scatters the entries of the sorted ``rows`` into the output in
+    order, so each output row sums the same terms in the same ascending order
+    as scipy's CSR product, less the zero ones, and the two agree bit for bit.
+    """
+    if rows is not None and A.nnz >= _LIMITED_MIN_NNZ:
+        rows = np.unique(rows)
+        lo = A.indptr[rows]
+        lens = A.indptr[rows + 1] - lo
+        total = int(lens.sum())
+        if total * _LIMITED_SHARE <= A.nnz:
+            pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total)
+            cols = A.indices[pos]
+            w = M.shape[1]
+            terms = A.data[pos, None] * np.repeat(M[rows], lens, axis=0)
+            # bincount adds its weights one by one in input order.
+            flat = (cols[:, None] * w + np.arange(w)).ravel()
+            out = np.bincount(flat, weights=terms.ravel(), minlength=A.shape[0] * w)
+            return out.reshape(-1, w), np.unique(cols)
+    return A @ M, None
+
+
 def backward(
     params: ParamSet,
     adj: NormalizedAdjacency,
@@ -266,29 +330,29 @@ def backward(
     want_dA: bool = False,
     want_dX: bool = False,
     objective: str = "masked_ce",
+    state: tuple | None = None,
 ) -> GradientBundle:
     """Exact reverse-mode gradients of the chosen objective.
 
     ``objective`` is "masked_ce" (mean CE over node_set, the training loss)
-    or "attack" (negated CE sum over node_set as targets).
+    or "attack" (negated CE sum over node_set as targets). ``state`` is
+    ``forward_state(params, adj, X)`` when the caller already has it;
+    otherwise it is computed here.
     """
     node_set = np.asarray(node_set, dtype=np.int64)
     if len(node_set) == 0:
         raise ValueError("node_set must be nonempty")
-    _check_finite("backward inputs", X, *params.weights())
+    if state is None:
+        state = forward_state(params, adj, X)
     A = adj.matrix
 
     if params.W1 is not None:
-        P = X @ params.W0
-        S0 = A @ P
-        H = np.maximum(S0, 0.0)
-        Q = H @ params.W1
-        Z = A @ Q
+        P, S0, H, Q, Z = state
         dZ = _loss_grad_logits(Z, labels, node_set, objective)
-        dQ = A @ dZ  # A is symmetric
+        dQ, reached = _reverse_product(A, dZ, node_set)  # A is symmetric
         dW1 = H.T @ dQ
         dS0 = (dQ @ params.W1.T) * (S0 > 0.0)
-        dP = A @ dS0
+        dP, _ = _reverse_product(A, dS0, reached)
         dW0 = X.T @ dP
         dX = dP @ params.W0.T if want_dX else None
         dA = _adjacency_entry_grads(adj, [(dZ, Q), (dS0, P)]) if want_dA else None
@@ -296,14 +360,13 @@ def backward(
         return GradientBundle.from_grads(dW0, dW1, dA, dX)
 
     # Linear propagation model: Z = A^k (X W0).
-    us = [X @ params.W0]
-    for _ in range(params.k):
-        us.append(A @ us[-1])
-    Z = us[-1]
-    dZ = _loss_grad_logits(Z, labels, node_set, objective)
+    us = state
+    dZ = _loss_grad_logits(us[-1], labels, node_set, objective)
     dus = [dZ]
+    reached = node_set
     for _ in range(params.k):
-        dus.append(A @ dus[-1])
+        du, reached = _reverse_product(A, dus[-1], reached)
+        dus.append(du)
     dus.reverse()  # dus[t] = dLoss/dU_t
     dW0 = X.T @ dus[0]
     dX = dus[0] @ params.W0.T if want_dX else None

@@ -32,6 +32,9 @@ __all__ = [
 # Compact once this many tombstoned/overlay entries accumulate.
 _COMPACT_SLACK = 64
 
+# generate_sbm draws its uniforms in blocks of about this many cells.
+_SBM_BLOCK_CELLS = 1 << 20
+
 
 class GraphError(ValueError):
     """Invalid graph construction or mutation."""
@@ -477,12 +480,19 @@ def generate_sbm(
     labels = np.repeat(np.arange(len(block_sizes)), block_sizes).astype(np.int64)
     n = len(labels)
 
-    # Bernoulli on the upper triangle, probability by block pair.
-    u = rng.random((n, n))
-    prob = np.where(labels[:, None] == labels[None, :], p_intra, p_inter)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = u[iu, ju] < prob[iu, ju]
-    edges = np.column_stack([iu[keep], ju[keep]])
+    # Bernoulli on the upper triangle, probability by block pair. The n x n
+    # uniforms are drawn a block of rows at a time: the same stream as one
+    # (n, n) draw, and edges come out in the same row-major order.
+    step = max(1, _SBM_BLOCK_CELLS // max(n, 1))
+    cols = np.arange(n)
+    chunks = []
+    for lo in range(0, n, step):
+        rows = cols[lo : lo + step]
+        u = rng.random((len(rows), n))
+        prob = np.where(labels[rows, None] == labels[None, :], p_intra, p_inter)
+        i, j = np.nonzero((u < prob) & (cols[None, :] > rows[:, None]))
+        chunks.append(np.column_stack([rows[i], j]))
+    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
 
     features = noise * rng.standard_normal((n, feature_dim))
     features[np.arange(n), labels] += 1.0

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 3-5 share one
 inside its runtime budgets.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -93,6 +94,27 @@ def assert_reference_perturbations(results) -> None:
         assert got_flips == want["features_flipped"], f"seed {r.seed}: feature flips moved"
 
 
+# sha256 of repr([record.worker_norms, ...]) for each seed's clean and
+# poisoned training of each run below, recorded before worker passes shared
+# their forward state; any reimplementation of the worker pass must
+# reproduce every gradient norm exactly.
+REFERENCE_WORKER_NORMS = Path(__file__).parent / "data" / "reference_worker_norms.json"
+
+
+def assert_reference_worker_norms(name, results) -> None:
+    pinned = json.loads(REFERENCE_WORKER_NORMS.read_text())[name]
+
+    def digest(records):
+        return hashlib.sha256(repr([r.worker_norms for r in records]).encode()).hexdigest()
+
+    for r in results:
+        want = pinned[str(r.seed)]
+        assert digest(r.records_clean) == want["clean"], f"{name} seed {r.seed}: clean norms moved"
+        assert digest(r.records_poisoned) == want["poisoned"], (
+            f"{name} seed {r.seed}: poisoned norms moved"
+        )
+
+
 @pytest.fixture(scope="module")
 def efficacy_runs():
     t0 = time.perf_counter()
@@ -101,6 +123,8 @@ def efficacy_runs():
     ra = run_experiment(efficacy_config("ra", lambda_homo=1.0))
     crit3_seconds = time.perf_counter() - t0
     disttack_l0 = run_experiment(efficacy_config("disttack", lambda_homo=0.0))
+    for name, results in (("disttack", disttack), ("ra", ra), ("disttack_l0", disttack_l0)):
+        assert_reference_worker_norms(name, results)
     return {
         "disttack": disttack,
         "ra": ra,

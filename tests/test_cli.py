@@ -121,3 +121,28 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_single_worker_rejected_before_training(tmp_path, capsys, monkeypatch):
+    # The divergence series needs a clean worker to compare against, so one
+    # worker is a configuration error, caught before any dataset or training.
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    cfg = write_config(tmp_path)
+    code = main(["run", "--config", str(cfg), "--set", "workers=1", "--set", "attack.kind=none"])
+    assert code == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_poisoned_worker_out_of_range_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    cfg = write_config(tmp_path, workers=4)
+    for bad in ("5", "4", "-1"):
+        assert main(["run", "--config", str(cfg), "--set", f"poisoned_worker={bad}"]) == 2
+        assert "poisoned_worker" in capsys.readouterr().err
+    monkeypatch.undo()
+    last = ["--set", "workers=2", "--set", "poisoned_worker=1"]
+    assert main(["run", "--config", str(cfg), *last]) == 0
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("a rejected config reached dataset generation")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import distpoison.distributed as dist
 from distpoison.distributed import (
     SyncRecord,
     TrainingError,
@@ -110,19 +111,46 @@ class TestTrainDistributed:
         clean_w0 = [r.worker_norms[0] for r in clean]
         assert poisoned_w0 != clean_w0
 
-    def test_determinism_and_parallel_equivalence(self):
+    def test_determinism(self):
         g = sbm_all_train(3, [6, 6, 6])
         part = partition_nodes(g, 3)
         params0 = fresh_params(g)
         runs = [
-            train_distributed(g, part, params0, epochs=8, batch_size=3, seed=7, parallel=flag)
-            for flag in (False, True, False)
+            train_distributed(g, part, params0, epochs=8, batch_size=3, seed=7)
+            for _ in range(3)
         ]
         for final, records in runs[1:]:
             np.testing.assert_array_equal(final.W0, runs[0][0].W0)
             np.testing.assert_array_equal(final.W1, runs[0][0].W1)
             for r, r0 in zip(records, runs[0][1]):
                 assert r.worker_norms == r0.worker_norms
+
+    def test_one_forward_per_view_per_epoch(self, monkeypatch):
+        # Three workers, one of them poisoned: two views, so two forward
+        # passes per epoch, and still one reverse pass per worker.
+        calls = {"forward": [], "backward": []}
+        real_forward, real_backward = dist.forward_state, dist.backward
+
+        def forward_spy(params, adj, X):
+            calls["forward"].append(id(adj))
+            return real_forward(params, adj, X)
+
+        def backward_spy(params, adj, *args, **kwargs):
+            calls["backward"].append(id(adj))
+            return real_backward(params, adj, *args, **kwargs)
+
+        monkeypatch.setattr(dist, "forward_state", forward_spy)
+        monkeypatch.setattr(dist, "backward", backward_spy)
+        g = sbm_all_train(5, [6, 6, 6])
+        train_distributed(
+            g, partition_nodes(g, 3), fresh_params(g), epochs=4, batch_size=3, seed=2,
+            poison=FeatureBlast(node=0), poisoned_worker=1,
+        )
+        assert len(calls["backward"]) == 3 * 4
+        assert len(calls["forward"]) == 2 * 4
+        clean, poisoned = calls["forward"][:2]
+        assert clean != poisoned
+        assert calls["backward"] == [clean, poisoned, clean] * 4
 
     def test_all_workers_share_global_params(self):
         # Recompute each worker's recorded gradient from the single global

@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gnn_oracle
 from conftest import dense_normalized, make_graph, random_instance
+from distpoison import gnn
 from distpoison.gnn import (
     GradientBundle,
     NumericalError,
@@ -10,6 +16,7 @@ from distpoison.gnn import (
     backward,
     check_gradients,
     forward,
+    forward_state,
     gcn_forward,
     masked_ce_loss,
     sgc_forward,
@@ -226,6 +233,129 @@ class TestBackward:
             params, adj, g.features, g.labels, [0, 3], epsilon=1e-4, objective="attack"
         )
         assert report.overall < 1e-4
+
+
+def assert_same_bundle(got, want):
+    np.testing.assert_array_equal(got.dW0, want.dW0)
+    assert (got.dW1 is None) == (want.dW1 is None)
+    if want.dW1 is not None:
+        np.testing.assert_array_equal(got.dW1, want.dW1)
+    assert (got.dX is None) == (want.dX is None)
+    if want.dX is not None:
+        np.testing.assert_array_equal(got.dX, want.dX)
+    assert (got.dA is None) == (want.dA is None)
+    if want.dA is not None:
+        np.testing.assert_array_equal(got.dA.toarray(), want.dA.toarray())
+    assert got.l2_norm == want.l2_norm
+
+
+def count_limited_products():
+    """Patch ``_reverse_product`` to count (limited, full) products taken."""
+    seen = {"limited": 0, "full": 0}
+    real = gnn._reverse_product
+
+    def spy(A, M, rows):
+        out, reached = real(A, M, rows)
+        seen["full" if reached is None else "limited"] += 1
+        return out, reached
+
+    return seen, mock.patch.object(gnn, "_reverse_product", spy)
+
+
+class TestBackwardOracle:
+    """``backward`` against the reverse pass as first written, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 24),
+        model=st.sampled_from(["gcn", "sgc1", "sgc2", "sgc3"]),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=10),
+        removals=st.integers(0, 6),
+        isolate=st.booleans(),
+        shared_state=st.booleans(),
+        limits=st.sampled_from([(None, None), (0, 8), (0, 1)]),
+        objective=st.sampled_from(["masked_ce", "attack"]),
+        want=st.booleans(),
+    )
+    def test_matches_oracle(
+        self, seed, n, model, picks, removals, isolate, shared_state, limits, objective, want
+    ):
+        g, rng = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
+        for _ in range(min(removals, g.num_edges)):
+            i, j = g.edge_array()[rng.integers(g.num_edges)]
+            g.remove_edge(int(i), int(j))  # left as tombstones, not compacted
+        if isolate:
+            for v in g.neighbors(0):
+                g.remove_edge(0, int(v))
+        adj = normalize_adjacency(g)
+        if model == "gcn":
+            params = ParamSet.init_gcn(3, 5, 3, seed=seed)
+        else:
+            params = ParamSet.init_sgc(3, 3, seed=seed, k=int(model[-1]))
+        node_set = [p % n for p in picks]  # repeats allowed
+        kw = dict(want_dA=want, want_dX=want, objective=objective)
+
+        want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, node_set, **kw)
+        state = forward_state(params, adj, g.features) if shared_state else None
+        min_nnz, share = limits
+        if min_nnz is None:
+            min_nnz, share = gnn._LIMITED_MIN_NNZ, gnn._LIMITED_SHARE
+        seen, spy = count_limited_products()
+        with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", min_nnz), \
+                mock.patch.object(gnn, "_LIMITED_SHARE", share):
+            got = backward(params, adj, g.features, g.labels, node_set, state=state, **kw)
+        if share == 1:
+            assert seen["full"] == 0  # every product took the limited path
+        assert_same_bundle(got, want_bundle)
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc"])
+    def test_both_sides_of_the_path_choice(self, model):
+        # 3,200 nodes at degree about 6.5: large enough that an 8-node batch
+        # starts on the limited products (the third SGC hop reaches too much
+        # of A and goes full), while a batch of every training node takes the
+        # full ones throughout.
+        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+        adj = normalize_adjacency(g)
+        assert adj.matrix.nnz >= gnn._LIMITED_MIN_NNZ
+        if model == "gcn":
+            params = ParamSet.init_gcn(8, 16, 4, seed=1)
+        else:
+            params = ParamSet.init_sgc(8, 4, seed=1, k=3)
+        state = forward_state(params, adj, g.features)
+        rng = np.random.default_rng(0)
+        small = rng.choice(np.flatnonzero(g.train_mask), size=8, replace=False)
+        for node_set, limited in ((small, True), (np.flatnonzero(g.train_mask), False)):
+            want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, node_set)
+            seen, spy = count_limited_products()
+            with spy:
+                got = backward(params, adj, g.features, g.labels, node_set, state=state)
+            assert (seen["limited"] > 0) == limited
+            assert_same_bundle(got, want_bundle)
+
+    def test_small_graph_takes_full_products(self):
+        # The reference experiment's size (200 nodes) stays on the full path.
+        g = generate_sbm(0, [50] * 4, 0.1, 0.01, feature_dim=8, noise=1.2)
+        adj = normalize_adjacency(g)
+        params = ParamSet.init_gcn(8, 16, 4, seed=0)
+        seen, spy = count_limited_products()
+        with spy:
+            backward(params, adj, g.features, g.labels, [0, 1, 2])
+        assert seen == {"limited": 0, "full": 2}
+
+    def test_state_is_forward_logits(self):
+        g, _ = random_instance(3)
+        adj = normalize_adjacency(g)
+        for params in (gcn_params(6, 8, 3), ParamSet.init_sgc(6, 3, k=2)):
+            state = forward_state(params, adj, g.features)
+            np.testing.assert_array_equal(state[-1], forward(params, adj, g.features))
+            assert len(state) == (5 if params.W1 is not None else params.k + 1)
+
+    def test_state_rejects_non_finite_inputs(self):
+        g, _ = random_instance(4)
+        g.features[0, 0] = np.nan
+        with pytest.raises(NumericalError):
+            forward_state(gcn_params(6, 8, 3), normalize_adjacency(g), g.features)
 
 
 class TestSGDStep:

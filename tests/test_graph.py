@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph_oracle
 from conftest import edit_ops, random_edit_script
-
+from distpoison import graph
 from distpoison.graph import (
     GraphError,
     build_graph,
@@ -269,6 +272,38 @@ class TestGenerateSBM:
     def test_invalid_probability(self):
         with pytest.raises(GraphError):
             generate_sbm(0, [3], 1.5, 0.0, feature_dim=2, noise=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.lists(st.integers(1, 17), min_size=1, max_size=4),
+        p_intra=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+        p_inter=st.sampled_from([0.0, 0.05, 0.3]),
+        rows_per_draw=st.integers(1, 9),
+    )
+    def test_row_blocks_match_one_dense_draw(self, seed, blocks, p_intra, p_inter, rows_per_draw):
+        # Uneven blocks, and block draws of 1-9 rows that rarely divide n.
+        n = sum(blocks)
+        args = (seed, blocks, p_intra, p_inter, len(blocks) + 1, 0.3)
+        want = graph_oracle.generate_sbm(*args)
+        with mock.patch.object(graph, "_SBM_BLOCK_CELLS", rows_per_draw * n):
+            got = generate_sbm(*args)
+        np.testing.assert_array_equal(got.edge_array(), want.edge_array())
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        for mask in ("train_mask", "val_mask", "test_mask"):
+            np.testing.assert_array_equal(getattr(got, mask), getattr(want, mask))
+
+    def test_default_blocks_match_dense_draw(self):
+        # 1,500 nodes: three draws at the default block size, the last short.
+        args = (7, [500, 700, 300], 0.01, 0.002, 4, 0.5)
+        assert 1500 % (graph._SBM_BLOCK_CELLS // 1500) != 0
+        assert graph._SBM_BLOCK_CELLS // 1500 < 1500
+        want = graph_oracle.generate_sbm(*args)
+        got = generate_sbm(*args)
+        np.testing.assert_array_equal(got.edge_array(), want.edge_array())
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.train_mask, want.train_mask)
 
     def test_masks_disjoint_and_stratified(self):
         g = generate_sbm(3, [10, 10, 10], 0.3, 0.02, feature_dim=4, noise=0.2)
