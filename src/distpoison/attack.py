@@ -23,13 +23,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
+from distpoison.fields import field_errors, spec
 from distpoison.gnn import ParamSet, backward, forward, masked_ce_loss, sgd_step
 from distpoison.graph import Graph, Partition, Subgraph, normalize_adjacency, sample_1hop
-from distpoison.homophily import (
+from distpoison.homophily import (  # noqa: F401 (distribution_distance: re-exported)
+    StealthState,
     distribution_distance,
     homophily_after_edge_removal,
     homophily_after_feature_change,
@@ -49,6 +52,7 @@ __all__ = [
     "edge_scores",
     "select_edge_removals",
     "select_targets",
+    "flipped_value",
     "flip_features",
     "run_disttack",
     "baseline_random",
@@ -60,31 +64,28 @@ __all__ = [
 class AttackConfig:
     """Knobs of the attack; budgets bound the feasible perturbation set."""
 
-    edge_budget: int = 0
-    feature_budget: int = 0
-    w_A: float = 1.0
-    w_X: float = 1.0
+    edge_budget: int = spec(0, low=0)
+    feature_budget: int = spec(0, low=0)
+    w_A: float = spec(1.0, low=0.0)
+    w_X: float = spec(1.0, low=0.0)
     lambda_comm: float = 0.1
-    lambda_homo: float = 1.0
-    surrogate_epochs: int = 50
-    surrogate_hidden: int = 16
+    lambda_homo: float = spec(1.0, low=0.0)
+    surrogate_epochs: int = spec(50, low=0)
+    surrogate_hidden: int = spec(16, low=1)
     surrogate_lr: float = 0.2
-    target_rule: str = "high_degree"
-    target_count: int = 5
+    target_rule: str = spec("high_degree", choices=("high_degree",))
+    target_count: int = spec(5, low=1)
     seed: int = 0
     strict_flip: bool = True
-    edges_per_iter: int = 1
-    flips_per_iter: int = 1
+    edges_per_iter: int = spec(1, low=1)
+    flips_per_iter: int = spec(1, low=1)
     warm_start: bool = False
-    homophily_measure: str = "wasserstein1"
+    homophily_measure: str = spec("wasserstein1", choices=("wasserstein1", "ks"))
 
     def __post_init__(self):
-        if self.edge_budget < 0 or self.feature_budget < 0:
-            raise ValueError("budgets must be nonnegative")
-        if self.w_A < 0 or self.w_X < 0:
-            raise ValueError("gradient weights must be nonnegative")
-        if self.lambda_homo < 0:
-            raise ValueError("lambda_homo must be nonnegative")
+        errors = field_errors(AttackConfig, asdict(self))
+        if errors:
+            raise ValueError("invalid attack config: " + "; ".join(errors))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -222,19 +223,32 @@ def train_surrogate(
     return params
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoreMatrix:
-    """Per-edge removal scores for one sampled subgraph (symmetric, local ids)."""
+    """Removal scores of one sampled subgraph's edges, as flat arrays.
 
-    scores: sp.csr_matrix
+    ``rows[k] < cols[k]`` are the local ids of the k-th subgraph edge and
+    ``values[k]`` its score; ``scores`` is the symmetric sparse view.
+    """
+
     sub: Subgraph
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @cached_property
+    def scores(self) -> sp.csr_matrix:
+        n = self.sub.num_nodes
+        r = np.concatenate([self.rows, self.cols])
+        c = np.concatenate([self.cols, self.rows])
+        v = np.concatenate([self.values, self.values])
+        return sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
 
     def global_items(self) -> dict[tuple[int, int], float]:
-        out = {}
-        coo = sp.triu(self.scores.tocoo(), k=1)
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            out[self.sub.to_global(int(i), int(j))] = float(v)
-        return out
+        a = self.sub.node_ids[self.rows]
+        b = self.sub.node_ids[self.cols]
+        keys = zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
+        return dict(zip(keys, self.values.tolist()))
 
 
 def combined_subgraph_gradient(
@@ -262,35 +276,49 @@ def combined_subgraph_gradient(
     return cfg.w_A * bundle.dA, cfg.w_X * bundle.dX
 
 
-def communication_matrix(sub: Subgraph, part: Partition) -> sp.csr_matrix:
-    """+1 on subgraph edges crossing workers, -1 on same-worker edges."""
-    n = sub.num_nodes
-    if len(sub.edges) == 0:
-        return sp.csr_matrix((n, n), dtype=np.float64)
+def _comm_signs(sub: Subgraph, part: Partition) -> np.ndarray:
+    """+1 for each subgraph edge crossing workers, -1 for a same-worker edge."""
     gi = sub.node_ids[sub.edges[:, 0]]
     gj = sub.node_ids[sub.edges[:, 1]]
     if gi.max(initial=-1) >= len(part.assignment) or gj.max(initial=-1) >= len(part.assignment):
         raise ValueError("subgraph node missing from partition assignment")
-    vals = np.where(part.assignment[gi] != part.assignment[gj], 1.0, -1.0)
+    return np.where(part.assignment[gi] != part.assignment[gj], 1.0, -1.0)
+
+
+def communication_matrix(sub: Subgraph, part: Partition) -> sp.csr_matrix:
+    """+1 on subgraph edges crossing workers, -1 on same-worker edges."""
+    n = sub.num_nodes
+    vals = _comm_signs(sub, part)
     r = np.concatenate([sub.edges[:, 0], sub.edges[:, 1]])
     c = np.concatenate([sub.edges[:, 1], sub.edges[:, 0]])
     return sp.coo_matrix((np.concatenate([vals, vals]), (r, c)), shape=(n, n)).tocsr()
 
 
+def _csr_entries(m: sp.csr_matrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``m[i, j]`` for index arrays, 0.0 where no entry is stored."""
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    n = m.shape[1]
+    # Row-major keys of the stored entries ascend in a canonical CSR matrix.
+    keys = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr)) * n + m.indices
+    want = i * n + j
+    if len(keys) == 0:
+        return np.zeros(len(want))
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[pos] == want, m.data[pos], 0.0)
+
+
 def edge_scores(
     edge_grad: sp.csr_matrix, sub: Subgraph, part: Partition, lambda_comm: float
 ) -> ScoreMatrix:
-    """Removal scores on the subgraph's existing edges: gradient + comm bonus."""
-    n = sub.num_nodes
-    comm = communication_matrix(sub, part)
-    if len(sub.edges) == 0:
-        return ScoreMatrix(scores=sp.csr_matrix((n, n)), sub=sub)
+    """Removal scores on the subgraph's existing edges: gradient + comm bonus.
+
+    Every subgraph edge is scored, zero scores included.
+    """
     i, j = sub.edges[:, 0], sub.edges[:, 1]
-    vals = np.asarray(edge_grad[i, j]).ravel() + lambda_comm * np.asarray(comm[i, j]).ravel()
-    r = np.concatenate([i, j])
-    c = np.concatenate([j, i])
-    s = sp.coo_matrix((np.concatenate([vals, vals]), (r, c)), shape=(n, n)).tocsr()
-    return ScoreMatrix(scores=s, sub=sub)
+    vals = _csr_entries(edge_grad.tocsr(), i, j) + lambda_comm * _comm_signs(sub, part)
+    return ScoreMatrix(sub=sub, rows=i, cols=j, values=vals)
 
 
 def select_edge_removals(scores, k: int) -> list[tuple[int, int, float]]:
@@ -305,6 +333,12 @@ def select_edge_removals(scores, k: int) -> list[tuple[int, int, float]]:
     eligible = [(i, j, s) for (i, j), s in items.items() if s > 0.0]
     eligible.sort(key=lambda t: (-t[2], t[0], t[1]))
     return eligible[:k]
+
+
+def flipped_value(old: float, sign: int, strict: bool = True) -> float:
+    """The sign rule: ``old * (1 - 2*sign)``, or plain negation when not strict."""
+    mult = (1 - 2 * sign) if strict else -1.0
+    return old * mult
 
 
 def flip_features(
@@ -329,9 +363,8 @@ def flip_features(
         sign = int(np.sign(grad_row[dim]))
         if sign == 0:
             continue
-        mult = (1 - 2 * sign) if strict else -1.0
         old = float(out[dim])
-        out[dim] = old * mult
+        out[dim] = flipped_value(old, sign, strict)
         records.append((int(dim), old, float(out[dim]), sign))
     return out, records
 
@@ -348,11 +381,6 @@ def select_targets(
     degs = np.array([g.degree(int(v)) for v in pool])
     order = np.lexsort((pool, -degs))
     return [int(v) for v in pool[order][:count]]
-
-
-def _flip_value(old: float, sign: int, strict: bool) -> float:
-    mult = (1 - 2 * sign) if strict else -1.0
-    return old * mult
 
 
 def run_disttack(
@@ -381,10 +409,19 @@ def run_disttack(
     surrogate: ParamSet | None = None
 
     use_homo = cfg.lambda_homo > 0.0
+    state: StealthState | None = None
     if use_homo:
         h_clean = homophily_values(g)
-        h_cur = h_clean.copy()
+        h_cur = h_clean
         base_dist = 0.0
+
+    def stealth_state() -> StealthState:
+        # One state per version of g_cur: each scoring phase builds its own,
+        # after the surrogate and again after the edge removals.
+        nonlocal state
+        if state is None or state.stale:
+            state = StealthState(g_cur, h_cur, h_clean, measure=cfg.homophily_measure)
+        return state
 
     iteration = 0
     while edges_left > 0 or flips_left > 0:
@@ -419,23 +456,21 @@ def run_disttack(
                 # Greedy increment of the stealth regularizer: distance change
                 # of the candidate against the running perturbed graph. Signed,
                 # so shift-reducing candidates earn a bonus.
-                penalized = {}
-                penalties = {}
-                for (i, j), s in edge_cands.items():
-                    h_trial = homophily_after_edge_removal(g_cur, h_cur, i, j)
-                    delta = (
-                        distribution_distance(h_clean, h_trial, cfg.homophily_measure)
-                        - base_dist
-                    )
-                    penalties[(i, j)] = cfg.lambda_homo * delta
-                    penalized[(i, j)] = s - penalties[(i, j)]
+                st = stealth_state()
+                penalties = {
+                    (i, j): cfg.lambda_homo
+                    * (st.distance(homophily_after_edge_removal(st, i, j)) - base_dist)
+                    for i, j in edge_cands
+                }
+                penalized = {key: s - penalties[key] for key, s in edge_cands.items()}
             else:
                 penalized = edge_cands
                 penalties = {key: 0.0 for key in edge_cands}
             for i, j, s in select_edge_removals(penalized, min(cfg.edges_per_iter, edges_left)):
                 if use_homo:
-                    h_cur = homophily_after_edge_removal(g_cur, h_cur, i, j)
-                    base_dist = distribution_distance(h_clean, h_cur, cfg.homophily_measure)
+                    st = stealth_state()
+                    h_cur = homophily_after_edge_removal(st, i, j)
+                    base_dist = st.distance(h_cur)
                 g_cur.remove_edge(i, j)
                 pert.edges_removed.append(EdgeRemoval(i, j, s, iteration))
                 pert.homophily_penalties.append(penalties[(i, j)])
@@ -443,6 +478,7 @@ def run_disttack(
                 applied = True
 
         if flips_left > 0 and feat_grads:
+            st = stealth_state() if use_homo else None
             cands = []  # (penalized score, node, dim, sign, penalty)
             for node, grow in feat_grads.items():
                 for dim in range(len(grow)):
@@ -454,25 +490,22 @@ def run_disttack(
                     score = abs(grow[dim])
                     penalty = 0.0
                     if use_homo:
-                        old = g_cur.features[node, dim]
                         new_row = g_cur.features[node].copy()
-                        new_row[dim] = _flip_value(old, sign, cfg.strict_flip)
-                        h_trial = homophily_after_feature_change(g_cur, h_cur, node, new_row)
-                        penalty = cfg.lambda_homo * (
-                            distribution_distance(h_clean, h_trial, cfg.homophily_measure)
-                            - base_dist
-                        )
+                        new_row[dim] = flipped_value(new_row[dim], sign, cfg.strict_flip)
+                        h_trial = homophily_after_feature_change(st, node, new_row)
+                        penalty = cfg.lambda_homo * (st.distance(h_trial) - base_dist)
                     cands.append((score - penalty, node, dim, sign, penalty))
             cands = [c for c in cands if c[0] > 0.0]
             cands.sort(key=lambda c: (-c[0], c[1], c[2]))
             for score, node, dim, sign, penalty in cands[: min(cfg.flips_per_iter, flips_left)]:
                 old = float(g_cur.features[node, dim])
-                new = _flip_value(old, sign, cfg.strict_flip)
+                new = flipped_value(old, sign, cfg.strict_flip)
                 if use_homo:
+                    st = stealth_state()
                     new_row = g_cur.features[node].copy()
                     new_row[dim] = new
-                    h_cur = homophily_after_feature_change(g_cur, h_cur, node, new_row)
-                    base_dist = distribution_distance(h_clean, h_cur, cfg.homophily_measure)
+                    h_cur = homophily_after_feature_change(st, node, new_row)
+                    base_dist = st.distance(h_cur)
                 g_cur.set_feature(node, dim, new)
                 pert.features_flipped.append(FeatureFlip(node, dim, old, new, sign, iteration))
                 pert.homophily_penalties.append(penalty)
@@ -550,7 +583,8 @@ def baseline_random(
         node, dim = pick
         flipped.add(pick)
         old = float(g.features[node, dim])
-        pert.features_flipped.append(FeatureFlip(node, dim, old, -old, 1, unit + 1))
+        new = flipped_value(old, 1)
+        pert.features_flipped.append(FeatureFlip(node, dim, old, new, 1, unit + 1))
     return pert
 
 

@@ -19,6 +19,7 @@ import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,10 @@ from distpoison.distributed import (
     write_divergence_csv,
     write_telemetry_csv,
 )
+from distpoison.fields import field_errors, spec
 from distpoison.gnn import ParamSet, predict_accuracy
 from distpoison.graph import (
+    PARTITION_STRATEGIES,
     Graph,
     generate_sbm,
     normalize_adjacency,
@@ -77,16 +80,18 @@ class ExperimentConfig:
     dataset: dict
     attack: dict
     seeds: list[int]
-    model: str = "gcn"
-    hidden_dim: int = 16
+    model: str = spec("gcn", choices=MODELS)
+    hidden_dim: int = spec(16, low=1)
     sgc_k: int = 2
-    workers: int = 4
-    epochs: int = 100
-    batch_size: int = 8
+    # Two workers at least: the divergence series compares the poisoned
+    # worker against the mean of the others.
+    workers: int = spec(4, low=2)
+    epochs: int = spec(100, low=0)
+    batch_size: int = spec(8, low=1)
     learning_rate: float = 0.3
-    aggregation: str = "mean"
-    partition_strategy: str = "round_robin"
-    poisoned_worker: int = 0
+    aggregation: str = spec("mean", choices=("mean", "sum"))
+    partition_strategy: str = spec("round_robin", choices=PARTITION_STRATEGIES)
+    poisoned_worker: int = spec(0, low=0)
     parallel_seeds: int = 1
     out_dir: str | None = None
 
@@ -111,11 +116,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        errors = []
-        known = set(cls.__dataclass_fields__)
-        for key in raw:
-            if key not in known:
-                errors.append(f"{key}: unknown field")
+        errors = field_errors(cls, raw)
         dataset = raw.get("dataset")
         if not isinstance(dataset, dict):
             errors.append("dataset: required mapping with kind 'sbm' or 'files'")
@@ -136,36 +137,28 @@ class ExperimentConfig:
         if not isinstance(attack, dict) or attack.get("kind") not in ATTACK_KINDS:
             errors.append(f"attack.kind: must be one of {ATTACK_KINDS}")
             attack = {"kind": "none"}
-        elif attack["kind"] != "none":
-            for fld in ("edge_budget", "feature_budget"):
-                if attack.get(fld, 0) < 0:
-                    errors.append(f"attack.{fld}: must be nonnegative")
+        else:
+            knobs = {k: v for k, v in attack.items() if k not in ("kind", "edge_budget_frac")}
+            errors += field_errors(AttackConfig, knobs, "attack.")
+            if "edge_budget_frac" in attack:
+                frac = attack["edge_budget_frac"]
+                if not (isinstance(frac, Real) and not isinstance(frac, bool) and 0 <= frac <= 1):
+                    errors.append(f"attack.edge_budget_frac: must be a number in [0, 1], got {frac!r}")
+                if "edge_budget" in attack:
+                    errors.append("attack.edge_budget_frac: set either it or attack.edge_budget")
         seeds = raw.get("seeds", [0])
         if not isinstance(seeds, list) or not seeds or not all(
             isinstance(s, int) for s in seeds
         ):
             errors.append("seeds: must be a nonempty list of integers")
             seeds = [0]
-        model = raw.get("model", "gcn")
-        if model not in MODELS:
-            errors.append(f"model: must be one of {MODELS}, got {model!r}")
-        # Two workers at least: the divergence series compares the poisoned
-        # worker against the mean of the others.
-        for fld, low in (("workers", 2), ("epochs", 0), ("batch_size", 1), ("hidden_dim", 1)):
-            val = raw.get(fld, cls.__dataclass_fields__[fld].default)
-            if not isinstance(val, int) or val < low:
-                errors.append(f"{fld}: must be an integer >= {low}")
         workers = raw.get("workers", cls.__dataclass_fields__["workers"].default)
         poisoned = raw.get("poisoned_worker", cls.__dataclass_fields__["poisoned_worker"].default)
-        if not isinstance(poisoned, int) or (
-            isinstance(workers, int) and workers >= 2 and not 0 <= poisoned < workers
-        ):
+        if isinstance(workers, int) and isinstance(poisoned, int) and poisoned >= workers >= 2:
             errors.append(f"poisoned_worker: must be an integer in [0, workers), got {poisoned!r}")
-        if raw.get("aggregation", "mean") not in ("mean", "sum"):
-            errors.append("aggregation: must be 'mean' or 'sum'")
         if errors:
             raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-        kwargs = {k: raw[k] for k in known if k in raw}
+        kwargs = {k: raw[k] for k in cls.__dataclass_fields__ if k in raw}
         kwargs["dataset"] = dataset
         kwargs["attack"] = attack
         kwargs["seeds"] = seeds

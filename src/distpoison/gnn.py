@@ -276,12 +276,17 @@ def _adjacency_entry_grads(
         (row_sums[k] + col_sums[k]) / deg[k] + (row_sums[l] + col_sums[l]) / deg[l]
     )
     vals = direct - degree_term
-    dA = sp.coo_matrix(
-        (np.concatenate([vals, vals]), (np.concatenate([k, l]), np.concatenate([l, k]))),
-        shape=(n, n),
-    ).tocsr()
-    dA.sort_indices()
-    return dA
+    # dA has the support of A off the diagonal, rows and columns sorted: an
+    # upper entry is the next edge in order, a lower entry (r, c) takes the
+    # value of edge (c, r).
+    off = rows != cols
+    r, c = rows[off], cols[off]
+    lower = r > c
+    edge_of = np.empty(len(r), dtype=np.int64)
+    edge_of[~lower] = np.arange(len(k))
+    edge_of[lower] = np.searchsorted(k * n + l, c[lower] * n + r[lower])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))])
+    return sp.csr_matrix((vals[edge_of], c, indptr), shape=(n, n))
 
 
 # A reverse product is limited to the rows that carry gradient once A holds at

@@ -5,7 +5,8 @@ tombstones entries in place and compacts lazily, so that attacks removing a
 handful of edges per iteration do not pay a full rebuild each time. Edges added
 after construction (used by the random/DICE baselines) live in a small overlay
 until the next compaction. The degree vector is kept current by every edit,
-so degree queries never recount the adjacency.
+so degree queries never recount the adjacency, and an edit counter lets
+caches built from a graph tell whether it has changed since.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class Graph:
         self._num_edges = len(indices) // 2
         self._dead = 0
         self._deg = np.diff(indptr).astype(np.int64)
+        # Bumped by every mutation method; compaction is not an edit.
+        self.edits = 0
 
     # -- queries ---------------------------------------------------------
 
@@ -99,36 +102,6 @@ class Graph:
             cols = np.concatenate([cols, np.fromiter(extra, dtype=np.int64)])
             cols.sort()
         return cols
-
-    def neighbor_block(self, nodes) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor lists of ``nodes`` as the rows of one padded block.
-
-        Returns ``(ids, counts)``: row k of ``ids`` holds the neighbors of
-        ``nodes[k]`` in its first ``counts[k]`` slots, ascending as
-        ``neighbors`` returns them; the remaining slots hold arbitrary node
-        ids. ``counts`` is the nodes' degree vector.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        lo = self.indptr[nodes]
-        lens = self.indptr[nodes + 1] - lo
-        slot = np.arange(lens.max(initial=0))
-        pos = np.minimum(lo[:, None] + slot, len(self.indices) - 1)
-        ids = self.indices[pos]
-        if self._dead or self._extra:
-            # Overwrite tombstones with the largest id, merge in overlay edges
-            # padded the same way, and sort: each row then starts with its
-            # live neighbors, since a live neighbor equal to that id sorts
-            # among the padding.
-            pad = self.num_nodes - 1
-            ids = np.where((slot < lens[:, None]) & self._alive[pos], ids, pad)
-            if self._extra:
-                extra = [self._extra.get(u, ()) for u in nodes.tolist()]
-                more = np.full((len(nodes), max(map(len, extra))), pad)
-                for k, js in enumerate(extra):
-                    more[k, : len(js)] = list(js)
-                ids = np.concatenate([ids, more], axis=1)
-            ids.sort(axis=1)
-        return ids, self._deg[nodes]
 
     def degree(self, i: int) -> int:
         return int(self._deg[i])
@@ -157,6 +130,26 @@ class Graph:
         out = np.concatenate(pairs, axis=0) if pairs else np.empty((0, 2), dtype=np.int64)
         order = np.lexsort((out[:, 1], out[:, 0]))
         return out[order]
+
+    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the current adjacency, rows ascending.
+
+        Tombstones are dropped and overlay edges merged in; the arrays are the
+        graph's own when it holds neither, so treat them as read-only.
+        """
+        if not self._dead and not self._extra:
+            return self.indptr, self.indices
+        n = self.num_nodes
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))[self._alive]
+        cols = self.indices[self._alive]
+        if self._extra:
+            extra = np.array(
+                [(i, j) for i, js in self._extra.items() for j in js], dtype=np.int64
+            ).reshape(-1, 2)
+            keys = np.sort(np.concatenate([rows * n + cols, extra[:, 0] * n + extra[:, 1]]))
+            cols = keys % n
+        indptr = np.concatenate([[0], np.cumsum(self._deg)])
+        return indptr, cols
 
     def adjacency_csr(self) -> sp.csr_matrix:
         """Raw adjacency A (no self-loops) as a scipy CSR matrix of 1.0s."""
@@ -187,6 +180,7 @@ class Graph:
             self._dead += 1
         self._deg[[i, j]] -= 1
         self._num_edges -= 1
+        self.edits += 1
         self._maybe_compact()
 
     def add_edge(self, i: int, j: int) -> None:
@@ -200,10 +194,12 @@ class Graph:
         self._extra.setdefault(j, set()).add(i)
         self._deg[[i, j]] += 1
         self._num_edges += 1
+        self.edits += 1
         self._maybe_compact()
 
     def set_feature(self, node: int, dim: int, value: float) -> None:
         self.features[node, dim] = value
+        self.edits += 1
 
     def _maybe_compact(self) -> None:
         overlay = sum(len(s) for s in self._extra.values())
@@ -212,13 +208,7 @@ class Graph:
 
     def compact(self) -> None:
         """Rebuild the CSR arrays, folding in tombstones and overlay edges."""
-        neigh = [self.neighbors(i) for i in range(self.num_nodes)]
-        self.indptr = np.concatenate(
-            [[0], np.cumsum([len(c) for c in neigh])]
-        ).astype(np.int64)
-        self.indices = (
-            np.concatenate(neigh) if self.num_nodes else np.empty(0, dtype=np.int64)
-        ).astype(np.int64)
+        self.indptr, self.indices = self.csr_arrays()
         self._alive = np.ones(len(self.indices), dtype=bool)
         self._extra = {}
         self._dead = 0
@@ -239,6 +229,7 @@ class Graph:
         g._num_edges = self._num_edges
         g._dead = self._dead
         g._deg = self._deg.copy()
+        g.edits = self.edits
         return g
 
 
@@ -338,16 +329,28 @@ class NormalizedAdjacency:
 
 
 def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
-    """Degree-normalize ``g``'s adjacency with self-loops added."""
+    """Degree-normalize ``g``'s adjacency with self-loops added.
+
+    The CSR arrays come straight from the graph's sorted rows, each row's
+    diagonal entry slotted in after its neighbors with smaller ids.
+    """
+    n = g.num_nodes
     deg_sl = g.degrees().astype(np.float64) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg_sl)
-    e = g.edge_array()
-    diag = np.arange(g.num_nodes)
-    rows = np.concatenate([e[:, 0], e[:, 1], diag])
-    cols = np.concatenate([e[:, 1], e[:, 0], diag])
-    vals = inv_sqrt[rows] * inv_sqrt[cols]
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(g.num_nodes, g.num_nodes)).tocsr()
-    m.sort_indices()
+    indptr, cols = g.csr_arrays()
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    out_ptr = indptr + np.arange(n + 1)
+    # Row r's entries move up by the r diagonals before it, and by one more
+    # past its own diagonal.
+    pos = np.arange(len(cols)) + rows + (cols > rows)
+    diag = out_ptr[:-1] + np.bincount(rows[cols < rows], minlength=n)
+    indices = np.empty(len(cols) + n, dtype=np.int64)
+    data = np.empty(len(cols) + n)
+    indices[pos] = cols
+    data[pos] = inv_sqrt[rows] * inv_sqrt[cols]
+    indices[diag] = np.arange(n)
+    data[diag] = inv_sqrt * inv_sqrt
+    m = sp.csr_matrix((data, indices, out_ptr), shape=(n, n))
     return NormalizedAdjacency(matrix=m, degrees=deg_sl)
 
 
@@ -371,6 +374,9 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(0xFFFFFFFFFFFFFFFF)
     z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & np.uint64(0xFFFFFFFFFFFFFFFF)
     return z ^ (z >> np.uint64(31))
+
+
+PARTITION_STRATEGIES = ("round_robin", "hash", "random")
 
 
 def partition_nodes(g: Graph, n: int, strategy: str = "round_robin", seed: int = 0) -> Partition:

@@ -13,9 +13,12 @@ signature; smaller distance means a less noticeable attack.
 
 The greedy attack scores each candidate with a trial vector
 (``homophily_after_edge_removal``, ``homophily_after_feature_change``) that
-recomputes only the candidate's one-hop neighborhood, in a few vectorized
-passes. Trial vectors are bit-identical to recomputing each affected node
-from scratch on its own, with its neighbor rows summed in ascending neighbor
+recomputes only the candidate's one-hop neighborhood. The trials read a
+``StealthState`` built once per scoring phase: the neighbor table, degrees
+and weighted neighbor rows of the whole graph, so a trial gathers the
+affected rows, overrides the entries the candidate changes and reduces them.
+Trial vectors are bit-identical to recomputing each affected node from
+scratch on its own, with its neighbor rows summed in ascending neighbor
 order; the tests keep that per-node recompute as their oracle.
 """
 
@@ -35,6 +38,8 @@ __all__ = [
     "homophily_values",
     "distribution_distance",
     "stealth_penalty",
+    "StaleStateError",
+    "StealthState",
     "homophily_after_edge_removal",
     "homophily_after_feature_change",
     "write_histogram_csv",
@@ -97,6 +102,12 @@ def _as_values(d) -> np.ndarray:
     return v
 
 
+def _w1_sorted(p_sorted: np.ndarray, q_sorted: np.ndarray) -> float:
+    """Empirical W1 of two equal-size samples given in ascending order."""
+    # The mean, summed and divided as np.mean does, without its call overhead.
+    return float(np.abs(p_sorted - q_sorted).sum() / len(p_sorted))
+
+
 def distribution_distance(p, q, measure: str = "wasserstein1") -> float:
     """Distance between two empirical homophily distributions.
 
@@ -107,7 +118,7 @@ def distribution_distance(p, q, measure: str = "wasserstein1") -> float:
     pv, qv = _as_values(p), _as_values(q)
     if measure == "wasserstein1":
         if len(pv) == len(qv):
-            return float(np.abs(np.sort(pv) - np.sort(qv)).mean())
+            return _w1_sorted(np.sort(pv), np.sort(qv))
         # Imported here: scipy.stats costs about half a second of start-up.
         from scipy.stats import wasserstein_distance
 
@@ -141,89 +152,141 @@ def stealth_penalty(
 # -- incremental evaluation for greedy candidate scoring ---------------------
 
 
-def _recompute_nodes(
-    values: np.ndarray,
-    nodes: np.ndarray,
-    counts: np.ndarray,
-    own_rows: np.ndarray,
-    nbr_rows: np.ndarray,
-    nbr_deg: np.ndarray,
-    degree_ratio: bool,
-) -> np.ndarray:
-    """``values`` with the entries of ``nodes`` recomputed from scratch.
+class StaleStateError(RuntimeError):
+    """A stealth trial was asked of a state whose graph has been edited since."""
 
-    ``nbr_rows[k]`` and ``nbr_deg[k]`` hold the feature rows and trial
-    degrees of the ``counts[k]`` neighbors of ``nodes[k]`` in the trial
-    graph, ascending by id and padded past ``counts[k]`` (a block from
-    ``Graph.neighbor_block``); ``own_rows`` are the nodes' own rows.
 
-    Each node's weighted neighbor rows are added in sequence, exactly as
-    ``(rows * w).sum(axis=0)`` adds them for one node: summing the block
-    over slots does this, and the zero rows padding it change no sum. With
-    a single feature column numpy sums a node's rows pairwise instead and
-    the padding would regroup them, so nodes are then summed in blocks of
-    one neighbor count each.
+class StealthState:
+    """What every stealth trial of one scoring phase reads, built once.
+
+    Holds, for ``g`` as it stands: the neighbor table of all nodes (row u
+    lists u's neighbors ascending in its first ``degrees[u]`` slots, -1
+    after), the degrees, each slot's weighted neighbor row (the neighbor's
+    features times its slot weight, zero on padding; n x S x d for maximum
+    degree S), the squared norms of the own rows, the current homophily
+    vector ``values`` and the clean vector sorted once for W1. ``clean``
+    defaults to ``values``.
+
+    A state describes one version of the graph: once ``g`` is edited through
+    its mutation methods, trials raise ``StaleStateError`` and a fresh state
+    must be built (with the updated ``values``).
     """
-    valid = np.arange(nbr_rows.shape[1]) < counts[:, None]
-    # A live neighbor has trial degree >= 1; padding slots get weight 0.
-    dv = np.maximum(nbr_deg, 1)
-    w = (np.sqrt(dv) if degree_ratio else 1.0 / np.sqrt(dv)) * valid
-    weighted = nbr_rows * w[..., None]
-    if weighted.shape[2] > 1:
-        agg = weighted.sum(axis=1)
-    else:
-        agg = np.zeros((len(nodes), 1))
-        for c in np.unique(counts):
-            agg[counts == c] = weighted[counts == c, :c].sum(axis=1)
-    agg /= np.sqrt(np.maximum(counts, 1))[:, None]
-    out = values.copy()
-    out[nodes] = np.sqrt((agg**2).sum(axis=1) + (own_rows**2).sum(axis=1))
-    return out
+
+    def __init__(
+        self,
+        g: Graph,
+        values: np.ndarray,
+        clean: np.ndarray | None = None,
+        degree_ratio: bool = True,
+        measure: str = "wasserstein1",
+    ):
+        n = g.num_nodes
+        self.values = np.asarray(values, dtype=np.float64)
+        self.clean = self.values if clean is None else np.asarray(clean, dtype=np.float64)
+        if len(self.values) != n or len(self.clean) != n:
+            raise ValueError(f"homophily vectors must have one entry per node ({n})")
+        self.graph = g
+        self.edits = g.edits
+        self.degree_ratio = degree_ratio
+        self.measure = measure
+        self.clean_sorted = np.sort(self.clean)
+        indptr, indices = g.csr_arrays()
+        self.degrees = g.degrees()
+        slot = np.arange(self.degrees.max(initial=0))
+        live = slot < self.degrees[:, None]
+        pos = np.minimum(indptr[:-1, None] + slot, len(indices) - 1)
+        self.ids = np.where(live, indices[pos], -1)
+        self.weights = _neighbor_weights(self.degrees, degree_ratio)
+        nbrs = self.ids[live]
+        self.rows = np.zeros(self.ids.shape + (g.feature_dim,))
+        self.rows[live] = g.features[nbrs] * self.weights[nbrs, None]
+        self.own_sq = (g.features**2).sum(axis=1)
+
+    @property
+    def stale(self) -> bool:
+        return self.graph.edits != self.edits
+
+    def _check(self) -> None:
+        if self.stale:
+            raise StaleStateError("graph edited since this stealth state was built")
+
+    def distance(self, trial: np.ndarray) -> float:
+        """Distance of a trial homophily vector from the clean one."""
+        if self.measure == "wasserstein1":
+            return _w1_sorted(self.clean_sorted, np.sort(trial))
+        return distribution_distance(self.clean, trial, self.measure)
+
+    def _trial(self, nodes, counts, rows, own_sq) -> np.ndarray:
+        """``values`` with the entries of ``nodes`` recomputed from scratch.
+
+        ``rows[k]`` holds the weighted rows of the ``counts[k]`` neighbors
+        of ``nodes[k]`` in the trial graph, ascending by id, and zeros past
+        them. Each node's rows are added in sequence, exactly as
+        ``(rows * w).sum(axis=0)`` adds them for one node: summing over slots
+        does this, and the zero padding changes no sum. With a single feature
+        column numpy sums a node's rows pairwise instead and the padding
+        would regroup them, so nodes are then summed in blocks of one
+        neighbor count each.
+        """
+        if rows.shape[2] > 1:
+            agg = rows.sum(axis=1)
+        else:
+            agg = np.zeros((len(nodes), 1))
+            for c in np.unique(counts):
+                agg[counts == c] = rows[counts == c, :c].sum(axis=1)
+        agg /= np.sqrt(np.maximum(counts, 1))[:, None]
+        out = self.values.copy()
+        out[nodes] = np.sqrt((agg**2).sum(axis=1) + own_sq)
+        return out
 
 
-def homophily_after_edge_removal(
-    g: Graph, values: np.ndarray, i: int, j: int, degree_ratio: bool = True
-) -> np.ndarray:
-    """Homophily vector of ``g`` with edge (i, j) removed, without mutating ``g``.
+def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndarray:
+    """Homophily vector of the state's graph with edge (i, j) removed.
 
     Only nodes within one hop of either endpoint change; everything else is
-    carried over from ``values`` (the vector for the current ``g``).
+    carried over from ``state.values``. The graph is not touched.
     """
-    nodes = np.unique(np.concatenate([[i, j], g.neighbors(i), g.neighbors(j)]))
-    nbrs, counts = g.neighbor_block(nodes)
+    state._check()
+    deg = state.degrees
+    nodes = np.unique(np.concatenate([[i, j], state.ids[i, : deg[i]], state.ids[j, : deg[j]]]))
+    counts = deg[nodes]
+    width = counts.max()
+    ids = state.ids[nodes, :width]
+    rows = state.rows[nodes, :width]
+    # Both endpoints lose one degree, which re-weights every slot holding them.
+    w = _neighbor_weights(deg[[i, j]] - 1, state.degree_ratio)
+    rows[ids == i] = state.graph.features[i] * w[0]
+    rows[ids == j] = state.graph.features[j] * w[1]
     for a, b in ((i, j), (j, i)):
-        # Drop b from a's sorted row, closing the gap.
+        # Drop b from a's row, closing the gap.
         r = np.searchsorted(nodes, a)
-        p = np.searchsorted(nbrs[r, : counts[r]], b)
-        if p == counts[r] or nbrs[r, p] != b:
+        c = counts[r]
+        p = np.searchsorted(ids[r, :c], b)
+        if p == c or ids[r, p] != b:
             raise ValueError(f"edge ({i}, {j}) not present")
-        nbrs[r, p:-1] = nbrs[r, p + 1 :]
-        counts[r] -= 1
-    nbr_deg = g.degrees(nbrs) - (nbrs == i) - (nbrs == j)
-    return _recompute_nodes(
-        values, nodes, counts, g.features[nodes], g.features[nbrs], nbr_deg, degree_ratio
-    )
+        rows[r, p : c - 1] = rows[r, p + 1 : c]
+        rows[r, c - 1] = 0.0
+        counts[r] = c - 1
+    return state._trial(nodes, counts, rows, state.own_sq[nodes])
 
 
 def homophily_after_feature_change(
-    g: Graph,
-    values: np.ndarray,
-    node: int,
-    new_row: np.ndarray,
-    degree_ratio: bool = True,
+    state: StealthState, node: int, new_row: np.ndarray
 ) -> np.ndarray:
-    """Homophily vector of ``g`` with node's feature row replaced."""
-    if np.array_equal(g.features[node], new_row):
-        return values.copy()
-    nodes = np.concatenate([[node], g.neighbors(node)])
-    nbrs, counts = g.neighbor_block(nodes)
-    own_rows = g.features[nodes]
-    own_rows[0] = new_row
-    nbr_rows = g.features[nbrs]
-    nbr_rows[nbrs == node] = new_row
-    return _recompute_nodes(
-        values, nodes, counts, own_rows, nbr_rows, g.degrees(nbrs), degree_ratio
-    )
+    """Homophily vector of the state's graph with node's feature row replaced."""
+    state._check()
+    new_row = np.asarray(new_row, dtype=np.float64)
+    if np.array_equal(state.graph.features[node], new_row):
+        return state.values.copy()
+    deg = state.degrees
+    nodes = np.concatenate([[node], state.ids[node, : deg[node]]])
+    counts = deg[nodes]
+    width = counts.max()
+    rows = state.rows[nodes, :width]
+    rows[state.ids[nodes, :width] == node] = new_row * state.weights[node]
+    own_sq = state.own_sq[nodes]
+    own_sq[0] = (new_row[None] ** 2).sum(axis=1)[0]
+    return state._trial(nodes, counts, rows, own_sq)
 
 
 def write_histogram_csv(

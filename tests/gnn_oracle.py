@@ -1,19 +1,50 @@
 """The reverse pass as first written, kept as the test oracle.
 
 Every call runs its own full-graph forward pass and takes every reverse
-product over the whole adjacency. ``distpoison.gnn.backward`` must return
-bit-identical gradients, with or without a shared forward state and on
-either side of its full/limited product choice.
+product over the whole adjacency, and the adjacency-entry gradient is built
+as a COO matrix, converted to CSR and index-sorted.
+``distpoison.gnn.backward`` must return bit-identical gradients (dA with
+identical CSR arrays), with or without a shared forward state and on either
+side of its full/limited product choice.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from distpoison.gnn import (
-    GradientBundle,
-    _adjacency_entry_grads,
-    _check_finite,
-    _loss_grad_logits,
-)
+from distpoison.gnn import GradientBundle, _check_finite, _loss_grad_logits
+
+
+def _adjacency_entry_grads(adj, products):
+    rows, cols, avals = adj.support()
+
+    def m_entries(r, c):
+        out = np.zeros(len(r))
+        for up, down in products:
+            out += np.einsum("ij,ij->i", up[r], down[c])
+        return out
+
+    m_support = m_entries(rows, cols)
+    t_vals = m_support * avals
+    n = adj.num_nodes
+    row_sums = np.bincount(rows, weights=t_vals, minlength=n)
+    col_sums = np.bincount(cols, weights=t_vals, minlength=n)
+    deg = adj.degrees
+
+    edges = adj.edge_list()
+    if len(edges) == 0:
+        return sp.csr_matrix((n, n), dtype=np.float64)
+    k, l = edges[:, 0], edges[:, 1]
+    direct = (m_entries(k, l) + m_entries(l, k)) / np.sqrt(deg[k] * deg[l])
+    degree_term = 0.5 * (
+        (row_sums[k] + col_sums[k]) / deg[k] + (row_sums[l] + col_sums[l]) / deg[l]
+    )
+    vals = direct - degree_term
+    dA = sp.coo_matrix(
+        (np.concatenate([vals, vals]), (np.concatenate([k, l]), np.concatenate([l, k]))),
+        shape=(n, n),
+    ).tocsr()
+    dA.sort_indices()
+    return dA
 
 
 def backward(

@@ -1,13 +1,33 @@
-"""The SBM generator as first written, kept as the test oracle.
+"""Graph routines as first written, kept as test oracles.
 
-It draws all n x n uniforms at once and keeps the upper triangle through
-``triu_indices``. ``distpoison.graph.generate_sbm`` draws the same stream a
-block of rows at a time and must return identical graphs.
+``generate_sbm`` draws all n x n uniforms at once and keeps the upper
+triangle through ``triu_indices``; ``distpoison.graph.generate_sbm`` draws
+the same stream a block of rows at a time and must return identical graphs.
+
+``normalize_adjacency`` builds the self-looped matrix as COO from the edge
+list, converts it to CSR and sorts the indices;
+``distpoison.graph.normalize_adjacency`` builds the CSR arrays from the
+graph's sorted rows and must return identical arrays.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from distpoison.graph import build_graph
+
+
+def normalize_adjacency(g):
+    """The normalized CSR matrix of ``g``."""
+    deg_sl = g.degrees().astype(np.float64) + 1.0
+    inv_sqrt = 1.0 / np.sqrt(deg_sl)
+    e = g.edge_array()
+    diag = np.arange(g.num_nodes)
+    rows = np.concatenate([e[:, 0], e[:, 1], diag])
+    cols = np.concatenate([e[:, 1], e[:, 0], diag])
+    vals = inv_sqrt[rows] * inv_sqrt[cols]
+    m = sp.coo_matrix((vals, (rows, cols)), shape=(g.num_nodes, g.num_nodes)).tocsr()
+    m.sort_indices()
+    return m
 
 
 def generate_sbm(seed, block_sizes, p_intra, p_inter, feature_dim, noise,

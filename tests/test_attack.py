@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import score_oracle
 from conftest import make_graph
 from distpoison.attack import (
     AttackConfig,
@@ -15,6 +18,7 @@ from distpoison.attack import (
     communication_matrix,
     edge_scores,
     flip_features,
+    flipped_value,
     run_disttack,
     select_edge_removals,
     select_targets,
@@ -92,6 +96,20 @@ class TestCombinedGradient:
         np.testing.assert_allclose(3.0 * fg1, fg3, rtol=1e-12)
 
 
+class TestAttackConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(lambda_homo=-1.0), dict(edge_budget=1.5), dict(homophily_measure="foo"),
+         dict(target_count=0), dict(strict_flip=1), dict(w_X=float("nan"))],
+    )
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            AttackConfig(**bad)
+
+    def test_accepts_integers_for_weights(self):
+        assert AttackConfig(w_A=2, lambda_homo=0).w_A == 2
+
+
 class TestCommunicationMatrix:
     def test_single_worker_all_minus_one(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -159,6 +177,84 @@ class TestEdgeScores:
                 assert (int(i), int(j)) in edge_set
 
 
+def assert_scores_match_oracle(grad, sub, part, lam):
+    got = edge_scores(grad, sub, part, lam)
+    want = score_oracle.edge_scores(grad, sub, part, lam)
+    items = got.global_items()
+    want_items = score_oracle.global_items(want, sub)
+    # Same keys, zero scores included; repr tells -0.0 from 0.0.
+    assert items.keys() == want_items.keys()
+    assert {k: repr(v) for k, v in items.items()} == {k: repr(v) for k, v in want_items.items()}
+    assert len(items) == len(sub.edges)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.scores, name), getattr(want, name)), name
+    comm = communication_matrix(sub, part)
+    comm_want = score_oracle.communication_matrix(sub, part)
+    assert comm.shape == comm_want.shape and (comm != comm_want).nnz == 0
+
+
+class TestEdgeScoresMatchOracle:
+    """Flat edge scores equal the sparse round trip they replaced."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 10),
+        st.floats(0.0, 1.0),
+        st.integers(1, 4),
+        st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(-5.0, 5.0)),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lil_gradients(self, seed, n, p, workers, lam, fill):
+        # Gradients stored on a random subset of entries, edges or not, some
+        # of them explicit (signed) zeros; an isolated target gives an empty
+        # subgraph.
+        rng = np.random.default_rng(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = make_graph(n, edges)
+        part = Partition(assignment=rng.integers(0, workers, size=n), n=workers)
+        sub = sample_1hop(g, int(rng.integers(n)))
+        m = sub.num_nodes
+        lil = sp.lil_matrix((m, m))
+        for a in range(m):
+            for b in range(m):
+                if rng.random() < fill:
+                    lil[a, b] = rng.standard_normal()
+        grad = lil.tocsr()
+        zero = rng.random(grad.nnz) < 0.3
+        grad.data[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        assert_scores_match_oracle(grad, sub, part, lam)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_surrogate_gradients(self, seed):
+        g, part = toy_instance(seed)
+        theta = train_surrogate(g, epochs=10, seed=seed)
+        for t in range(g.num_nodes):
+            sub = sample_1hop(g, t)
+            eg, _ = combined_subgraph_gradient(theta, sub, attack_cfg())
+            assert_scores_match_oracle(eg, sub, part, 0.1)
+
+    def test_unsorted_gradient_with_duplicates(self):
+        # Path 0-1-2 from node 1: row 0 stores its entries out of order and
+        # (0, 1) twice, which indexing sums.
+        g = make_graph(3, [(0, 1), (1, 2)])
+        part = Partition(assignment=np.array([0, 1, 0]), n=2)
+        sub = sample_1hop(g, 1)
+        grad = sp.csr_matrix(
+            (np.array([0.5, 0.25, 0.125, -1.0]), np.array([2, 1, 1, 0]), np.array([0, 3, 4, 4])),
+            shape=(3, 3),
+        )
+        assert not grad.has_canonical_format
+        assert_scores_match_oracle(grad, sub, part, 0.1)
+
+    def test_empty_subgraph(self):
+        g = make_graph(3, [(1, 2)])
+        part = Partition(assignment=np.array([0, 1, 0]), n=2)
+        sub = sample_1hop(g, 0)
+        assert_scores_match_oracle(sp.csr_matrix((1, 1)), sub, part, 0.5)
+        assert edge_scores(sp.csr_matrix((1, 1)), sub, part, 0.5).global_items() == {}
+
+
 class TestSelectEdgeRemovals:
     def test_no_positive_scores(self):
         assert select_edge_removals({(0, 1): -0.5, (1, 2): 0.0}, 3) == []
@@ -211,6 +307,20 @@ class TestFlipFeatures:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             flip_features(np.zeros(3), np.zeros(2), m=1)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_attack_and_baseline_flips_follow_the_rule(self, strict):
+        g, part = toy_instance(2)
+        cfg = attack_cfg(edge_budget=0, feature_budget=6, strict_flip=strict, lambda_homo=0.5)
+        pert = run_disttack(g, part, cfg, select_targets(g, part, 0, 2))
+        ra = baseline_random(g, part, 0, 6, seed=2)
+        assert pert.features_flipped and ra.features_flipped
+        for f in pert.features_flipped:
+            assert f.new == flipped_value(f.old, f.sign, strict)
+            row, recs = flip_features(np.array([f.old]), np.array([float(f.sign)]), 1, strict)
+            assert recs == [(0, f.old, f.new, f.sign)]
+        for f in ra.features_flipped:
+            assert (f.sign, f.new) == (1, flipped_value(f.old, 1))
 
 
 class TestRunDisttack:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 import distpoison
@@ -146,3 +147,22 @@ def test_poisoned_worker_out_of_range_rejected(tmp_path, capsys, monkeypatch):
 
 def _no_compute(*args, **kwargs):
     raise AssertionError("a rejected config reached dataset generation")
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("attack.bogus=1", "attack.bogus"),
+        ("partition_strategy=zzz", "partition_strategy"),
+        ("attack.edge_budget=abc", "attack.edge_budget"),
+        ("learning_rate=nan", "learning_rate"),  # YAML reads a bare nan as a string
+        ("attack.lambda_homo=-1", "attack.lambda_homo"),
+        ("attack.homophily_measure=foo", "attack.homophily_measure"),
+        ("attack.edge_budget_frac=0.1", "attack.edge_budget_frac"),  # beside edge_budget
+    ],
+)
+def test_bad_value_rejected_before_dataset(tmp_path, capsys, monkeypatch, override, field):
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--set", override]) == 2
+    assert f"{field}:" in capsys.readouterr().err

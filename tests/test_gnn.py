@@ -245,7 +245,10 @@ def assert_same_bundle(got, want):
         np.testing.assert_array_equal(got.dX, want.dX)
     assert (got.dA is None) == (want.dA is None)
     if want.dA is not None:
-        np.testing.assert_array_equal(got.dA.toarray(), want.dA.toarray())
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got.dA, name), getattr(want.dA, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b)
     assert got.l2_norm == want.l2_norm
 
 

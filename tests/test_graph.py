@@ -234,15 +234,29 @@ class TestDegreeCache:
             recount = np.bincount(g.edge_array().ravel(), minlength=n)
             np.testing.assert_array_equal(g.degrees(), recount)
             assert [g.degree(i) for i in range(n)] == recount.tolist()
-            ids, counts = g.neighbor_block(np.arange(n))
-            np.testing.assert_array_equal(counts, recount)
+            indptr, indices = g.csr_arrays()
+            np.testing.assert_array_equal(np.diff(indptr), recount)
             for i in range(n):
-                np.testing.assert_array_equal(ids[i, : counts[i]], g.neighbors(i))
+                np.testing.assert_array_equal(indices[indptr[i] : indptr[i + 1]], g.neighbors(i))
 
     def test_degrees_returns_a_copy(self):
         g = make_graph(3, [(0, 1)])
         g.degrees()[0] = 7
         assert g.degree(0) == 1
+
+    def test_edit_counter(self):
+        # Every mutation counts; compaction changes storage, not the graph.
+        g = make_graph(4, [(0, 1), (1, 2)])
+        assert g.edits == 0
+        g.remove_edge(0, 1)
+        g.add_edge(0, 3)
+        g.set_feature(2, 1, 5.0)
+        assert g.edits == 3
+        g.compact()
+        h = g.copy()
+        assert g.edits == h.edits == 3
+        h.remove_edge(0, 3)
+        assert (g.edits, h.edits) == (3, 4)
 
     def test_copy_keeps_its_own_degrees(self):
         g = make_graph(3, [(0, 1), (1, 2)])
@@ -250,6 +264,27 @@ class TestDegreeCache:
         h.remove_edge(0, 1)
         assert g.degrees().tolist() == [1, 2, 1]
         assert h.degrees().tolist() == [0, 1, 1]
+
+
+class TestNormalizeAdjacencyOracle:
+    """The CSR built from the graph's rows equals the COO build bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 0.9), edit_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_arrays_equal_coo_build(self, seed, n, p, ops):
+        # Low edge probabilities leave isolated nodes; the edit script leaves
+        # tombstones and overlay edges, then compacts or copies across them.
+        rng = np.random.default_rng(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g0 = build_graph(edges, rng.standard_normal((n, 2)), np.zeros(n, dtype=np.int64))
+        for g in random_edit_script(g0, ops):
+            got = normalize_adjacency(g)
+            want = graph_oracle.normalize_adjacency(g)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got.matrix, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert got.matrix.has_sorted_indices
+            np.testing.assert_array_equal(got.degrees, g.degrees() + 1.0)
 
 
 class TestGenerateSBM:

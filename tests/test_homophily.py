@@ -7,6 +7,8 @@ import homophily_oracle as oracle
 from conftest import edit_ops, random_edit_script
 from distpoison.graph import build_graph, generate_sbm
 from distpoison.homophily import (
+    StaleStateError,
+    StealthState,
     distribution_distance,
     homophily_after_edge_removal,
     homophily_after_feature_change,
@@ -106,7 +108,7 @@ class TestIncrementalUpdates:
             pytest.skip("no edges drawn")
         h = homophily_values(g)
         i, j = (int(v) for v in g.edge_array()[seed % g.num_edges])
-        predicted = homophily_after_edge_removal(g, h, i, j)
+        predicted = homophily_after_edge_removal(StealthState(g, h), i, j)
         g.remove_edge(i, j)
         np.testing.assert_allclose(predicted, homophily_values(g), rtol=1e-10)
 
@@ -117,7 +119,7 @@ class TestIncrementalUpdates:
         rng = np.random.default_rng(seed)
         node = int(rng.integers(g.num_nodes))
         new_row = rng.standard_normal(g.feature_dim)
-        predicted = homophily_after_feature_change(g, h, node, new_row)
+        predicted = homophily_after_feature_change(StealthState(g, h), node, new_row)
         g.features[node] = new_row
         np.testing.assert_allclose(predicted, homophily_values(g), rtol=1e-10)
 
@@ -138,31 +140,58 @@ def draw_graph(seed, n, dim, p):
     return build_graph(edges, feats, np.zeros(n, dtype=np.int64)), rng
 
 
+def assert_trials_match_oracle(state, rng):
+    """Every edge and feature trial on one state equals the per-node oracle."""
+    g, h, ratio = state.graph, state.values, state.degree_ratio
+    for i, j in g.edge_array():
+        i, j = int(i), int(j)
+        for a, b in ((i, j), (j, i)):
+            assert np.array_equal(
+                homophily_after_edge_removal(state, a, b),
+                oracle.homophily_after_edge_removal(g, h, a, b, ratio),
+            )
+    for node in range(g.num_nodes):
+        row = g.features[node].copy()
+        row[rng.integers(g.feature_dim)] *= -3.0
+        assert np.array_equal(
+            homophily_after_feature_change(state, node, row),
+            oracle.homophily_after_feature_change(g, h, node, row, ratio),
+        )
+
+
 class TestTrialsMatchOracle:
-    """The vectorized trials equal the per-node oracle bit for bit."""
+    """The trials equal the per-node oracle bit for bit."""
 
     @given(graph_cases)
     @settings(max_examples=60, deadline=None)
     def test_every_edge_and_feature_trial(self, case):
+        # One state per graph version and weighting serves every candidate;
+        # a state outlives compaction and copies, but not an edit.
         seed, n, dim, p, ops = case
         g0, rng = draw_graph(seed, n, dim, p)
+        states = []
         for g in random_edit_script(g0, ops):
+            for st in states:
+                if st.stale:
+                    with pytest.raises(StaleStateError):
+                        homophily_after_feature_change(st, 0, st.graph.features[0] + 1.0)
+                    with pytest.raises(StaleStateError):
+                        homophily_after_edge_removal(st, 0, 1)
+                else:
+                    assert_trials_match_oracle(st, rng)
+            states = []
             for ratio in (True, False):
-                h = homophily_values(g, ratio)
-                for i, j in g.edge_array():
-                    i, j = int(i), int(j)
-                    for a, b in ((i, j), (j, i)):
-                        assert np.array_equal(
-                            homophily_after_edge_removal(g, h, a, b, ratio),
-                            oracle.homophily_after_edge_removal(g, h, a, b, ratio),
-                        )
-                for node in range(g.num_nodes):
-                    row = g.features[node].copy()
-                    row[rng.integers(dim)] *= -3.0
-                    assert np.array_equal(
-                        homophily_after_feature_change(g, h, node, row, ratio),
-                        oracle.homophily_after_feature_change(g, h, node, row, ratio),
-                    )
+                states.append(StealthState(g, homophily_values(g, ratio), degree_ratio=ratio))
+                assert_trials_match_oracle(states[-1], rng)
+
+    def test_state_after_flip_edit(self):
+        g, rng = draw_graph(3, 8, 3, 0.5)
+        st = StealthState(g, homophily_values(g))
+        g.set_feature(2, 1, -g.features[2, 1])
+        assert st.stale
+        with pytest.raises(StaleStateError):
+            homophily_after_feature_change(st, 2, g.features[2])
+        assert_trials_match_oracle(StealthState(g, homophily_values(g)), rng)
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("ratio", [True, False])
@@ -172,17 +201,26 @@ class TestTrialsMatchOracle:
         feats = np.arange(5 * dim, dtype=float).reshape(5, dim) - 4.5
         g = graph_with_features(5, [(0, 1), (1, 2), (3, 4)], feats)
         h = homophily_values(g, ratio)
+        st = StealthState(g, h, degree_ratio=ratio)
         for i, j in ((0, 1), (3, 4)):
-            got = homophily_after_edge_removal(g, h, i, j, ratio)
+            got = homophily_after_edge_removal(st, i, j)
             assert np.array_equal(got, oracle.homophily_after_edge_removal(g, h, i, j, ratio))
             assert got[i] == np.sqrt((feats[i] ** 2).sum())
 
     def test_missing_edge_rejected(self):
         g = graph_with_features(3, [(0, 1)], np.eye(3))
-        h = homophily_values(g)
+        st = StealthState(g, homophily_values(g))
         for i, j in ((0, 2), (1, 1)):
             with pytest.raises(ValueError):
-                homophily_after_edge_removal(g, h, i, j)
+                homophily_after_edge_removal(st, i, j)
+
+    def test_distance_uses_sorted_clean(self):
+        g = generate_sbm(4, [10, 10], 0.3, 0.1, feature_dim=3, noise=0.3)
+        clean = homophily_values(g)
+        trial = clean * np.linspace(0.5, 1.5, len(clean))
+        for measure in ("wasserstein1", "ks"):
+            st = StealthState(g, trial, clean, measure=measure)
+            assert st.distance(trial) == distribution_distance(clean, trial, measure)
 
 
 class TestDistributionDistance:
