@@ -5,8 +5,12 @@
 The file name keeps these out of the default test collection. Graphs are
 four-block SBMs with the reference config's expected degree (about 6.4) at
 n = 200, 1,600 and 6,400 nodes; candidates come from the highest-degree node,
-as the attack's targets do.
+as the attack's targets do. ``test_feature_trial`` repeats one node, as the
+attack scores a node's dimensions in a row, so it reuses the state's block
+for that node; ``test_feature_trial_new_node`` gathers a fresh one each call.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -55,6 +59,19 @@ def test_feature_trial(benchmark, case):
     row = g.features[hub].copy()
     row[0] = -row[0]
     benchmark(homophily_after_feature_change, state, hub, row)
+
+
+def test_feature_trial_new_node(benchmark, case):
+    # Alternates two nodes, so every call gathers its block afresh.
+    g, hub = case
+    state = StealthState(g, homophily_values(g))
+    picks = []
+    for node in (hub, int(g.neighbors(hub)[0])):
+        row = g.features[node].copy()
+        row[0] = -row[0]
+        picks.append((node, row))
+    it = itertools.cycle(picks)
+    benchmark(lambda: homophily_after_feature_change(state, *next(it)))
 
 
 def test_w1_distance(benchmark, case):

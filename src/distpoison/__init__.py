@@ -7,7 +7,6 @@ from distpoison.attack import (
     baseline_dice,
     baseline_random,
     combined_subgraph_gradient,
-    communication_matrix,
     edge_scores,
     flip_features,
     run_disttack,

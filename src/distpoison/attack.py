@@ -48,7 +48,6 @@ __all__ = [
     "FeatureFlip",
     "train_surrogate",
     "combined_subgraph_gradient",
-    "communication_matrix",
     "edge_scores",
     "select_edge_removals",
     "select_targets",
@@ -285,15 +284,6 @@ def _comm_signs(sub: Subgraph, part: Partition) -> np.ndarray:
     return np.where(part.assignment[gi] != part.assignment[gj], 1.0, -1.0)
 
 
-def communication_matrix(sub: Subgraph, part: Partition) -> sp.csr_matrix:
-    """+1 on subgraph edges crossing workers, -1 on same-worker edges."""
-    n = sub.num_nodes
-    vals = _comm_signs(sub, part)
-    r = np.concatenate([sub.edges[:, 0], sub.edges[:, 1]])
-    c = np.concatenate([sub.edges[:, 1], sub.edges[:, 0]])
-    return sp.coo_matrix((np.concatenate([vals, vals]), (r, c)), shape=(n, n)).tocsr()
-
-
 def _csr_entries(m: sp.csr_matrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """``m[i, j]`` for index arrays, 0.0 where no entry is stored."""
     if not m.has_canonical_format:
@@ -409,19 +399,11 @@ def run_disttack(
     surrogate: ParamSet | None = None
 
     use_homo = cfg.lambda_homo > 0.0
-    state: StealthState | None = None
     if use_homo:
-        h_clean = homophily_values(g)
-        h_cur = h_clean
+        # Built once; every applied move below goes through it, which edits
+        # g_cur and advances the state's rows with it.
+        st = StealthState(g_cur, homophily_values(g), measure=cfg.homophily_measure)
         base_dist = 0.0
-
-    def stealth_state() -> StealthState:
-        # One state per version of g_cur: each scoring phase builds its own,
-        # after the surrogate and again after the edge removals.
-        nonlocal state
-        if state is None or state.stale:
-            state = StealthState(g_cur, h_cur, h_clean, measure=cfg.homophily_measure)
-        return state
 
     iteration = 0
     while edges_left > 0 or flips_left > 0:
@@ -456,7 +438,6 @@ def run_disttack(
                 # Greedy increment of the stealth regularizer: distance change
                 # of the candidate against the running perturbed graph. Signed,
                 # so shift-reducing candidates earn a bonus.
-                st = stealth_state()
                 penalties = {
                     (i, j): cfg.lambda_homo
                     * (st.distance(homophily_after_edge_removal(st, i, j)) - base_dist)
@@ -468,17 +449,17 @@ def run_disttack(
                 penalties = {key: 0.0 for key in edge_cands}
             for i, j, s in select_edge_removals(penalized, min(cfg.edges_per_iter, edges_left)):
                 if use_homo:
-                    st = stealth_state()
-                    h_cur = homophily_after_edge_removal(st, i, j)
-                    base_dist = st.distance(h_cur)
-                g_cur.remove_edge(i, j)
+                    h_new = homophily_after_edge_removal(st, i, j)
+                    base_dist = st.distance(h_new)
+                    st.remove_edge(i, j, h_new)
+                else:
+                    g_cur.remove_edge(i, j)
                 pert.edges_removed.append(EdgeRemoval(i, j, s, iteration))
                 pert.homophily_penalties.append(penalties[(i, j)])
                 edges_left -= 1
                 applied = True
 
         if flips_left > 0 and feat_grads:
-            st = stealth_state() if use_homo else None
             cands = []  # (penalized score, node, dim, sign, penalty)
             for node, grow in feat_grads.items():
                 for dim in range(len(grow)):
@@ -501,12 +482,13 @@ def run_disttack(
                 old = float(g_cur.features[node, dim])
                 new = flipped_value(old, sign, cfg.strict_flip)
                 if use_homo:
-                    st = stealth_state()
                     new_row = g_cur.features[node].copy()
                     new_row[dim] = new
-                    h_cur = homophily_after_feature_change(st, node, new_row)
-                    base_dist = st.distance(h_cur)
-                g_cur.set_feature(node, dim, new)
+                    h_new = homophily_after_feature_change(st, node, new_row)
+                    base_dist = st.distance(h_new)
+                    st.set_feature(node, dim, new, h_new)
+                else:
+                    g_cur.set_feature(node, dim, new)
                 pert.features_flipped.append(FeatureFlip(node, dim, old, new, sign, iteration))
                 pert.homophily_penalties.append(penalty)
                 flipped.add((node, dim))

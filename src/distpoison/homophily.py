@@ -14,9 +14,10 @@ signature; smaller distance means a less noticeable attack.
 The greedy attack scores each candidate with a trial vector
 (``homophily_after_edge_removal``, ``homophily_after_feature_change``) that
 recomputes only the candidate's one-hop neighborhood. The trials read a
-``StealthState`` built once per scoring phase: the neighbor table, degrees
-and weighted neighbor rows of the whole graph, so a trial gathers the
-affected rows, overrides the entries the candidate changes and reduces them.
+``StealthState`` built once per attack and advanced by each applied move:
+the neighbor lists, degrees and weighted rows of the whole graph, so a trial
+gathers the affected rows, overrides the entries the candidate changes and
+reduces them.
 Trial vectors are bit-identical to recomputing each affected node from
 scratch on its own, with its neighbor rows summed in ascending neighbor
 order; the tests keep that per-node recompute as their oracle.
@@ -157,19 +158,20 @@ class StaleStateError(RuntimeError):
 
 
 class StealthState:
-    """What every stealth trial of one scoring phase reads, built once.
+    """What every stealth trial reads, kept current with the graph it describes.
 
-    Holds, for ``g`` as it stands: the neighbor table of all nodes (row u
-    lists u's neighbors ascending in its first ``degrees[u]`` slots, -1
-    after), the degrees, each slot's weighted neighbor row (the neighbor's
-    features times its slot weight, zero on padding; n x S x d for maximum
-    degree S), the squared norms of the own rows, the current homophily
-    vector ``values`` and the clean vector sorted once for W1. ``clean``
-    defaults to ``values``.
+    Holds, for ``g`` as it stands: its neighbor lists (row u's neighbors
+    ascending in ``indices[indptr[u] : indptr[u] + degrees[u]]``), the
+    degrees, each node's weighted row (its features times its neighbor
+    weight; one row per node plus a zero row at index n that pads the blocks
+    a trial gathers), the squared norms of the own rows, the current
+    homophily vector ``values`` and the clean vector sorted once for W1.
+    ``clean`` defaults to ``values``. Everything cached is O(n d + m), so a
+    trial pads only the neighborhood it touches.
 
-    A state describes one version of the graph: once ``g`` is edited through
-    its mutation methods, trials raise ``StaleStateError`` and a fresh state
-    must be built (with the updated ``values``).
+    ``remove_edge`` and ``set_feature`` edit the graph and advance the state
+    with it, touching only the changed rows. Once ``g`` is edited any other
+    way, trials raise ``StaleStateError`` and a fresh state must be built.
     """
 
     def __init__(
@@ -190,17 +192,16 @@ class StealthState:
         self.degree_ratio = degree_ratio
         self.measure = measure
         self.clean_sorted = np.sort(self.clean)
-        indptr, indices = g.csr_arrays()
+        self.indptr, indices = g.csr_arrays()
+        # A copy, as a removal closes the gap inside the row's span, with id n
+        # appended for padding slots to read.
+        self.indices = np.append(indices, n)
         self.degrees = g.degrees()
-        slot = np.arange(self.degrees.max(initial=0))
-        live = slot < self.degrees[:, None]
-        pos = np.minimum(indptr[:-1, None] + slot, len(indices) - 1)
-        self.ids = np.where(live, indices[pos], -1)
         self.weights = _neighbor_weights(self.degrees, degree_ratio)
-        nbrs = self.ids[live]
-        self.rows = np.zeros(self.ids.shape + (g.feature_dim,))
-        self.rows[live] = g.features[nbrs] * self.weights[nbrs, None]
+        self.rows = np.zeros((n + 1, g.feature_dim))
+        self.rows[:n] = g.features * self.weights[:, None]
         self.own_sq = (g.features**2).sum(axis=1)
+        self._feature_block = None
 
     @property
     def stale(self) -> bool:
@@ -210,11 +211,76 @@ class StealthState:
         if self.stale:
             raise StaleStateError("graph edited since this stealth state was built")
 
+    def neighbors(self, u: int) -> np.ndarray:
+        start = self.indptr[u]
+        return self.indices[start : start + self.degrees[u]]
+
+    def block(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Degrees, padded neighbor ids and weighted rows of ``nodes``.
+
+        Row k lists the neighbors of ``nodes[k]`` ascending, then n; the
+        rows are gathered per slot, so padding slots read the zero row.
+        """
+        counts = self.degrees[nodes]
+        slot = np.arange(counts.max(initial=0))
+        pos = np.where(slot < counts[:, None], self.indptr[nodes, None] + slot, -1)
+        ids = self.indices[pos]
+        return counts, ids, np.take(self.rows, ids, axis=0)
+
+    def feature_block(self, node: int):
+        """``node`` and its neighbors with their block, as a feature trial
+        reads it, plus a mask of the slots holding ``node``.
+
+        Kept for the last node asked: the attack scores a node's dimensions
+        one after another. A trial overwrites only the slots holding
+        ``node`` and the first own norm, the same ones on every call.
+        """
+        if self._feature_block is None or self._feature_block[0] != node:
+            nodes = np.concatenate([[node], self.neighbors(node)])
+            counts, ids, rows = self.block(nodes)
+            self._feature_block = (node, nodes, counts, ids == node, rows, self.own_sq[nodes])
+        return self._feature_block[1:]
+
     def distance(self, trial: np.ndarray) -> float:
         """Distance of a trial homophily vector from the clean one."""
         if self.measure == "wasserstein1":
             return _w1_sorted(self.clean_sorted, np.sort(trial))
         return distribution_distance(self.clean, trial, self.measure)
+
+    def remove_edge(self, i: int, j: int, values: np.ndarray) -> None:
+        """Remove edge (i, j) from the graph and advance the state with it.
+
+        ``values`` is the homophily vector after the removal, as
+        ``homophily_after_edge_removal`` gives it.
+        """
+        self._check()
+        self.graph.remove_edge(i, j)
+        for a, b in ((i, j), (j, i)):
+            row = self.neighbors(a)
+            p = np.searchsorted(row, b)
+            row[p:-1] = row[p + 1 :]
+        self.degrees[[i, j]] -= 1
+        self.weights[[i, j]] = _neighbor_weights(self.degrees[[i, j]], self.degree_ratio)
+        self.rows[[i, j]] = self.graph.features[[i, j]] * self.weights[[i, j], None]
+        self._advance(values)
+
+    def set_feature(self, node: int, dim: int, value: float, values: np.ndarray) -> None:
+        """Set one feature in the graph and advance the state with it.
+
+        ``values`` is the homophily vector after the change, as
+        ``homophily_after_feature_change`` gives it.
+        """
+        self._check()
+        self.graph.set_feature(node, dim, value)
+        row = self.graph.features[[node]]
+        self.rows[node] = row[0] * self.weights[node]
+        self.own_sq[node] = (row**2).sum(axis=1)[0]
+        self._advance(values)
+
+    def _advance(self, values: np.ndarray) -> None:
+        self.values = np.asarray(values, dtype=np.float64)
+        self.edits = self.graph.edits
+        self._feature_block = None
 
     def _trial(self, nodes, counts, rows, own_sq) -> np.ndarray:
         """``values`` with the entries of ``nodes`` recomputed from scratch.
@@ -247,14 +313,10 @@ def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndar
     carried over from ``state.values``. The graph is not touched.
     """
     state._check()
-    deg = state.degrees
-    nodes = np.unique(np.concatenate([[i, j], state.ids[i, : deg[i]], state.ids[j, : deg[j]]]))
-    counts = deg[nodes]
-    width = counts.max()
-    ids = state.ids[nodes, :width]
-    rows = state.rows[nodes, :width]
+    nodes = np.unique(np.concatenate([[i, j], state.neighbors(i), state.neighbors(j)]))
+    counts, ids, rows = state.block(nodes)
     # Both endpoints lose one degree, which re-weights every slot holding them.
-    w = _neighbor_weights(deg[[i, j]] - 1, state.degree_ratio)
+    w = _neighbor_weights(state.degrees[[i, j]] - 1, state.degree_ratio)
     rows[ids == i] = state.graph.features[i] * w[0]
     rows[ids == j] = state.graph.features[j] * w[1]
     for a, b in ((i, j), (j, i)):
@@ -278,13 +340,10 @@ def homophily_after_feature_change(
     new_row = np.asarray(new_row, dtype=np.float64)
     if np.array_equal(state.graph.features[node], new_row):
         return state.values.copy()
-    deg = state.degrees
-    nodes = np.concatenate([[node], state.ids[node, : deg[node]]])
-    counts = deg[nodes]
-    width = counts.max()
-    rows = state.rows[nodes, :width]
-    rows[state.ids[nodes, :width] == node] = new_row * state.weights[node]
-    own_sq = state.own_sq[nodes]
+    nodes, counts, holds_node, rows, own_sq = state.feature_block(node)
+    # Every call for this block overwrites the same entries, so the cached
+    # arrays are edited in place.
+    rows[holds_node] = new_row * state.weights[node]
     own_sq[0] = (new_row[None] ** 2).sum(axis=1)[0]
     return state._trial(nodes, counts, rows, own_sq)
 

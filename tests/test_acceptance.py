@@ -298,9 +298,8 @@ def test_criterion_7_invariant_suite():
     g2 = build_graph([(0, 1), (0, 2)], np.zeros((3, 2)), np.zeros(3, dtype=np.int64))
     part2 = Partition(assignment=np.array([0, 1, 0]), n=2)
     sub2 = sample_1hop(g2, 0)
-    from distpoison.attack import communication_matrix
-
-    c = communication_matrix(sub2, part2)
+    # The cross-worker term alone: scores under a zero gradient, lambda_comm 1.
+    c = edge_scores(sp.csr_matrix((3, 3)), sub2, part2, 1.0).scores
     cross = c[sub2.local_of[0], sub2.local_of[1]]
     same = c[sub2.local_of[0], sub2.local_of[2]]
     checks.append(("communication case table", cross == 1.0 and same == -1.0))

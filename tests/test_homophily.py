@@ -193,6 +193,98 @@ class TestTrialsMatchOracle:
             homophily_after_feature_change(st, 2, g.features[2])
         assert_trials_match_oracle(StealthState(g, homophily_values(g)), rng)
 
+    @given(graph_cases, st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_state_advanced_by_moves(self, case, moves):
+        # A state that applies each move itself stays equal to one built
+        # fresh on the edited graph, and its trials to the oracle.
+        seed, n, dim, p, ops = case
+        g0, rng = draw_graph(seed, n, dim, p)
+        for g in random_edit_script(g0, ops):
+            pass
+        for ratio in (True, False):
+            h = homophily_values(g, ratio)
+            g_run = g.copy()
+            state = StealthState(g_run, h, degree_ratio=ratio)
+            for is_edge, k in moves:
+                if is_edge and g_run.num_edges:
+                    i, j = (int(v) for v in g_run.edge_array()[k % g_run.num_edges])
+                    state.remove_edge(i, j, homophily_after_edge_removal(state, i, j))
+                else:
+                    node, d = k % n, k % dim
+                    row = g_run.features[node].copy()
+                    row[d] = -3.0 * row[d]
+                    trial = homophily_after_feature_change(state, node, row)
+                    state.set_feature(node, d, row[d], trial)
+                assert not state.stale
+                fresh = StealthState(g_run, state.values, h, degree_ratio=ratio)
+                for name in ("degrees", "weights", "rows", "own_sq"):
+                    assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
+                for u in range(n):
+                    assert np.array_equal(state.neighbors(u), fresh.neighbors(u))
+                assert_trials_match_oracle(state, rng)
+            np.testing.assert_allclose(state.values, homophily_values(g_run, ratio), rtol=1e-10)
+            g_run.set_feature(0, 0, 1.0)
+            with pytest.raises(StaleStateError):
+                state.set_feature(0, 0, 2.0, state.values)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_cached_block_follows_moves(self, dim):
+        # The feature trial keeps the last node's block; a move touching that
+        # node or a neighbor must not leave it stale.
+        g, _ = draw_graph(5, 8, dim, 0.6)
+        state = StealthState(g, homophily_values(g))
+        u = int(np.argmax(g.degrees()))
+        v = int(g.neighbors(u)[0])
+
+        def check(node):
+            row = -2.0 * g.features[node]
+            got = homophily_after_feature_change(state, node, row)
+            assert np.array_equal(
+                got, oracle.homophily_after_feature_change(g, state.values, node, row)
+            )
+
+        check(u)
+        row = g.features[u].copy()
+        row[0] = -3.0 * row[0]
+        state.set_feature(u, 0, row[0], homophily_after_feature_change(state, u, row))
+        check(u)
+        row = g.features[v].copy()
+        row[0] = 5.0
+        state.set_feature(v, 0, 5.0, homophily_after_feature_change(state, v, row))
+        check(u)
+        state.remove_edge(u, v, homophily_after_edge_removal(state, u, v))
+        check(u)
+
+    def test_advance_rejects_missing_edge(self):
+        g = graph_with_features(3, [(0, 1)], np.eye(3))
+        st_ = StealthState(g, homophily_values(g))
+        with pytest.raises(ValueError):
+            st_.remove_edge(0, 2, st_.values)
+        assert not st_.stale and g.num_edges == 1
+
+    def test_state_memory_grows_with_edges_not_max_degree(self):
+        # A star with wide features: padding every node to the hub's degree
+        # would hold n * (n - 1) * d floats (about 41 MB here).
+        n, dim = 200, 128
+        feats = np.random.default_rng(0).standard_normal((n, dim))
+        g = graph_with_features(n, [(0, v) for v in range(1, n)], feats)
+        h = homophily_values(g)
+        state = StealthState(g, h)
+        held = sum(v.nbytes for v in vars(state).values() if isinstance(v, np.ndarray))
+        assert held < 3 * g.features.nbytes
+        for i, j in ((0, 1), (0, n - 1)):
+            assert np.array_equal(
+                homophily_after_edge_removal(state, i, j),
+                oracle.homophily_after_edge_removal(g, h, i, j),
+            )
+        for node in (0, 5):
+            row = -g.features[node]
+            assert np.array_equal(
+                homophily_after_feature_change(state, node, row),
+                oracle.homophily_after_feature_change(g, h, node, row),
+            )
+
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("ratio", [True, False])
     def test_endpoint_left_isolated(self, dim, ratio):
