@@ -8,6 +8,9 @@ n = 200, 1,600 and 6,400 nodes; candidates come from the highest-degree node,
 as the attack's targets do. ``test_feature_trial`` repeats one node, as the
 attack scores a node's dimensions in a row, so it reuses the state's block
 for that node; ``test_feature_trial_new_node`` gathers a fresh one each call.
+``test_worker_backward`` is one victim worker's pass: an 8-node batch against
+a forward state shared with the epoch's other workers, which at n = 6,400
+takes the receptive-field (limited) reverse products.
 """
 
 import itertools
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from distpoison.attack import AttackConfig, combined_subgraph_gradient, edge_scores
-from distpoison.gnn import ParamSet
+from distpoison.gnn import ParamSet, backward, forward_state
 from distpoison.graph import generate_sbm, normalize_adjacency, partition_nodes, sample_1hop
 from distpoison.homophily import (
     StealthState,
@@ -92,3 +95,18 @@ def test_edge_scores(benchmark, case):
 def test_normalize_adjacency(benchmark, case):
     g, _ = case
     benchmark(normalize_adjacency, g)
+
+
+def test_sample_1hop(benchmark, case):
+    g, hub = case
+    benchmark(sample_1hop, g, hub)
+
+
+def test_worker_backward(benchmark, case):
+    g, _ = case
+    adj = normalize_adjacency(g)
+    params = ParamSet.init_gcn(g.feature_dim, 16, g.num_classes, seed=0)
+    state = forward_state(params, adj, g.features)
+    rng = np.random.default_rng(0)
+    batch = rng.choice(np.flatnonzero(g.train_mask), size=8, replace=False)
+    benchmark(backward, params, adj, g.features, g.labels, batch, state=state)

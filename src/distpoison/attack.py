@@ -500,6 +500,20 @@ def run_disttack(
     return pert
 
 
+def _share_edges(g: Graph, share: list[int], same_label: bool = False) -> list[tuple[int, int]]:
+    """The edges with an endpoint in ``share``, as (i, j) with i < j, in order.
+
+    ``same_label`` keeps only those whose endpoints share a label.
+    """
+    edges = g.edge_array()
+    in_share = np.zeros(g.num_nodes, dtype=bool)
+    in_share[share] = True
+    keep = in_share[edges[:, 0]] | in_share[edges[:, 1]]
+    if same_label:
+        keep &= g.labels[edges[:, 0]] == g.labels[edges[:, 1]]
+    return list(map(tuple, edges[keep].tolist()))
+
+
 def baseline_random(
     g: Graph,
     part: Partition,
@@ -512,7 +526,7 @@ def baseline_random(
     if edge_budget < 0 or feature_budget < 0:
         raise ValueError("budgets must be nonnegative")
     rng = np.random.default_rng(seed)
-    share = set(int(v) for v in part.share(poisoned_worker))
+    share_list = sorted(set(int(v) for v in part.share(poisoned_worker)))
     pert = PerturbationSet(
         config={
             "kind": "ra",
@@ -522,21 +536,13 @@ def baseline_random(
             "poisoned_worker": poisoned_worker,
         }
     )
-    base_edges = [
-        (int(i), int(j))
-        for i, j in g.edge_array()
-        if int(i) in share or int(j) in share
-    ]
-    removed: set[tuple[int, int]] = set()
+    avail = _share_edges(g, share_list)  # not yet removed, in edge order
     added: set[tuple[int, int]] = set()
-    share_list = sorted(share)
     for unit in range(edge_budget):
         if rng.random() < 0.5:
-            avail = [e for e in base_edges if e not in removed]
             if not avail:
                 continue
-            i, j = avail[rng.integers(len(avail))]
-            removed.add((i, j))
+            i, j = avail.pop(rng.integers(len(avail)))
             pert.edges_removed.append(EdgeRemoval(i, j, 0.0, unit + 1))
         else:
             pick = None
@@ -585,7 +591,7 @@ def baseline_dice(
     if edge_budget < 0:
         raise ValueError("edge budget must be nonnegative")
     rng = np.random.default_rng(seed)
-    share = set(int(v) for v in part.share(poisoned_worker))
+    share_list = sorted(set(int(v) for v in part.share(poisoned_worker)))
     pert = PerturbationSet(
         config={
             "kind": "dice",
@@ -594,24 +600,14 @@ def baseline_dice(
             "poisoned_worker": poisoned_worker,
         }
     )
-    removed: set[tuple[int, int]] = set()
     added: set[tuple[int, int]] = set()
     labels = g.labels
-    base_edges = [
-        (int(i), int(j))
-        for i, j in g.edge_array()
-        if int(i) in share or int(j) in share
-    ]
-    share_list = sorted(share)
+    same = _share_edges(g, share_list, same_label=True)  # not yet removed, in edge order
     for unit in range(edge_budget):
         if rng.random() < 0.5:
-            avail = [
-                e for e in base_edges if labels[e[0]] == labels[e[1]] and e not in removed
-            ]
-            if not avail:
+            if not same:
                 continue
-            i, j = avail[rng.integers(len(avail))]
-            removed.add((i, j))
+            i, j = same.pop(rng.integers(len(same)))
             pert.edges_removed.append(EdgeRemoval(i, j, 0.0, unit + 1))
         else:
             avail = [

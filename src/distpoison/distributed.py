@@ -10,7 +10,9 @@ computation.
 
 Workers run one after another. Those that see the same graph view in an
 epoch share one forward pass under that epoch's weights; each worker's reverse
-pass is its own. Results are bit-reproducible for a fixed (graph, partition,
+pass is its own and, on large graphs, touches only the worker's receptive
+field: the rows its batch reaches in one and two hops, not all n rows (see
+``gnn.backward``). Results are bit-reproducible for a fixed (graph, partition,
 seed, config): batches come from per-worker RNG streams and the reduction
 order is fixed by worker index.
 """

@@ -225,20 +225,25 @@ def attack_loss(logits: np.ndarray, labels: np.ndarray, target_set) -> float:
     return float(ls[np.arange(len(target_set)), labels[target_set]].sum())
 
 
-def _loss_grad_logits(
+def _loss_grad_rows(
     logits: np.ndarray, labels: np.ndarray, node_set: np.ndarray, objective: str
-) -> np.ndarray:
-    """dLoss/dlogits, zero outside node_set rows."""
-    probs = np.exp(_log_softmax(logits[node_set]))
-    probs[np.arange(len(node_set)), labels[node_set]] -= 1.0
-    dZ = np.zeros_like(logits)
+) -> tuple[np.ndarray, np.ndarray]:
+    """dLoss/dlogits as ``(block, rows)``: zero outside the unique ``rows``.
+
+    A node listed more than once counts once per listing, as in the losses.
+    """
+    rows, counts = node_set, None
+    if len(set(node_set.tolist())) < len(node_set):
+        rows, counts = np.unique(node_set, return_counts=True)
+    probs = np.exp(_log_softmax(logits[rows]))
+    probs[np.arange(len(rows)), labels[rows]] -= 1.0
+    if counts is not None:
+        probs *= counts[:, None]
     if objective == "masked_ce":
-        dZ[node_set] = probs / len(node_set)
-    elif objective == "attack":
-        dZ[node_set] = -probs
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    return dZ
+        return probs / len(node_set), rows
+    if objective == "attack":
+        return -probs, rows
+    raise ValueError(f"unknown objective {objective!r}")
 
 
 def _adjacency_entry_grads(
@@ -297,32 +302,63 @@ _LIMITED_MIN_NNZ = 1 << 14
 _LIMITED_SHARE = 8
 
 
+def _take(M: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """The rows of an n-row M (all of them when ``rows`` is None)."""
+    return M if rows is None else M[rows]
+
+
+def _full(block: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
+    """The n-row matrix that is ``block`` on ``rows`` and zero elsewhere."""
+    if rows is None:
+        return block
+    out = np.zeros((n, block.shape[1]))
+    out[rows] = block
+    return out
+
+
+def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``M @ W`` with each row as a GEMM over many rows computes it.
+
+    numpy hands a one-row M to GEMV, which can add a row's terms in another
+    order than GEMM; a zero row keeps it on GEMM.
+    """
+    if len(M) > 1:
+        return M @ W
+    return (np.vstack([M, np.zeros_like(M)]) @ W)[:1]
+
+
 def _reverse_product(
     A: sp.csr_matrix, M: np.ndarray, rows: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``A @ M`` for the symmetric A and an M that is zero outside ``rows``.
+    """``A @ M`` for the symmetric A and an M given on ``rows`` only.
 
-    ``rows`` may be unsorted and hold repeats. Returns the product and the
-    sorted rows it can be nonzero on, or None when the full product was
-    taken. A symmetric A gives ``A @ M == A[rows].T @ M[rows]``: the limited
-    path scatters the entries of the sorted ``rows`` into the output in
-    order, so each output row sums the same terms in the same ascending order
-    as scipy's CSR product, less the zero ones, and the two agree bit for bit.
+    ``rows`` holds unique ids and M one row for each, zero elsewhere; None
+    means M is a full n-row matrix. Returns the product as a block over the
+    sorted rows it can be nonzero on, with those rows, or the full product
+    with None. A symmetric A gives ``A @ M == A[rows].T @ M[rows]``: the
+    limited path scatters the entries of the sorted ``rows`` into the block
+    in order, so each output row sums the same terms in the same ascending
+    order as scipy's CSR product, less the zero ones, and the two agree bit
+    for bit.
     """
-    if rows is not None and A.nnz >= _LIMITED_MIN_NNZ:
-        rows = np.unique(rows)
-        lo = A.indptr[rows]
-        lens = A.indptr[rows + 1] - lo
-        total = int(lens.sum())
-        if total * _LIMITED_SHARE <= A.nnz:
-            pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total)
-            cols = A.indices[pos]
-            w = M.shape[1]
-            terms = A.data[pos, None] * np.repeat(M[rows], lens, axis=0)
-            # bincount adds its weights one by one in input order.
-            flat = (cols[:, None] * w + np.arange(w)).ravel()
-            out = np.bincount(flat, weights=terms.ravel(), minlength=A.shape[0] * w)
-            return out.reshape(-1, w), np.unique(cols)
+    if rows is not None:
+        if A.nnz >= _LIMITED_MIN_NNZ:
+            lo = A.indptr[rows]
+            lens = A.indptr[rows + 1] - lo
+            total = int(lens.sum())
+            if total * _LIMITED_SHARE <= A.nnz:
+                if (rows[1:] < rows[:-1]).any():  # a batch in draw order
+                    order = np.argsort(rows)
+                    rows, M, lo, lens = rows[order], M[order], lo[order], lens[order]
+                pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total)
+                reached, slot = np.unique(A.indices[pos], return_inverse=True)
+                w = M.shape[1]
+                terms = A.data[pos, None] * np.repeat(M, lens, axis=0)
+                # bincount adds its weights one by one in input order.
+                flat = (slot[:, None] * w + np.arange(w)).ravel()
+                out = np.bincount(flat, weights=terms.ravel(), minlength=len(reached) * w)
+                return out.reshape(-1, w), reached
+        M = _full(M, rows, A.shape[0])
     return A @ M, None
 
 
@@ -343,6 +379,16 @@ def backward(
     or "attack" (negated CE sum over node_set as targets). ``state`` is
     ``forward_state(params, adj, X)`` when the caller already has it;
     otherwise it is computed here.
+
+    Each reverse quantity is carried as a block over the rows it can be
+    nonzero on, with those rows, or as a full matrix with None once a product
+    went full; the dense steps then read only those rows of the state and of
+    X. dA and dX are built from full matrices. A row-restricted GEMM sums the
+    same nonzero terms as the full one. OpenBLAS adds them in the same order,
+    so the two agree bit for bit, while the full product stays on its
+    small-matrix GEMM kernel (m*n*k <= 10**6, every weight at least two
+    wide); beyond that it sums over the n rows in blocks, or as a GEMV, and
+    the two agree within rounding.
     """
     node_set = np.asarray(node_set, dtype=np.int64)
     if len(node_set) == 0:
@@ -350,34 +396,37 @@ def backward(
     if state is None:
         state = forward_state(params, adj, X)
     A = adj.matrix
+    n = A.shape[0]
 
     if params.W1 is not None:
         P, S0, H, Q, Z = state
-        dZ = _loss_grad_logits(Z, labels, node_set, objective)
-        dQ, reached = _reverse_product(A, dZ, node_set)  # A is symmetric
-        dW1 = H.T @ dQ
-        dS0 = (dQ @ params.W1.T) * (S0 > 0.0)
-        dP, _ = _reverse_product(A, dS0, reached)
-        dW0 = X.T @ dP
-        dX = dP @ params.W0.T if want_dX else None
-        dA = _adjacency_entry_grads(adj, [(dZ, Q), (dS0, P)]) if want_dA else None
+        dZ, r0 = _loss_grad_rows(Z, labels, node_set, objective)
+        dQ, r1 = _reverse_product(A, dZ, r0)  # A is symmetric
+        dW1 = _take(H, r1).T @ dQ
+        dS0 = _rowwise(dQ, params.W1.T) * (_take(S0, r1) > 0.0)
+        dP, r2 = _reverse_product(A, dS0, r1)
+        dW0 = _take(X, r2).T @ dP
+        dX = _full(dP, r2, n) @ params.W0.T if want_dX else None
+        dA = (
+            _adjacency_entry_grads(adj, [(_full(dZ, r0, n), Q), (_full(dS0, r1, n), P)])
+            if want_dA
+            else None
+        )
         _check_finite("backward gradients", dW0, dW1, dX)
         return GradientBundle.from_grads(dW0, dW1, dA, dX)
 
     # Linear propagation model: Z = A^k (X W0).
     us = state
-    dZ = _loss_grad_logits(us[-1], labels, node_set, objective)
-    dus = [dZ]
-    reached = node_set
+    dus = [_loss_grad_rows(us[-1], labels, node_set, objective)]
     for _ in range(params.k):
-        du, reached = _reverse_product(A, dus[-1], reached)
-        dus.append(du)
-    dus.reverse()  # dus[t] = dLoss/dU_t
-    dW0 = X.T @ dus[0]
-    dX = dus[0] @ params.W0.T if want_dX else None
+        dus.append(_reverse_product(A, *dus[-1]))
+    dus.reverse()  # dus[t] = dLoss/dU_t, with its rows
+    du0, r0 = dus[0]
+    dW0 = _take(X, r0).T @ du0
+    dX = _full(du0, r0, n) @ params.W0.T if want_dX else None
     dA = (
         _adjacency_entry_grads(
-            adj, [(dus[t + 1], us[t]) for t in range(params.k)]
+            adj, [(_full(*dus[t + 1], n), us[t]) for t in range(params.k)]
         )
         if want_dA
         else None

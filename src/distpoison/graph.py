@@ -72,6 +72,7 @@ class Graph:
         self.dropped_self_loops = dropped_self_loops
         self._alive = np.ones(len(indices), dtype=bool)
         self._extra: dict[int, set[int]] = {}
+        self._overlay = 0  # entries held in _extra, both directions counted
         self._num_edges = len(indices) // 2
         self._dead = 0
         self._deg = np.diff(indptr).astype(np.int64)
@@ -173,6 +174,7 @@ class Graph:
             extra = self._extra.get(a)
             if extra and b in extra:
                 extra.remove(b)
+                self._overlay -= 1
                 continue
             lo, hi = self.indptr[a], self.indptr[a + 1]
             pos = lo + np.searchsorted(self.indices[lo:hi], b)
@@ -192,6 +194,7 @@ class Graph:
             raise GraphError(f"edge ({i}, {j}) already present")
         self._extra.setdefault(i, set()).add(j)
         self._extra.setdefault(j, set()).add(i)
+        self._overlay += 2
         self._deg[[i, j]] += 1
         self._num_edges += 1
         self.edits += 1
@@ -202,8 +205,7 @@ class Graph:
         self.edits += 1
 
     def _maybe_compact(self) -> None:
-        overlay = sum(len(s) for s in self._extra.values())
-        if self._dead + overlay > max(_COMPACT_SLACK, len(self.indices) // 4):
+        if self._dead + self._overlay > max(_COMPACT_SLACK, len(self.indices) // 4):
             self.compact()
 
     def compact(self) -> None:
@@ -211,6 +213,7 @@ class Graph:
         self.indptr, self.indices = self.csr_arrays()
         self._alive = np.ones(len(self.indices), dtype=bool)
         self._extra = {}
+        self._overlay = 0
         self._dead = 0
 
     def copy(self) -> "Graph":
@@ -226,6 +229,7 @@ class Graph:
         g.dropped_self_loops = self.dropped_self_loops
         g._alive = self._alive.copy()
         g._extra = {i: set(s) for i, s in self._extra.items()}
+        g._overlay = self._overlay
         g._num_edges = self._num_edges
         g._dead = self._dead
         g._deg = self._deg.copy()

@@ -3,15 +3,31 @@
 Every call runs its own full-graph forward pass and takes every reverse
 product over the whole adjacency, and the adjacency-entry gradient is built
 as a COO matrix, converted to CSR and index-sorted.
-``distpoison.gnn.backward`` must return bit-identical gradients (dA with
-identical CSR arrays), with or without a shared forward state and on either
-side of its full/limited product choice.
+The loss gradient is an n-row matrix, a node listed several times
+contributing once per listing. ``distpoison.gnn.backward`` must return
+bit-identical gradients (dA with identical CSR arrays), with or without a
+shared forward state and on either side of its full/limited product choice.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from distpoison.gnn import GradientBundle, _check_finite, _loss_grad_logits
+from distpoison.gnn import GradientBundle, _check_finite, _log_softmax
+
+
+def _loss_grad_logits(logits, labels, node_set, objective):
+    rows, counts = np.unique(node_set, return_counts=True)
+    probs = np.exp(_log_softmax(logits[rows]))
+    probs[np.arange(len(rows)), labels[rows]] -= 1.0
+    probs *= counts[:, None]
+    dZ = np.zeros_like(logits)
+    if objective == "masked_ce":
+        dZ[rows] = probs / len(node_set)
+    elif objective == "attack":
+        dZ[rows] = -probs
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    return dZ
 
 
 def _adjacency_entry_grads(adj, products):

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import baseline_oracle
 import score_oracle
 from conftest import make_graph
 from distpoison.attack import (
@@ -509,6 +510,22 @@ class TestBaselines:
         g, part = toy_instance(5)
         pert = baseline_dice(g, part, 3, seed=5)
         assert len(pert.edges_removed) + len(pert.edges_added) <= 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_baselines_match_oracle(self, seed):
+        # Budgets past the share's edge count exhaust the removal list.
+        g = generate_sbm(seed, [15] * 4, 0.1, 0.01, feature_dim=4, noise=1.0)
+        part = partition_nodes(g, 3)
+        for budget in (0, 1, 7, 60):
+            for w in range(3):
+                got = baseline_random(g, part, budget, budget // 2, seed=seed, poisoned_worker=w)
+                want = baseline_oracle.baseline_random(
+                    g, part, budget, budget // 2, seed=seed, poisoned_worker=w
+                )
+                assert got.to_dict() == want.to_dict()
+                got = baseline_dice(g, part, budget, seed=seed, poisoned_worker=w)
+                want = baseline_oracle.baseline_dice(g, part, budget, seed=seed, poisoned_worker=w)
+                assert got.to_dict() == want.to_dict()
 
 
 class TestPerturbationSet:

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gnn_oracle
@@ -234,6 +234,21 @@ class TestBackward:
         )
         assert report.overall < 1e-4
 
+    @pytest.mark.parametrize("objective", ["masked_ce", "attack"])
+    @pytest.mark.parametrize("model", ["gcn", "sgc"])
+    def test_repeated_nodes_finite_difference(self, objective, model):
+        # The losses count a node once per listing, so its gradient does too.
+        g = generate_sbm(2, [4] * 4, 0.6, 0.1, feature_dim=4, noise=1.0)
+        adj = normalize_adjacency(g)
+        if model == "gcn":
+            params = gcn_params(4, 6, 4, seed=2)
+        else:
+            params = ParamSet.init_sgc(4, 4, seed=2, k=2)
+        report = check_gradients(
+            params, adj, g.features, g.labels, [1, 1, 2, 3], objective=objective
+        )
+        assert report.overall < 1e-4
+
 
 def assert_same_bundle(got, want):
     np.testing.assert_array_equal(got.dW0, want.dW0)
@@ -281,6 +296,9 @@ class TestBackwardOracle:
         objective=st.sampled_from(["masked_ce", "attack"]),
         want=st.booleans(),
     )
+    # A lone isolated node: every block is one row, which numpy would hand to GEMV.
+    @example(seed=0, n=11, model="gcn", picks=[0], removals=0, isolate=True,
+             shared_state=False, limits=(0, 8), objective="masked_ce", want=False)
     def test_matches_oracle(
         self, seed, n, model, picks, removals, isolate, shared_state, limits, objective, want
     ):
@@ -335,6 +353,62 @@ class TestBackwardOracle:
                 got = backward(params, adj, g.features, g.labels, node_set, state=state)
             assert (seen["limited"] > 0) == limited
             assert_same_bundle(got, want_bundle)
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc"])
+    def test_limited_pass_reads_only_its_field(self, model):
+        # Every state row and feature row the pass should not need is NaN; a
+        # pass that read one would carry the NaN into its gradients.
+        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+        adj = normalize_adjacency(g)
+        if model == "gcn":
+            params = ParamSet.init_gcn(8, 16, 4, seed=1)
+        else:
+            params = ParamSet.init_sgc(8, 4, seed=1, k=2)
+        state = forward_state(params, adj, g.features)
+        batch = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 8, replace=False)
+        fields = [np.unique(batch)]  # fields[t]: the rows t hops from the batch
+        for _ in range(2):
+            fields.append(np.unique(adj.matrix[fields[-1]].indices))
+
+        def outside(M, rows):
+            out = np.full_like(M, np.nan)
+            out[rows] = M[rows]
+            return out
+
+        if model == "gcn":
+            P, S0, H, Q, Z = state
+            poisoned = (np.full_like(P, np.nan), outside(S0, fields[1]), outside(H, fields[1]),
+                        np.full_like(Q, np.nan), outside(Z, fields[0]))
+        else:
+            poisoned = (np.full_like(state[0], np.nan), np.full_like(state[1], np.nan),
+                        outside(state[2], fields[0]))
+        X = outside(g.features, fields[2])
+        want_bundle = backward(params, adj, g.features, g.labels, batch, state=state)
+        seen, spy = count_limited_products()
+        with spy:
+            got = backward(params, adj, X, g.labels, batch, state=poisoned)
+        assert seen == {"limited": 2, "full": 0}
+        assert_same_bundle(got, want_bundle)
+
+    @pytest.mark.parametrize("feature_dim", [64, 1])
+    def test_other_blas_kernels_agree_to_rounding(self, feature_dim):
+        # At n = 3,200 the full X.T @ dP leaves OpenBLAS's small-matrix GEMM
+        # kernel: with 64 features it sums over n in blocks (m*n*k > 10**6),
+        # with one it is a GEMV. Either may group the terms differently from
+        # the row-restricted product.
+        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=64, noise=1.0)
+        adj = normalize_adjacency(g)
+        X = g.features[:, :feature_dim].copy()
+        params = ParamSet.init_gcn(feature_dim, 16, 4, seed=1)
+        batch = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 8, replace=False)
+        want_bundle = gnn_oracle.backward(params, adj, X, g.labels, batch)
+        seen, spy = count_limited_products()
+        with spy:
+            got = backward(params, adj, X, g.labels, batch)
+        assert seen == {"limited": 2, "full": 0}
+        np.testing.assert_allclose(got.dW0, want_bundle.dW0, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.dW1, want_bundle.dW1, rtol=1e-12, atol=1e-15)
+        assert got.l2_norm == pytest.approx(want_bundle.l2_norm, rel=1e-12)
 
     def test_small_graph_takes_full_products(self):
         # The reference experiment's size (200 nodes) stays on the full path.

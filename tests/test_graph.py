@@ -266,6 +266,69 @@ class TestDegreeCache:
         assert h.degrees().tolist() == [0, 1, 1]
 
 
+class TestCompaction:
+    """The overlay counter and lazy compaction against a freshly built graph."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 10),
+        slack=st.integers(0, 8),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["remove", "add", "add", "compact", "copy"]),
+                st.integers(0, 10**6),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_edit_scripts_across_the_boundary(self, seed, n, slack, ops):
+        # A small slack puts the compaction boundary within a short script.
+        rng = np.random.default_rng(seed)
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+        real = graph.Graph._maybe_compact
+
+        def checked(g):
+            # Compacts exactly when the overlay's size, summed afresh, says so.
+            overlay = sum(len(js) for js in g._extra.values())
+            assert g._overlay == overlay
+            due = g._dead + overlay > max(slack, len(g.indices) // 4)
+            before = g.indices
+            real(g)
+            assert (g.indices is not before) == due
+
+        g = make_graph(n, sorted(edges))
+        with mock.patch.object(graph, "_COMPACT_SLACK", slack), \
+                mock.patch.object(graph.Graph, "_maybe_compact", checked):
+            for op, k in ops:
+                if op == "remove" and edges:
+                    i, j = sorted(edges)[k % len(edges)]
+                    g.remove_edge(i, j)
+                    edges.remove((i, j))
+                elif op == "add":
+                    absent = [
+                        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges
+                    ]
+                    if absent:
+                        i, j = absent[k % len(absent)]
+                        g.add_edge(i, j) if k % 2 else g.add_edge(j, i)
+                        edges.add((i, j))
+                elif op == "compact":
+                    g.compact()
+                elif op == "copy":
+                    g = g.copy()
+                assert g._overlay == sum(len(js) for js in g._extra.values())
+                fresh = make_graph(n, sorted(edges))
+                np.testing.assert_array_equal(g.edge_array(), fresh.edge_array())
+                for a, b in zip(g.csr_arrays(), fresh.csr_arrays()):
+                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(g.degrees(), fresh.degrees())
+                assert g.num_edges == fresh.num_edges
+                for i in range(n):
+                    for j in range(n):
+                        assert g.has_edge(i, j) == fresh.has_edge(i, j)
+
+
 class TestNormalizeAdjacencyOracle:
     """The CSR built from the graph's rows equals the COO build bit for bit."""
 
