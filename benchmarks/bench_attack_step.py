@@ -8,9 +8,11 @@ n = 200, 1,600 and 6,400 nodes; candidates come from the highest-degree node,
 as the attack's targets do. ``test_feature_trial`` repeats one node, as the
 attack scores a node's dimensions in a row, so it reuses the state's block
 for that node; ``test_feature_trial_new_node`` gathers a fresh one each call.
-``test_worker_backward`` is one victim worker's pass: an 8-node batch against
-a forward state shared with the epoch's other workers, which at n = 6,400
-takes the receptive-field (limited) reverse products.
+``test_view_forward`` is one graph view's forward state for an epoch, over
+the union of its workers' batches: 8 nodes (one worker, as on the poisoned
+view) or 56 (seven workers of 8). ``test_worker_backward`` is one victim
+worker's pass: an 8-node batch against the 56-node union's state. At
+n = 1,600 and 6,400 both take the receptive-field (limited) products.
 """
 
 import itertools
@@ -102,11 +104,23 @@ def test_sample_1hop(benchmark, case):
     benchmark(sample_1hop, g, hub)
 
 
-def test_worker_backward(benchmark, case):
-    g, _ = case
+def _victim_setup(g):
     adj = normalize_adjacency(g)
     params = ParamSet.init_gcn(g.feature_dim, 16, g.num_classes, seed=0)
-    state = forward_state(params, adj, g.features)
     rng = np.random.default_rng(0)
-    batch = rng.choice(np.flatnonzero(g.train_mask), size=8, replace=False)
-    benchmark(backward, params, adj, g.features, g.labels, batch, state=state)
+    union = rng.choice(np.flatnonzero(g.train_mask), size=56, replace=False)
+    return adj, params, union
+
+
+@pytest.mark.parametrize("union_size", [8, 56])
+def test_view_forward(benchmark, case, union_size):
+    g, _ = case
+    adj, params, union = _victim_setup(g)
+    benchmark(forward_state, params, adj, g.features, rows=union[:union_size])
+
+
+def test_worker_backward(benchmark, case):
+    g, _ = case
+    adj, params, union = _victim_setup(g)
+    state = forward_state(params, adj, g.features, rows=union)
+    benchmark(backward, params, adj, g.features, g.labels, union[:8], state=state)

@@ -22,6 +22,7 @@ from distpoison.distributed import (
     train_distributed,
 )
 from distpoison.gnn import (
+    ForwardState,
     GradientBundle,
     ParamSet,
     attack_loss,

@@ -9,12 +9,15 @@ perturbed graph view, and everything downstream of that view is honest
 computation.
 
 Workers run one after another. Those that see the same graph view in an
-epoch share one forward pass under that epoch's weights; each worker's reverse
-pass is its own and, on large graphs, touches only the worker's receptive
-field: the rows its batch reaches in one and two hops, not all n rows (see
-``gnn.backward``). Results are bit-reproducible for a fixed (graph, partition,
-seed, config): batches come from per-worker RNG streams and the reduction
-order is fixed by worker index.
+epoch share one forward state under that epoch's weights, taken over the
+union of their batches; each worker's reverse pass is its own. On large
+graphs neither touches an n-row dense array beyond ``X W0``: the forward
+state holds the logits on the union and the hidden layer on the nodes one
+hop from it (see ``gnn.forward_state``), and a reverse pass reads only the
+rows its batch reaches in one and two hops (see ``gnn.backward``). Results
+are bit-reproducible for a fixed (graph, partition, seed, config): batches
+come from per-worker RNG streams and the reduction order is fixed by worker
+index.
 """
 
 from __future__ import annotations
@@ -130,14 +133,18 @@ def train_distributed(
     labels = g.labels
     records: list[SyncRecord] = []
 
+    on_view = [[st for st in states if view_of[st.worker_id] == v] for v in range(len(views))]
+
     def worker_pass(st: WorkerState, fwd: list) -> GradientBundle:
-        # fwd holds this epoch's forward state per view, made by the first
-        # worker that needs it, so a failure still names that worker.
+        # fwd holds this epoch's forward state per view, over the union of
+        # that view's batches, made by the first worker that needs it, so a
+        # failure still names that worker.
         v = view_of[st.worker_id]
         adj, X = views[v]
         try:
             if fwd[v] is None:
-                fwd[v] = forward_state(params, adj, X)
+                union = np.unique(np.concatenate([s.batch for s in on_view[v]]))
+                fwd[v] = forward_state(params, adj, X, rows=union)
             return backward(params, adj, X, labels, st.batch, state=fwd[v])
         except FloatingPointError as exc:
             raise TrainingError(

@@ -76,6 +76,49 @@ class ConfigError(ValueError):
 
 
 @dataclass
+class SBMDataset:
+    """``dataset`` of kind "sbm": a stochastic block model drawn per seed."""
+
+    block_sizes: tuple = spec((1,), low=0, required=True)
+    p_intra: float = spec(0.0, low=0, high=1, required=True)
+    p_inter: float = spec(0.0, low=0, high=1, required=True)
+    feature_dim: int = spec(1, low=1, required=True)
+    noise: float = spec(0.0, low=0, required=True)
+    train_frac: float = spec(0.3, low=0, high=1)
+    val_frac: float = spec(0.2, low=0, high=1)
+
+
+@dataclass
+class FilesDataset:
+    """``dataset`` of kind "files": a graph read from three files."""
+
+    edges: Path = spec(Path(), required=True)
+    features: Path = spec(Path(), required=True)
+    splits: Path = spec(Path(), required=True)
+
+
+DATASET_KINDS = {"sbm": SBMDataset, "files": FilesDataset}
+
+
+def _dataset_errors(dataset: dict) -> list[str]:
+    kind = dataset.get("kind")
+    if kind not in DATASET_KINDS:
+        return [f"dataset.kind: must be 'sbm' or 'files', got {kind!r}"]
+    knobs = {k: v for k, v in dataset.items() if k != "kind"}
+    errors = field_errors(DATASET_KINDS[kind], knobs, "dataset.")
+    if errors or kind != "sbm":
+        return errors
+    ds = SBMDataset(**knobs)
+    if ds.train_frac + ds.val_frac >= 1:  # at 1 the test split is empty
+        errors.append("dataset.val_frac: train_frac + val_frac must be below 1")
+    if sum(ds.block_sizes) == 0:
+        errors.append("dataset.block_sizes: must hold at least one node")
+    if ds.feature_dim < len(ds.block_sizes):
+        errors.append("dataset.feature_dim: must be at least the number of blocks")
+    return errors
+
+
+@dataclass
 class ExperimentConfig:
     dataset: dict
     attack: dict
@@ -122,17 +165,7 @@ class ExperimentConfig:
             errors.append("dataset: required mapping with kind 'sbm' or 'files'")
             dataset = {}
         else:
-            kind = dataset.get("kind")
-            if kind == "sbm":
-                for fld in ("block_sizes", "p_intra", "p_inter", "feature_dim", "noise"):
-                    if fld not in dataset:
-                        errors.append(f"dataset.{fld}: required for kind 'sbm'")
-            elif kind == "files":
-                for fld in ("edges", "features", "splits"):
-                    if fld not in dataset:
-                        errors.append(f"dataset.{fld}: required for kind 'files'")
-            else:
-                errors.append(f"dataset.kind: must be 'sbm' or 'files', got {kind!r}")
+            errors += _dataset_errors(dataset)
         attack = raw.get("attack", {"kind": "none"})
         if not isinstance(attack, dict) or attack.get("kind") not in ATTACK_KINDS:
             errors.append(f"attack.kind: must be one of {ATTACK_KINDS}")
@@ -201,19 +234,20 @@ class RunResult:
 
 
 def build_dataset(cfg: ExperimentConfig, seed: int) -> Graph:
-    ds = cfg.dataset
-    if ds["kind"] == "sbm":
+    knobs = {k: v for k, v in cfg.dataset.items() if k != "kind"}
+    ds = DATASET_KINDS[cfg.dataset["kind"]](**knobs)
+    if isinstance(ds, SBMDataset):
         return generate_sbm(
             seed,
-            ds["block_sizes"],
-            ds["p_intra"],
-            ds["p_inter"],
-            feature_dim=ds["feature_dim"],
-            noise=ds["noise"],
-            train_frac=ds.get("train_frac", 0.3),
-            val_frac=ds.get("val_frac", 0.2),
+            ds.block_sizes,
+            ds.p_intra,
+            ds.p_inter,
+            feature_dim=ds.feature_dim,
+            noise=ds.noise,
+            train_frac=ds.train_frac,
+            val_frac=ds.val_frac,
         )
-    return load_graph(ds["edges"], ds["features"], ds["splits"])
+    return load_graph(ds.edges, ds.features, ds.splits)
 
 
 def _init_params(cfg: ExperimentConfig, g: Graph, seed: int) -> ParamSet:

@@ -28,6 +28,7 @@ __all__ = [
     "sgc_forward",
     "forward",
     "forward_state",
+    "ForwardState",
     "masked_ce_loss",
     "attack_loss",
     "backward",
@@ -146,19 +147,152 @@ def _check_finite(name: str, *arrays) -> None:
             raise NumericalError(f"non-finite values encountered in {name}")
 
 
-def _gcn_state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray) -> tuple:
+# A product with A is limited to the rows it gathers once A holds at least
+# _LIMITED_MIN_NNZ entries and those rows hold at most 1/_LIMITED_SHARE of
+# them; on smaller or more fully reached matrices the gather costs more than
+# the full product.
+_LIMITED_MIN_NNZ = 10_000
+_LIMITED_SHARE = 8
+
+
+def _limited_entries(A: sp.csr_matrix, rows: np.ndarray) -> tuple | None:
+    """Positions in ``A.indices``/``A.data`` of the given rows' entries, in
+    row then CSR order, and each row's entry count; None when A is too small
+    or the rows hold too much of it for a limited product."""
+    if A.nnz < _LIMITED_MIN_NNZ:
+        return None
+    lo = A.indptr[rows]
+    lens = A.indptr[rows + 1] - lo
+    total = int(lens.sum())
+    if total * _LIMITED_SHARE > A.nnz:
+        return None
+    return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total), lens
+
+
+def _take(M: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """The rows of an n-row M (all of them when ``rows`` is None)."""
+    return M if rows is None else M[rows]
+
+
+def _full(block: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
+    """The n-row matrix that is ``block`` on ``rows`` and zero elsewhere."""
+    if rows is None:
+        return block
+    out = np.zeros((n, block.shape[1]))
+    out[rows] = block
+    return out
+
+
+def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``M @ W`` with each row as a GEMM over many rows computes it.
+
+    numpy hands a one-row M to GEMV, which can add a row's terms in another
+    order than GEMM; a zero row keeps it on GEMM.
+    """
+    if len(M) > 1:
+        return M @ W
+    return (np.vstack([M, np.zeros_like(M)]) @ W)[:1]
+
+
+def _receptive_rows(A: sp.csr_matrix, rows, depth: int) -> list[tuple]:
+    """Row-restricted copies of A for a forward pass that needs only ``rows``.
+
+    Entry h is ``(field, sub)``: ``field`` holds the sorted nodes h hops from
+    ``rows`` and ``sub`` is A's rows at those nodes, its columns numbered as
+    the positions in field h + 1 when that entry exists and as node ids
+    otherwise. The list stops at ``depth`` entries or at the first field
+    whose rows hold more than 1/_LIMITED_SHARE of A. It is empty when
+    ``rows`` is None, when A holds fewer than _LIMITED_MIN_NNZ entries, or
+    when a deeper product would be full and only the logits' product
+    limited: that one is at the output width and saves less than the
+    gathers cost. Each row of ``sub @ M`` sums the same terms in the same
+    CSR order as the same row of ``A @ M``, so the two agree bit for bit.
+    """
+    if rows is None or A.nnz < _LIMITED_MIN_NNZ:
+        return []
+    hops = []  # [field, entry positions, columns, entry counts]
+    field = np.unique(rows)
+    while len(hops) < depth:
+        entries = _limited_entries(A, field)
+        if entries is None:
+            break
+        pos, lens = entries
+        if hops:  # the hop below reads this field's rows: number its columns in it
+            hops[-1][2] = inverse.astype(A.indices.dtype)
+        hops.append([field, pos, A.indices[pos], lens])
+        if len(hops) < depth:
+            field, inverse = np.unique(hops[-1][2], return_inverse=True)
+    if len(hops) < min(depth, 2):
+        return []
+    out = []
+    for h, (field, pos, cols, lens) in enumerate(hops):
+        width = len(hops[h + 1][0]) if h + 1 < len(hops) else A.shape[1]
+        indptr = np.zeros(len(field) + 1, dtype=A.indptr.dtype)
+        np.cumsum(lens, out=indptr[1:])
+        out.append((field, sp.csr_matrix((A.data[pos], cols, indptr), shape=(len(field), width))))
+    return out
+
+
+@dataclass(frozen=True)
+class ForwardState:
+    """The forward intermediates that ``backward`` reverses, logits last.
+
+    ``values[t]`` holds intermediate t on the rows ``fields[t]`` (sorted
+    node ids), or on all n rows when ``fields[t]`` is None.
+    """
+
+    values: tuple
+    fields: tuple
+
+    @property
+    def limited(self) -> bool:
+        return any(f is not None for f in self.fields)
+
+    def take(self, t: int, rows: np.ndarray | None) -> np.ndarray:
+        """Rows ``rows`` of intermediate t, all n of them when ``rows`` is None.
+
+        Raises ValueError for rows the state does not hold.
+        """
+        M, held = self.values[t], self.fields[t]
+        if held is None:
+            return _take(M, rows)
+        if rows is not None:
+            at = np.minimum(np.searchsorted(held, rows), len(held) - 1)
+            if (held[at] == rows).all():
+                return M[at]
+        raise ValueError(
+            f"forward state holds intermediate {t} on {len(held)} rows only, "
+            "not on every row asked for; pass the batch to forward_state"
+        )
+
+
+def _propagate(A: sp.csr_matrix, M: np.ndarray, hop: tuple | None) -> np.ndarray:
+    """``A @ M``, on the hop's field only when one is given."""
+    return A @ M if hop is None else hop[1] @ M
+
+
+def _field(hop: tuple | None) -> np.ndarray | None:
+    return None if hop is None else hop[0]
+
+
+def _gcn_state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray, hops: list) -> ForwardState:
+    h0, h1 = (hops + [None, None])[:2]  # the rows of Z, and of S0, H and Q
     P = X @ params.W0
-    S0 = A @ P
+    S0 = _propagate(A, P, h1)
     H = np.maximum(S0, 0.0)
-    Q = H @ params.W1
-    return P, S0, H, Q, A @ Q
+    Q = H @ params.W1 if h1 is None else _rowwise(H, params.W1)
+    f1 = _field(h1)
+    return ForwardState((P, S0, H, Q, _propagate(A, Q, h0)), (None, f1, f1, f1, _field(h0)))
 
 
-def _sgc_state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray, k: int) -> tuple:
+def _sgc_state(
+    params: ParamSet, A: sp.csr_matrix, X: np.ndarray, k: int, hops: list
+) -> ForwardState:
+    hops = hops + [None] * (k - len(hops))  # hops[h]: the rows of U_{k-h}
     us = [X @ params.W0]
-    for _ in range(k):
-        us.append(A @ us[-1])
-    return tuple(us)
+    for hop in reversed(hops):
+        us.append(_propagate(A, us[-1], hop))
+    return ForwardState(tuple(us), (None, *map(_field, reversed(hops))))
 
 
 def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
@@ -166,7 +300,7 @@ def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np
     if params.W1 is None:
         raise ValueError("gcn_forward requires a two-weight ParamSet")
     _check_finite("gcn_forward inputs", X, params.W0, params.W1)
-    Z = _gcn_state(params, adj.matrix, X)[-1]
+    Z = _gcn_state(params, adj.matrix, X, []).values[-1]
     _check_finite("gcn_forward logits", Z)
     return Z
 
@@ -176,7 +310,7 @@ def sgc_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, k: in
     if k < 1:
         raise ValueError(f"propagation depth must be >= 1, got {k}")
     _check_finite("sgc_forward inputs", X, params.W0)
-    U = _sgc_state(params, adj.matrix, X, k)[-1]
+    U = _sgc_state(params, adj.matrix, X, k, []).values[-1]
     _check_finite("sgc_forward logits", U)
     return U
 
@@ -187,7 +321,9 @@ def forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.nda
     return gcn_forward(params, adj, X)
 
 
-def forward_state(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> tuple:
+def forward_state(
+    params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, rows=None
+) -> ForwardState:
     """The forward intermediates that ``backward`` reverses; logits last.
 
     For the GCN this is ``(P, S0, H, Q, Z)`` with ``P = X W0``, ``S0 = A P``,
@@ -195,11 +331,21 @@ def forward_state(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> 
     ``(U_0, ..., U_k)`` with ``U_0 = X W0`` and ``U_t = A U_{t-1}``. The state
     depends on the weights, the adjacency and the features only, so every
     batch on the same graph view under the same weights can share one.
+
+    ``rows`` names the nodes whose logits will be differentiated (repeats
+    allowed); None means every node. On a large graph the products are then
+    taken over the receptive field of ``rows`` only: Z over ``rows``, S0, H
+    and Q over the nodes one hop away, and U_t over the nodes k - t hops
+    away, each while that field passes the product rule (see
+    ``_receptive_rows``); P and U_0 stay full. Held rows are bit-identical
+    to the full state's while the row-restricted GEMM ``H W1`` stays on
+    OpenBLAS's small-matrix kernel (see ``backward``).
     """
     _check_finite("forward inputs", X, *params.weights())
+    A = adj.matrix
     if params.W1 is None:
-        return _sgc_state(params, adj.matrix, X, params.k)
-    return _gcn_state(params, adj.matrix, X)
+        return _sgc_state(params, A, X, params.k, _receptive_rows(A, rows, params.k))
+    return _gcn_state(params, A, X, _receptive_rows(A, rows, 2))
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -226,16 +372,16 @@ def attack_loss(logits: np.ndarray, labels: np.ndarray, target_set) -> float:
 
 
 def _loss_grad_rows(
-    logits: np.ndarray, labels: np.ndarray, node_set: np.ndarray, objective: str
+    state: ForwardState, labels: np.ndarray, node_set: np.ndarray, objective: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """dLoss/dlogits as ``(block, rows)``: zero outside the unique ``rows``.
+    """dLoss/dlogits as ``(block, rows)``: zero outside the sorted unique ``rows``.
 
     A node listed more than once counts once per listing, as in the losses.
     """
-    rows, counts = node_set, None
-    if len(set(node_set.tolist())) < len(node_set):
-        rows, counts = np.unique(node_set, return_counts=True)
-    probs = np.exp(_log_softmax(logits[rows]))
+    rows, counts = np.sort(node_set), None
+    if (rows[1:] == rows[:-1]).any():
+        rows, counts = np.unique(rows, return_counts=True)
+    probs = np.exp(_log_softmax(state.take(-1, rows)))
     probs[np.arange(len(rows)), labels[rows]] -= 1.0
     if counts is not None:
         probs *= counts[:, None]
@@ -294,70 +440,31 @@ def _adjacency_entry_grads(
     return sp.csr_matrix((vals[edge_of], c, indptr), shape=(n, n))
 
 
-# A reverse product is limited to the rows that carry gradient once A holds at
-# least _LIMITED_MIN_NNZ entries and those rows hold at most 1/_LIMITED_SHARE of
-# them; on smaller or more fully reached matrices the gather costs more than
-# the full product.
-_LIMITED_MIN_NNZ = 1 << 14
-_LIMITED_SHARE = 8
-
-
-def _take(M: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """The rows of an n-row M (all of them when ``rows`` is None)."""
-    return M if rows is None else M[rows]
-
-
-def _full(block: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
-    """The n-row matrix that is ``block`` on ``rows`` and zero elsewhere."""
-    if rows is None:
-        return block
-    out = np.zeros((n, block.shape[1]))
-    out[rows] = block
-    return out
-
-
-def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """``M @ W`` with each row as a GEMM over many rows computes it.
-
-    numpy hands a one-row M to GEMV, which can add a row's terms in another
-    order than GEMM; a zero row keeps it on GEMM.
-    """
-    if len(M) > 1:
-        return M @ W
-    return (np.vstack([M, np.zeros_like(M)]) @ W)[:1]
-
-
 def _reverse_product(
     A: sp.csr_matrix, M: np.ndarray, rows: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``A @ M`` for the symmetric A and an M given on ``rows`` only.
 
-    ``rows`` holds unique ids and M one row for each, zero elsewhere; None
-    means M is a full n-row matrix. Returns the product as a block over the
-    sorted rows it can be nonzero on, with those rows, or the full product
-    with None. A symmetric A gives ``A @ M == A[rows].T @ M[rows]``: the
-    limited path scatters the entries of the sorted ``rows`` into the block
-    in order, so each output row sums the same terms in the same ascending
+    ``rows`` holds sorted unique ids and M one row for each, zero elsewhere;
+    None means M is a full n-row matrix. Returns the product as a block over
+    the sorted rows it can be nonzero on, with those rows, or the full
+    product with None. A symmetric A gives ``A @ M == A[rows].T @ M[rows]``:
+    the limited path scatters the entries of ``rows`` into the block in
+    order, so each output row sums the same terms in the same ascending
     order as scipy's CSR product, less the zero ones, and the two agree bit
     for bit.
     """
     if rows is not None:
-        if A.nnz >= _LIMITED_MIN_NNZ:
-            lo = A.indptr[rows]
-            lens = A.indptr[rows + 1] - lo
-            total = int(lens.sum())
-            if total * _LIMITED_SHARE <= A.nnz:
-                if (rows[1:] < rows[:-1]).any():  # a batch in draw order
-                    order = np.argsort(rows)
-                    rows, M, lo, lens = rows[order], M[order], lo[order], lens[order]
-                pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total)
-                reached, slot = np.unique(A.indices[pos], return_inverse=True)
-                w = M.shape[1]
-                terms = A.data[pos, None] * np.repeat(M, lens, axis=0)
-                # bincount adds its weights one by one in input order.
-                flat = (slot[:, None] * w + np.arange(w)).ravel()
-                out = np.bincount(flat, weights=terms.ravel(), minlength=len(reached) * w)
-                return out.reshape(-1, w), reached
+        entries = _limited_entries(A, rows)
+        if entries is not None:
+            pos, lens = entries
+            reached, slot = np.unique(A.indices[pos], return_inverse=True)
+            w = M.shape[1]
+            terms = A.data[pos, None] * np.repeat(M, lens, axis=0)
+            # bincount adds its weights one by one in input order.
+            flat = (slot[:, None] * w + np.arange(w)).ravel()
+            out = np.bincount(flat, weights=terms.ravel(), minlength=len(reached) * w)
+            return out.reshape(-1, w), reached
         M = _full(M, rows, A.shape[0])
     return A @ M, None
 
@@ -371,14 +478,17 @@ def backward(
     want_dA: bool = False,
     want_dX: bool = False,
     objective: str = "masked_ce",
-    state: tuple | None = None,
+    state: ForwardState | None = None,
 ) -> GradientBundle:
     """Exact reverse-mode gradients of the chosen objective.
 
     ``objective`` is "masked_ce" (mean CE over node_set, the training loss)
-    or "attack" (negated CE sum over node_set as targets). ``state`` is
-    ``forward_state(params, adj, X)`` when the caller already has it;
-    otherwise it is computed here.
+    or "attack" (negated CE sum over node_set as targets). ``state`` is a
+    ``forward_state(params, adj, X, rows)`` whose ``rows`` include node_set,
+    when the caller already has one; a state that does not hold a row the
+    pass reads raises ValueError. Without a state, or when ``want_dA`` needs
+    the intermediates on every row and ``state`` is limited, the pass
+    computes its own.
 
     Each reverse quantity is carried as a block over the rows it can be
     nonzero on, with those rows, or as a full matrix with None once a product
@@ -393,22 +503,24 @@ def backward(
     node_set = np.asarray(node_set, dtype=np.int64)
     if len(node_set) == 0:
         raise ValueError("node_set must be nonempty")
-    if state is None:
-        state = forward_state(params, adj, X)
+    if state is None or (want_dA and state.limited):
+        state = forward_state(params, adj, X, None if want_dA else node_set)
     A = adj.matrix
     n = A.shape[0]
 
     if params.W1 is not None:
-        P, S0, H, Q, Z = state
-        dZ, r0 = _loss_grad_rows(Z, labels, node_set, objective)
+        dZ, r0 = _loss_grad_rows(state, labels, node_set, objective)
         dQ, r1 = _reverse_product(A, dZ, r0)  # A is symmetric
-        dW1 = _take(H, r1).T @ dQ
-        dS0 = _rowwise(dQ, params.W1.T) * (_take(S0, r1) > 0.0)
+        H = state.take(2, r1)
+        dW1 = H.T @ dQ
+        dS0 = _rowwise(dQ, params.W1.T) * (H > 0.0)  # H > 0 exactly where S0 > 0
         dP, r2 = _reverse_product(A, dS0, r1)
         dW0 = _take(X, r2).T @ dP
         dX = _full(dP, r2, n) @ params.W0.T if want_dX else None
         dA = (
-            _adjacency_entry_grads(adj, [(_full(dZ, r0, n), Q), (_full(dS0, r1, n), P)])
+            _adjacency_entry_grads(
+                adj, [(_full(dZ, r0, n), state.values[3]), (_full(dS0, r1, n), state.values[0])]
+            )
             if want_dA
             else None
         )
@@ -416,8 +528,7 @@ def backward(
         return GradientBundle.from_grads(dW0, dW1, dA, dX)
 
     # Linear propagation model: Z = A^k (X W0).
-    us = state
-    dus = [_loss_grad_rows(us[-1], labels, node_set, objective)]
+    dus = [_loss_grad_rows(state, labels, node_set, objective)]
     for _ in range(params.k):
         dus.append(_reverse_product(A, *dus[-1]))
     dus.reverse()  # dus[t] = dLoss/dU_t, with its rows
@@ -426,7 +537,7 @@ def backward(
     dX = _full(du0, r0, n) @ params.W0.T if want_dX else None
     dA = (
         _adjacency_entry_grads(
-            adj, [(_full(*dus[t + 1], n), us[t]) for t in range(params.k)]
+            adj, [(_full(*dus[t + 1], n), state.values[t]) for t in range(params.k)]
         )
         if want_dA
         else None

@@ -1,7 +1,10 @@
-"""The reverse pass as first written, kept as the test oracle.
+"""The forward and reverse passes as first written, kept as the test oracle.
 
-Every call runs its own full-graph forward pass and takes every reverse
-product over the whole adjacency, and the adjacency-entry gradient is built
+``gcn_state``/``sgc_state`` compute every forward intermediate on all n rows;
+``distpoison.gnn.forward_state`` must hold bit-identical rows wherever it
+holds a row, with or without a ``rows`` argument. Every ``backward`` call
+runs its own full-graph forward pass and takes every reverse product over
+the whole adjacency, and the adjacency-entry gradient is built
 as a COO matrix, converted to CSR and index-sorted.
 The loss gradient is an n-row matrix, a node listed several times
 contributing once per listing. ``distpoison.gnn.backward`` must return
@@ -13,6 +16,21 @@ import numpy as np
 import scipy.sparse as sp
 
 from distpoison.gnn import GradientBundle, _check_finite, _log_softmax
+
+
+def gcn_state(params, A, X):
+    P = X @ params.W0
+    S0 = A @ P
+    H = np.maximum(S0, 0.0)
+    Q = H @ params.W1
+    return P, S0, H, Q, A @ Q
+
+
+def sgc_state(params, A, X, k):
+    us = [X @ params.W0]
+    for _ in range(k):
+        us.append(A @ us[-1])
+    return tuple(us)
 
 
 def _loss_grad_logits(logits, labels, node_set, objective):
@@ -73,11 +91,7 @@ def backward(
     A = adj.matrix
 
     if params.W1 is not None:
-        P = X @ params.W0
-        S0 = A @ P
-        H = np.maximum(S0, 0.0)
-        Q = H @ params.W1
-        Z = A @ Q
+        P, S0, H, Q, Z = gcn_state(params, A, X)
         dZ = _loss_grad_logits(Z, labels, node_set, objective)
         dQ = A @ dZ  # A is symmetric
         dW1 = H.T @ dQ
@@ -90,9 +104,7 @@ def backward(
         return GradientBundle.from_grads(dW0, dW1, dA, dX)
 
     # Linear propagation model: Z = A^k (X W0).
-    us = [X @ params.W0]
-    for _ in range(params.k):
-        us.append(A @ us[-1])
+    us = sgc_state(params, A, X, params.k)
     Z = us[-1]
     dZ = _loss_grad_logits(Z, labels, node_set, objective)
     dus = [dZ]

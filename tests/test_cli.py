@@ -166,3 +166,70 @@ def test_bad_value_rejected_before_dataset(tmp_path, capsys, monkeypatch, overri
     cfg = write_config(tmp_path)
     assert main(["run", "--config", str(cfg), "--set", override]) == 2
     assert f"{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("dataset.block_sizes=[10,-1]", "dataset.block_sizes"),
+        ("dataset.block_sizes=[0,0]", "dataset.block_sizes"),
+        ("dataset.block_sizes=ten", "dataset.block_sizes"),
+        ("dataset.p_intra=1.5", "dataset.p_intra"),
+        ("dataset.p_inter=-0.1", "dataset.p_inter"),
+        ("dataset.noise=-1", "dataset.noise"),
+        ("dataset.feature_dim=1", "dataset.feature_dim"),  # two blocks to one-hot
+        ("dataset.train_frac=0.9", "dataset.val_frac"),  # 0.9 + 0.2 > 1
+        ("dataset.train_frac=0.8", "dataset.val_frac"),  # no test split left
+        ("dataset.val_frac=1.5", "dataset.val_frac"),
+        ("dataset.bogus=1", "dataset.bogus"),
+    ],
+)
+def test_bad_sbm_dataset_rejected_before_dataset(tmp_path, capsys, monkeypatch, override, field):
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--set", override]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+
+
+def test_missing_sbm_field_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    cfg = write_config(tmp_path, dataset={"kind": "sbm", "block_sizes": [10, 10],
+                                          "p_intra": 0.3, "feature_dim": 4, "noise": 0.3})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "dataset.p_inter: required" in capsys.readouterr().err
+
+
+def write_files_dataset(tmp_path):
+    """A 12-node two-class ring as the three dataset files."""
+    n = 12
+    (tmp_path / "edges.txt").write_text("".join(f"{i}\t{(i + 1) % n}\n" for i in range(n)))
+    rows = [f"{i},{1.0 - i % 2},{i % 2 * 1.0},{i % 2}" for i in range(n)]
+    (tmp_path / "nodes.csv").write_text("node_id,f0,f1,label\n" + "\n".join(rows) + "\n")
+    splits = {"train": list(range(8)), "val": [8, 9], "test": [10, 11]}
+    (tmp_path / "splits.json").write_text(json.dumps(splits))
+    return {"kind": "files", "edges": str(tmp_path / "edges.txt"),
+            "features": str(tmp_path / "nodes.csv"), "splits": str(tmp_path / "splits.json")}
+
+
+def test_files_dataset_runs(tmp_path):
+    cfg = write_config(tmp_path, dataset=write_files_dataset(tmp_path), attack={"kind": "none"})
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("field", ["edges", "features", "splits"])
+def test_missing_file_rejected_before_dataset(tmp_path, capsys, monkeypatch, field):
+    dataset = write_files_dataset(tmp_path)
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    dataset[field] = str(tmp_path / "absent.txt")
+    cfg = write_config(tmp_path, dataset=dataset, attack={"kind": "none"})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"dataset.{field}: must be the name of an existing file" in capsys.readouterr().err
+
+
+def test_files_dataset_requires_every_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    dataset = write_files_dataset(tmp_path)
+    del dataset["splits"]
+    cfg = write_config(tmp_path, dataset=dataset, attack={"kind": "none"})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "dataset.splits: required" in capsys.readouterr().err

@@ -127,13 +127,14 @@ class TestTrainDistributed:
 
     def test_one_forward_per_view_per_epoch(self, monkeypatch):
         # Three workers, one of them poisoned: two views, so two forward
-        # passes per epoch, and still one reverse pass per worker.
+        # passes per epoch, each over the union of its view's batches, and
+        # still one reverse pass per worker.
         calls = {"forward": [], "backward": []}
         real_forward, real_backward = dist.forward_state, dist.backward
 
-        def forward_spy(params, adj, X):
-            calls["forward"].append(id(adj))
-            return real_forward(params, adj, X)
+        def forward_spy(params, adj, X, rows=None):
+            calls["forward"].append((id(adj), rows))
+            return real_forward(params, adj, X, rows=rows)
 
         def backward_spy(params, adj, *args, **kwargs):
             calls["backward"].append(id(adj))
@@ -142,15 +143,21 @@ class TestTrainDistributed:
         monkeypatch.setattr(dist, "forward_state", forward_spy)
         monkeypatch.setattr(dist, "backward", backward_spy)
         g = sbm_all_train(5, [6, 6, 6])
+        batches = []
         train_distributed(
             g, partition_nodes(g, 3), fresh_params(g), epochs=4, batch_size=3, seed=2,
             poison=FeatureBlast(node=0), poisoned_worker=1,
+            on_epoch=lambda e, states, p: batches.append([st.batch.copy() for st in states]),
         )
         assert len(calls["backward"]) == 3 * 4
         assert len(calls["forward"]) == 2 * 4
-        clean, poisoned = calls["forward"][:2]
+        clean, poisoned = (adj for adj, _ in calls["forward"][:2])
         assert clean != poisoned
         assert calls["backward"] == [clean, poisoned, clean] * 4
+        for epoch, (b0, b1, b2) in enumerate(batches):
+            (_, rows_clean), (_, rows_poisoned) = calls["forward"][2 * epoch : 2 * epoch + 2]
+            np.testing.assert_array_equal(rows_clean, np.union1d(b0, b2))
+            np.testing.assert_array_equal(rows_poisoned, np.unique(b1))
 
     def test_all_workers_share_global_params(self):
         # Recompute each worker's recorded gradient from the single global

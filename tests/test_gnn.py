@@ -9,6 +9,7 @@ import gnn_oracle
 from conftest import dense_normalized, make_graph, random_instance
 from distpoison import gnn
 from distpoison.gnn import (
+    ForwardState,
     GradientBundle,
     NumericalError,
     ParamSet,
@@ -376,17 +377,19 @@ class TestBackwardOracle:
             return out
 
         if model == "gcn":
-            P, S0, H, Q, Z = state
+            P, S0, H, Q, Z = state.values
             poisoned = (np.full_like(P, np.nan), outside(S0, fields[1]), outside(H, fields[1]),
                         np.full_like(Q, np.nan), outside(Z, fields[0]))
         else:
-            poisoned = (np.full_like(state[0], np.nan), np.full_like(state[1], np.nan),
-                        outside(state[2], fields[0]))
+            us = state.values
+            poisoned = (np.full_like(us[0], np.nan), np.full_like(us[1], np.nan),
+                        outside(us[2], fields[0]))
         X = outside(g.features, fields[2])
         want_bundle = backward(params, adj, g.features, g.labels, batch, state=state)
         seen, spy = count_limited_products()
         with spy:
-            got = backward(params, adj, X, g.labels, batch, state=poisoned)
+            got = backward(params, adj, X, g.labels, batch,
+                           state=ForwardState(poisoned, state.fields))
         assert seen == {"limited": 2, "full": 0}
         assert_same_bundle(got, want_bundle)
 
@@ -425,14 +428,134 @@ class TestBackwardOracle:
         adj = normalize_adjacency(g)
         for params in (gcn_params(6, 8, 3), ParamSet.init_sgc(6, 3, k=2)):
             state = forward_state(params, adj, g.features)
-            np.testing.assert_array_equal(state[-1], forward(params, adj, g.features))
-            assert len(state) == (5 if params.W1 is not None else params.k + 1)
+            np.testing.assert_array_equal(state.values[-1], forward(params, adj, g.features))
+            assert len(state.values) == (5 if params.W1 is not None else params.k + 1)
+            assert not state.limited
 
     def test_state_rejects_non_finite_inputs(self):
         g, _ = random_instance(4)
         g.features[0, 0] = np.nan
         with pytest.raises(NumericalError):
             forward_state(gcn_params(6, 8, 3), normalize_adjacency(g), g.features)
+
+
+def receptive_fields(adj, rows, depth):
+    """fields[h]: the sorted nodes h hops from ``rows``, through scipy's row slicing."""
+    fields = [np.unique(rows)]
+    for _ in range(depth):
+        fields.append(np.unique(adj.matrix[fields[-1]].indices))
+    return fields
+
+
+def oracle_state(params, adj, X):
+    if params.W1 is None:
+        return gnn_oracle.sgc_state(params, adj.matrix, X, params.k)
+    return gnn_oracle.gcn_state(params, adj.matrix, X)
+
+
+class TestLimitedForward:
+    """``forward_state`` over a batch union against the forward pass as first written."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 24),
+        model=st.sampled_from(["gcn", "sgc1", "sgc2", "sgc3"]),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+        batch_picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+        isolate=st.booleans(),
+        share=st.sampled_from([1, 2, 8]),
+        objective=st.sampled_from(["masked_ce", "attack"]),
+        want=st.booleans(),
+    )
+    def test_matches_oracle(
+        self, seed, n, model, picks, batch_picks, isolate, share, objective, want
+    ):
+        g, rng = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
+        if isolate:
+            for v in g.neighbors(0):
+                g.remove_edge(0, int(v))
+        adj = normalize_adjacency(g)
+        if model == "gcn":
+            params, depth = ParamSet.init_gcn(3, 5, 3, seed=seed), 2
+        else:
+            params = ParamSet.init_sgc(3, 3, seed=seed, k=int(model[-1]))
+            depth = params.k
+        union = [p % n for p in picks]  # repeats allowed
+        batch = [union[p % len(union)] for p in batch_picks]  # inside the union, repeats too
+        kw = dict(want_dA=want, want_dX=want, objective=objective)
+        with mock.patch.object(gnn, "_LIMITED_MIN_NNZ", 0), \
+                mock.patch.object(gnn, "_LIMITED_SHARE", share):
+            state = forward_state(params, adj, g.features, rows=union)
+            got = backward(params, adj, g.features, g.labels, batch, state=state, **kw)
+            outside = np.setdiff1d(np.arange(n), union)
+            if len(outside) and state.fields[-1] is not None:
+                with pytest.raises(ValueError):
+                    backward(params, adj, g.features, g.labels, [outside[0]], state=state)
+        # Field h is the nodes h hops from the union, from the logits down,
+        # for as long as the product rule holds; share 1 always holds.
+        fields = receptive_fields(adj, union, depth)
+        held = [f for f in state.fields[::-1] if f is not None]
+        if params.W1 is not None:
+            held = held[::3]  # S0, H and Q share one field
+        assert len(held) <= depth
+        if share == 1:
+            assert len(held) == depth
+        for f, want_f in zip(held, fields):
+            np.testing.assert_array_equal(f, want_f)
+        full = oracle_state(params, adj, g.features)
+        assert len(state.values) == len(full)
+        for value, field, want_value in zip(state.values, state.fields, full):
+            np.testing.assert_array_equal(value, want_value if field is None else want_value[field])
+        assert_same_bundle(
+            got, gnn_oracle.backward(params, adj, g.features, g.labels, batch, **kw)
+        )
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc"])
+    def test_reads_only_the_union_field(self, model, monkeypatch):
+        # Features outside the rows the union's logits depend on are NaN. The
+        # full-X input check would reject them, so it is switched off here;
+        # a limited forward or reverse pass that read one of those rows would
+        # carry a NaN into a held row or a gradient.
+        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+        adj = normalize_adjacency(g)
+        if model == "gcn":
+            params = ParamSet.init_gcn(8, 16, 4, seed=1)
+        else:
+            params = ParamSet.init_sgc(8, 4, seed=1, k=2)
+        union = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 24, replace=False)
+        X = np.full_like(g.features, np.nan)
+        field = receptive_fields(adj, union, 2)[2]
+        X[field] = g.features[field]
+        clean = forward_state(params, adj, g.features, rows=union)
+        batch = union[:8]
+        want_bundle = backward(params, adj, g.features, g.labels, batch, state=clean)
+        monkeypatch.setattr(gnn, "_check_finite", lambda *args: None)
+        got = forward_state(params, adj, X, rows=union)
+        assert all(f is not None for f in got.fields[1:])
+        for value, want_value in zip(got.values[1:], clean.values[1:]):
+            assert np.isfinite(value).all()
+            np.testing.assert_array_equal(value, want_value)
+        assert_same_bundle(backward(params, adj, X, g.labels, batch, state=got), want_bundle)
+
+    def test_want_dA_builds_a_full_state(self):
+        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+        adj = normalize_adjacency(g)
+        params = ParamSet.init_gcn(8, 16, 4, seed=1)
+        batch = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 4, replace=False)
+        state = forward_state(params, adj, g.features, rows=batch)
+        assert state.limited
+        got = backward(params, adj, g.features, g.labels, batch, want_dA=True, state=state)
+        want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, batch, want_dA=True)
+        assert_same_bundle(got, want_bundle)
+
+    def test_small_graph_gathers_nothing(self):
+        # The reference experiment's size (200 nodes) keeps every row.
+        g = generate_sbm(0, [50] * 4, 0.1, 0.01, feature_dim=8, noise=1.2)
+        adj = normalize_adjacency(g)
+        assert adj.matrix.nnz < gnn._LIMITED_MIN_NNZ
+        state = forward_state(ParamSet.init_gcn(8, 16, 4, seed=0), adj, g.features, rows=[0, 1])
+        assert not state.limited
 
 
 class TestSGDStep:
