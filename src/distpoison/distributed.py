@@ -143,8 +143,8 @@ def train_distributed(
         adj, X = views[v]
         try:
             if fwd[v] is None:
-                union = np.unique(np.concatenate([s.batch for s in on_view[v]]))
-                fwd[v] = forward_state(params, adj, X, rows=union)
+                batches = np.concatenate([s.batch for s in on_view[v]])
+                fwd[v] = forward_state(params, adj, X, rows=batches)
             return backward(params, adj, X, labels, st.batch, state=fwd[v])
         except FloatingPointError as exc:
             raise TrainingError(

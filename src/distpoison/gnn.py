@@ -194,6 +194,13 @@ def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (np.vstack([M, np.zeros_like(M)]) @ W)[:1]
 
 
+def _distinct(ids) -> np.ndarray:
+    """``np.unique(ids)`` by one sort: numpy 2.4's np.unique hashes when asked
+    for the values alone and measures about ten times slower on 2,000 ids."""
+    s = np.sort(ids)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 def _receptive_rows(A: sp.csr_matrix, rows, depth: int) -> list[tuple]:
     """Row-restricted copies of A for a forward pass that needs only ``rows``.
 
@@ -211,7 +218,7 @@ def _receptive_rows(A: sp.csr_matrix, rows, depth: int) -> list[tuple]:
     if rows is None or A.nnz < _LIMITED_MIN_NNZ:
         return []
     hops = []  # [field, entry positions, columns, entry counts]
-    field = np.unique(rows)
+    field = _distinct(rows)
     while len(hops) < depth:
         entries = _limited_entries(A, field)
         if entries is None:
@@ -379,7 +386,7 @@ def _loss_grad_rows(
     A node listed more than once counts once per listing, as in the losses.
     """
     rows, counts = np.sort(node_set), None
-    if (rows[1:] == rows[:-1]).any():
+    if np.count_nonzero(rows[1:] == rows[:-1]):
         rows, counts = np.unique(rows, return_counts=True)
     probs = np.exp(_log_softmax(state.take(-1, rows)))
     probs[np.arange(len(rows)), labels[rows]] -= 1.0

@@ -156,8 +156,8 @@ class TestTrainDistributed:
         assert calls["backward"] == [clean, poisoned, clean] * 4
         for epoch, (b0, b1, b2) in enumerate(batches):
             (_, rows_clean), (_, rows_poisoned) = calls["forward"][2 * epoch : 2 * epoch + 2]
-            np.testing.assert_array_equal(rows_clean, np.union1d(b0, b2))
-            np.testing.assert_array_equal(rows_poisoned, np.unique(b1))
+            np.testing.assert_array_equal(np.unique(rows_clean), np.union1d(b0, b2))
+            np.testing.assert_array_equal(np.unique(rows_poisoned), np.unique(b1))
 
     def test_all_workers_share_global_params(self):
         # Recompute each worker's recorded gradient from the single global
