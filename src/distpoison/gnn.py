@@ -143,7 +143,7 @@ class GradientBundle:
 
 def _check_finite(name: str, *arrays) -> None:
     for a in arrays:
-        if a is not None and not np.all(np.isfinite(a)):
+        if a is not None and not np.isfinite(a).all():
             raise NumericalError(f"non-finite values encountered in {name}")
 
 
