@@ -123,4 +123,5 @@ def test_worker_backward(benchmark, case):
     g, _ = case
     adj, params, union = _victim_setup(g)
     state = forward_state(params, adj, g.features, rows=union)
-    benchmark(backward, params, adj, g.features, g.labels, union[:8], state=state)
+    batch = union[:8]
+    benchmark(backward, params, adj, g.features, g.labels, batch, state=state, assume_unique=True)

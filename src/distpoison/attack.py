@@ -217,7 +217,7 @@ def train_surrogate(
         )
     )
     for _ in range(epochs):
-        bundle = backward(params, adj, g.features, g.labels, train)
+        bundle = backward(params, adj, g.features, g.labels, train, assume_unique=True)
         params = sgd_step(params, bundle)
     return params
 
@@ -271,6 +271,7 @@ def combined_subgraph_gradient(
         want_dA=True,
         want_dX=True,
         objective="attack",
+        assume_unique=True,
     )
     return cfg.w_A * bundle.dA, cfg.w_X * bundle.dX
 

@@ -145,7 +145,7 @@ def train_distributed(
             if fwd[v] is None:
                 batches = np.concatenate([s.batch for s in on_view[v]])
                 fwd[v] = forward_state(params, adj, X, rows=batches)
-            return backward(params, adj, X, labels, st.batch, state=fwd[v])
+            return backward(params, adj, X, labels, st.batch, state=fwd[v], assume_unique=True)
         except FloatingPointError as exc:
             raise TrainingError(
                 f"worker {st.worker_id} produced non-finite gradients "

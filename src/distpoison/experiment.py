@@ -233,9 +233,13 @@ class RunResult:
         }
 
 
-def build_dataset(cfg: ExperimentConfig, seed: int) -> Graph:
+def _dataset(cfg: ExperimentConfig) -> SBMDataset | FilesDataset:
     knobs = {k: v for k, v in cfg.dataset.items() if k != "kind"}
-    ds = DATASET_KINDS[cfg.dataset["kind"]](**knobs)
+    return DATASET_KINDS[cfg.dataset["kind"]](**knobs)
+
+
+def build_dataset(cfg: ExperimentConfig, seed: int) -> Graph:
+    ds = _dataset(cfg)
     if isinstance(ds, SBMDataset):
         return generate_sbm(
             seed,
@@ -400,16 +404,16 @@ def scaling_benchmark(
     """
     if len(size_multipliers) < 3:
         raise ConfigError("scaling benchmark needs at least 3 sizes")
-    ds = base.dataset
-    if ds.get("kind") != "sbm":
+    ds = _dataset(base)
+    if not isinstance(ds, SBMDataset):
         raise ConfigError("scaling benchmark generates its graphs; dataset.kind must be 'sbm'")
     seed = base.seeds[0]
     rows = []
     for mult in size_multipliers:
-        blocks = [b * mult for b in ds["block_sizes"]]
-        fdim = ds["feature_dim"] * mult
-        g = generate_sbm(seed, blocks, ds["p_intra"], ds["p_inter"],
-                         feature_dim=fdim, noise=ds["noise"])
+        blocks = [b * mult for b in ds.block_sizes]
+        fdim = ds.feature_dim * mult
+        g = generate_sbm(seed, blocks, ds.p_intra, ds.p_inter, feature_dim=fdim,
+                         noise=ds.noise, train_frac=ds.train_frac, val_frac=ds.val_frac)
         part = partition_nodes(g, base.workers, base.partition_strategy, seed=seed)
         acfg = _attack_config(base, g, seed)
         acfg.lambda_homo = 0.0  # stealth term is outside the cost model

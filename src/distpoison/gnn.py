@@ -150,7 +150,10 @@ def _check_finite(name: str, *arrays) -> None:
 # A product with A is limited to the rows it gathers once A holds at least
 # _LIMITED_MIN_NNZ entries and those rows hold at most 1/_LIMITED_SHARE of
 # them; on smaller or more fully reached matrices the gather costs more than
-# the full product.
+# the full product. The threshold lies between two measured graphs (degree
+# 6.4, median epoch of train_distributed, 2-core x86, one BLAS thread): at
+# n = 1,200 (nnz 9,050) full products were faster, at n = 1,600 (nnz 11,932)
+# limited ones.
 _LIMITED_MIN_NNZ = 10_000
 _LIMITED_SHARE = 8
 
@@ -205,19 +208,21 @@ def _distinct(ids) -> np.ndarray:
 def _receptive_rows(A: sp.csr_matrix, rows, depth: int) -> list[tuple]:
     """Row-restricted copies of A for a forward pass that needs only ``rows``.
 
-    Entry h is ``(field, sub)``: ``field`` holds the sorted nodes h hops from
-    ``rows`` and ``sub`` is A's rows at those nodes, its columns numbered as
-    the positions in field h + 1 when that entry exists and as node ids
-    otherwise. The list stops at ``depth`` entries or at the first field
-    whose rows hold more than 1/_LIMITED_SHARE of A. It is empty when
-    ``rows`` is None, when A holds fewer than _LIMITED_MIN_NNZ entries, or
-    when a deeper product would be full and only the logits' product
-    limited: that one is at the output width and saves less than the
-    gathers cost. Each row of ``sub @ M`` sums the same terms in the same
-    CSR order as the same row of ``A @ M``, so the two agree bit for bit.
+    Entry h of the ``depth`` entries is ``(field, sub)``: ``field`` holds the
+    sorted nodes h hops from ``rows`` and ``sub`` is A's rows at those nodes,
+    its columns numbered as the positions in field h + 1 when that field is
+    limited and as node ids otherwise. From the first field whose rows hold
+    more than 1/_LIMITED_SHARE of A on, entries are ``(None, A)``: all n
+    rows. Every entry is ``(None, A)`` when ``rows`` is None, when A holds
+    fewer than _LIMITED_MIN_NNZ entries, or when a deeper product would be
+    full and only the logits' product limited: that one is at the output
+    width and saves less than the gathers cost. Each row of ``sub @ M`` sums
+    the same terms in the same CSR order as the same row of ``A @ M``, so the
+    two agree bit for bit.
     """
+    full = [(None, A)] * depth
     if rows is None or A.nnz < _LIMITED_MIN_NNZ:
-        return []
+        return full
     hops = []  # [field, entry positions, columns, entry counts]
     field = _distinct(rows)
     while len(hops) < depth:
@@ -231,14 +236,14 @@ def _receptive_rows(A: sp.csr_matrix, rows, depth: int) -> list[tuple]:
         if len(hops) < depth:
             field, inverse = np.unique(hops[-1][2], return_inverse=True)
     if len(hops) < min(depth, 2):
-        return []
+        return full
     out = []
     for h, (field, pos, cols, lens) in enumerate(hops):
         width = len(hops[h + 1][0]) if h + 1 < len(hops) else A.shape[1]
         indptr = np.zeros(len(field) + 1, dtype=A.indptr.dtype)
         np.cumsum(lens, out=indptr[1:])
         out.append((field, sp.csr_matrix((A.data[pos], cols, indptr), shape=(len(field), width))))
-    return out
+    return out + full[len(out):]
 
 
 @dataclass(frozen=True)
@@ -274,28 +279,21 @@ class ForwardState:
         )
 
 
-def _gcn_state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray, hops: list) -> ForwardState:
+def _gcn_state(params: ParamSet, X: np.ndarray, hops: list) -> ForwardState:
+    (f0, sub0), (f1, sub1) = hops  # the rows of Z, and of S0, H and Q (None: all n)
     P = X @ params.W0
-    if not hops:
-        S0 = A @ P
-        H = np.maximum(S0, 0.0)
-        Q = H @ params.W1
-        return ForwardState((P, S0, H, Q, A @ Q), (None,) * 5)
-    (f0, sub0), (f1, sub1) = hops  # the rows of Z, and of S0, H and Q
     S0 = sub1 @ P
     H = np.maximum(S0, 0.0)
     Q = _rowwise(H, params.W1)
     return ForwardState((P, S0, H, Q, sub0 @ Q), (None, f1, f1, f1, f0))
 
 
-def _sgc_state(
-    params: ParamSet, A: sp.csr_matrix, X: np.ndarray, k: int, hops: list
-) -> ForwardState:
-    hops = [None] * (k - len(hops)) + hops[::-1]  # hops[t - 1]: the rows of U_t
+def _sgc_state(params: ParamSet, X: np.ndarray, hops: list) -> ForwardState:
+    hops = hops[::-1]  # hops[t - 1]: the rows of U_t
     us = [X @ params.W0]
-    for hop in hops:
-        us.append(A @ us[-1] if hop is None else hop[1] @ us[-1])
-    return ForwardState(tuple(us), (None, *(None if h is None else h[0] for h in hops)))
+    for _, sub in hops:
+        us.append(sub @ us[-1])
+    return ForwardState(tuple(us), (None, *(f for f, _ in hops)))
 
 
 def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
@@ -303,7 +301,7 @@ def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np
     if params.W1 is None:
         raise ValueError("gcn_forward requires a two-weight ParamSet")
     _check_finite("gcn_forward inputs", X, params.W0, params.W1)
-    Z = _gcn_state(params, adj.matrix, X, []).values[-1]
+    Z = _gcn_state(params, X, [(None, adj.matrix)] * 2).values[-1]
     _check_finite("gcn_forward logits", Z)
     return Z
 
@@ -313,7 +311,7 @@ def sgc_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, k: in
     if k < 1:
         raise ValueError(f"propagation depth must be >= 1, got {k}")
     _check_finite("sgc_forward inputs", X, params.W0)
-    U = _sgc_state(params, adj.matrix, X, k, []).values[-1]
+    U = _sgc_state(params, X, [(None, adj.matrix)] * k).values[-1]
     _check_finite("sgc_forward logits", U)
     return U
 
@@ -347,8 +345,8 @@ def forward_state(
     _check_finite("forward inputs", X, *params.weights())
     A = adj.matrix
     if params.W1 is None:
-        return _sgc_state(params, A, X, params.k, _receptive_rows(A, rows, params.k))
-    return _gcn_state(params, A, X, _receptive_rows(A, rows, 2))
+        return _sgc_state(params, X, _receptive_rows(A, rows, params.k))
+    return _gcn_state(params, X, _receptive_rows(A, rows, 2))
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -375,15 +373,23 @@ def attack_loss(logits: np.ndarray, labels: np.ndarray, target_set) -> float:
 
 
 def _loss_grad_rows(
-    state: ForwardState, labels: np.ndarray, node_set: np.ndarray, objective: str
+    state: ForwardState,
+    labels: np.ndarray,
+    node_set: np.ndarray,
+    objective: str,
+    ordered: bool,
+    assume_unique: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """dLoss/dlogits as ``(block, rows)``: zero outside the sorted unique ``rows``.
+    """dLoss/dlogits as ``(block, rows)``: zero outside the unique ``rows``.
 
     A node listed more than once counts once per listing, as in the losses.
+    ``rows`` are sorted unless ``node_set`` is taken as unique and ``ordered``
+    is false: only a limited product needs them in ascending order.
     """
-    rows, counts = np.sort(node_set), None
-    if np.count_nonzero(rows[1:] == rows[:-1]):
-        rows, counts = np.unique(rows, return_counts=True)
+    if assume_unique:
+        rows, counts = (np.sort(node_set) if ordered else node_set), None
+    else:
+        rows, counts = np.unique(node_set, return_counts=True)
     probs = np.exp(_log_softmax(state.take(-1, rows)))
     probs[np.arange(len(rows)), labels[rows]] -= 1.0
     if counts is not None:
@@ -448,8 +454,9 @@ def _reverse_product(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``A @ M`` for the symmetric A and an M given on ``rows`` only.
 
-    ``rows`` holds sorted unique ids and M one row for each, zero elsewhere;
-    None means M is a full n-row matrix. Returns the product as a block over
+    ``rows`` holds unique ids, sorted once A holds _LIMITED_MIN_NNZ entries,
+    and M one row for each, zero elsewhere; None means M is a full n-row
+    matrix. Returns the product as a block over
     the sorted rows it can be nonzero on, with those rows, or the full
     product with None. A symmetric A gives ``A @ M == A[rows].T @ M[rows]``:
     the limited path scatters the entries of ``rows`` into the block in
@@ -482,6 +489,7 @@ def backward(
     want_dX: bool = False,
     objective: str = "masked_ce",
     state: ForwardState | None = None,
+    assume_unique: bool = False,
 ) -> GradientBundle:
     """Exact reverse-mode gradients of the chosen objective.
 
@@ -491,7 +499,9 @@ def backward(
     when the caller already has one; a state that does not hold a row the
     pass reads raises ValueError. Without a state, or when ``want_dA`` needs
     the intermediates on every row and ``state`` is limited, the pass
-    computes its own.
+    computes its own. A node listed twice in node_set counts twice; with
+    ``assume_unique`` the caller vouches that none is, as for a batch drawn
+    without replacement, and the pass skips that check.
 
     Each reverse quantity is carried as a block over the rows it can be
     nonzero on, with those rows, or as a full matrix with None once a product
@@ -510,9 +520,10 @@ def backward(
         state = forward_state(params, adj, X, None if want_dA else node_set)
     A = adj.matrix
     n = A.shape[0]
+    ordered = A.nnz >= _LIMITED_MIN_NNZ  # a limited product may read the loss rows
 
     if params.W1 is not None:
-        dZ, r0 = _loss_grad_rows(state, labels, node_set, objective)
+        dZ, r0 = _loss_grad_rows(state, labels, node_set, objective, ordered, assume_unique)
         dQ, r1 = _reverse_product(A, dZ, r0)  # A is symmetric
         H = state.take(2, r1)
         dW1 = H.T @ dQ
@@ -531,7 +542,7 @@ def backward(
         return GradientBundle.from_grads(dW0, dW1, dA, dX)
 
     # Linear propagation model: Z = A^k (X W0).
-    dus = [_loss_grad_rows(state, labels, node_set, objective)]
+    dus = [_loss_grad_rows(state, labels, node_set, objective, ordered, assume_unique)]
     for _ in range(params.k):
         dus.append(_reverse_product(A, *dus[-1]))
     dus.reverse()  # dus[t] = dLoss/dU_t, with its rows

@@ -327,8 +327,34 @@ class TestBackwardOracle:
         with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", min_nnz), \
                 mock.patch.object(gnn, "_LIMITED_SHARE", share):
             got = backward(params, adj, g.features, g.labels, node_set, state=state, **kw)
+            if len(set(node_set)) == len(node_set):
+                unique = backward(params, adj, g.features, g.labels, node_set,
+                                  state=state, assume_unique=True, **kw)
+                assert_same_bundle(unique, want_bundle)
         if share == 1:
             assert seen["full"] == 0  # every product took the limited path
+        assert_same_bundle(got, want_bundle)
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc"])
+    def test_unique_batch_in_any_order(self, model):
+        # Twelve batch nodes share neighbour 0, so row 0 of the first reverse
+        # product sums twelve terms. A limited product must add them in
+        # ascending order, as the CSR product does, whatever the batch's order.
+        rng = np.random.default_rng(7)
+        edges = [(0, v) for v in range(1, 13)] + [(v, v + 12) for v in range(1, 13)]
+        g = build_graph(edges, rng.standard_normal((25, 3)), rng.integers(0, 3, 25))
+        adj = normalize_adjacency(g)
+        if model == "gcn":
+            params = ParamSet.init_gcn(3, 5, 3, seed=7)
+        else:
+            params = ParamSet.init_sgc(3, 3, seed=7, k=2)
+        batch = rng.permutation(np.arange(1, 13))
+        want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, batch)
+        seen, spy = count_limited_products()
+        with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", 0), \
+                mock.patch.object(gnn, "_LIMITED_SHARE", 1):
+            got = backward(params, adj, g.features, g.labels, batch, assume_unique=True)
+        assert seen["full"] == 0
         assert_same_bundle(got, want_bundle)
 
     @pytest.mark.parametrize("model", ["gcn", "sgc"])
@@ -353,6 +379,11 @@ class TestBackwardOracle:
             with spy:
                 got = backward(params, adj, g.features, g.labels, node_set, state=state)
             assert (seen["limited"] > 0) == limited
+            assert_same_bundle(got, want_bundle)
+            # A batch in draw order, taken as unique: sorted for the limited products.
+            got = backward(
+                params, adj, g.features, g.labels, node_set, state=state, assume_unique=True
+            )
             assert_same_bundle(got, want_bundle)
 
     @pytest.mark.parametrize("model", ["gcn", "sgc"])
