@@ -13,8 +13,9 @@ epoch share one forward state under that epoch's weights, taken over the
 union of their batches; each worker's reverse pass is its own. On large
 graphs neither touches an n-row dense array beyond ``X W0``: the forward
 state holds the logits on the union and the hidden layer on the nodes one
-hop from it (see ``gnn.forward_state``), and a reverse pass reads only the
-rows its batch reaches in one and two hops (see ``gnn.backward``). Results
+hop from it (see ``gnn.forward_state``); a reverse pass reads only the
+rows its batch reaches in one and two hops (see ``gnn.backward``). A batch
+is drawn without replacement, so its pass skips the repeat check. Results
 are bit-reproducible for a fixed (graph, partition, seed, config): batches
 come from per-worker RNG streams and the reduction order is fixed by worker
 index.
