@@ -13,6 +13,9 @@ the union of its workers' batches: 8 nodes (one worker, as on the poisoned
 view) or 56 (seven workers of 8). ``test_worker_backward`` is one victim
 worker's pass: an 8-node batch against the 56-node union's state. At
 n = 1,600 and 6,400 both take the receptive-field (limited) products.
+``test_generate_sbm`` draws the fixture's graph from its seed.
+``test_subgraph_to_graph`` builds the hub's 1-hop subgraph as a Graph, as
+the attack does for each target's subgraph gradient.
 """
 
 import itertools
@@ -33,11 +36,15 @@ from distpoison.homophily import (
 SIZES = [200, 1600, 6400]
 
 
+def _sbm_args(n):
+    block = n // 4
+    return 0, [block] * 4, 5.0 / block, 0.5 / block, 8, 1.2
+
+
 @pytest.fixture(scope="module", params=SIZES, ids=lambda n: f"n{n}")
 def case(request):
     n = request.param
-    block = n // 4
-    g = generate_sbm(0, [block] * 4, 5.0 / block, 0.5 / block, feature_dim=8, noise=1.2)
+    g = generate_sbm(*_sbm_args(n))
     # A few removals, as mid-attack: the state then reads tombstoned rows.
     for i, j in g.edge_array()[:: max(1, g.num_edges // 10)][:10]:
         g.remove_edge(int(i), int(j))
@@ -102,6 +109,16 @@ def test_normalize_adjacency(benchmark, case):
 def test_sample_1hop(benchmark, case):
     g, hub = case
     benchmark(sample_1hop, g, hub)
+
+
+def test_subgraph_to_graph(benchmark, case):
+    g, hub = case
+    benchmark(sample_1hop(g, hub).to_graph)
+
+
+def test_generate_sbm(benchmark, case):
+    g, _ = case
+    benchmark(generate_sbm, *_sbm_args(g.num_nodes))
 
 
 def _victim_setup(g):

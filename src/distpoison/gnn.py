@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from distpoison.graph import NormalizedAdjacency
+from distpoison.graph import NormalizedAdjacency, _distinct
 
 __all__ = [
     "ParamSet",
@@ -195,14 +195,6 @@ def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     if len(M) > 1:
         return M @ W
     return (np.vstack([M, np.zeros_like(M)]) @ W)[:1]
-
-
-def _distinct(ids) -> np.ndarray:
-    """``np.unique(ids)`` by one sort. numpy 2.4's np.unique hashes when asked
-    for the values alone: 219 µs against 18 µs for this sort on 1,920 ids
-    (numpy 2.4.6, 2-core x86)."""
-    s = np.sort(ids)
-    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 def _receptive_rows(A: sp.csr_matrix, rows, depth: int) -> list[tuple]:

@@ -1,8 +1,15 @@
 """Graph routines as first written, kept as test oracles.
 
-``generate_sbm`` draws all n x n uniforms at once and keeps the upper
-triangle through ``triu_indices``; ``distpoison.graph.generate_sbm`` draws
-the same stream a block of rows at a time and must return identical graphs.
+``build_graph`` walks the edge list and the split ids one at a time through
+Python sets; ``distpoison.graph.build_graph`` does the same checks and the
+same dedup with array operations and must return identical graphs, drop the
+same self-loops and raise the same errors.
+
+``generate_sbm`` draws all n x n uniforms at once, keeps the upper triangle
+through ``triu_indices`` and builds through the ``build_graph`` here, so the
+oracle chain never runs through ``distpoison.graph``.
+``distpoison.graph.generate_sbm`` draws only the upper cells of the same
+stream and must return identical graphs.
 
 ``normalize_adjacency`` builds the self-looped matrix as COO from the edge
 list, converts it to CSR and sorts the indices;
@@ -10,10 +17,68 @@ list, converts it to CSR and sorts the indices;
 graph's sorted rows and must return identical arrays.
 """
 
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 
-from distpoison.graph import build_graph
+from distpoison.graph import Graph, GraphError
+
+
+def build_graph(edge_list, features, labels, splits=((), (), ())):
+    """The graph of ``edge_list``, walked one edge and one split id at a time."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] == 0:
+        raise GraphError("features must be a nonempty (num_nodes, dim) matrix")
+    num_nodes = features.shape[0]
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (num_nodes,):
+        raise GraphError(
+            f"labels shape {labels.shape} does not match num_nodes={num_nodes}"
+        )
+
+    dropped = 0
+    pairs = set()
+    for i, j in edge_list:
+        i, j = int(i), int(j)
+        if not (0 <= i < num_nodes and 0 <= j < num_nodes):
+            raise GraphError(f"edge ({i}, {j}) references a node id >= {num_nodes}")
+        if i == j:
+            dropped += 1
+            continue
+        pairs.add((min(i, j), max(i, j)))
+    if dropped:
+        warnings.warn(f"dropped {dropped} self-loop(s) from input edge list")
+
+    masks = []
+    seen = set()
+    for name, ids in zip(("train", "val", "test"), splits):
+        mask = np.zeros(num_nodes, dtype=bool)
+        for node in ids:
+            node = int(node)
+            if not 0 <= node < num_nodes:
+                raise GraphError(f"{name} split references node id {node} out of range")
+            if node in seen:
+                raise GraphError(f"node {node} appears in more than one split")
+            seen.add(node)
+            mask[node] = True
+        masks.append(mask)
+
+    if pairs:
+        e = np.array(sorted(pairs), dtype=np.int64)
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        indptr = np.searchsorted(rows, np.arange(num_nodes + 1)).astype(np.int64)
+        indices = cols
+    else:
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        indices = np.empty(0, dtype=np.int64)
+
+    return Graph(
+        num_nodes, indptr, indices, features, labels, *masks, dropped_self_loops=dropped
+    )
 
 
 def normalize_adjacency(g):

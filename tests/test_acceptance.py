@@ -24,7 +24,13 @@ from distpoison.attack import (
     train_surrogate,
 )
 from distpoison.distributed import train_distributed
-from distpoison.experiment import ExperimentConfig, run_experiment, scaling_benchmark
+from distpoison.attack import PerturbationSet
+from distpoison.experiment import (
+    ExperimentConfig,
+    replay_perturbation,
+    run_experiment,
+    scaling_benchmark,
+)
 from distpoison.gnn import ParamSet, check_gradients
 from distpoison.graph import (
     Partition,
@@ -230,6 +236,19 @@ def test_criterion_5_stealth_ablation(efficacy_runs):
         f"homophily W1 lower with stealth weight in {stealth_wins}/10 seeds "
         f"(>= 7); extra drop cost {drop_cost:+.4f} (<= 0.01)",
     )
+
+
+def test_saved_perturbations_replay_exactly(efficacy_runs, tmp_path):
+    # Each reference seed's perturbation, saved and loaded back, reproduces
+    # the run's clean and attacked accuracy exactly on a fresh paired run.
+    cfg = efficacy_config("disttack", lambda_homo=1.0)
+    for r in efficacy_runs["disttack"]:
+        path = tmp_path / f"pert_seed{r.seed}.json"
+        r.perturbation.save(path)
+        replayed = replay_perturbation(cfg, PerturbationSet.load(path), seed=r.seed)
+        assert replayed.acc_clean == r.acc_clean, f"seed {r.seed}"
+        assert replayed.acc_attacked == r.acc_attacked, f"seed {r.seed}"
+        assert replayed.homophily_distance == r.homophily_distance, f"seed {r.seed}"
 
 
 def test_criterion_6_complexity_scaling():

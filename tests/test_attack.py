@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -541,6 +544,41 @@ class TestPerturbationSet:
         pert.save(path)
         loaded = PerturbationSet.load(path)
         assert loaded.to_dict() == pert.to_dict()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_saved_set_applies_identically(self, data):
+        # Removals of present edges, additions of absent pairs (a removed edge
+        # may come back) and flips to any finite value, -0.0 and subnormals
+        # included: the loaded set must edit a graph exactly as the original.
+        g = generate_sbm(data.draw(st.integers(0, 3)), [6, 6], 0.4, 0.1, feature_dim=3, noise=0.3)
+        present = [tuple(int(v) for v in e) for e in g.edge_array()]
+        removed = data.draw(st.lists(st.sampled_from(present), unique=True, max_size=6))
+        absent = [(i, j) for i in range(12) for j in range(i + 1, 12)
+                  if (i, j) not in present or (i, j) in removed]
+        added = data.draw(st.lists(st.sampled_from(absent), unique=True, max_size=6))
+        value = st.floats(allow_nan=False, allow_infinity=False)
+        flips = data.draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 2), value,
+                                             st.sampled_from([-1, 1])), max_size=6))
+        pert = PerturbationSet(
+            edges_removed=[EdgeRemoval(i, j, data.draw(value), k) for k, (i, j) in enumerate(removed)],
+            edges_added=[EdgeAddition(i, j, k) for k, (i, j) in enumerate(added)],
+            features_flipped=[FeatureFlip(node, dim, float(g.features[node, dim]), new, sign, k)
+                              for k, (node, dim, new, sign) in enumerate(flips)],
+            homophily_penalties=data.draw(st.lists(value, max_size=3)),
+            config={"kind": "disttack", "edge_budget": len(removed)},
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pert.json"
+            pert.save(path)
+            loaded = PerturbationSet.load(path)
+        assert loaded.to_dict() == pert.to_dict()
+        want, got = pert.apply_to(g), loaded.apply_to(g)
+        for a, b in zip(want.csr_arrays(), got.csr_arrays()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert want.features.tobytes() == got.features.tobytes()
+        assert want.edits == got.edits == pert.size
+        np.testing.assert_array_equal(want.degrees(), got.degrees())
 
     def test_apply_matches_incremental_state(self):
         g, part = toy_instance(6)

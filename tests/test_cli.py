@@ -216,6 +216,19 @@ def test_files_dataset_runs(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 0
 
 
+def test_files_dataset_negative_label_fails_before_training(tmp_path, capsys, monkeypatch):
+    dataset = write_files_dataset(tmp_path)
+    rows = (tmp_path / "nodes.csv").read_text().replace("\n5,0.0,1.0,1\n", "\n5,0.0,1.0,-1\n")
+    (tmp_path / "nodes.csv").write_text(rows)
+    def no_training(*args, **kwargs):
+        raise AssertionError("a dataset with a negative label reached training")
+
+    monkeypatch.setattr("distpoison.experiment.train_distributed", no_training)
+    cfg = write_config(tmp_path, dataset=dataset, attack={"kind": "none"})
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "GraphError: node 5 has negative label -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["edges", "features", "splits"])
 def test_missing_file_rejected_before_dataset(tmp_path, capsys, monkeypatch, field):
     dataset = write_files_dataset(tmp_path)

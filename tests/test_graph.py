@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -67,6 +69,80 @@ class TestBuildGraph:
     def test_empty_node_set(self):
         with pytest.raises(GraphError):
             build_graph([], np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+    def test_negative_label_names_first_node(self):
+        with pytest.raises(GraphError, match="node 1 has negative label -1"):
+            build_graph([(0, 1)], np.zeros((4, 2)), [0, -1, 1, -2])
+
+    def test_edges_not_pairs(self):
+        with pytest.raises(GraphError, match="pairs"):
+            make_graph(3, [(0, 1, 2)])
+
+
+def _build_outcome(build, *args):
+    """What ``build(*args)`` gives: the graph or the GraphError message, and
+    the messages of the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build(*args)
+        except GraphError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+@st.composite
+def build_inputs(draw):
+    """Edge lists with duplicates, reversed pairs, self-loops and the odd id
+    out of range, and splits that either partition the nodes or are drawn
+    freely, so that they overlap, repeat or leave the range."""
+    n = draw(st.integers(1, 9))
+    node = st.integers(0, n - 1)
+    edge_id = st.one_of(node, node, node, node, st.integers(-2, n + 1))
+    edges = draw(st.lists(st.tuples(edge_id, edge_id), max_size=24))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        a, b = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        splits = (perm[:a], perm[a:b], perm[b:])
+    else:
+        ids = st.lists(st.one_of(node, node, st.integers(-1, n)), max_size=n + 1)
+        splits = (draw(ids), draw(ids), draw(ids))
+    return n, edges, splits
+
+
+class TestBuildGraphOracle:
+    """The array build equals the per-edge loop build in graph, errors and warnings."""
+
+    @given(build_inputs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_build(self, case, as_array):
+        n, edges, splits = case
+        if as_array:
+            edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        features = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
+        labels = np.arange(n) % 3
+        got, got_warned = _build_outcome(build_graph, edges, features, labels, splits)
+        want, want_warned = _build_outcome(graph_oracle.build_graph, edges, features, labels, splits)
+        assert got_warned == want_warned
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        for name in ("indptr", "indices", "labels", "train_mask", "val_mask", "test_mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        np.testing.assert_array_equal(got.features, want.features)
+        assert got.dropped_self_loops == want.dropped_self_loops
+        assert got.num_edges == want.num_edges
+        np.testing.assert_array_equal(got.degrees(), want.degrees())
+
+    def test_empty_edge_list(self):
+        for edges in ([], np.empty((0, 2), dtype=np.int64)):
+            got = build_graph(edges, np.ones((3, 2)), [0, 1, 0], ([0], [1], [2]))
+            want = graph_oracle.build_graph(edges, np.ones((3, 2)), [0, 1, 0], ([0], [1], [2]))
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            assert got.indices.dtype == want.indices.dtype and len(got.indices) == 0
+            assert got.num_edges == 0
 
 
 class TestNormalizeAdjacency:
@@ -350,6 +426,12 @@ class TestNormalizeAdjacencyOracle:
             np.testing.assert_array_equal(got.degrees, g.degrees() + 1.0)
 
 
+def assert_same_sbm(got, want):
+    for name in ("indptr", "indices", "features", "labels", "train_mask", "val_mask", "test_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 class TestGenerateSBM:
     def test_extreme_probabilities(self):
         g = generate_sbm(0, [3, 3], 1.0, 0.0, feature_dim=2, noise=0.0)
@@ -380,28 +462,52 @@ class TestGenerateSBM:
         rows_per_draw=st.integers(1, 9),
     )
     def test_row_blocks_match_one_dense_draw(self, seed, blocks, p_intra, p_inter, rows_per_draw):
-        # Uneven blocks, and block draws of 1-9 rows that rarely divide n.
+        # Uneven blocks, and buffers of 1-9 rows' worth of cells, so that
+        # fills end mid-row and rarely divide the n(n-1)/2 upper cells.
         n = sum(blocks)
         args = (seed, blocks, p_intra, p_inter, len(blocks) + 1, 0.3)
-        want = graph_oracle.generate_sbm(*args)
         with mock.patch.object(graph, "_SBM_BLOCK_CELLS", rows_per_draw * n):
-            got = generate_sbm(*args)
-        np.testing.assert_array_equal(got.edge_array(), want.edge_array())
-        np.testing.assert_array_equal(got.features, want.features)
-        np.testing.assert_array_equal(got.labels, want.labels)
-        for mask in ("train_mask", "val_mask", "test_mask"):
-            np.testing.assert_array_equal(getattr(got, mask), getattr(want, mask))
+            assert_same_sbm(generate_sbm(*args), graph_oracle.generate_sbm(*args))
+
+    @pytest.mark.parametrize(
+        "blocks, p_intra, p_inter, cells",
+        [
+            ([1], 0.5, 0.5, None),  # n = 1: no upper cell, the stream still moves past n * n
+            ([1, 1, 1, 1], 0.7, 0.7, None),  # one node per block: every pair is inter-block
+            ([5, 1, 6], 1.0, 1.0, None),  # every cell an edge
+            ([5, 1, 6], 0.0, 0.0, None),  # no cell an edge
+            ([7, 9], 0.6, 0.2, 1),  # one cell per fill
+            ([7, 9], 0.6, 0.2, 5),  # fills shorter than every row but the last few
+            ([7, 9], 1.0, 0.0, 14),  # the first row (15 cells) spans two fills
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_edge_cases_match_dense_draw(self, blocks, p_intra, p_inter, cells, seed):
+        args = (seed, blocks, p_intra, p_inter, len(blocks), 0.3)
+        with mock.patch.object(graph, "_SBM_BLOCK_CELLS", cells or graph._SBM_BLOCK_CELLS):
+            assert_same_sbm(generate_sbm(*args), graph_oracle.generate_sbm(*args))
 
     def test_default_blocks_match_dense_draw(self):
-        # 1,500 nodes: three draws at the default block size, the last short.
+        # 1,500 nodes hold 1,124,250 upper cells: two fills at the default
+        # buffer size, the second short, and the first ends inside row 1,110.
         args = (7, [500, 700, 300], 0.01, 0.002, 4, 0.5)
-        assert 1500 % (graph._SBM_BLOCK_CELLS // 1500) != 0
-        assert graph._SBM_BLOCK_CELLS // 1500 < 1500
-        want = graph_oracle.generate_sbm(*args)
-        got = generate_sbm(*args)
-        np.testing.assert_array_equal(got.edge_array(), want.edge_array())
-        np.testing.assert_array_equal(got.features, want.features)
-        np.testing.assert_array_equal(got.train_mask, want.train_mask)
+        n = 1500
+        row_starts = {i * n - i * (i + 1) // 2 for i in range(n)}
+        assert graph._SBM_BLOCK_CELLS < n * (n - 1) // 2 < 2 * graph._SBM_BLOCK_CELLS
+        assert graph._SBM_BLOCK_CELLS not in row_starts
+        assert_same_sbm(generate_sbm(*args), graph_oracle.generate_sbm(*args))
+
+    def test_peak_memory_bounded_by_buffer(self):
+        # victim_n6400's dataset. Drawing all n x n uniforms in row blocks
+        # peaked at about 26 MB traced; the upper cells through one buffer
+        # peak at about 10 MB (numpy 2.4).
+        tracemalloc.start()
+        try:
+            generate_sbm(12345, [1600] * 4, 0.003125, 0.0003125, feature_dim=8, noise=1.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * graph._SBM_BLOCK_CELLS * 8
 
     def test_masks_disjoint_and_stratified(self):
         g = generate_sbm(3, [10, 10, 10], 0.3, 0.02, feature_dim=4, noise=0.2)

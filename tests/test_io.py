@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from distpoison.gnn import ParamSet
+from distpoison.graph import GraphError
 from distpoison.io import (
     load_checkpoint,
     load_edge_list,
@@ -71,6 +72,16 @@ class TestLoaders:
         assert g.num_edges == 2
         assert list(np.flatnonzero(g.train_mask)) == [0, 1]
         assert list(np.flatnonzero(g.test_mask)) == [2]
+
+    def test_negative_label_rejected(self, tmp_path):
+        e, f, s = write_dataset(
+            tmp_path,
+            "0\t1\n1\t2\n",
+            "node_id,f0,label\n0,1.0,0\n1,0.0,1\n2,1.0,-1\n",
+            '{"train": [0, 1], "val": [], "test": [2]}',
+        )
+        with pytest.raises(GraphError, match="node 2 has negative label -1"):
+            load_graph(e, f, s)
 
 
 class TestCheckpoint:
