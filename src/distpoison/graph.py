@@ -541,7 +541,7 @@ def _sbm_edges(rng: np.random.Generator, labels: np.ndarray, p_intra: float, p_i
     is kept where its uniform is below its block pair's probability. Only the
     upper cells are drawn: PCG64 spends one 64-bit output per float64, so
     advancing by i + 1 before row i skips its cells (i, 0) to (i, i), and the
-    advance at the last row leaves the stream at n * n. The rows''
+    advance at the last row leaves the stream at n * n. The rows'
     upper parts fill a buffer of ``_SBM_BLOCK_CELLS`` cells end to end, a row
     longer than what is left of it running on into the next fill.
     """
