@@ -15,7 +15,11 @@ worker's pass: an 8-node batch against the 56-node union's state. At
 n = 1,600 and 6,400 both take the receptive-field (limited) products.
 ``test_generate_sbm`` draws the fixture's graph from its seed.
 ``test_subgraph_to_graph`` builds the hub's 1-hop subgraph as a Graph, as
-the attack does for each target's subgraph gradient.
+the attack does for each target's subgraph gradient. ``test_attack_step`` is
+one whole attack step under a fixed surrogate: 10 targets on worker 0 of 4,
+one edge removal and one feature flip, without (``lambda_homo`` 0) and with
+(1) stealth scoring; each round starts from a fresh run, whose setup
+(graph copy, stealth state) is not timed.
 """
 
 import itertools
@@ -23,7 +27,14 @@ import itertools
 import numpy as np
 import pytest
 
-from distpoison.attack import AttackConfig, combined_subgraph_gradient, edge_scores
+from distpoison.attack import (
+    AttackConfig,
+    _DisttackRun,
+    combined_subgraph_gradient,
+    edge_scores,
+    select_targets,
+    train_surrogate,
+)
 from distpoison.gnn import ParamSet, backward, forward_state
 from distpoison.graph import generate_sbm, normalize_adjacency, partition_nodes, sample_1hop
 from distpoison.homophily import (
@@ -142,3 +153,18 @@ def test_worker_backward(benchmark, case):
     state = forward_state(params, adj, g.features, rows=union)
     batch = union[:8]
     benchmark(backward, params, adj, g.features, g.labels, batch, state=state, assume_unique=True)
+
+
+@pytest.mark.parametrize("lambda_homo", [0.0, 1.0])
+def test_attack_step(benchmark, case, lambda_homo):
+    g, _ = case
+    part = partition_nodes(g, 4)
+    cfg = AttackConfig(edge_budget=1, feature_budget=1, lambda_homo=lambda_homo,
+                       surrogate_epochs=40, target_count=10)
+    targets = select_targets(g, part, 0, cfg.target_count)
+    theta = train_surrogate(g, cfg.surrogate_epochs, cfg.seed)
+
+    def fresh_run():
+        return (_DisttackRun(g, part, cfg, targets), theta), {}
+
+    benchmark.pedantic(_DisttackRun.step, setup=fresh_run, rounds=10)

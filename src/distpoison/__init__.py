@@ -47,13 +47,6 @@ from distpoison.graph import (
     partition_nodes,
     sample_1hop,
 )
-from distpoison.homophily import (
-    HomophilyDistribution,
-    distribution_distance,
-    homophily_distribution,
-    homophily_values,
-    node_homophily,
-    stealth_penalty,
-)
+from distpoison.homophily import distribution_distance, homophily_values, node_homophily
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from distpoison.fields import field_errors, spec
-from distpoison.gnn import ParamSet, backward, forward, masked_ce_loss, sgd_step
+from distpoison.gnn import ParamSet, backward, sgd_step
 from distpoison.graph import Graph, Partition, Subgraph, normalize_adjacency, sample_1hop
 from distpoison.homophily import (  # noqa: F401 (distribution_distance: re-exported)
     StealthState,
@@ -374,56 +374,52 @@ def select_targets(
     return [int(v) for v in pool[order][:count]]
 
 
-def run_disttack(
-    g: Graph, part: Partition, cfg: AttackConfig, targets: list[int]
-) -> PerturbationSet:
-    """Iterative perturbation of the poisoned worker's neighborhood.
-
-    Each iteration refreshes the surrogate on the running perturbed graph,
-    scores candidates from every target's current 1-hop subgraph, then spends
-    up to ``edges_per_iter`` edge removals and ``flips_per_iter`` feature
-    flips of the remaining budgets. Stops when budgets are exhausted or no
-    eligible candidate remains.
+class _DisttackRun:
+    """One attack in progress: the running perturbed graph, what is left of
+    the budgets, the audit trail and, with a stealth weight, the stealth
+    state. ``step`` is the attack's one step under a given surrogate.
     """
-    targets = [int(t) for t in targets]
-    if not targets:
-        raise ValueError("targets must be nonempty")
-    workers = {int(part.assignment[t]) for t in targets}
-    if len(workers) != 1:
-        raise ValueError(f"targets span multiple workers: {sorted(workers)}")
 
-    g_cur = g.copy()
-    pert = PerturbationSet(config=dict(cfg.to_dict(), kind="disttack"))
-    edges_left = cfg.edge_budget
-    flips_left = cfg.feature_budget
-    flipped: set[tuple[int, int]] = set()
-    surrogate: ParamSet | None = None
+    def __init__(self, g: Graph, part: Partition, cfg: AttackConfig, targets: list[int]):
+        targets = [int(t) for t in targets]
+        if not targets:
+            raise ValueError("targets must be nonempty")
+        workers = {int(part.assignment[t]) for t in targets}
+        if len(workers) != 1:
+            raise ValueError(f"targets span multiple workers: {sorted(workers)}")
+        self.g = g.copy()
+        self.part = part
+        self.cfg = cfg
+        self.targets = targets
+        self.pert = PerturbationSet(config=dict(cfg.to_dict(), kind="disttack"))
+        self.edges_left = cfg.edge_budget
+        self.flips_left = cfg.feature_budget
+        self.flipped: set[tuple[int, int]] = set()
+        self.iteration = 0
+        # Built once; every applied move goes through it, which edits self.g
+        # and advances the state's rows with it.
+        self.stealth = None
+        if cfg.lambda_homo > 0.0:
+            self.stealth = StealthState(self.g, homophily_values(g), measure=cfg.homophily_measure)
+        self.base_dist = 0.0
 
-    use_homo = cfg.lambda_homo > 0.0
-    if use_homo:
-        # Built once; every applied move below goes through it, which edits
-        # g_cur and advances the state's rows with it.
-        st = StealthState(g_cur, homophily_values(g), measure=cfg.homophily_measure)
-        base_dist = 0.0
+    def step(self, surrogate: ParamSet) -> bool:
+        """Score candidates from every target's current 1-hop subgraph,
+        penalize them by their stealth cost when ``lambda_homo > 0``, then
+        select and apply up to ``edges_per_iter`` edge removals and
+        ``flips_per_iter`` feature flips of the remaining budgets.
 
-    iteration = 0
-    while edges_left > 0 or flips_left > 0:
-        iteration += 1
-        surrogate = train_surrogate(
-            g_cur,
-            cfg.surrogate_epochs,
-            cfg.seed,
-            hidden_dim=cfg.surrogate_hidden,
-            learning_rate=cfg.surrogate_lr,
-            init=surrogate if cfg.warm_start else None,
-        )
-
+        Returns whether any move was applied.
+        """
+        cfg, g_cur, st, pert = self.cfg, self.g, self.stealth, self.pert
+        self.iteration += 1
         edge_cands: dict[tuple[int, int], float] = {}
         feat_grads: dict[int, np.ndarray] = {}
-        for t in targets:
+        for t in self.targets:
             sub = sample_1hop(g_cur, t)
             edge_grad, feat_grad = combined_subgraph_gradient(surrogate, sub, cfg)
-            for key, s in edge_scores(edge_grad, sub, part, cfg.lambda_comm).global_items().items():
+            scores = edge_scores(edge_grad, sub, self.part, cfg.lambda_comm)
+            for key, s in scores.global_items().items():
                 edge_cands[key] = edge_cands.get(key, 0.0) + s
             for local, node in enumerate(sub.node_ids):
                 node = int(node)
@@ -434,71 +430,96 @@ def run_disttack(
 
         applied = False
 
-        if edges_left > 0 and edge_cands:
-            if use_homo:
+        if self.edges_left > 0 and edge_cands:
+            if st is not None:
                 # Greedy increment of the stealth regularizer: distance change
                 # of the candidate against the running perturbed graph. Signed,
                 # so shift-reducing candidates earn a bonus.
                 penalties = {
                     (i, j): cfg.lambda_homo
-                    * (st.distance(homophily_after_edge_removal(st, i, j)) - base_dist)
+                    * (st.distance(homophily_after_edge_removal(st, i, j)) - self.base_dist)
                     for i, j in edge_cands
                 }
                 penalized = {key: s - penalties[key] for key, s in edge_cands.items()}
             else:
                 penalized = edge_cands
                 penalties = {key: 0.0 for key in edge_cands}
-            for i, j, s in select_edge_removals(penalized, min(cfg.edges_per_iter, edges_left)):
-                if use_homo:
+            k = min(cfg.edges_per_iter, self.edges_left)
+            for i, j, s in select_edge_removals(penalized, k):
+                if st is not None:
                     h_new = homophily_after_edge_removal(st, i, j)
-                    base_dist = st.distance(h_new)
+                    self.base_dist = st.distance(h_new)
                     st.remove_edge(i, j, h_new)
                 else:
                     g_cur.remove_edge(i, j)
-                pert.edges_removed.append(EdgeRemoval(i, j, s, iteration))
+                pert.edges_removed.append(EdgeRemoval(i, j, s, self.iteration))
                 pert.homophily_penalties.append(penalties[(i, j)])
-                edges_left -= 1
+                self.edges_left -= 1
                 applied = True
 
-        if flips_left > 0 and feat_grads:
+        if self.flips_left > 0 and feat_grads:
             cands = []  # (penalized score, node, dim, sign, penalty)
             for node, grow in feat_grads.items():
                 for dim in range(len(grow)):
-                    if (node, dim) in flipped:
+                    if (node, dim) in self.flipped:
                         continue
                     sign = int(np.sign(grow[dim]))
                     if sign == 0:
                         continue
                     score = abs(grow[dim])
                     penalty = 0.0
-                    if use_homo:
+                    if st is not None:
                         new_row = g_cur.features[node].copy()
                         new_row[dim] = flipped_value(new_row[dim], sign, cfg.strict_flip)
                         h_trial = homophily_after_feature_change(st, node, new_row)
-                        penalty = cfg.lambda_homo * (st.distance(h_trial) - base_dist)
+                        penalty = cfg.lambda_homo * (st.distance(h_trial) - self.base_dist)
                     cands.append((score - penalty, node, dim, sign, penalty))
             cands = [c for c in cands if c[0] > 0.0]
             cands.sort(key=lambda c: (-c[0], c[1], c[2]))
-            for score, node, dim, sign, penalty in cands[: min(cfg.flips_per_iter, flips_left)]:
+            k = min(cfg.flips_per_iter, self.flips_left)
+            for score, node, dim, sign, penalty in cands[:k]:
                 old = float(g_cur.features[node, dim])
                 new = flipped_value(old, sign, cfg.strict_flip)
-                if use_homo:
+                if st is not None:
                     new_row = g_cur.features[node].copy()
                     new_row[dim] = new
                     h_new = homophily_after_feature_change(st, node, new_row)
-                    base_dist = st.distance(h_new)
+                    self.base_dist = st.distance(h_new)
                     st.set_feature(node, dim, new, h_new)
                 else:
                     g_cur.set_feature(node, dim, new)
-                pert.features_flipped.append(FeatureFlip(node, dim, old, new, sign, iteration))
+                pert.features_flipped.append(FeatureFlip(node, dim, old, new, sign, self.iteration))
                 pert.homophily_penalties.append(penalty)
-                flipped.add((node, dim))
-                flips_left -= 1
+                self.flipped.add((node, dim))
+                self.flips_left -= 1
                 applied = True
 
-        if not applied:
+        return applied
+
+
+def run_disttack(
+    g: Graph, part: Partition, cfg: AttackConfig, targets: list[int]
+) -> PerturbationSet:
+    """Iterative perturbation of the poisoned worker's neighborhood.
+
+    Each iteration refreshes the surrogate on the running perturbed graph and
+    takes one attack step under it. Stops when budgets are exhausted or a
+    step applies nothing.
+    """
+    run = _DisttackRun(g, part, cfg, targets)
+    surrogate: ParamSet | None = None
+    while run.edges_left > 0 or run.flips_left > 0:
+        surrogate = train_surrogate(
+            run.g,
+            cfg.surrogate_epochs,
+            cfg.seed,
+            hidden_dim=cfg.surrogate_hidden,
+            learning_rate=cfg.surrogate_lr,
+            init=surrogate if cfg.warm_start else None,
+        )
+        if not run.step(surrogate):
             break
-    return pert
+    return run.pert
 
 
 def _share_edges(g: Graph, share: list[int], same_label: bool = False) -> list[tuple[int, int]]:
@@ -627,9 +648,3 @@ def baseline_dice(
             pert.edges_added.append(EdgeAddition(i, j, unit + 1))
     return pert
 
-
-def surrogate_attack_loss(theta: ParamSet, g: Graph, targets) -> float:
-    """Sum of target cross-entropies under a frozen surrogate: the damage."""
-    adj = normalize_adjacency(g)
-    logits = forward(theta, adj, g.features)
-    return len(targets) * masked_ce_loss(logits, g.labels, targets)

@@ -5,11 +5,11 @@ partition, and the initial weights, so the perturbation is the only
 difference between the two trajectories. Test accuracy is always evaluated
 on the clean graph; poisoning only touches what the victim trains on.
 
-The scaling benchmark times the per-iteration attack work (subgraph
-sampling, gradient scoring, selection, application) under a fixed surrogate
-and fits it against subgraph_nodes * (subgraph_edges * avg_degree +
-feature_dim); surrogate training time is reported separately and the stealth
-term is disabled, since neither is part of the per-iteration cost model.
+The scaling benchmark times the attack's own step (subgraph sampling,
+gradient scoring, selection, application) under a fixed surrogate and fits
+it against subgraph_nodes * (subgraph_edges * avg_degree + feature_dim);
+surrogate training time is reported separately and the stealth term is
+disabled, since neither is part of the per-iteration cost model.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from numbers import Real
 from pathlib import Path
 
@@ -28,12 +28,10 @@ import distpoison
 from distpoison.attack import (
     AttackConfig,
     PerturbationSet,
+    _DisttackRun,
     baseline_dice,
     baseline_random,
-    combined_subgraph_gradient,
-    edge_scores,
     run_disttack,
-    select_edge_removals,
     select_targets,
     train_surrogate,
 )
@@ -48,6 +46,7 @@ from distpoison.gnn import ParamSet, predict_accuracy
 from distpoison.graph import (
     PARTITION_STRATEGIES,
     Graph,
+    GraphError,
     generate_sbm,
     normalize_adjacency,
     partition_nodes,
@@ -125,7 +124,7 @@ class ExperimentConfig:
     seeds: list[int]
     model: str = spec("gcn", choices=MODELS)
     hidden_dim: int = spec(16, low=1)
-    sgc_k: int = 2
+    sgc_k: int = spec(2, low=1)
     # Two workers at least: the divergence series compares the poisoned
     # worker against the mean of the others.
     workers: int = spec(4, low=2)
@@ -139,23 +138,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": dict(self.dataset),
-            "attack": dict(self.attack),
-            "seeds": list(self.seeds),
-            "model": self.model,
-            "hidden_dim": self.hidden_dim,
-            "sgc_k": self.sgc_k,
-            "workers": self.workers,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "aggregation": self.aggregation,
-            "partition_strategy": self.partition_strategy,
-            "poisoned_worker": self.poisoned_worker,
-            "parallel_seeds": self.parallel_seeds,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -251,7 +234,10 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> Graph:
             train_frac=ds.train_frac,
             val_frac=ds.val_frac,
         )
-    return load_graph(ds.edges, ds.features, ds.splits)
+    try:
+        return load_graph(ds.edges, ds.features, ds.splits)
+    except GraphError as exc:
+        raise ConfigError(f"invalid dataset:\n  dataset.{exc.source}: {exc}") from exc
 
 
 def _init_params(cfg: ExperimentConfig, g: Graph, seed: int) -> ParamSet:
@@ -298,14 +284,20 @@ def build_attack(cfg: ExperimentConfig, g: Graph, part, seed: int) -> Perturbati
     )
 
 
-def run_single_seed(cfg: ExperimentConfig, seed: int) -> RunResult:
+def run_single_seed(
+    cfg: ExperimentConfig, seed: int, pert: PerturbationSet | None = None
+) -> RunResult:
+    """One paired clean/poisoned run; a given ``pert`` is trained on as it
+    stands, and no attack is built or timed."""
     g = build_dataset(cfg, seed)
     part = partition_nodes(g, cfg.workers, cfg.partition_strategy, seed=seed)
     params0 = _init_params(cfg, g, seed)
 
-    t0 = time.perf_counter()
-    pert = build_attack(cfg, g, part, seed)
-    attack_seconds = time.perf_counter() - t0
+    attack_seconds = 0.0
+    if pert is None:
+        t0 = time.perf_counter()
+        pert = build_attack(cfg, g, part, seed)
+        attack_seconds = time.perf_counter() - t0
 
     common = dict(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed,
                   aggregation=cfg.aggregation)
@@ -353,52 +345,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
 # -- runtime scaling ----------------------------------------------------------
 
 
-def _timed_attack_iterations(g, part, acfg: AttackConfig, targets, iterations: int):
-    """Per-iteration selection cost under a fixed surrogate, with subgraph stats."""
-    g_cur = g.copy()
-    theta = train_surrogate(
-        g_cur, acfg.surrogate_epochs, acfg.seed,
-        hidden_dim=acfg.surrogate_hidden, learning_rate=acfg.surrogate_lr,
-    )
-    times, sub_nodes, sub_edges = [], [], []
-    flipped = set()
-    for _ in range(iterations):
-        t0 = time.perf_counter()
-        edge_cands = {}
-        feat_grads = {}
-        for t in targets:
-            sub = sample_1hop(g_cur, t)
-            sub_nodes.append(sub.num_nodes)
-            sub_edges.append(len(sub.edges))
-            eg, fg = combined_subgraph_gradient(theta, sub, acfg)
-            for key, s in edge_scores(eg, sub, part, acfg.lambda_comm).global_items().items():
-                edge_cands[key] = edge_cands.get(key, 0.0) + s
-            for local, node in enumerate(sub.node_ids):
-                node = int(node)
-                feat_grads[node] = feat_grads.get(node, 0.0) + fg[local]
-        for i, j, _ in select_edge_removals(edge_cands, acfg.edges_per_iter):
-            g_cur.remove_edge(i, j)
-        cands = sorted(
-            (
-                (-abs(grow[dim]), node, dim)
-                for node, grow in feat_grads.items()
-                for dim in range(len(grow))
-                if grow[dim] != 0.0 and (node, dim) not in flipped
-            ),
-        )[: acfg.flips_per_iter]
-        for _, node, dim in cands:
-            g_cur.set_feature(node, dim, -g_cur.features[node, dim])
-            flipped.add((node, dim))
-        times.append(time.perf_counter() - t0)
-    return times, float(np.mean(sub_nodes)), float(np.mean(sub_edges))
-
-
 def scaling_benchmark(
     base: ExperimentConfig, size_multipliers, iterations: int = 12
 ) -> dict:
-    """Attack time per iteration across growing graphs, with a cost-model fit.
+    """Attack time per step across growing graphs, with a cost-model fit.
 
-    Returns a table of per-size rows and the least-squares fit of time
+    Each size times ``iterations`` steps under one fixed surrogate and
+    reports their median. Returns a table of per-size rows and the
+    least-squares fit of time
     against nodes * (edges * avg_degree + feature_dim), all measured on the
     sampled subgraphs.
     """
@@ -415,13 +369,36 @@ def scaling_benchmark(
         g = generate_sbm(seed, blocks, ds.p_intra, ds.p_inter, feature_dim=fdim,
                          noise=ds.noise, train_frac=ds.train_frac, val_frac=ds.val_frac)
         part = partition_nodes(g, base.workers, base.partition_strategy, seed=seed)
+        # The stealth term is outside the cost model, and budgets that last
+        # every iteration keep each step's work the same.
         acfg = _attack_config(base, g, seed)
-        acfg.lambda_homo = 0.0  # stealth term is outside the cost model
+        acfg = replace(
+            acfg,
+            lambda_homo=0.0,
+            edge_budget=iterations * acfg.edges_per_iter,
+            feature_budget=iterations * acfg.flips_per_iter,
+        )
         targets = select_targets(g, part, base.poisoned_worker, acfg.target_count)
-        t_surr0 = time.perf_counter()
-        times, n_sub, e_sub = _timed_attack_iterations(g, part, acfg, targets, iterations)
-        total = time.perf_counter() - t_surr0
-        attack_s = float(np.mean(times))
+        run = _DisttackRun(g, part, acfg, targets)
+        t0 = time.perf_counter()
+        theta = train_surrogate(
+            run.g, acfg.surrogate_epochs, acfg.seed,
+            hidden_dim=acfg.surrogate_hidden, learning_rate=acfg.surrogate_lr,
+        )
+        surrogate_s = time.perf_counter() - t0
+        times, sub_nodes, sub_edges = [], [], []
+        for _ in range(iterations):
+            # The subgraphs the step samples, counted outside its timing.
+            for t in targets:
+                sub = sample_1hop(run.g, t)
+                sub_nodes.append(sub.num_nodes)
+                sub_edges.append(len(sub.edges))
+            t0 = time.perf_counter()
+            run.step(theta)
+            times.append(time.perf_counter() - t0)
+        # The median: a timing's noise on a shared host is one-sided.
+        attack_s = float(np.median(times))
+        n_sub, e_sub = float(np.mean(sub_nodes)), float(np.mean(sub_edges))
         d_sub = 2.0 * e_sub / n_sub if n_sub else 0.0
         rows.append(
             {
@@ -433,7 +410,7 @@ def scaling_benchmark(
                 "avg_degree": d_sub,
                 "feature_dim": fdim,
                 "attack_seconds": attack_s,
-                "surrogate_seconds": total - sum(times),
+                "surrogate_seconds": surrogate_s,
             }
         )
     x = np.array([r["nodes"] * (r["edges"] * r["avg_degree"] + r["feature_dim"]) for r in rows])
@@ -548,34 +525,4 @@ def load_summary(path) -> dict:
 
 def replay_perturbation(cfg: ExperimentConfig, pert: PerturbationSet, seed: int) -> RunResult:
     """Apply a stored perturbation to a fresh paired training run."""
-    g = build_dataset(cfg, seed)
-    part = partition_nodes(g, cfg.workers, cfg.partition_strategy, seed=seed)
-    params0 = _init_params(cfg, g, seed)
-    common = dict(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed,
-                  aggregation=cfg.aggregation)
-    final_clean, rec_clean = train_distributed(g, part, params0, **common)
-    final_poisoned, rec_poisoned = train_distributed(
-        g, part, params0, poison=pert, poisoned_worker=cfg.poisoned_worker, **common
-    )
-    adj = normalize_adjacency(g)
-    acc_clean = predict_accuracy(final_clean, adj, g.features, g.labels, g.test_mask)
-    acc_attacked = predict_accuracy(final_poisoned, adj, g.features, g.labels, g.test_mask)
-    h_clean = homophily_values(g)
-    h_pert = homophily_values(pert.apply_to(g))
-    return RunResult(
-        seed=seed,
-        acc_clean=acc_clean,
-        acc_attacked=acc_attacked,
-        accuracy_drop=acc_clean - acc_attacked,
-        divergence=[float(d) for d in gradient_norm_divergence(rec_poisoned, cfg.poisoned_worker)],
-        homophily_distance=float(distribution_distance(h_clean, h_pert)),
-        attack_seconds=0.0,
-        edges_removed=len(pert.edges_removed),
-        edges_added=len(pert.edges_added),
-        features_flipped=len(pert.features_flipped),
-        records_clean=rec_clean,
-        records_poisoned=rec_poisoned,
-        perturbation=pert,
-        homophily_clean=h_clean,
-        homophily_perturbed=h_pert,
-    )
+    return run_single_seed(cfg, seed, pert)

@@ -13,7 +13,7 @@ All math is float64. ReLU's subgradient at 0 is taken as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,19 +45,16 @@ class NumericalError(FloatingPointError):
 
 @dataclass
 class ParamSet:
-    """Model weights plus optimizer hyperparameters and state.
+    """Model weights plus the SGD learning rate.
 
     ``W1 is None`` selects the single-weight linear propagation model with
-    depth ``k``. ``velocity`` holds per-weight momentum buffers; with the
-    default ``momentum=0.0`` the update is plain SGD.
+    depth ``k``.
     """
 
     W0: np.ndarray
     W1: np.ndarray | None = None
     learning_rate: float = 0.1
-    momentum: float = 0.0
     k: int = 2
-    velocity: list[np.ndarray] | None = field(default=None, repr=False)
 
     def weights(self) -> list[np.ndarray]:
         return [self.W0] if self.W1 is None else [self.W0, self.W1]
@@ -67,9 +64,7 @@ class ParamSet:
             W0=self.W0.copy(),
             W1=None if self.W1 is None else self.W1.copy(),
             learning_rate=self.learning_rate,
-            momentum=self.momentum,
             k=self.k,
-            velocity=None if self.velocity is None else [v.copy() for v in self.velocity],
         )
 
     @staticmethod
@@ -85,14 +80,12 @@ class ParamSet:
         num_classes: int,
         seed: int = 0,
         learning_rate: float = 0.1,
-        momentum: float = 0.0,
     ) -> "ParamSet":
         rng = np.random.default_rng(seed)
         return cls(
             W0=cls._glorot(rng, feature_dim, hidden_dim),
             W1=cls._glorot(rng, hidden_dim, num_classes),
             learning_rate=learning_rate,
-            momentum=momentum,
         )
 
     @classmethod
@@ -103,14 +96,12 @@ class ParamSet:
         seed: int = 0,
         learning_rate: float = 0.1,
         k: int = 2,
-        momentum: float = 0.0,
     ) -> "ParamSet":
         rng = np.random.default_rng(seed)
         return cls(
             W0=cls._glorot(rng, feature_dim, num_classes),
             W1=None,
             learning_rate=learning_rate,
-            momentum=momentum,
             k=k,
         )
 
@@ -561,19 +552,9 @@ def sgd_step(params: ParamSet, grad: GradientBundle) -> ParamSet:
     ):
         raise ValueError("gradient shapes do not match parameter shapes")
     new = params.copy()
-    if params.momentum != 0.0:
-        if new.velocity is None:
-            new.velocity = [np.zeros_like(w) for w in weights]
-        steps = []
-        for v, g in zip(new.velocity, grads):
-            v *= params.momentum
-            v += g
-            steps.append(v)
-    else:
-        steps = grads
-    new.W0 = new.W0 - params.learning_rate * steps[0]
+    new.W0 = new.W0 - params.learning_rate * grads[0]
     if new.W1 is not None:
-        new.W1 = new.W1 - params.learning_rate * steps[1]
+        new.W1 = new.W1 - params.learning_rate * grads[1]
     return new
 
 

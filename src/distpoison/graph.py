@@ -39,7 +39,15 @@ _SBM_BLOCK_CELLS = 1 << 20
 
 
 class GraphError(ValueError):
-    """Invalid graph construction or mutation."""
+    """Invalid graph construction or mutation.
+
+    ``source`` names the input at fault when a graph is built from data:
+    "features" (the feature matrix or the labels), "edges" or "splits".
+    """
+
+    def __init__(self, message: str, source: str | None = None):
+        super().__init__(message)
+        self.source = source
 
 
 class Graph:
@@ -263,23 +271,23 @@ def build_graph(
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
-        raise GraphError("features must be a nonempty (num_nodes, dim) matrix")
+        raise GraphError("features must be a nonempty (num_nodes, dim) matrix", "features")
     n = features.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
-        raise GraphError(f"labels shape {labels.shape} does not match num_nodes={n}")
+        raise GraphError(f"labels shape {labels.shape} does not match num_nodes={n}", "features")
     if labels.min() < 0:
         node = int(np.argmax(labels < 0))
-        raise GraphError(f"node {node} has negative label {labels[node]}")
+        raise GraphError(f"node {node} has negative label {labels[node]}", "features")
 
     e = np.asarray(edge_list, dtype=np.int64)
     if e.size == 0:
         e = e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
-        raise GraphError(f"edge list must hold (i, j) pairs, got shape {e.shape}")
+        raise GraphError(f"edge list must hold (i, j) pairs, got shape {e.shape}", "edges")
     if len(e) and (e.min() < 0 or e.max() >= n):
         i, j = e[np.argmax(((e < 0) | (e >= n)).any(axis=1))]
-        raise GraphError(f"edge ({i}, {j}) references a node id >= {n}")
+        raise GraphError(f"edge ({i}, {j}) references a node id >= {n}", "edges")
     i, j = e[:, 0], e[:, 1]
     loops = i == j
     dropped = int(np.count_nonzero(loops))
@@ -315,8 +323,10 @@ def _split_masks(splits, n: int) -> list[np.ndarray]:
             if bad.any():
                 k = int(np.argmax(bad))
                 if out[k]:
-                    raise GraphError(f"{name} split references node id {ids[k]} out of range")
-                raise GraphError(f"node {ids[k]} appears in more than one split")
+                    raise GraphError(
+                        f"{name} split references node id {ids[k]} out of range", "splits"
+                    )
+                raise GraphError(f"node {ids[k]} appears in more than one split", "splits")
             mask[ids] = True
             taken |= mask
         masks.append(mask)

@@ -1,12 +1,10 @@
-"""Node homophily, empirical homophily distributions, and stealth distances.
+"""Node homophily and the distance between homophily distributions.
 
 Per-node homophily is the Euclidean norm of the concatenation of a node's own
 features with a degree-weighted aggregate of its neighbors' features. The
 aggregate weights each neighbor j of node i by sqrt(d_j)/sqrt(d_i) with d the
 raw degree (no self-loop); an isolated node contributes the empty sum, so its
-homophily is just the norm of its own features. A ``degree_ratio=False``
-switch swaps in the conventional 1/sqrt(d_i d_j) weighting for sensitivity
-runs.
+homophily is just the norm of its own features.
 
 The shift between the clean and perturbed distributions is the stealth
 signature; smaller distance means a less noticeable attack.
@@ -26,19 +24,15 @@ order; the tests keep that per-node recompute as their oracle.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from distpoison.graph import Graph
 
 __all__ = [
-    "HomophilyDistribution",
     "node_homophily",
-    "homophily_distribution",
     "homophily_values",
     "distribution_distance",
-    "stealth_penalty",
     "StaleStateError",
     "StealthState",
     "homophily_after_edge_removal",
@@ -49,55 +43,38 @@ __all__ = [
 DEFAULT_BINS = 32
 
 
-@dataclass
-class HomophilyDistribution:
-    """Per-node homophily values plus a fixed-bin summary histogram."""
-
-    values: np.ndarray
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-
-def _neighbor_weights(degrees: np.ndarray, degree_ratio: bool) -> np.ndarray:
-    # Per-source-node multiplier applied to neighbor features before the
-    # 1/sqrt(d_i) division: sqrt(d_j) as written, or 1/sqrt(d_j) conventional.
+def _neighbor_weights(degrees: np.ndarray) -> np.ndarray:
+    # Per-source-node multiplier sqrt(d_j) applied to neighbor features
+    # before the 1/sqrt(d_i) division.
     safe = np.where(degrees > 0, degrees.astype(np.float64), 1.0)
-    return np.sqrt(safe) if degree_ratio else 1.0 / np.sqrt(safe)
+    return np.sqrt(safe)
 
 
-def homophily_values(g: Graph, degree_ratio: bool = True) -> np.ndarray:
+def homophily_values(g: Graph) -> np.ndarray:
     """Vector of per-node homophily for every node of ``g``."""
     deg = g.degrees().astype(np.float64)
     a = g.adjacency_csr()
-    weighted = g.features * _neighbor_weights(deg, degree_ratio)[:, None]
+    weighted = g.features * _neighbor_weights(deg)[:, None]
     agg = a @ weighted
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     agg = agg * inv_sqrt[:, None]
     return np.sqrt((agg**2).sum(axis=1) + (g.features**2).sum(axis=1))
 
 
-def node_homophily(g: Graph, i: int, degree_ratio: bool = True) -> float:
+def node_homophily(g: Graph, i: int) -> float:
     """Homophily of a single node; isolated nodes reduce to ||X_i||."""
     deg = g.degrees().astype(np.float64)
     neigh = g.neighbors(i)
     if len(neigh) == 0:
         agg = np.zeros(g.feature_dim)
     else:
-        w = _neighbor_weights(deg, degree_ratio)[neigh]
+        w = _neighbor_weights(deg)[neigh]
         agg = (g.features[neigh] * w[:, None]).sum(axis=0) / np.sqrt(deg[i])
     return float(np.sqrt((agg**2).sum() + (g.features[i] ** 2).sum()))
 
 
-def homophily_distribution(
-    g: Graph, bins: int = DEFAULT_BINS, degree_ratio: bool = True
-) -> HomophilyDistribution:
-    values = homophily_values(g, degree_ratio)
-    counts, edges = np.histogram(values, bins=bins)
-    return HomophilyDistribution(values=values, bin_edges=edges, counts=counts)
-
-
 def _as_values(d) -> np.ndarray:
-    v = d.values if isinstance(d, HomophilyDistribution) else np.asarray(d, dtype=np.float64)
+    v = np.asarray(d, dtype=np.float64)
     if len(v) == 0:
         raise ValueError("empty homophily distribution")
     return v
@@ -132,24 +109,6 @@ def distribution_distance(p, q, measure: str = "wasserstein1") -> float:
     raise ValueError(f"unknown distance measure {measure!r}")
 
 
-def stealth_penalty(
-    g: Graph,
-    g_perturbed: Graph,
-    lambda_homo: float,
-    measure: str = "wasserstein1",
-) -> float:
-    """Weighted homophily-distribution shift between a graph and its perturbation."""
-    if g.num_nodes != g_perturbed.num_nodes:
-        raise ValueError(
-            f"node count mismatch: {g.num_nodes} vs {g_perturbed.num_nodes}"
-        )
-    if lambda_homo == 0.0:
-        return 0.0
-    return lambda_homo * distribution_distance(
-        homophily_values(g), homophily_values(g_perturbed), measure
-    )
-
-
 # -- incremental evaluation for greedy candidate scoring ---------------------
 
 
@@ -179,7 +138,6 @@ class StealthState:
         g: Graph,
         values: np.ndarray,
         clean: np.ndarray | None = None,
-        degree_ratio: bool = True,
         measure: str = "wasserstein1",
     ):
         n = g.num_nodes
@@ -189,7 +147,6 @@ class StealthState:
             raise ValueError(f"homophily vectors must have one entry per node ({n})")
         self.graph = g
         self.edits = g.edits
-        self.degree_ratio = degree_ratio
         self.measure = measure
         self.clean_sorted = np.sort(self.clean)
         self.indptr, indices = g.csr_arrays()
@@ -197,7 +154,7 @@ class StealthState:
         # appended for padding slots to read.
         self.indices = np.append(indices, n)
         self.degrees = g.degrees()
-        self.weights = _neighbor_weights(self.degrees, degree_ratio)
+        self.weights = _neighbor_weights(self.degrees)
         self.rows = np.zeros((n + 1, g.feature_dim))
         self.rows[:n] = g.features * self.weights[:, None]
         self.own_sq = (g.features**2).sum(axis=1)
@@ -260,7 +217,7 @@ class StealthState:
             p = np.searchsorted(row, b)
             row[p:-1] = row[p + 1 :]
         self.degrees[[i, j]] -= 1
-        self.weights[[i, j]] = _neighbor_weights(self.degrees[[i, j]], self.degree_ratio)
+        self.weights[[i, j]] = _neighbor_weights(self.degrees[[i, j]])
         self.rows[[i, j]] = self.graph.features[[i, j]] * self.weights[[i, j], None]
         self._advance(values)
 
@@ -316,7 +273,7 @@ def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndar
     nodes = np.unique(np.concatenate([[i, j], state.neighbors(i), state.neighbors(j)]))
     counts, ids, rows = state.block(nodes)
     # Both endpoints lose one degree, which re-weights every slot holding them.
-    w = _neighbor_weights(state.degrees[[i, j]] - 1, state.degree_ratio)
+    w = _neighbor_weights(state.degrees[[i, j]] - 1)
     rows[ids == i] = state.graph.features[i] * w[0]
     rows[ids == j] = state.graph.features[j] * w[1]
     for a, b in ((i, j), (j, i)):

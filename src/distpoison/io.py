@@ -1,12 +1,8 @@
-"""File formats: graph loading, parameter checkpoints.
+"""File formats: graph loading.
 
 Graphs load from three files: a text edge list (``src<TAB>dst`` per line,
 ``#`` comments), a features/labels CSV with header ``node_id,f0..f{d-1},label``,
 and a splits JSON with "train"/"val"/"test" node-id lists.
-
-Checkpoints are a flat binary of little-endian float64 values with a JSON
-sidecar (same path + ".json") listing tensor names and shapes in file order,
-so runs can be resumed and weights compared across runs.
 """
 
 from __future__ import annotations
@@ -17,16 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from distpoison.gnn import ParamSet
-from distpoison.graph import Graph, build_graph
+from distpoison.graph import Graph, GraphError, build_graph
 
 __all__ = [
     "load_edge_list",
     "load_features_csv",
     "load_splits_json",
     "load_graph",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -46,8 +39,8 @@ def load_edge_list(path) -> list[tuple[int, int]]:
 def load_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "node_id" or header[-1] != "label":
+        header = next(reader, [])
+        if header[:1] != ["node_id"] or header[-1:] != ["label"]:
             raise ValueError(
                 f"{path}: header must be node_id,f0..f{{d-1}},label, got {header}"
             )
@@ -81,47 +74,18 @@ def load_splits_json(path) -> tuple[list[int], list[int], list[int]]:
 
 
 def load_graph(edges_path, features_path, splits_path) -> Graph:
-    features, labels = load_features_csv(features_path)
-    edges = load_edge_list(edges_path)
-    splits = load_splits_json(splits_path)
+    """The graph the three files describe.
+
+    Invalid content raises ``GraphError`` whose ``source`` names the file at
+    fault: "edges", "features" or "splits".
+    """
+    source = "features"
+    try:
+        features, labels = load_features_csv(features_path)
+        source = "edges"
+        edges = load_edge_list(edges_path)
+        source = "splits"
+        splits = load_splits_json(splits_path)
+    except ValueError as exc:
+        raise GraphError(str(exc), source) from exc
     return build_graph(edges, features, labels, splits)
-
-
-def save_checkpoint(params: ParamSet, path) -> None:
-    path = Path(path)
-    tensors = [("W0", params.W0)]
-    if params.W1 is not None:
-        tensors.append(("W1", params.W1))
-    with open(path, "wb") as fh:
-        for _, t in tensors:
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
-    sidecar = {
-        "tensors": [{"name": name, "shape": list(t.shape)} for name, t in tensors],
-        "learning_rate": params.learning_rate,
-        "momentum": params.momentum,
-        "k": params.k,
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-
-
-def load_checkpoint(path) -> ParamSet:
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        sidecar = json.load(fh)
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    tensors = {}
-    offset = 0
-    for spec in sidecar["tensors"]:
-        size = int(np.prod(spec["shape"]))
-        tensors[spec["name"]] = raw[offset : offset + size].reshape(spec["shape"]).copy()
-        offset += size
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} unexplained trailing values")
-    return ParamSet(
-        W0=tensors["W0"],
-        W1=tensors.get("W1"),
-        learning_rate=sidecar["learning_rate"],
-        momentum=sidecar.get("momentum", 0.0),
-        k=sidecar.get("k", 2),
-    )

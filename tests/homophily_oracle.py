@@ -9,7 +9,7 @@ bit-identical vectors.
 import numpy as np
 
 
-def _recompute_nodes(values, nodes, features, neighbor_of, degree_of, degree_ratio):
+def _recompute_nodes(values, nodes, features, neighbor_of, degree_of):
     out = values.copy()
     for u in nodes:
         neigh = neighbor_of(u)
@@ -19,13 +19,13 @@ def _recompute_nodes(values, nodes, features, neighbor_of, degree_of, degree_rat
             continue
         du = degree_of(u)
         dv = np.array([degree_of(v) for v in neigh], dtype=np.float64)
-        w = np.sqrt(dv) if degree_ratio else 1.0 / np.sqrt(dv)
+        w = np.sqrt(dv)
         agg = (features[neigh] * w[:, None]).sum(axis=0) / np.sqrt(du)
         out[u] = np.sqrt((agg**2).sum() + own)
     return out
 
 
-def homophily_after_edge_removal(g, values, i, j, degree_ratio=True):
+def homophily_after_edge_removal(g, values, i, j):
     deg = g.degrees().astype(np.float64)
 
     def degree_of(u):
@@ -42,16 +42,14 @@ def homophily_after_edge_removal(g, values, i, j, degree_ratio=True):
     affected = {i, j} | set(int(v) for v in g.neighbors(i)) | set(
         int(v) for v in g.neighbors(j)
     )
-    return _recompute_nodes(values, affected, g.features, neighbor_of, degree_of, degree_ratio)
+    return _recompute_nodes(values, affected, g.features, neighbor_of, degree_of)
 
 
-def homophily_after_feature_change(g, values, node, new_row, degree_ratio=True):
+def homophily_after_feature_change(g, values, node, new_row):
     if np.array_equal(g.features[node], new_row):
         return values.copy()
     deg = g.degrees().astype(np.float64)
     features = g.features.copy()
     features[node] = new_row
     affected = {node} | set(int(v) for v in g.neighbors(node))
-    return _recompute_nodes(
-        values, affected, features, g.neighbors, lambda u: deg[u], degree_ratio
-    )
+    return _recompute_nodes(values, affected, features, g.neighbors, lambda u: deg[u])

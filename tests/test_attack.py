@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import attack_oracle
 import baseline_oracle
 import score_oracle
 from conftest import make_graph
@@ -25,10 +26,9 @@ from distpoison.attack import (
     run_disttack,
     select_edge_removals,
     select_targets,
-    surrogate_attack_loss,
     train_surrogate,
 )
-from distpoison.gnn import predict_accuracy
+from distpoison.gnn import forward, masked_ce_loss, predict_accuracy
 from distpoison.graph import (
     Partition,
     generate_sbm,
@@ -43,6 +43,13 @@ def attack_cfg(**kw):
                     surrogate_epochs=20, target_count=2, seed=0)
     defaults.update(kw)
     return AttackConfig(**defaults)
+
+
+def surrogate_attack_loss(theta, g, targets) -> float:
+    """Sum of target cross-entropies under a frozen surrogate: the damage."""
+    adj = normalize_adjacency(g)
+    logits = forward(theta, adj, g.features)
+    return len(targets) * masked_ce_loss(logits, g.labels, targets)
 
 
 def toy_instance(seed=0, blocks=(15, 15), p_intra=0.35, p_inter=0.04, noise=0.25):
@@ -463,6 +470,39 @@ class TestRunDisttack:
                     best, best_damage = (i, j), damage
             agree += first == best
         assert agree >= 3
+
+
+class TestRunDisttackMatchesOracle:
+    """The attack step equals the attack loop as first written, exactly."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from(["wasserstein1", "ks"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_perturbations_equal(self, seed, edges_per_iter, flips_per_iter, strict,
+                                 warm, lambda_homo, measure):
+        g = generate_sbm(seed, [8, 8], 0.4, 0.08, feature_dim=4, noise=0.4)
+        part = partition_nodes(g, 2)
+        worker = int(part.assignment[np.flatnonzero(g.train_mask)[0]])
+        cfg = AttackConfig(
+            edge_budget=5, feature_budget=5, lambda_comm=0.1, lambda_homo=lambda_homo,
+            surrogate_epochs=5, target_count=3, seed=seed, strict_flip=strict,
+            edges_per_iter=edges_per_iter, flips_per_iter=flips_per_iter,
+            warm_start=warm, homophily_measure=measure,
+        )
+        targets = select_targets(g, part, worker, cfg.target_count)
+        before = g.copy()
+        got = run_disttack(g, part, cfg, targets)
+        want = attack_oracle.run_disttack(g, part, cfg, targets)
+        assert got.to_dict() == want.to_dict()
+        assert np.array_equal(g.features, before.features)
+        assert np.array_equal(g.edge_array(), before.edge_array())
 
 
 class TestBaselines:

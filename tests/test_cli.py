@@ -159,6 +159,7 @@ def _no_compute(*args, **kwargs):
         ("attack.lambda_homo=-1", "attack.lambda_homo"),
         ("attack.homophily_measure=foo", "attack.homophily_measure"),
         ("attack.edge_budget_frac=0.1", "attack.edge_budget_frac"),  # beside edge_budget
+        ("sgc_k=0", "sgc_k"),
     ],
 )
 def test_bad_value_rejected_before_dataset(tmp_path, capsys, monkeypatch, override, field):
@@ -225,8 +226,29 @@ def test_files_dataset_negative_label_fails_before_training(tmp_path, capsys, mo
 
     monkeypatch.setattr("distpoison.experiment.train_distributed", no_training)
     cfg = write_config(tmp_path, dataset=dataset, attack={"kind": "none"})
-    assert main(["run", "--config", str(cfg)]) == 1
-    assert "GraphError: node 5 has negative label -1" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "dataset.features: node 5 has negative label -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("nodes.csv", "node_id,f0", "id,f0", "dataset.features: "),
+        ("nodes.csv", "node_id,f0,f1,label\n", "\n", "dataset.features: "),
+        ("edges.txt", "3\t4\n", "3\t40\n", "dataset.edges: edge (3, 40) references"),
+        ("edges.txt", "3\t4\n", "3 4 5\n", "dataset.edges: "),
+        ("splits.json", "[8, 9]", "[8, 9, 1]", "dataset.splits: node 1 appears in more"),
+        ("splits.json", '"val"', '"dev"', "dataset.splits: "),
+    ],
+)
+def test_files_dataset_bad_content_exits_two(tmp_path, capsys, name, old, new, message):
+    dataset = write_files_dataset(tmp_path)
+    path = tmp_path / name
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new, 1))
+    cfg = write_config(tmp_path, dataset=dataset, attack={"kind": "none"})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["edges", "features", "splits"])

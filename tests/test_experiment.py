@@ -260,12 +260,12 @@ class TestScalingBenchmark:
             assert row["graph_nodes"] == 24 * row["multiplier"]
 
     def test_feature_dim_scaling_trend(self):
-        # Fixed tiny graph, growing feature dim: per-iteration time should
-        # grow with M (measured trend; generous bound to avoid timer flakes).
-        import time as _time
+        # Fixed tiny graph, growing feature dim: the attack step's time under
+        # a fixed surrogate should grow with M (measured trend; generous bound
+        # to avoid timer flakes).
+        import time
 
-        from distpoison.attack import AttackConfig, select_targets
-        from distpoison.experiment import _timed_attack_iterations
+        from distpoison.attack import AttackConfig, _DisttackRun, select_targets, train_surrogate
         from distpoison.graph import generate_sbm, partition_nodes
 
         times = []
@@ -273,10 +273,16 @@ class TestScalingBenchmark:
         for m in dims:
             g = generate_sbm(0, [10, 10], 0.4, 0.1, feature_dim=m, noise=0.3)
             part = partition_nodes(g, 2)
-            acfg = AttackConfig(edge_budget=1, feature_budget=1, surrogate_epochs=3,
+            # Budgets that last all 8 steps.
+            acfg = AttackConfig(edge_budget=8, feature_budget=8, surrogate_epochs=3,
                                 lambda_homo=0.0, seed=0, target_count=2)
-            targets = select_targets(g, part, 0, 2)
-            t, _, _ = _timed_attack_iterations(g, part, acfg, targets, iterations=8)
+            run = _DisttackRun(g, part, acfg, select_targets(g, part, 0, 2))
+            theta = train_surrogate(run.g, acfg.surrogate_epochs, acfg.seed)
+            t = []
+            for _ in range(8):
+                t0 = time.perf_counter()
+                run.step(theta)
+                t.append(time.perf_counter() - t0)
             times.append(float(np.median(t)))
         assert times[-1] > times[0]  # monotone growth end to end
         # near-linear: 64x more dims should cost far less than 64^2 x

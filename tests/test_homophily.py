@@ -12,10 +12,8 @@ from distpoison.homophily import (
     distribution_distance,
     homophily_after_edge_removal,
     homophily_after_feature_change,
-    homophily_distribution,
     homophily_values,
     node_homophily,
-    stealth_penalty,
     write_histogram_csv,
 )
 
@@ -48,24 +46,13 @@ class TestNodeHomophily:
         scalar = np.array([node_homophily(g, i) for i in range(g.num_nodes)])
         np.testing.assert_allclose(vec, scalar, rtol=1e-12)
 
-    def test_conventional_weighting_flag(self):
+    def test_triangle_hand_case(self):
         g = graph_with_features(3, [(0, 1), (0, 2), (1, 2)], np.eye(3))
-        # d = (2, 2, 2): ratio weighting gives sqrt(2)/sqrt(2)=1 per neighbor,
-        # conventional gives 1/2.
+        # d = (2, 2, 2): ratio weighting gives sqrt(2)/sqrt(2)=1 per neighbor.
         assert node_homophily(g, 0) == pytest.approx(np.sqrt(2.0 + 1.0))
-        assert node_homophily(g, 0, degree_ratio=False) == pytest.approx(
-            np.sqrt(0.5 + 1.0)
-        )
 
 
 class TestDistribution:
-    def test_recompute_deterministic(self):
-        g = generate_sbm(2, [8, 8], 0.3, 0.05, feature_dim=3, noise=0.2)
-        d1 = homophily_distribution(g)
-        d2 = homophily_distribution(g)
-        np.testing.assert_array_equal(d1.values, d2.values)
-        np.testing.assert_array_equal(d1.counts, d2.counts)
-
     @pytest.mark.parametrize("seed", range(20))
     def test_edge_removal_locality(self, seed):
         g = generate_sbm(seed, [16, 16], 0.25, 0.05, feature_dim=4, noise=0.3)
@@ -142,20 +129,20 @@ def draw_graph(seed, n, dim, p):
 
 def assert_trials_match_oracle(state, rng):
     """Every edge and feature trial on one state equals the per-node oracle."""
-    g, h, ratio = state.graph, state.values, state.degree_ratio
+    g, h = state.graph, state.values
     for i, j in g.edge_array():
         i, j = int(i), int(j)
         for a, b in ((i, j), (j, i)):
             assert np.array_equal(
                 homophily_after_edge_removal(state, a, b),
-                oracle.homophily_after_edge_removal(g, h, a, b, ratio),
+                oracle.homophily_after_edge_removal(g, h, a, b),
             )
     for node in range(g.num_nodes):
         row = g.features[node].copy()
         row[rng.integers(g.feature_dim)] *= -3.0
         assert np.array_equal(
             homophily_after_feature_change(state, node, row),
-            oracle.homophily_after_feature_change(g, h, node, row, ratio),
+            oracle.homophily_after_feature_change(g, h, node, row),
         )
 
 
@@ -165,7 +152,7 @@ class TestTrialsMatchOracle:
     @given(graph_cases)
     @settings(max_examples=60, deadline=None)
     def test_every_edge_and_feature_trial(self, case):
-        # One state per graph version and weighting serves every candidate;
+        # One state per graph version serves every candidate;
         # a state outlives compaction and copies, but not an edit.
         seed, n, dim, p, ops = case
         g0, rng = draw_graph(seed, n, dim, p)
@@ -179,10 +166,8 @@ class TestTrialsMatchOracle:
                         homophily_after_edge_removal(st, 0, 1)
                 else:
                     assert_trials_match_oracle(st, rng)
-            states = []
-            for ratio in (True, False):
-                states.append(StealthState(g, homophily_values(g, ratio), degree_ratio=ratio))
-                assert_trials_match_oracle(states[-1], rng)
+            states = [StealthState(g, homophily_values(g))]
+            assert_trials_match_oracle(states[-1], rng)
 
     def test_state_after_flip_edit(self):
         g, rng = draw_graph(3, 8, 3, 0.5)
@@ -202,31 +187,30 @@ class TestTrialsMatchOracle:
         g0, rng = draw_graph(seed, n, dim, p)
         for g in random_edit_script(g0, ops):
             pass
-        for ratio in (True, False):
-            h = homophily_values(g, ratio)
-            g_run = g.copy()
-            state = StealthState(g_run, h, degree_ratio=ratio)
-            for is_edge, k in moves:
-                if is_edge and g_run.num_edges:
-                    i, j = (int(v) for v in g_run.edge_array()[k % g_run.num_edges])
-                    state.remove_edge(i, j, homophily_after_edge_removal(state, i, j))
-                else:
-                    node, d = k % n, k % dim
-                    row = g_run.features[node].copy()
-                    row[d] = -3.0 * row[d]
-                    trial = homophily_after_feature_change(state, node, row)
-                    state.set_feature(node, d, row[d], trial)
-                assert not state.stale
-                fresh = StealthState(g_run, state.values, h, degree_ratio=ratio)
-                for name in ("degrees", "weights", "rows", "own_sq"):
-                    assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
-                for u in range(n):
-                    assert np.array_equal(state.neighbors(u), fresh.neighbors(u))
-                assert_trials_match_oracle(state, rng)
-            np.testing.assert_allclose(state.values, homophily_values(g_run, ratio), rtol=1e-10)
-            g_run.set_feature(0, 0, 1.0)
-            with pytest.raises(StaleStateError):
-                state.set_feature(0, 0, 2.0, state.values)
+        h = homophily_values(g)
+        g_run = g.copy()
+        state = StealthState(g_run, h)
+        for is_edge, k in moves:
+            if is_edge and g_run.num_edges:
+                i, j = (int(v) for v in g_run.edge_array()[k % g_run.num_edges])
+                state.remove_edge(i, j, homophily_after_edge_removal(state, i, j))
+            else:
+                node, d = k % n, k % dim
+                row = g_run.features[node].copy()
+                row[d] = -3.0 * row[d]
+                trial = homophily_after_feature_change(state, node, row)
+                state.set_feature(node, d, row[d], trial)
+            assert not state.stale
+            fresh = StealthState(g_run, state.values, h)
+            for name in ("degrees", "weights", "rows", "own_sq"):
+                assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
+            for u in range(n):
+                assert np.array_equal(state.neighbors(u), fresh.neighbors(u))
+            assert_trials_match_oracle(state, rng)
+        np.testing.assert_allclose(state.values, homophily_values(g_run), rtol=1e-10)
+        g_run.set_feature(0, 0, 1.0)
+        with pytest.raises(StaleStateError):
+            state.set_feature(0, 0, 2.0, state.values)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_cached_block_follows_moves(self, dim):
@@ -286,17 +270,16 @@ class TestTrialsMatchOracle:
             )
 
     @pytest.mark.parametrize("dim", [1, 3])
-    @pytest.mark.parametrize("ratio", [True, False])
-    def test_endpoint_left_isolated(self, dim, ratio):
+    def test_endpoint_left_isolated(self, dim):
         # Path 0-1-2 plus 3-4: removing (0, 1) isolates 0, removing (3, 4)
         # isolates both endpoints.
         feats = np.arange(5 * dim, dtype=float).reshape(5, dim) - 4.5
         g = graph_with_features(5, [(0, 1), (1, 2), (3, 4)], feats)
-        h = homophily_values(g, ratio)
-        st = StealthState(g, h, degree_ratio=ratio)
+        h = homophily_values(g)
+        st = StealthState(g, h)
         for i, j in ((0, 1), (3, 4)):
             got = homophily_after_edge_removal(st, i, j)
-            assert np.array_equal(got, oracle.homophily_after_edge_removal(g, h, i, j, ratio))
+            assert np.array_equal(got, oracle.homophily_after_edge_removal(g, h, i, j))
             assert got[i] == np.sqrt((feats[i] ** 2).sum())
 
     def test_missing_edge_rejected(self):
@@ -359,30 +342,6 @@ class TestDistributionDistance:
         # W1 between {0} and {0, 1}: half the mass moves distance 1.
         d = distribution_distance(np.array([0.0]), np.array([0.0, 1.0]))
         assert d == pytest.approx(0.5)
-
-
-class TestStealthPenalty:
-    def test_unperturbed_graph(self):
-        g = generate_sbm(0, [6, 6], 0.4, 0.1, feature_dim=3, noise=0.2)
-        assert stealth_penalty(g, g.copy(), 1.0) == pytest.approx(0.0)
-
-    def test_zero_weight(self):
-        g = generate_sbm(0, [6, 6], 0.4, 0.1, feature_dim=3, noise=0.2)
-        gp = g.copy()
-        gp.features[0, 0] += 5.0
-        assert stealth_penalty(g, gp, 0.0) == 0.0
-
-    def test_linearity_in_lambda(self):
-        g = generate_sbm(0, [6, 6], 0.4, 0.1, feature_dim=3, noise=0.2)
-        gp = g.copy()
-        gp.features[0, 0] += 5.0
-        assert stealth_penalty(g, gp, 2.0) == pytest.approx(2 * stealth_penalty(g, gp, 1.0))
-
-    def test_node_count_mismatch(self):
-        g1 = generate_sbm(0, [4, 4], 0.5, 0.1, feature_dim=2, noise=0.1)
-        g2 = generate_sbm(0, [5, 5], 0.5, 0.1, feature_dim=2, noise=0.1)
-        with pytest.raises(ValueError):
-            stealth_penalty(g1, g2, 1.0)
 
 
 def test_histogram_csv(tmp_path):

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from distpoison.gnn import ParamSet
 from distpoison.graph import GraphError
 from distpoison.io import (
-    load_checkpoint,
     load_edge_list,
     load_features_csv,
     load_graph,
     load_splits_json,
-    save_checkpoint,
 )
 
 
@@ -82,30 +79,3 @@ class TestLoaders:
         )
         with pytest.raises(GraphError, match="node 2 has negative label -1"):
             load_graph(e, f, s)
-
-
-class TestCheckpoint:
-    def test_gcn_round_trip(self, tmp_path):
-        params = ParamSet.init_gcn(5, 4, 3, seed=1, learning_rate=0.25)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path)
-        loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.W0, params.W0)
-        np.testing.assert_array_equal(loaded.W1, params.W1)
-        assert loaded.learning_rate == 0.25
-
-    def test_sgc_round_trip(self, tmp_path):
-        params = ParamSet.init_sgc(5, 3, seed=2, k=3)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path)
-        loaded = load_checkpoint(path)
-        assert loaded.W1 is None
-        assert loaded.k == 3
-        np.testing.assert_array_equal(loaded.W0, params.W0)
-
-    def test_binary_is_little_endian_doubles(self, tmp_path):
-        params = ParamSet(W0=np.array([[1.0, 2.0]]), W1=None)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path)
-        raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-        np.testing.assert_array_equal(raw, [1.0, 2.0])
