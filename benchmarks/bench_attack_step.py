@@ -10,9 +10,13 @@ attack scores a node's dimensions in a row, so it reuses the state's block
 for that node; ``test_feature_trial_new_node`` gathers a fresh one each call.
 ``test_view_forward`` is one graph view's forward state for an epoch, over
 the union of its workers' batches: 8 nodes (one worker, as on the poisoned
-view) or 56 (seven workers of 8). ``test_worker_backward`` is one victim
-worker's pass: an 8-node batch against the 56-node union's state. At
-n = 1,600 and 6,400 both take the receptive-field (limited) products.
+view) or 56 (seven workers of 8), without the batches' gathers.
+``test_worker_backward`` is one victim worker's pass: an 8-node batch
+against a state built for seven batches of 8, whose gathers it reads.
+``test_view_epoch`` is what a victim epoch spends on the clean view: that
+state, gathers included, and all seven passes; a change that moves work
+between the state and the passes shows there. At n = 1,600 and 6,400 the
+passes take the receptive-field (limited) products.
 ``test_generate_sbm`` draws the fixture's graph from its seed.
 ``test_subgraph_to_graph`` builds the hub's 1-hop subgraph as a Graph, as
 the attack does for each target's subgraph gradient. ``test_attack_step`` is
@@ -150,9 +154,24 @@ def test_view_forward(benchmark, case, union_size):
 def test_worker_backward(benchmark, case):
     g, _ = case
     adj, params, union = _victim_setup(g)
-    state = forward_state(params, adj, g.features, rows=union)
-    batch = union[:8]
-    benchmark(backward, params, adj, g.features, g.labels, batch, state=state, assume_unique=True)
+    batches = [union[i : i + 8] for i in range(0, len(union), 8)]
+    state = forward_state(params, adj, g.features, rows=batches)
+    benchmark(
+        backward, params, adj, g.features, g.labels, batches[0], state=state, assume_unique=True
+    )
+
+
+def test_view_epoch(benchmark, case):
+    g, _ = case
+    adj, params, union = _victim_setup(g)
+    batches = [union[i : i + 8] for i in range(0, len(union), 8)]
+
+    def epoch():
+        state = forward_state(params, adj, g.features, rows=batches)
+        for batch in batches:
+            backward(params, adj, g.features, g.labels, batch, state=state, assume_unique=True)
+
+    benchmark(epoch)
 
 
 @pytest.mark.parametrize("lambda_homo", [0.0, 1.0])

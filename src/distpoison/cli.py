@@ -69,7 +69,7 @@ def cmd_run(args) -> int:
     print(f"mean drop over {len(results)} seed(s): {np.mean(drops):+.4f}")
     if cfg.out_dir:
         written = emit_results(results, cfg.out_dir, cfg, force=args.force)
-        written += emit_histograms(cfg, results, cfg.out_dir)
+        written += emit_histograms(results, cfg.out_dir)
         print(f"wrote {len(written)} files to {cfg.out_dir}")
     return 0
 

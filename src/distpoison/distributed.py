@@ -10,15 +10,17 @@ computation.
 
 Workers run one after another. Those that see the same graph view in an
 epoch share one forward state under that epoch's weights, taken over the
-union of their batches; each worker's reverse pass is its own. On large
-graphs neither touches an n-row dense array beyond ``X W0``: the forward
-state holds the logits on the union and the hidden layer on the nodes one
-hop from it (see ``gnn.forward_state``); a reverse pass reads only the
-rows its batch reaches in one and two hops (see ``gnn.backward``). A batch
-is drawn without replacement, so its pass skips the repeat check. Results
-are bit-reproducible for a fixed (graph, partition, seed, config): batches
-come from per-worker RNG streams and the reduction order is fixed by worker
-index.
+union of their batches and built for those batches; each worker's reverse
+pass is its own. On large graphs neither touches an n-row dense array
+beyond ``X W0``: the forward state holds the logits on the union and the
+hidden layer on the nodes one hop from it, and every batch's gathers,
+found for all of the view's batches at once (see ``gnn.forward_state``); a
+reverse pass reads its batch's gathers and only the rows its batch reaches
+in one and two hops, so it neither gathers from A nor sorts (see
+``gnn.backward``). A batch is drawn without replacement, so its pass skips
+the repeat check. Results are bit-reproducible for a fixed (graph,
+partition, seed, config): batches come from per-worker RNG streams and the
+reduction order is fixed by worker index.
 """
 
 from __future__ import annotations
@@ -137,15 +139,14 @@ def train_distributed(
     on_view = [[st for st in states if view_of[st.worker_id] == v] for v in range(len(views))]
 
     def worker_pass(st: WorkerState, fwd: list) -> GradientBundle:
-        # fwd holds this epoch's forward state per view, over the union of
-        # that view's batches, made by the first worker that needs it, so a
-        # failure still names that worker.
+        # fwd holds this epoch's forward state per view, built for that
+        # view's batches by the first worker that needs it, so a failure
+        # still names that worker.
         v = view_of[st.worker_id]
         adj, X = views[v]
         try:
             if fwd[v] is None:
-                batches = np.concatenate([s.batch for s in on_view[v]])
-                fwd[v] = forward_state(params, adj, X, rows=batches)
+                fwd[v] = forward_state(params, adj, X, rows=[s.batch for s in on_view[v]])
             return backward(params, adj, X, labels, st.batch, state=fwd[v], assume_unique=True)
         except FloatingPointError as exc:
             raise TrainingError(

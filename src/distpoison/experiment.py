@@ -500,12 +500,11 @@ def emit_results(
     return written
 
 
-def emit_histograms(cfg: ExperimentConfig, results: list[RunResult], out_dir) -> list[Path]:
+def emit_histograms(results: list[RunResult], out_dir) -> list[Path]:
     """Clean-vs-perturbed homophily histograms, one CSV per seed.
 
     Written from the homophily vectors each run kept, so no dataset is built
-    again; ``cfg`` is not needed for that. Results without the vectors are
-    skipped.
+    again. Results without the vectors are skipped.
     """
     out = Path(out_dir)
     written = []

@@ -14,9 +14,11 @@ All math is float64. ReLU's subgradient at 0 is taken as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from distpoison.graph import NormalizedAdjacency, _distinct
 
@@ -201,7 +203,10 @@ def _receptive_rows(A: sp.csr_matrix, rows, depth: int) -> list[tuple]:
     full and only the logits' product limited: that one is at the output
     width and saves less than the gathers cost. Each row of ``sub @ M`` sums
     the same terms in the same CSR order as the same row of ``A @ M``, so the
-    two agree bit for bit.
+    two agree bit for bit. These blocks serve the forward products only: a
+    reverse pass multiplies by A's block on the rows its batch reaches and
+    the rows it comes from, which ``_gathers`` finds from A's CSR arrays in
+    the same number of reads.
     """
     full = [(None, A)] * depth
     if rows is None or A.nnz < _LIMITED_MIN_NNZ:
@@ -229,54 +234,170 @@ def _receptive_rows(A: sp.csr_matrix, rows, depth: int) -> list[tuple]:
     return out + full[len(out):]
 
 
+class _Gather(NamedTuple):
+    """What one batch's reverse pass reads, found before the pass.
+
+    ``rows`` are the batch's unique node ids, sorted once A holds
+    _LIMITED_MIN_NNZ entries, and ``counts`` how often each is listed (None:
+    once each). ``steps[h]`` is the limited reverse product at hop h, as
+    ``(indptr, cols, data, reached)``: the block of A on the rows
+    ``reached`` (the sorted node ids h + 1 hops from the batch) and the
+    columns at the rows h hops out, in CSR form; ``cols`` and ``data`` may
+    be shared with other batches, which ``indptr`` skips. The products from
+    hop ``len(steps)`` on are full. ``at`` places the rows 0 and 1 hops out
+    in the state: their positions in the field of the logits and of the
+    intermediate below them (H for the GCN), the node ids where the state
+    holds all n rows, None after a full product.
+    """
+
+    rows: np.ndarray
+    counts: np.ndarray | None
+    steps: tuple
+    at: tuple
+
+
+def _positions(field: np.ndarray | None, ids: np.ndarray) -> np.ndarray:
+    """The positions of ``ids`` in the sorted ``field``; ``ids`` itself when
+    the field is None (all n rows). Raises ValueError for an id not in it."""
+    if field is None:
+        return ids
+    at = np.minimum(np.searchsorted(field, ids), len(field) - 1)
+    if not (field[at] == ids).all():
+        raise ValueError(
+            f"forward state holds its logits on {len(field)} rows only, "
+            "not on every row asked for; pass the batch to forward_state"
+        )
+    return at
+
+
+def _stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, keys[order])`` for a stable argsort ``order`` of int64 keys
+    in [0, bound).
+
+    The keys are sorted with their positions packed into the low bits, so
+    one plain sort stands in for the stable argsort: 29 against 127 µs on
+    3,724 keys of seven batches' second hop at n = 6,400 (numpy 2.4.6,
+    2-core x86).
+    """
+    bits = len(keys).bit_length()
+    if bound >= 1 << (63 - bits):  # the packed keys would overflow
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    tagged = np.sort((keys << bits) | np.arange(len(keys)))
+    return tagged & ((1 << bits) - 1), tagged >> bits
+
+
+def _gathers(
+    A: sp.csr_matrix, batches: list, depth: int, fields: tuple, assume_unique: bool = False
+) -> list[_Gather]:
+    """Each batch's ``_Gather`` for a reverse pass of ``depth`` products over A.
+
+    ``fields`` are the forward state's (see ``ForwardState``); the pass
+    reads the state at hops 0 and 1, on the last two. On a graph too small
+    for limited products the rows stay as given (``assume_unique``) or are
+    made unique, and every product is full. Otherwise all batches are
+    gathered together, from A's CSR arrays: one sort of (batch, node) keys
+    gives every batch's rows, and one stable sort of (batch, column) keys
+    per hop gives every batch's reached rows and its block of A, each block
+    row's entries in ascending column order as in A's own row. A batch's
+    product at hop h is limited while its rows h hops out hold at most
+    1/_LIMITED_SHARE of A's entries; from its first full product on it
+    gathers nothing more.
+    """
+    if A.nnz < _LIMITED_MIN_NNZ:
+        out = []
+        for b in batches:
+            rows, counts = (b, None) if assume_unique else np.unique(b, return_counts=True)
+            out.append(_Gather(rows, counts, (), (rows, None)))
+        return out
+    nb, n = len(batches), A.shape[0]
+    ids = np.arange(nb + 1)
+    sizes = [len(b) for b in batches]
+    keys = np.sort(np.repeat(ids[:-1] * n, sizes) + np.concatenate(batches))
+    counts = None
+    if (keys[1:] == keys[:-1]).any():
+        keys, counts = np.unique(keys, return_counts=True)
+    bid = keys // n  # each row's batch, ascending
+    rows = batch_rows = keys - bid * n
+    bounds, row_at = np.searchsorted(bid, ids).tolist(), _positions(fields[-1], rows)
+    hops = []  # per hop, every live batch's arrays in turn, sliced per batch by offsets
+    live = np.ones(nb, dtype=bool)
+    for h in range(depth):
+        lo = A.indptr[rows]
+        lens = A.indptr[rows + 1] - lo
+        live &= np.bincount(bid, weights=lens, minlength=nb) * _LIMITED_SHARE <= A.nnz
+        if not live.all():
+            if not live.any():
+                break
+            keep = live[bid]
+            bid, lo, lens = bid[keep], lo[keep], lens[keep]
+        row = np.arange(len(bid)) - np.searchsorted(bid, ids)[bid]  # index in its batch
+        pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        order, reach = _stable_sort(np.repeat(bid * n, lens) + A.indices[pos], nb * n)
+        new = np.empty(len(reach) + 1, dtype=bool)
+        new[0] = new[-1] = True
+        np.not_equal(reach[1:], reach[:-1], out=new[1:-1])
+        indptr = np.flatnonzero(new)  # each reached row's first entry, and the end
+        reach = reach[indptr[:-1]]
+        bid = reach // n
+        rows = reach - bid * n
+        hops.append((
+            live.tolist(), np.searchsorted(bid, ids).tolist(), indptr,
+            np.repeat(row, lens)[order], A.data[pos[order]], rows,
+            _positions(fields[-2], rows) if h == 0 else None,
+        ))
+    out = []
+    for b in range(nb):
+        mine = slice(bounds[b], bounds[b + 1])
+        steps, at = [], [row_at[mine], None]
+        for held, rb, indptr, cols, data, reached, reached_at in hops:
+            if not held[b]:
+                break
+            r = slice(rb[b], rb[b + 1])
+            steps.append((indptr[rb[b]:rb[b + 1] + 1], cols, data, reached[r]))
+            if reached_at is not None:
+                at[1] = reached_at[r]
+        out.append(_Gather(batch_rows[mine], None if counts is None else counts[mine],
+                           tuple(steps), tuple(at)))
+    return out
+
+
 @dataclass(frozen=True)
 class ForwardState:
     """The forward intermediates that ``backward`` reverses, logits last.
 
     ``values[t]`` holds intermediate t on the rows ``fields[t]`` (sorted
-    node ids), or on all n rows when ``fields[t]`` is None.
+    node ids), or on all n rows when ``fields[t]`` is None. ``gathers``
+    maps each batch the state was built for, by the bytes of its int64 ids,
+    to what that batch's reverse pass reads (see ``_gathers``).
     """
 
     values: tuple
     fields: tuple
+    gathers: dict | None = None
 
     @property
     def limited(self) -> bool:
         return any(f is not None for f in self.fields)
 
-    def take(self, t: int, rows: np.ndarray | None) -> np.ndarray:
-        """Rows ``rows`` of intermediate t, all n of them when ``rows`` is None.
 
-        Raises ValueError for rows the state does not hold.
-        """
-        M, held = self.values[t], self.fields[t]
-        if held is None:
-            return _take(M, rows)
-        if rows is not None:
-            at = np.minimum(np.searchsorted(held, rows), len(held) - 1)
-            if (held[at] == rows).all():
-                return M[at]
-        raise ValueError(
-            f"forward state holds intermediate {t} on {len(held)} rows only, "
-            "not on every row asked for; pass the batch to forward_state"
-        )
-
-
-def _gcn_state(params: ParamSet, X: np.ndarray, hops: list) -> ForwardState:
+def _gcn_state(params: ParamSet, X: np.ndarray, hops: list) -> tuple[tuple, tuple]:
+    """The GCN's intermediates and the rows each is held on."""
     (f0, sub0), (f1, sub1) = hops  # the rows of Z, and of S0, H and Q (None: all n)
     P = X @ params.W0
     S0 = sub1 @ P
     H = np.maximum(S0, 0.0)
     Q = _rowwise(H, params.W1)
-    return ForwardState((P, S0, H, Q, sub0 @ Q), (None, f1, f1, f1, f0))
+    return (P, S0, H, Q, sub0 @ Q), (None, f1, f1, f1, f0)
 
 
-def _sgc_state(params: ParamSet, X: np.ndarray, hops: list) -> ForwardState:
+def _sgc_state(params: ParamSet, X: np.ndarray, hops: list) -> tuple[tuple, tuple]:
+    """The linear model's intermediates and the rows each is held on."""
     hops = hops[::-1]  # hops[t - 1]: the rows of U_t
     us = [X @ params.W0]
     for _, sub in hops:
         us.append(sub @ us[-1])
-    return ForwardState(tuple(us), (None, *(f for f, _ in hops)))
+    return tuple(us), (None, *(f for f, _ in hops))
 
 
 def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
@@ -284,7 +405,7 @@ def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np
     if params.W1 is None:
         raise ValueError("gcn_forward requires a two-weight ParamSet")
     _check_finite("gcn_forward inputs", X, params.W0, params.W1)
-    Z = _gcn_state(params, X, [(None, adj.matrix)] * 2).values[-1]
+    Z = _gcn_state(params, X, [(None, adj.matrix)] * 2)[0][-1]
     _check_finite("gcn_forward logits", Z)
     return Z
 
@@ -294,7 +415,7 @@ def sgc_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, k: in
     if k < 1:
         raise ValueError(f"propagation depth must be >= 1, got {k}")
     _check_finite("sgc_forward inputs", X, params.W0)
-    U = _sgc_state(params, X, [(None, adj.matrix)] * k).values[-1]
+    U = _sgc_state(params, X, [(None, adj.matrix)] * k)[0][-1]
     _check_finite("sgc_forward logits", U)
     return U
 
@@ -316,20 +437,33 @@ def forward_state(
     depends on the weights, the adjacency and the features only, so every
     batch on the same graph view under the same weights can share one.
 
-    ``rows`` names the nodes whose logits will be differentiated (repeats
-    allowed); None means every node. On a large graph the products are then
-    taken over the receptive field of ``rows`` only: Z over ``rows``, S0, H
-    and Q over the nodes one hop away, and U_t over the nodes k - t hops
-    away, each while that field passes the product rule (see
-    ``_receptive_rows``); P and U_0 stay full. Held rows are bit-identical
-    to the full state's while the row-restricted GEMM ``H W1`` stays on
-    OpenBLAS's small-matrix kernel (see ``backward``).
+    ``rows`` names the nodes whose logits will be differentiated: an array
+    of node ids (repeats allowed), or a list of such arrays, the batches
+    whose reverse passes will read the state; None means every node. On a
+    large graph the products are then taken over the receptive field of the
+    rows only: Z over the rows, S0, H and Q over the nodes one hop away, and
+    U_t over the nodes k - t hops away, each while that field passes the
+    product rule (see ``_receptive_rows``); P and U_0 stay full. Held rows
+    are bit-identical to the full state's while the row-restricted GEMM
+    ``H W1`` stays on OpenBLAS's small-matrix kernel (see ``backward``).
+    Given batches, the state on a large graph also holds each batch's
+    gathers (see ``_gathers``), found for all of them at once, so that the
+    batch's reverse pass gathers nothing itself.
     """
     _check_finite("forward inputs", X, *params.weights())
     A = adj.matrix
-    if params.W1 is None:
-        return _sgc_state(params, X, _receptive_rows(A, rows, params.k))
-    return _gcn_state(params, X, _receptive_rows(A, rows, 2))
+    batches = rows if isinstance(rows, list) and rows and np.ndim(rows[0]) else None
+    if batches:
+        rows = np.concatenate(batches)
+    depth = 2 if params.W1 is not None else params.k
+    hops = _receptive_rows(A, rows, depth)
+    values, fields = (_gcn_state if params.W1 is not None else _sgc_state)(params, X, hops)
+    gathers = None
+    if batches and A.nnz >= _LIMITED_MIN_NNZ:
+        batches = [np.asarray(b, dtype=np.int64) for b in batches]
+        found = _gathers(A, batches, depth, fields)
+        gathers = {b.tobytes(): g for b, g in zip(batches, found)}
+    return ForwardState(values, fields, gathers)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -356,31 +490,21 @@ def attack_loss(logits: np.ndarray, labels: np.ndarray, target_set) -> float:
 
 
 def _loss_grad_rows(
-    state: ForwardState,
-    labels: np.ndarray,
-    node_set: np.ndarray,
-    objective: str,
-    ordered: bool,
-    assume_unique: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """dLoss/dlogits as ``(block, rows)``: zero outside the unique ``rows``.
+    Z: np.ndarray, labels: np.ndarray, g: _Gather, listed: int, objective: str
+) -> np.ndarray:
+    """dLoss/dlogits on the batch's unique rows ``g.rows``, zero elsewhere.
 
-    A node listed more than once counts once per listing, as in the losses.
-    ``rows`` are sorted unless ``node_set`` is taken as unique and ``ordered``
-    is false: only a limited product needs them in ascending order.
+    A node listed more than once counts once per listing, as in the losses;
+    ``listed`` is the number of listings.
     """
-    if assume_unique:
-        rows, counts = (np.sort(node_set) if ordered else node_set), None
-    else:
-        rows, counts = np.unique(node_set, return_counts=True)
-    probs = np.exp(_log_softmax(state.take(-1, rows)))
-    probs[np.arange(len(rows)), labels[rows]] -= 1.0
-    if counts is not None:
-        probs *= counts[:, None]
+    probs = np.exp(_log_softmax(Z[g.at[0]]))
+    probs[np.arange(len(g.rows)), labels[g.rows]] -= 1.0
+    if g.counts is not None:
+        probs *= g.counts[:, None]
     if objective == "masked_ce":
-        return probs / len(node_set), rows
+        return probs / listed
     if objective == "attack":
-        return -probs, rows
+        return -probs
     raise ValueError(f"unknown objective {objective!r}")
 
 
@@ -433,33 +557,28 @@ def _adjacency_entry_grads(
 
 
 def _reverse_product(
-    A: sp.csr_matrix, M: np.ndarray, rows: np.ndarray | None
+    A: sp.csr_matrix, M: np.ndarray, step: tuple | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``A @ M`` for the symmetric A and an M given on ``rows`` only.
+    """``A @ M`` for the symmetric A.
 
-    ``rows`` holds unique ids, sorted once A holds _LIMITED_MIN_NNZ entries,
-    and M one row for each, zero elsewhere; None means M is a full n-row
-    matrix. Returns the product as a block over
-    the sorted rows it can be nonzero on, with those rows, or the full
-    product with None. A symmetric A gives ``A @ M == A[rows].T @ M[rows]``:
-    the limited path scatters the entries of ``rows`` into the block in
-    order, so each output row sums the same terms in the same ascending
-    order as scipy's CSR product, less the zero ones, and the two agree bit
-    for bit.
+    With ``step`` None, M is a full n-row matrix and so is the product,
+    returned with None. Otherwise ``step`` is a ``_Gather`` step, M holds
+    one row for each of the step's columns and is zero on every other row,
+    and the product is returned as a block over the sorted rows
+    ``reached``, the only ones it can be nonzero on, with those rows. The
+    block is the step's block of A times M through scipy's CSR kernel, the
+    one ``A @ M`` runs: each block row holds the entries of A's row, less
+    those at rows of M that are zero, in the same order, so the two agree
+    bit for bit.
     """
-    if rows is not None:
-        entries = _limited_entries(A, rows)
-        if entries is not None:
-            pos, lens = entries
-            reached, slot = np.unique(A.indices[pos], return_inverse=True)
-            w = M.shape[1]
-            terms = A.data[pos, None] * np.repeat(M, lens, axis=0)
-            # bincount adds its weights one by one in input order.
-            flat = (slot[:, None] * w + np.arange(w)).ravel()
-            out = np.bincount(flat, weights=terms.ravel(), minlength=len(reached) * w)
-            return out.reshape(-1, w), reached
-        M = _full(M, rows, A.shape[0])
-    return A @ M, None
+    if step is None:
+        return A @ M, None
+    indptr, cols, data, reached = step
+    out = np.zeros((len(reached), M.shape[1]))
+    _sparsetools.csr_matvecs(
+        len(reached), len(M), M.shape[1], indptr, cols, data, M.ravel(), out.ravel()
+    )
+    return out, reached
 
 
 def backward(
@@ -484,17 +603,22 @@ def backward(
     the intermediates on every row and ``state`` is limited, the pass
     computes its own. A node listed twice in node_set counts twice; with
     ``assume_unique`` the caller vouches that none is, as for a batch drawn
-    without replacement, and the pass skips that check.
+    without replacement, and on a graph too small for limited products the
+    pass skips that check.
 
+    When the state was built for node_set as one of its batches (the same
+    ids in the same order), the pass reads the gathers found then;
+    otherwise it finds its own through the same routine (see ``_gathers``).
     Each reverse quantity is carried as a block over the rows it can be
-    nonzero on, with those rows, or as a full matrix with None once a product
-    went full; the dense steps then read only those rows of the state and of
-    X. dA and dX are built from full matrices. A row-restricted GEMM sums the
-    same nonzero terms as the full one. OpenBLAS adds them in the same order,
-    so the two agree bit for bit, while the full product stays on its
-    small-matrix GEMM kernel (m*n*k <= 10**6, every weight at least two
-    wide); beyond that it sums over the n rows in blocks, or as a GEMV, and
-    the two agree within rounding.
+    nonzero on, with those rows, or as a full matrix with None once a
+    product went full; the dense steps then read only those rows of the
+    state and of X. dA and dX are built from full matrices. A
+    row-restricted GEMM sums the same nonzero terms as the full one.
+    OpenBLAS adds them in the same order, so the two agree bit for bit,
+    while the full product stays on its small-matrix GEMM kernel
+    (m*n*k <= 10**6, every weight at least two wide); beyond that it sums
+    over the n rows in blocks, or as a GEMV, and the two agree within
+    rounding.
     """
     node_set = np.asarray(node_set, dtype=np.int64)
     if len(node_set) == 0:
@@ -503,20 +627,30 @@ def backward(
         state = forward_state(params, adj, X, None if want_dA else node_set)
     A = adj.matrix
     n = A.shape[0]
-    ordered = A.nnz >= _LIMITED_MIN_NNZ  # a limited product may read the loss rows
+    g = state.gathers.get(node_set.tobytes()) if state.gathers else None
+    if g is None:
+        depth = 2 if params.W1 is not None else params.k
+        g = _gathers(A, [node_set], depth, state.fields, assume_unique)[0]
 
+    def product(M, rows, h):
+        # M on ``rows`` (None: all n); A is symmetric, so A @ M reverses a product with A.
+        if h < len(g.steps):
+            return _reverse_product(A, M, g.steps[h])
+        return _reverse_product(A, _full(M, rows, n), None)
+
+    dZ = _loss_grad_rows(state.values[-1], labels, g, len(node_set), objective)
     if params.W1 is not None:
-        dZ, r0 = _loss_grad_rows(state, labels, node_set, objective, ordered, assume_unique)
-        dQ, r1 = _reverse_product(A, dZ, r0)  # A is symmetric
-        H = state.take(2, r1)
+        dQ, r1 = product(dZ, g.rows, 0)
+        H = _take(state.values[2], g.at[1])
         dW1 = H.T @ dQ
         dS0 = _rowwise(dQ, params.W1.T) * (H > 0.0)  # H > 0 exactly where S0 > 0
-        dP, r2 = _reverse_product(A, dS0, r1)
+        dP, r2 = product(dS0, r1, 1)
         dW0 = _take(X, r2).T @ dP
         dX = _full(dP, r2, n) @ params.W0.T if want_dX else None
         dA = (
             _adjacency_entry_grads(
-                adj, [(_full(dZ, r0, n), state.values[3]), (_full(dS0, r1, n), state.values[0])]
+                adj,
+                [(_full(dZ, g.rows, n), state.values[3]), (_full(dS0, r1, n), state.values[0])],
             )
             if want_dA
             else None
@@ -525,9 +659,9 @@ def backward(
         return GradientBundle.from_grads(dW0, dW1, dA, dX)
 
     # Linear propagation model: Z = A^k (X W0).
-    dus = [_loss_grad_rows(state, labels, node_set, objective, ordered, assume_unique)]
-    for _ in range(params.k):
-        dus.append(_reverse_product(A, *dus[-1]))
+    dus = [(dZ, g.rows)]
+    for h in range(params.k):
+        dus.append(product(*dus[-1], h))
     dus.reverse()  # dus[t] = dLoss/dU_t, with its rows
     du0, r0 = dus[0]
     dW0 = _take(X, r0).T @ du0

@@ -65,11 +65,22 @@ def load_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_splits_json(path) -> tuple[list[int], list[int], list[int]]:
+    """The (train, val, test) node-id lists; each must be a flat JSON list of
+    integers (``true`` and ``1.5`` are not node ids)."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected an object of train/val/test lists")
     missing = {"train", "val", "test"} - set(data)
     if missing:
         raise ValueError(f"{path}: missing split keys {sorted(missing)}")
+    for name in ("train", "val", "test"):
+        ids = data[name]
+        if not isinstance(ids, list):
+            raise ValueError(f"{name} split must be a list of node ids, got {json.dumps(ids)}")
+        for v in ids:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"{name} split lists {json.dumps(v)}, not an integer node id")
     return data["train"], data["val"], data["test"]
 
 

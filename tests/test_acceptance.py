@@ -31,6 +31,7 @@ from distpoison.experiment import (
     run_experiment,
     scaling_benchmark,
 )
+from distpoison import gnn
 from distpoison.gnn import ParamSet, check_gradients
 from distpoison.graph import (
     Partition,
@@ -102,8 +103,9 @@ def assert_reference_perturbations(results) -> None:
 
 # sha256 of repr([record.worker_norms, ...]) for each seed's clean and
 # poisoned training of each run below, recorded before worker passes shared
-# their forward state; any reimplementation of the worker pass must
-# reproduce every gradient norm exactly.
+# their forward state (the n = 200 runs) or their gathers (the large runs of
+# test_limited_path_worker_norms); any reimplementation of the worker pass
+# must reproduce every gradient norm exactly.
 REFERENCE_WORKER_NORMS = Path(__file__).parent / "data" / "reference_worker_norms.json"
 
 
@@ -185,6 +187,53 @@ def test_criterion_2_distributed_equivalence():
         f"4-worker full-batch vs single-node after 50 epochs: max weight gap "
         f"{gap:.2e} (<= 1e-10), {elapsed:.2f}s (< 10s)",
     )
+
+
+def large_sbm_config(n: int, model: str) -> ExperimentConfig:
+    """configs/sbm_disttack.yaml with RA poisoning, 8 workers and n nodes at
+    the reference degree: large enough for the limited products."""
+    block = n // 4
+    return ExperimentConfig.from_dict(
+        {
+            "dataset": {
+                "kind": "sbm",
+                "block_sizes": [block] * 4,
+                "p_intra": 5 / block,
+                "p_inter": 0.5 / block,
+                "feature_dim": 8,
+                "noise": 1.2,
+                "train_frac": 0.3,
+                "val_frac": 0.2,
+            },
+            "model": model,
+            "sgc_k": 2,
+            "hidden_dim": 16,
+            "workers": 8,
+            "epochs": 100,
+            "batch_size": 8,
+            "learning_rate": 0.3,
+            "attack": {"kind": "ra", "edge_budget_frac": 0.05, "feature_budget": 20},
+            "seeds": [12345],
+        }
+    )
+
+
+@pytest.mark.parametrize("name, n, model", [("victim_n6400", 6400, "gcn"),
+                                            ("sgc2_n1600", 1600, "sgc")])
+def test_limited_path_worker_norms(name, n, model, monkeypatch):
+    # The n = 200 runs above never take the limited products. At n = 6,400
+    # both views' states are limited; at n = 1,600 the clean view's state is
+    # full while each batch's products are limited.
+    taken = {"limited": 0, "full": 0}
+    real = gnn._reverse_product
+
+    def spy(A, M, step):
+        taken["full" if step is None else "limited"] += 1
+        return real(A, M, step)
+
+    monkeypatch.setattr(gnn, "_reverse_product", spy)
+    assert_reference_worker_norms(name, run_experiment(large_sbm_config(n, model)))
+    assert taken["limited"] > 0 and taken["full"] == 0
 
 
 def test_criterion_3_attack_efficacy(efficacy_runs):

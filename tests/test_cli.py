@@ -239,6 +239,12 @@ def test_files_dataset_negative_label_fails_before_training(tmp_path, capsys, mo
         ("edges.txt", "3\t4\n", "3 4 5\n", "dataset.edges: "),
         ("splits.json", "[8, 9]", "[8, 9, 1]", "dataset.splits: node 1 appears in more"),
         ("splits.json", '"val"', '"dev"', "dataset.splits: "),
+        ("splits.json", "[8, 9]", "[8, 1.5]", "dataset.splits: val split lists 1.5, not an"),
+        ("splits.json", "[8, 9]", "[8, true]", "dataset.splits: val split lists true, not an"),
+        ("splits.json", "[8, 9]", '[8, "x"]', 'dataset.splits: val split lists "x", not an'),
+        ("splits.json", "[8, 9]", "[8, null]", "dataset.splits: val split lists null, not an"),
+        ("splits.json", "[8, 9]", "[8, [9]]", "dataset.splits: val split lists [9], not an"),
+        ("splits.json", "[8, 9]", "8", "dataset.splits: val split must be a list of node ids"),
     ],
 )
 def test_files_dataset_bad_content_exits_two(tmp_path, capsys, name, old, new, message):

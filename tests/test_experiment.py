@@ -192,7 +192,7 @@ class TestEmitResults:
         results = run_experiment(cfg)
         out = tmp_path / "out"
         emit_results(results, out, cfg)
-        emit_histograms(cfg, results, out)
+        emit_histograms(results, out)
         names = {p.name for p in out.iterdir()}
         assert {
             "summary.json",
@@ -211,7 +211,7 @@ class TestEmitResults:
             raise AssertionError("emit_histograms rebuilt a dataset")
 
         monkeypatch.setattr(experiment_module, "build_dataset", no_rebuild)
-        written = emit_histograms(cfg, results, tmp_path)
+        written = emit_histograms(results, tmp_path)
         monkeypatch.undo()
         assert len(written) == 2
         for r, path in zip(results, written):

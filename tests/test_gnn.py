@@ -589,6 +589,83 @@ class TestLimitedForward:
         assert not state.limited
 
 
+def model_params(model, feature_dim, classes, seed):
+    """GCN (hidden 5) or SGC weights for a model name "gcn" or "sgc<k>"."""
+    if model == "gcn":
+        return ParamSet.init_gcn(feature_dim, 5, classes, seed=seed)
+    return ParamSet.init_sgc(feature_dim, classes, seed=seed, k=int(model[-1]))
+
+
+class TestSharedGathers:
+    """Reverse passes on one state built for several batches, against the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 24),
+        model=st.sampled_from(["gcn", "sgc1", "sgc2", "sgc3"]),
+        cuts=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+        extra_picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+        limits=st.sampled_from([(0, 1), (0, 2), (0, 8), (None, None)]),
+        objective=st.sampled_from(["masked_ce", "attack"]),
+        want_dX=st.booleans(),
+    )
+    def test_matches_oracle(
+        self, seed, n, model, cuts, extra_picks, limits, objective, want_dX
+    ):
+        # Disjoint batches of a dense random graph share neighbours; the
+        # extra node set is a subset of their union with repeats, which the
+        # state was not built for, so its pass gathers for itself.
+        g, rng = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
+        adj = normalize_adjacency(g)
+        params = model_params(model, 3, 3, seed)
+        nodes = rng.permutation(n)[: max(1, n * 2 // 3)]
+        bounds = sorted({0, len(nodes), *(c % len(nodes) for c in cuts)})
+        batches = [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
+        extra = [nodes[p % len(nodes)] for p in extra_picks]
+        min_nnz, share = limits
+        if min_nnz is None:
+            min_nnz, share = gnn._LIMITED_MIN_NNZ, gnn._LIMITED_SHARE
+        kw = dict(want_dX=want_dX, objective=objective)
+        seen, spy = count_limited_products()
+        with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", min_nnz), \
+                mock.patch.object(gnn, "_LIMITED_SHARE", share):
+            state = forward_state(params, adj, g.features, rows=batches)
+            assert (state.gathers is not None) == (min_nnz == 0)
+            got = [backward(params, adj, g.features, g.labels, b, state=state,
+                            assume_unique=True, **kw) for b in batches]
+            got.append(backward(params, adj, g.features, g.labels, extra, state=state, **kw))
+        if share == 1:
+            assert seen["full"] == 0
+        for b, bundle in zip(batches + [extra], got):
+            assert_same_bundle(
+                bundle, gnn_oracle.backward(params, adj, g.features, g.labels, b, **kw)
+            )
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc1", "sgc2", "sgc3"])
+    def test_default_thresholds(self, model):
+        # 3,200 nodes at degree about 6.5 under the default thresholds. The
+        # hub's neighbours, split over four batches, share the hub; three
+        # more batches are drawn from the training nodes.
+        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+        adj = normalize_adjacency(g)
+        params = model_params(model, 8, 4, 1)
+        hub = int(np.argmax(g.degrees()))
+        rng = np.random.default_rng(0)
+        ring = rng.permutation(g.neighbors(hub))[:12]
+        rest = np.setdiff1d(np.flatnonzero(g.train_mask), ring)
+        batches = [*np.array_split(ring, 4), *rng.choice(rest, (3, 8), replace=False)]
+        state = forward_state(params, adj, g.features, rows=batches)
+        assert len(state.gathers) == len(batches)
+        extra = np.concatenate([batches[0], batches[0], batches[-1][:3]])  # undeclared, repeats
+        seen, spy = count_limited_products()
+        with spy:
+            for b in batches + [extra]:
+                got = backward(params, adj, g.features, g.labels, b, state=state)
+                assert_same_bundle(got, gnn_oracle.backward(params, adj, g.features, g.labels, b))
+        assert seen["limited"] > 0
+
+
 class TestSGDStep:
     def test_zero_gradient_fixed_point(self):
         params = ParamSet(W0=np.ones((2, 2)), W1=np.ones((2, 2)), learning_rate=0.5)

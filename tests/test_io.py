@@ -57,6 +57,12 @@ class TestLoaders:
         with pytest.raises(ValueError, match="test"):
             load_splits_json(p)
 
+    def test_splits_json_not_an_object(self, tmp_path):
+        p = tmp_path / "splits.json"
+        p.write_text("[[0], [1], [2]]")
+        with pytest.raises(ValueError, match="expected an object"):
+            load_splits_json(p)
+
     def test_full_graph_load(self, tmp_path):
         e, f, s = write_dataset(
             tmp_path,
