@@ -287,15 +287,12 @@ def _stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return tagged & ((1 << bits) - 1), tagged >> bits
 
 
-def _gathers(
-    A: sp.csr_matrix, batches: list, depth: int, fields: tuple, assume_unique: bool = False
-) -> list[_Gather]:
-    """Each batch's ``_Gather`` for a reverse pass of ``depth`` products over A.
+def _gathers(A: sp.csr_matrix, batches: list, depth: int, fields: tuple) -> list[_Gather]:
+    """Each batch's ``_Gather`` for a reverse pass of ``depth`` products over
+    an A of at least _LIMITED_MIN_NNZ entries.
 
     ``fields`` are the forward state's (see ``ForwardState``); the pass
-    reads the state at hops 0 and 1, on the last two. On a graph too small
-    for limited products the rows stay as given (``assume_unique``) or are
-    made unique, and every product is full. Otherwise all batches are
+    reads the state at hops 0 and 1, on the last two. All batches are
     gathered together, from A's CSR arrays: one sort of (batch, node) keys
     gives every batch's rows, and one stable sort of (batch, column) keys
     per hop gives every batch's reached rows and its block of A, each block
@@ -304,12 +301,6 @@ def _gathers(
     1/_LIMITED_SHARE of A's entries; from its first full product on it
     gathers nothing more.
     """
-    if A.nnz < _LIMITED_MIN_NNZ:
-        out = []
-        for b in batches:
-            rows, counts = (b, None) if assume_unique else np.unique(b, return_counts=True)
-            out.append(_Gather(rows, counts, (), (rows, None)))
-        return out
     nb, n = len(batches), A.shape[0]
     ids = np.arange(nb + 1)
     sizes = [len(b) for b in batches]
@@ -628,9 +619,11 @@ def backward(
     A = adj.matrix
     n = A.shape[0]
     g = state.gathers.get(node_set.tobytes()) if state.gathers else None
-    if g is None:
-        depth = 2 if params.W1 is not None else params.k
-        g = _gathers(A, [node_set], depth, state.fields, assume_unique)[0]
+    if g is None and A.nnz < _LIMITED_MIN_NNZ:  # every product is full
+        rows, counts = (node_set, None) if assume_unique else np.unique(node_set, return_counts=True)
+        g = _Gather(rows, counts, (), (rows, None))
+    elif g is None:
+        g = _gathers(A, [node_set], 2 if params.W1 is not None else params.k, state.fields)[0]
 
     def product(M, rows, h):
         # M on ``rows`` (None: all n); A is symmetric, so A @ M reverses a product with A.
