@@ -353,7 +353,7 @@ def _gathers(A: sp.csr_matrix, batches: list, depth: int, fields: tuple) -> list
     return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class ForwardState:
     """The forward intermediates that ``backward`` reverses, logits last.
 
@@ -428,9 +428,9 @@ def forward_state(
     depends on the weights, the adjacency and the features only, so every
     batch on the same graph view under the same weights can share one.
 
-    ``rows`` names the nodes whose logits will be differentiated: an array
-    of node ids (repeats allowed), or a list of such arrays, the batches
-    whose reverse passes will read the state; None means every node. On a
+    ``rows`` names the nodes whose logits will be differentiated: node ids
+    (repeats allowed), or a list of numpy arrays of them, the batches whose
+    reverse passes will read the state; None means every node. On a
     large graph the products are then taken over the receptive field of the
     rows only: Z over the rows, S0, H and Q over the nodes one hop away, and
     U_t over the nodes k - t hops away, each while that field passes the
@@ -443,7 +443,7 @@ def forward_state(
     """
     _check_finite("forward inputs", X, *params.weights())
     A = adj.matrix
-    batches = rows if isinstance(rows, list) and rows and np.ndim(rows[0]) else None
+    batches = rows if isinstance(rows, list) and rows and isinstance(rows[0], np.ndarray) else None
     if batches:
         rows = np.concatenate(batches)
     depth = 2 if params.W1 is not None else params.k
@@ -572,6 +572,17 @@ def _reverse_product(
     return out, reached
 
 
+def _hop_product(A: sp.csr_matrix, g: _Gather, h: int, M: np.ndarray, rows) -> tuple:
+    """``A @ M`` at hop h of g's reverse pass, for M on ``rows`` (None: all n
+    rows): limited while g holds a step for hop h, full from then on. A is
+    symmetric, so a product with A reverses a product with A."""
+    if h < len(g.steps):
+        return _reverse_product(A, M, g.steps[h])
+    if rows is not None:
+        M = _full(M, rows, A.shape[0])
+    return _reverse_product(A, M, None)
+
+
 def backward(
     params: ParamSet,
     adj: NormalizedAdjacency,
@@ -625,19 +636,13 @@ def backward(
     elif g is None:
         g = _gathers(A, [node_set], 2 if params.W1 is not None else params.k, state.fields)[0]
 
-    def product(M, rows, h):
-        # M on ``rows`` (None: all n); A is symmetric, so A @ M reverses a product with A.
-        if h < len(g.steps):
-            return _reverse_product(A, M, g.steps[h])
-        return _reverse_product(A, _full(M, rows, n), None)
-
     dZ = _loss_grad_rows(state.values[-1], labels, g, len(node_set), objective)
     if params.W1 is not None:
-        dQ, r1 = product(dZ, g.rows, 0)
+        dQ, r1 = _hop_product(A, g, 0, dZ, g.rows)
         H = _take(state.values[2], g.at[1])
         dW1 = H.T @ dQ
         dS0 = _rowwise(dQ, params.W1.T) * (H > 0.0)  # H > 0 exactly where S0 > 0
-        dP, r2 = product(dS0, r1, 1)
+        dP, r2 = _hop_product(A, g, 1, dS0, r1)
         dW0 = _take(X, r2).T @ dP
         dX = _full(dP, r2, n) @ params.W0.T if want_dX else None
         dA = (
@@ -654,7 +659,7 @@ def backward(
     # Linear propagation model: Z = A^k (X W0).
     dus = [(dZ, g.rows)]
     for h in range(params.k):
-        dus.append(product(*dus[-1], h))
+        dus.append(_hop_product(A, g, h, *dus[-1]))
     dus.reverse()  # dus[t] = dLoss/dU_t, with its rows
     du0, r0 = dus[0]
     dW0 = _take(X, r0).T @ du0
