@@ -596,6 +596,15 @@ def model_params(model, feature_dim, classes, seed):
     return ParamSet.init_sgc(feature_dim, classes, seed=seed, k=int(model[-1]))
 
 
+@pytest.mark.parametrize("bound", [50, 2**60])  # packed positions; too wide to pack
+def test_stable_sort_is_a_stable_argsort(bound):
+    keys = np.random.default_rng(0).integers(0, 50, 300)
+    order, ordered = gnn._stable_sort(keys, bound)
+    want = np.argsort(keys, kind="stable")
+    np.testing.assert_array_equal(order, want)
+    np.testing.assert_array_equal(ordered, keys[want])
+
+
 class TestSharedGathers:
     """Reverse passes on one state built for several batches, against the oracle."""
 
