@@ -553,14 +553,15 @@ def _reverse_product(
     """``A @ M`` for the symmetric A.
 
     With ``step`` None, M is a full n-row matrix and so is the product,
-    returned with None. Otherwise ``step`` is a ``_Gather`` step, M holds
-    one row for each of the step's columns and is zero on every other row,
-    and the product is returned as a block over the sorted rows
-    ``reached``, the only ones it can be nonzero on, with those rows. The
-    block is the step's block of A times M through scipy's CSR kernel, the
-    one ``A @ M`` runs: each block row holds the entries of A's row, less
-    those at rows of M that are zero, in the same order, so the two agree
-    bit for bit.
+    returned with None. Otherwise ``step`` is a ``_Gather`` step and M holds
+    the rows at the step's columns, one each, of an n-row matrix that is
+    zero on every other row; the product is returned as a block over the
+    sorted rows ``reached``, the only ones it can be nonzero on, with those
+    rows. It is the step's block of A times M through scipy's CSR kernel,
+    the one ``A @ M`` runs, called directly because a ``csr_matrix`` per
+    block costs more to build than the product: each block row holds the
+    entries of A's row, less those at rows of M that are zero, in the same
+    order, so the two agree bit for bit.
     """
     if step is None:
         return A @ M, None
