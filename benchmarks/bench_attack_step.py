@@ -60,7 +60,7 @@ def _sbm_args(n):
 def case(request):
     n = request.param
     g = generate_sbm(*_sbm_args(n))
-    # A few removals, as mid-attack: the state then reads tombstoned rows.
+    # A few removals, as mid-attack: the state then reads rebuilt rows.
     for i, j in g.edge_array()[:: max(1, g.num_edges // 10)][:10]:
         g.remove_edge(int(i), int(j))
     hub = int(np.argmax(g.degrees()))

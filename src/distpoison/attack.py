@@ -128,10 +128,10 @@ class PerturbationSet:
     def apply_to(self, g: Graph) -> Graph:
         """Fresh perturbed copy of ``g``; the input is untouched."""
         out = g.copy()
-        for rem in self.edges_removed:
-            out.remove_edge(rem.i, rem.j)
-        for add in self.edges_added:
-            out.add_edge(add.i, add.j)
+        out.edit(
+            removed=[(r.i, r.j) for r in self.edges_removed],
+            added=[(a.i, a.j) for a in self.edges_added],
+        )
         for flip in self.features_flipped:
             out.set_feature(flip.node, flip.dim, flip.new)
         return out
@@ -369,8 +369,7 @@ def select_targets(
     pool = part.training_pool(g, worker)
     if len(pool) == 0:
         raise ValueError(f"worker {worker} owns no training nodes")
-    degs = np.array([g.degree(int(v)) for v in pool])
-    order = np.lexsort((pool, -degs))
+    order = np.lexsort((pool, -g.degrees(pool)))
     return [int(v) for v in pool[order][:count]]
 
 

@@ -1,12 +1,13 @@
 """Sparse undirected graphs with features, labels, splits, and worker partitions.
 
-The graph is stored as CSR (row pointer + sorted column array). Edge removal
-tombstones entries in place and compacts lazily, so that attacks removing a
-handful of edges per iteration do not pay a full rebuild each time. Edges added
-after construction (used by the random/DICE baselines) live in a small overlay
-until the next compaction. The degree vector is kept current by every edit,
-so degree queries never recount the adjacency, and an edit counter lets
-caches built from a graph tell whether it has changed since.
+The adjacency is stored as CSR (row pointer + sorted column array), and no
+code writes those arrays in place: every edge edit goes through
+``Graph.edit``, which checks all of its edges before it changes anything and
+then builds new arrays. Copies, neighbor views and caches such as the
+stealth state can therefore share the arrays, and a view taken before an
+edit reads the same after it. Degrees and the edge count are read from the
+row pointer, and an edit counter lets caches built from a graph tell whether
+it has changed since.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ __all__ = [
     "count_cross_edges",
 ]
 
-# Compact once this many tombstoned/overlay entries accumulate.
-_COMPACT_SLACK = 64
-
 # generate_sbm draws the upper triangle's uniforms into one buffer of this
 # many cells (8 MB of float64), or of the whole triangle when that is smaller.
 _SBM_BLOCK_CELLS = 1 << 20
@@ -53,9 +51,10 @@ class GraphError(ValueError):
 class Graph:
     """Undirected graph: CSR adjacency, dense features, labels, split masks.
 
-    Immutable after construction except through the explicit mutation methods
-    (``remove_edge``, ``add_edge``, ``set_feature``), which are meant to be
-    driven by a single perturbation owner; concurrent readers are safe.
+    The CSR arrays are replaced, never written, by ``edit`` and its one-edge
+    forms ``remove_edge`` and ``add_edge``; ``set_feature`` writes one
+    feature in place. Edits are meant to be driven by a single perturbation
+    owner; concurrent readers are safe.
     """
 
     def __init__(
@@ -79,13 +78,7 @@ class Graph:
         self.val_mask = val_mask
         self.test_mask = test_mask
         self.dropped_self_loops = dropped_self_loops
-        self._alive = np.ones(len(indices), dtype=bool)
-        self._extra: dict[int, set[int]] = {}
-        self._overlay = 0  # entries held in _extra, both directions counted
-        self._num_edges = len(indices) // 2
-        self._dead = 0
-        self._deg = np.diff(indptr).astype(np.int64)
-        # Bumped by every mutation method; compaction is not an edit.
+        # Bumped once per edge or feature edited.
         self.edits = 0
 
     # -- queries ---------------------------------------------------------
@@ -101,149 +94,156 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Undirected edge count of the current (possibly perturbed) graph."""
-        return self._num_edges
+        return len(self.indices) // 2
 
     def neighbors(self, i: int) -> np.ndarray:
-        base = self.indices[self.indptr[i] : self.indptr[i + 1]]
-        mask = self._alive[self.indptr[i] : self.indptr[i + 1]]
-        cols = base[mask]
-        extra = self._extra.get(i)
-        if extra:
-            cols = np.concatenate([cols, np.fromiter(extra, dtype=np.int64)])
-            cols.sort()
-        return cols
+        """Neighbors of ``i`` ascending: a view that later edits leave as it is."""
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def degree(self, i: int) -> int:
-        return int(self._deg[i])
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def degrees(self, nodes=None) -> np.ndarray:
         """Current degrees of every node, or of ``nodes``, as a fresh array."""
-        return self._deg.copy() if nodes is None else self._deg[nodes]
+        if nodes is None:
+            return np.diff(self.indptr)
+        nodes = np.asarray(nodes)
+        return self.indptr[nodes + 1] - self.indptr[nodes]
 
     def has_edge(self, i: int, j: int) -> bool:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        pos = lo + np.searchsorted(self.indices[lo:hi], j)
-        if pos < hi and self.indices[pos] == j and self._alive[pos]:
-            return True
-        extra = self._extra.get(i)
-        return bool(extra and j in extra)
+        row = self.neighbors(i)
+        pos = np.searchsorted(row, j)
+        return bool(pos < len(row) and row[pos] == j)
 
     def edge_array(self) -> np.ndarray:
-        """All current undirected edges as an (m, 2) array with i < j."""
+        """All current undirected edges as an (m, 2) array with i < j, ascending."""
         rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
-        keep = self._alive & (rows < self.indices)
-        pairs = [np.column_stack([rows[keep], self.indices[keep]])]
-        for i, extra in self._extra.items():
-            js = np.fromiter((j for j in extra if i < j), dtype=np.int64)
-            if len(js):
-                pairs.append(np.column_stack([np.full(len(js), i, dtype=np.int64), js]))
-        out = np.concatenate(pairs, axis=0) if pairs else np.empty((0, 2), dtype=np.int64)
-        order = np.lexsort((out[:, 1], out[:, 0]))
-        return out[order]
+        keep = rows < self.indices
+        return np.column_stack([rows[keep], self.indices[keep]])
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of the current adjacency, rows ascending.
 
-        Tombstones are dropped and overlay edges merged in; the arrays are the
-        graph's own when it holds neither, so treat them as read-only.
+        These are the graph's own arrays, shared with its copies; read them,
+        never write them.
         """
-        if not self._dead and not self._extra:
-            return self.indptr, self.indices
-        n = self.num_nodes
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))[self._alive]
-        cols = self.indices[self._alive]
-        if self._extra:
-            extra = np.array(
-                [(i, j) for i, js in self._extra.items() for j in js], dtype=np.int64
-            ).reshape(-1, 2)
-            keys = np.sort(np.concatenate([rows * n + cols, extra[:, 0] * n + extra[:, 1]]))
-            cols = keys % n
-        indptr = np.concatenate([[0], np.cumsum(self._deg)])
-        return indptr, cols
+        return self.indptr, self.indices
 
     def adjacency_csr(self) -> sp.csr_matrix:
         """Raw adjacency A (no self-loops) as a scipy CSR matrix of 1.0s."""
-        e = self.edge_array()
-        if len(e) == 0:
-            return sp.csr_matrix((self.num_nodes, self.num_nodes), dtype=np.float64)
-        r = np.concatenate([e[:, 0], e[:, 1]])
-        c = np.concatenate([e[:, 1], e[:, 0]])
-        m = sp.coo_matrix(
-            (np.ones(len(r)), (r, c)), shape=(self.num_nodes, self.num_nodes)
-        ).tocsr()
-        m.sort_indices()
-        return m
+        n = self.num_nodes
+        return sp.csr_matrix((np.ones(len(self.indices)), self.indices, self.indptr), shape=(n, n))
 
     # -- mutation (perturbation owner only) --------------------------------
 
+    def edit(self, removed=(), added=()) -> None:
+        """Remove the edges ``removed``, then add the edges ``added``.
+
+        Both are sequences of (i, j) pairs, in either orientation. The result
+        equals removing and then adding them one at a time, so an edge removed
+        here may be added back in the same call. Every edge is checked before
+        anything changes: the first bad one in input order (a removal of an
+        absent edge, an addition of a present one, a self-loop or an id out of
+        range) raises ``GraphError`` and leaves the graph as it was. ``edits``
+        goes up by one per edge.
+        """
+        n = self.num_nodes
+        rem, add = _edge_pairs(removed), _edge_pairs(added)
+        # Each CSR entry as its key row * n + col, ascending.
+        keys = np.repeat(np.arange(n) * n, np.diff(self.indptr)) + self.indices
+
+        # Either phase is skipped when empty: one-edge calls are the common case.
+        if len(rem):
+            rem_key = _undirected_keys(rem, n)
+            bad = ~_contains(keys, rem_key) | _repeats(rem_key)
+            if bad.any():
+                k = int(np.argmax(bad))
+                i, j = rem[k]
+                if rem_key[k] < 0:
+                    raise GraphError(f"node id out of range in edge ({i}, {j})")
+                raise GraphError(f"edge ({i}, {j}) not present")
+            keys = np.delete(keys, np.searchsorted(keys, _directed_keys(rem, n)))
+        if len(add):
+            add_key = _undirected_keys(add, n)
+            loop = add[:, 0] == add[:, 1]
+            bad = loop | (add_key < 0) | _contains(keys, add_key) | _repeats(add_key)
+            if bad.any():
+                k = int(np.argmax(bad))
+                i, j = add[k]
+                if loop[k]:
+                    raise GraphError(f"self-loops are not storable: edge ({i}, {j})")
+                if add_key[k] < 0:
+                    raise GraphError(f"node id out of range in edge ({i}, {j})")
+                raise GraphError(f"edge ({i}, {j}) already present")
+            new = np.sort(_directed_keys(add, n))
+            keys = np.insert(keys, np.searchsorted(keys, new), new)
+
+        self.indptr, self.indices = _csr(keys, n)
+        self.edits += len(rem) + len(add)
+
     def remove_edge(self, i: int, j: int) -> None:
-        if i == j or not self.has_edge(i, j):
-            raise GraphError(f"edge ({i}, {j}) not present")
-        for a, b in ((i, j), (j, i)):
-            extra = self._extra.get(a)
-            if extra and b in extra:
-                extra.remove(b)
-                self._overlay -= 1
-                continue
-            lo, hi = self.indptr[a], self.indptr[a + 1]
-            pos = lo + np.searchsorted(self.indices[lo:hi], b)
-            self._alive[pos] = False
-            self._dead += 1
-        self._deg[[i, j]] -= 1
-        self._num_edges -= 1
-        self.edits += 1
-        self._maybe_compact()
+        self.edit(removed=[(i, j)])
 
     def add_edge(self, i: int, j: int) -> None:
-        if i == j:
-            raise GraphError("self-loops are not storable")
-        if not (0 <= i < self.num_nodes and 0 <= j < self.num_nodes):
-            raise GraphError(f"node id out of range in edge ({i}, {j})")
-        if self.has_edge(i, j):
-            raise GraphError(f"edge ({i}, {j}) already present")
-        self._extra.setdefault(i, set()).add(j)
-        self._extra.setdefault(j, set()).add(i)
-        self._overlay += 2
-        self._deg[[i, j]] += 1
-        self._num_edges += 1
-        self.edits += 1
-        self._maybe_compact()
+        self.edit(added=[(i, j)])
 
     def set_feature(self, node: int, dim: int, value: float) -> None:
         self.features[node, dim] = value
         self.edits += 1
 
-    def _maybe_compact(self) -> None:
-        if self._dead + self._overlay > max(_COMPACT_SLACK, len(self.indices) // 4):
-            self.compact()
-
-    def compact(self) -> None:
-        """Rebuild the CSR arrays, folding in tombstones and overlay edges."""
-        self.indptr, self.indices = self.csr_arrays()
-        self._alive = np.ones(len(self.indices), dtype=bool)
-        self._extra = {}
-        self._overlay = 0
-        self._dead = 0
-
     def copy(self) -> "Graph":
+        """A graph that edits independently of this one; the CSR arrays, which
+        no edit writes, are shared."""
         g = Graph.__new__(Graph)
-        g.num_nodes = self.num_nodes
-        g.indptr = self.indptr.copy()
-        g.indices = self.indices.copy()
-        g.features = self.features.copy()
-        g.labels = self.labels.copy()
-        g.train_mask = self.train_mask.copy()
-        g.val_mask = self.val_mask.copy()
-        g.test_mask = self.test_mask.copy()
-        g.dropped_self_loops = self.dropped_self_loops
-        g._alive = self._alive.copy()
-        g._extra = {i: set(s) for i, s in self._extra.items()}
-        g._overlay = self._overlay
-        g._num_edges = self._num_edges
-        g._dead = self._dead
-        g._deg = self._deg.copy()
-        g.edits = self.edits
+        g.__dict__.update(self.__dict__)
+        for name in ("features", "labels", "train_mask", "val_mask", "test_mask"):
+            setattr(g, name, getattr(self, name).copy())
         return g
+
+
+def _edge_pairs(edge_list, source: str | None = None) -> np.ndarray:
+    """``edge_list`` as an (m, 2) int64 array, an empty list included."""
+    e = np.asarray(edge_list, dtype=np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise GraphError(f"edge list must hold (i, j) pairs, got shape {e.shape}", source)
+    return e
+
+
+def _undirected_keys(e: np.ndarray, n: int) -> np.ndarray:
+    """One key min * n + max per edge of ``e``; -1 where an id is out of range."""
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    return np.where((lo < 0) | (hi >= n), -1, lo * n + hi)
+
+
+def _directed_keys(e: np.ndarray, n: int) -> np.ndarray:
+    """Both directed keys row * n + col of each edge of ``e``."""
+    i, j = e[:, 0], e[:, 1]
+    return np.concatenate([i * n + j, j * n + i])
+
+
+def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the ascending, distinct entry keys ``keys``,
+    marked read-only: graphs and their copies share them."""
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    indices = keys % n
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` is in the ascending array ``sorted_keys``."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys if len(sorted_keys) else np.zeros(len(keys), dtype=bool)
+
+
+def _repeats(ids: np.ndarray) -> np.ndarray:
+    """Marks every entry of ``ids`` equal to an earlier one."""
+    order = np.argsort(ids, kind="stable")
+    rep = np.zeros(len(ids), dtype=bool)
+    rep[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    return rep
 
 
 def _distinct(ids) -> np.ndarray:
@@ -280,30 +280,24 @@ def build_graph(
         node = int(np.argmax(labels < 0))
         raise GraphError(f"node {node} has negative label {labels[node]}", "features")
 
-    e = np.asarray(edge_list, dtype=np.int64)
-    if e.size == 0:
-        e = e.reshape(0, 2)
-    if e.ndim != 2 or e.shape[1] != 2:
-        raise GraphError(f"edge list must hold (i, j) pairs, got shape {e.shape}", "edges")
+    e = _edge_pairs(edge_list, "edges")
     if len(e) and (e.min() < 0 or e.max() >= n):
         i, j = e[np.argmax(((e < 0) | (e >= n)).any(axis=1))]
         raise GraphError(f"edge ({i}, {j}) references a node id >= {n}", "edges")
-    i, j = e[:, 0], e[:, 1]
-    loops = i == j
+    loops = e[:, 0] == e[:, 1]
     dropped = int(np.count_nonzero(loops))
     if dropped:
         warnings.warn(f"dropped {dropped} self-loop(s) from input edge list")
-        i, j = i[~loops], j[~loops]
+        e = e[~loops]
 
     masks = _split_masks(splits, n)
 
-    # Each edge as its two directed keys row * n + col: sorted and
-    # deduplicated, they are the CSR entries in order.
-    keys = np.concatenate([i * n + j, j * n + i])
+    # Sorted and deduplicated, the edges' directed keys are the CSR entries
+    # in order.
+    keys = _directed_keys(e, n)
     if len(keys):
         keys = _distinct(keys)
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return Graph(n, indptr, keys % n, features, labels, *masks, dropped_self_loops=dropped)
+    return Graph(n, *_csr(keys, n), features, labels, *masks, dropped_self_loops=dropped)
 
 
 def _split_masks(splits, n: int) -> list[np.ndarray]:
@@ -316,10 +310,7 @@ def _split_masks(splits, n: int) -> list[np.ndarray]:
         if len(ids):
             ids = np.asarray(ids, dtype=np.int64).ravel()
             out = (ids < 0) | (ids >= n)
-            _, first = np.unique(ids, return_index=True)
-            bad = np.ones(len(ids), dtype=bool)
-            bad[first] = False  # now marks repeats within the split
-            bad |= out | taken[np.where(out, 0, ids)]
+            bad = _repeats(ids) | out | taken[np.where(out, 0, ids)]
             if bad.any():
                 k = int(np.argmax(bad))
                 if out[k]:
@@ -468,25 +459,31 @@ class Subgraph:
 
 
 def sample_1hop(g: Graph, target: int) -> Subgraph:
-    """Induced subgraph on the target and all of its current neighbors."""
+    """Induced subgraph on the target and all of its current neighbors.
+
+    The members' CSR rows are gathered at once and their columns looked up
+    among the members by one ``searchsorted``. Edges come in the order of a
+    walk over the members' rows, keeping each (local i, local j) with i < j.
+    """
     if not 0 <= target < g.num_nodes:
         raise GraphError(f"target node {target} out of range")
-    neigh = g.neighbors(target)
-    node_ids = np.concatenate([[target], neigh]).astype(np.int64)
-    local_of = {int(v): k for k, v in enumerate(node_ids)}
-    edges = []
-    for li, v in enumerate(node_ids):
-        for w in g.neighbors(int(v)):
-            lw = local_of.get(int(w))
-            if lw is not None and li < lw:
-                edges.append((li, lw))
-    edges = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
+    indptr, indices = g.csr_arrays()
+    node_ids = np.concatenate([[target], g.neighbors(target)]).astype(np.int64)
+    starts = indptr[node_ids]
+    counts = indptr[node_ids + 1] - starts
+    li = np.repeat(np.arange(len(node_ids)), counts)
+    cols = indices[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(len(li))]
+    # node_ids is ascending except for the target in front.
+    order = np.argsort(node_ids)
+    at = np.minimum(np.searchsorted(node_ids[order], cols), len(node_ids) - 1)
+    lw = order[at]
+    keep = (node_ids[lw] == cols) & (li < lw)
     return Subgraph(
         node_ids=node_ids,
-        edges=edges,
-        features=g.features[node_ids].copy(),
-        labels=g.labels[node_ids].copy(),
-        local_of=local_of,
+        edges=np.column_stack([li[keep], lw[keep]]),
+        features=g.features[node_ids],
+        labels=g.labels[node_ids],
+        local_of=dict(zip(node_ids.tolist(), range(len(node_ids)))),
     )
 
 

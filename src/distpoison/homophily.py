@@ -13,9 +13,9 @@ The greedy attack scores each candidate with a trial vector
 (``homophily_after_edge_removal``, ``homophily_after_feature_change``) that
 recomputes only the candidate's one-hop neighborhood. The trials read a
 ``StealthState`` built once per attack and advanced by each applied move:
-the neighbor lists, degrees and weighted rows of the whole graph, so a trial
-gathers the affected rows, overrides the entries the candidate changes and
-reduces them.
+the graph's CSR arrays, its degrees and the weighted rows of the whole graph,
+so a trial gathers the affected rows, overrides the entries the candidate
+changes and reduces them.
 Trial vectors are bit-identical to recomputing each affected node from
 scratch on its own, with its neighbor rows summed in ascending neighbor
 order; the tests keep that per-node recompute as their oracle.
@@ -119,18 +119,19 @@ class StaleStateError(RuntimeError):
 class StealthState:
     """What every stealth trial reads, kept current with the graph it describes.
 
-    Holds, for ``g`` as it stands: its neighbor lists (row u's neighbors
-    ascending in ``indices[indptr[u] : indptr[u] + degrees[u]]``), the
-    degrees, each node's weighted row (its features times its neighbor
-    weight; one row per node plus a zero row at index n that pads the blocks
-    a trial gathers), the squared norms of the own rows, the current
-    homophily vector ``values`` and the clean vector sorted once for W1.
-    ``clean`` defaults to ``values``. Everything cached is O(n d + m), so a
-    trial pads only the neighborhood it touches.
+    Holds, for ``g`` as it stands: its CSR arrays ``indptr`` and ``indices``
+    as ``g.csr_arrays()`` gives them, the degrees, each node's weighted row
+    (its features times its neighbor weight; one row per node plus a zero row
+    at index n that pads the blocks a trial gathers), the squared norms of
+    the own rows, the current homophily vector ``values`` and the clean
+    vector sorted once for W1. ``clean`` defaults to ``values``. Everything
+    cached is O(n d), so a trial pads only the neighborhood it touches.
 
     ``remove_edge`` and ``set_feature`` edit the graph and advance the state
-    with it, touching only the changed rows. Once ``g`` is edited any other
-    way, trials raise ``StaleStateError`` and a fresh state must be built.
+    with it: the CSR arrays and degrees are read again from the graph, the
+    weighted rows are updated where they changed. Once ``g`` is edited any
+    other way, trials raise ``StaleStateError`` and a fresh state must be
+    built.
     """
 
     def __init__(
@@ -149,10 +150,7 @@ class StealthState:
         self.edits = g.edits
         self.measure = measure
         self.clean_sorted = np.sort(self.clean)
-        self.indptr, indices = g.csr_arrays()
-        # A copy, as a removal closes the gap inside the row's span, with id n
-        # appended for padding slots to read.
-        self.indices = np.append(indices, n)
+        self.indptr, self.indices = g.csr_arrays()
         self.degrees = g.degrees()
         self.weights = _neighbor_weights(self.degrees)
         self.rows = np.zeros((n + 1, g.feature_dim))
@@ -169,8 +167,7 @@ class StealthState:
             raise StaleStateError("graph edited since this stealth state was built")
 
     def neighbors(self, u: int) -> np.ndarray:
-        start = self.indptr[u]
-        return self.indices[start : start + self.degrees[u]]
+        return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     def block(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Degrees, padded neighbor ids and weighted rows of ``nodes``.
@@ -180,8 +177,9 @@ class StealthState:
         """
         counts = self.degrees[nodes]
         slot = np.arange(counts.max(initial=0))
-        pos = np.where(slot < counts[:, None], self.indptr[nodes, None] + slot, -1)
-        ids = self.indices[pos]
+        # Padding slots may point past the last entry; clipped, then set to n.
+        ids = np.take(self.indices, self.indptr[nodes, None] + slot, mode="clip")
+        ids = np.where(slot < counts[:, None], ids, self.graph.num_nodes)
         return counts, ids, np.take(self.rows, ids, axis=0)
 
     def feature_block(self, node: int):
@@ -212,11 +210,8 @@ class StealthState:
         """
         self._check()
         self.graph.remove_edge(i, j)
-        for a, b in ((i, j), (j, i)):
-            row = self.neighbors(a)
-            p = np.searchsorted(row, b)
-            row[p:-1] = row[p + 1 :]
-        self.degrees[[i, j]] -= 1
+        self.indptr, self.indices = self.graph.csr_arrays()
+        self.degrees = self.graph.degrees()
         self.weights[[i, j]] = _neighbor_weights(self.degrees[[i, j]])
         self.rows[[i, j]] = self.graph.features[[i, j]] * self.weights[[i, j], None]
         self._advance(values)

@@ -35,7 +35,7 @@ def random_instance(seed, n=12, p=0.35, feature_dim=6, num_classes=3, hidden=8):
 
 # Graph edit scripts for property tests: (op, k) pairs, k picking the edge.
 edit_ops = st.lists(
-    st.tuples(st.sampled_from(["remove", "add", "compact", "copy"]), st.integers(0, 10**6)),
+    st.tuples(st.sampled_from(["remove", "add", "copy"]), st.integers(0, 10**6)),
     max_size=12,
 )
 
@@ -43,8 +43,8 @@ edit_ops = st.lists(
 def random_edit_script(g, ops):
     """Yield ``g`` as it stands before and after each edit of ``ops``.
 
-    Removals leave tombstones, additions go to the overlay, and ``compact``
-    and ``copy`` carry the graph across both, so every storage state shows up.
+    Each removal and addition replaces the CSR arrays; ``copy`` starts a
+    graph that shares them.
     """
     yield g
     for op, k in ops:
@@ -60,8 +60,6 @@ def random_edit_script(g, ops):
             ]
             if absent:
                 g.add_edge(*absent[k % len(absent)])
-        elif op == "compact":
-            g.compact()
         elif op == "copy":
             g = g.copy()
         yield g

@@ -15,6 +15,10 @@ stream and must return identical graphs.
 list, converts it to CSR and sorts the indices;
 ``distpoison.graph.normalize_adjacency`` builds the CSR arrays from the
 graph's sorted rows and must return identical arrays.
+
+``sample_1hop`` walks each member's neighbors in Python, one dict lookup per
+entry; ``distpoison.graph.sample_1hop`` gathers the members' rows at once and
+must return the same subgraph, its edges in the same order.
 """
 
 import warnings
@@ -22,7 +26,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from distpoison.graph import Graph, GraphError
+from distpoison.graph import Graph, GraphError, Subgraph
 
 
 def build_graph(edge_list, features, labels, splits=((), (), ())):
@@ -120,3 +124,26 @@ def generate_sbm(seed, block_sizes, p_intra, p_inter, feature_dim, noise,
         val.extend(members[n_train : n_train + n_val])
     test = sorted(set(range(n)) - set(train) - set(val))
     return build_graph(edges, features, labels, (train, val, test))
+
+
+def sample_1hop(g, target):
+    """The target's 1-hop subgraph, its members' neighbor lists walked in turn."""
+    if not 0 <= target < g.num_nodes:
+        raise GraphError(f"target node {target} out of range")
+    neigh = g.neighbors(target)
+    node_ids = np.concatenate([[target], neigh]).astype(np.int64)
+    local_of = {int(v): k for k, v in enumerate(node_ids)}
+    edges = []
+    for li, v in enumerate(node_ids):
+        for w in g.neighbors(int(v)):
+            lw = local_of.get(int(w))
+            if lw is not None and li < lw:
+                edges.append((li, lw))
+    edges = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
+    return Subgraph(
+        node_ids=node_ids,
+        edges=edges,
+        features=g.features[node_ids].copy(),
+        labels=g.labels[node_ids].copy(),
+        local_of=local_of,
+    )

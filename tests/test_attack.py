@@ -590,7 +590,8 @@ class TestPerturbationSet:
     def test_saved_set_applies_identically(self, data):
         # Removals of present edges, additions of absent pairs (a removed edge
         # may come back) and flips to any finite value, -0.0 and subnormals
-        # included: the loaded set must edit a graph exactly as the original.
+        # included: the loaded set must edit a graph exactly as the original,
+        # and its one batch of edge edits exactly as single edits do.
         g = generate_sbm(data.draw(st.integers(0, 3)), [6, 6], 0.4, 0.1, feature_dim=3, noise=0.3)
         present = [tuple(int(v) for v in e) for e in g.edge_array()]
         removed = data.draw(st.lists(st.sampled_from(present), unique=True, max_size=6))
@@ -613,12 +614,20 @@ class TestPerturbationSet:
             pert.save(path)
             loaded = PerturbationSet.load(path)
         assert loaded.to_dict() == pert.to_dict()
-        want, got = pert.apply_to(g), loaded.apply_to(g)
-        for a, b in zip(want.csr_arrays(), got.csr_arrays()):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert want.features.tobytes() == got.features.tobytes()
-        assert want.edits == got.edits == pert.size
-        np.testing.assert_array_equal(want.degrees(), got.degrees())
+        single = g.copy()
+        for i, j in removed:
+            single.remove_edge(i, j)
+        for i, j in added:
+            single.add_edge(i, j)
+        for f in pert.features_flipped:
+            single.set_feature(f.node, f.dim, f.new)
+        want = pert.apply_to(g)
+        for got in (loaded.apply_to(g), single):
+            for a, b in zip(want.csr_arrays(), got.csr_arrays()):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert want.features.tobytes() == got.features.tobytes()
+            assert want.edits == got.edits == pert.size
+            np.testing.assert_array_equal(want.degrees(), got.degrees())
 
     def test_apply_matches_incremental_state(self):
         g, part = toy_instance(6)

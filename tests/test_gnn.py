@@ -306,7 +306,7 @@ class TestBackwardOracle:
         g, rng = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
         for _ in range(min(removals, g.num_edges)):
             i, j = g.edge_array()[rng.integers(g.num_edges)]
-            g.remove_edge(int(i), int(j))  # left as tombstones, not compacted
+            g.remove_edge(int(i), int(j))
         if isolate:
             for v in g.neighbors(0):
                 g.remove_edge(0, int(v))

@@ -255,6 +255,21 @@ class TestSample1Hop:
         with pytest.raises(GraphError):
             sample_1hop(g, 7)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 0.9), edit_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_walk(self, seed, n, p, ops):
+        rng = np.random.default_rng(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g0 = build_graph(edges, rng.standard_normal((n, 2)), rng.integers(0, 3, size=n))
+        for g in random_edit_script(g0, ops):
+            for t in range(n):
+                got, want = sample_1hop(g, t), graph_oracle.sample_1hop(g, t)
+                for name in ("node_ids", "edges", "features", "labels"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert np.array_equal(a, b), name
+                assert got.local_of == want.local_of
+
 
 class TestMutation:
     def test_remove_and_add(self):
@@ -276,19 +291,6 @@ class TestMutation:
         with pytest.raises(GraphError):
             g.add_edge(1, 0)
 
-    def test_compaction_preserves_structure(self):
-        rng = np.random.default_rng(0)
-        edges = [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.4]
-        g = make_graph(20, edges)
-        removed = [tuple(e) for e in g.edge_array()[::3]]
-        for i, j in removed:
-            g.remove_edge(i, j)
-        before = {tuple(e) for e in g.edge_array()}
-        g.compact()
-        after = {tuple(e) for e in g.edge_array()}
-        assert before == after
-        assert not (before & set(removed))
-
     def test_copy_is_independent(self):
         g = make_graph(3, [(0, 1), (1, 2)])
         h = g.copy()
@@ -299,7 +301,7 @@ class TestMutation:
 
 
 class TestDegreeCache:
-    """The degree vector kept by edits equals a recount of the edge list."""
+    """Degrees read from the row pointer equal a recount of the edge list."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10), edit_ops)
     @settings(max_examples=80, deadline=None)
@@ -321,14 +323,13 @@ class TestDegreeCache:
         assert g.degree(0) == 1
 
     def test_edit_counter(self):
-        # Every mutation counts; compaction changes storage, not the graph.
+        # Every edited edge and feature counts.
         g = make_graph(4, [(0, 1), (1, 2)])
         assert g.edits == 0
         g.remove_edge(0, 1)
         g.add_edge(0, 3)
         g.set_feature(2, 1, 5.0)
         assert g.edits == 3
-        g.compact()
         h = g.copy()
         assert g.edits == h.edits == 3
         h.remove_edge(0, 3)
@@ -342,67 +343,113 @@ class TestDegreeCache:
         assert h.degrees().tolist() == [0, 1, 1]
 
 
-class TestCompaction:
-    """The overlay counter and lazy compaction against a freshly built graph."""
+def assert_same_structure(g, h):
+    """``g`` and ``h`` hold the same adjacency, dtypes included."""
+    for a, b in zip(g.csr_arrays(), h.csr_arrays()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for a, b in ((g.degrees(), h.degrees()), (g.edge_array(), h.edge_array())):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert g.num_edges == h.num_edges
+    for i in range(g.num_nodes):
+        for j in range(g.num_nodes):
+            assert g.has_edge(i, j) == h.has_edge(i, j)
+
+
+class TestEditScripts:
+    """Edited graphs against fresh builds of the same edge set."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 10),
-        slack=st.integers(0, 8),
         ops=st.lists(
-            st.tuples(
-                st.sampled_from(["remove", "add", "add", "compact", "copy"]),
-                st.integers(0, 10**6),
-            ),
+            st.tuples(st.sampled_from(["remove", "add", "add", "copy"]), st.integers(0, 10**6)),
             max_size=40,
         ),
     )
     @settings(max_examples=80, deadline=None)
-    def test_edit_scripts_across_the_boundary(self, seed, n, slack, ops):
-        # A small slack puts the compaction boundary within a short script.
+    def test_single_edits_equal_fresh_build(self, seed, n, ops):
+        # Views of the CSR arrays and of every row, taken before an edit, and
+        # a copy made before it, read the same after it.
         rng = np.random.default_rng(seed)
         edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
-        real = graph.Graph._maybe_compact
-
-        def checked(g):
-            # Compacts exactly when the overlay's size, summed afresh, says so.
-            overlay = sum(len(js) for js in g._extra.values())
-            assert g._overlay == overlay
-            due = g._dead + overlay > max(slack, len(g.indices) // 4)
-            before = g.indices
-            real(g)
-            assert (g.indices is not before) == due
-
         g = make_graph(n, sorted(edges))
-        with mock.patch.object(graph, "_COMPACT_SLACK", slack), \
-                mock.patch.object(graph.Graph, "_maybe_compact", checked):
-            for op, k in ops:
-                if op == "remove" and edges:
-                    i, j = sorted(edges)[k % len(edges)]
-                    g.remove_edge(i, j)
-                    edges.remove((i, j))
-                elif op == "add":
-                    absent = [
-                        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges
-                    ]
-                    if absent:
-                        i, j = absent[k % len(absent)]
-                        g.add_edge(i, j) if k % 2 else g.add_edge(j, i)
-                        edges.add((i, j))
-                elif op == "compact":
-                    g.compact()
-                elif op == "copy":
-                    g = g.copy()
-                assert g._overlay == sum(len(js) for js in g._extra.values())
-                fresh = make_graph(n, sorted(edges))
-                np.testing.assert_array_equal(g.edge_array(), fresh.edge_array())
-                for a, b in zip(g.csr_arrays(), fresh.csr_arrays()):
-                    np.testing.assert_array_equal(a, b)
-                np.testing.assert_array_equal(g.degrees(), fresh.degrees())
-                assert g.num_edges == fresh.num_edges
-                for i in range(n):
-                    for j in range(n):
-                        assert g.has_edge(i, j) == fresh.has_edge(i, j)
+        for op, k in ops:
+            if op == "copy":
+                g = g.copy()
+                assert_same_structure(g, make_graph(n, sorted(edges)))
+                continue
+            old, before = set(edges), g.copy()
+            views = [*g.csr_arrays(), *(g.neighbors(i) for i in range(n))]
+            saved = [v.copy() for v in views]
+            edits = g.edits
+            if op == "remove" and edges:
+                i, j = sorted(edges)[k % len(edges)]
+                g.remove_edge(i, j) if k % 2 else g.remove_edge(j, i)
+                edges.remove((i, j))
+            elif op == "add":
+                absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+                if absent:
+                    i, j = absent[k % len(absent)]
+                    g.add_edge(i, j) if k % 2 else g.add_edge(j, i)
+                    edges.add((i, j))
+            assert g.edits - edits == len(edges ^ old)
+            for v, w in zip(views, saved):
+                assert np.array_equal(v, w)
+            assert_same_structure(before, make_graph(n, sorted(old)))
+            assert_same_structure(g, make_graph(n, sorted(edges)))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_single_edits(self, seed, n, data):
+        # Removals first, then additions; a removed edge may come back.
+        rng = np.random.default_rng(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        g = make_graph(n, edges)
+        removed = data.draw(st.lists(st.sampled_from(edges), unique=True), "removed") if edges else []
+        absent = [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if (i, j) not in edges or (i, j) in removed]
+        added = data.draw(st.lists(st.sampled_from(absent), unique=True), "added") if absent else []
+        removed = [(j, i) if data.draw(st.booleans()) else (i, j) for i, j in removed]
+        added = [(j, i) if data.draw(st.booleans()) else (i, j) for i, j in added]
+        one = g.copy()
+        for i, j in removed:
+            one.remove_edge(i, j)
+        for i, j in added:
+            one.add_edge(i, j)
+        batch = g.copy()
+        batch.edit(removed=removed, added=added)
+        assert_same_structure(batch, one)
+        assert batch.edits == one.edits == len(removed) + len(added)
+        assert_same_structure(g, make_graph(n, edges))
+
+
+class TestEditChecks:
+    """``edit`` checks every edge before it changes anything."""
+
+    # On the path 0-1-2-3 plus the isolated node 4. Each case puts a good
+    # edge before the first bad one and another bad one after it.
+    CASES = {
+        "absent_removal": ([(0, 1), (2, 0), (4, 4)], [(1, 1)], "edge (2, 0) not present"),
+        "repeated_removal": ([(1, 2), (0, 1), (2, 1)], [(0, 0)], "edge (2, 1) not present"),
+        "removal_out_of_range": ([(0, 1), (-1, 2), (0, 2)], [], "node id out of range in edge (-1, 2)"),
+        "existing_addition": ([(0, 1)], [(1, 0), (0, 4), (3, 2), (5, 0)], "edge (3, 2) already present"),
+        "repeated_addition": ([], [(0, 4), (4, 0), (1, 1)], "edge (4, 0) already present"),
+        "self_loop": ([(2, 3)], [(0, 4), (3, 3), (1, 2)], "self-loops are not storable: edge (3, 3)"),
+        "addition_out_of_range": ([(0, 1)], [(1, 4), (4, 5), (2, 2)], "node id out of range in edge (4, 5)"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_first_bad_edge_raises_and_nothing_changes(self, case):
+        removed, added, message = self.CASES[case]
+        g = make_graph(5, [(0, 1), (1, 2), (2, 3)])
+        g.set_feature(0, 0, 1.0)
+        indptr, indices = g.csr_arrays()
+        saved = indptr.copy(), indices.copy()
+        with pytest.raises(GraphError) as err:
+            g.edit(removed=removed, added=added)
+        assert str(err.value) == message
+        assert g.indptr is indptr and g.indices is indices and g.edits == 1
+        assert np.array_equal(indptr, saved[0]) and np.array_equal(indices, saved[1])
 
 
 class TestNormalizeAdjacencyOracle:
@@ -411,8 +458,8 @@ class TestNormalizeAdjacencyOracle:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 0.9), edit_ops)
     @settings(max_examples=80, deadline=None)
     def test_arrays_equal_coo_build(self, seed, n, p, ops):
-        # Low edge probabilities leave isolated nodes; the edit script leaves
-        # tombstones and overlay edges, then compacts or copies across them.
+        # Low edge probabilities leave isolated nodes; the edit script
+        # rebuilds the arrays and copies the graph across its edits.
         rng = np.random.default_rng(seed)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         g0 = build_graph(edges, rng.standard_normal((n, 2)), np.zeros(n, dtype=np.int64))

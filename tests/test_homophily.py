@@ -153,7 +153,7 @@ class TestTrialsMatchOracle:
     @settings(max_examples=60, deadline=None)
     def test_every_edge_and_feature_trial(self, case):
         # One state per graph version serves every candidate;
-        # a state outlives compaction and copies, but not an edit.
+        # a state outlives copies of its graph, but not an edit.
         seed, n, dim, p, ops = case
         g0, rng = draw_graph(seed, n, dim, p)
         states = []
