@@ -8,7 +8,6 @@ from distpoison.attack import (
     baseline_random,
     combined_subgraph_gradient,
     edge_scores,
-    flip_features,
     run_disttack,
     select_edge_removals,
     select_targets,
@@ -41,12 +40,11 @@ from distpoison.graph import (
     Partition,
     Subgraph,
     build_graph,
-    count_cross_edges,
     generate_sbm,
     normalize_adjacency,
     partition_nodes,
     sample_1hop,
 )
-from distpoison.homophily import distribution_distance, homophily_values, node_homophily
+from distpoison.homophily import distribution_distance, homophily_values
 
 __version__ = "0.1.0"

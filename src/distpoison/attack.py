@@ -52,7 +52,6 @@ __all__ = [
     "select_edge_removals",
     "select_targets",
     "flipped_value",
-    "flip_features",
     "run_disttack",
     "baseline_random",
     "baseline_dice",
@@ -330,34 +329,6 @@ def flipped_value(old: float, sign: int, strict: bool = True) -> float:
     """The sign rule: ``old * (1 - 2*sign)``, or plain negation when not strict."""
     mult = (1 - 2 * sign) if strict else -1.0
     return old * mult
-
-
-def flip_features(
-    X_row: np.ndarray, grad_row: np.ndarray, m: int, strict: bool = True
-) -> tuple[np.ndarray, list[tuple[int, float, float, int]]]:
-    """Flip up to ``m`` entries of one feature row along the gradient sign rule.
-
-    Dimensions are taken in decreasing gradient magnitude; zero-gradient
-    dimensions are skipped without consuming ``m``. Returns the new row and
-    (dim, old, new, sign) records.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if X_row.shape != grad_row.shape:
-        raise ValueError("feature and gradient rows differ in length")
-    order = np.argsort(-np.abs(grad_row), kind="stable")
-    out = X_row.copy()
-    records = []
-    for dim in order:
-        if len(records) >= m:
-            break
-        sign = int(np.sign(grad_row[dim]))
-        if sign == 0:
-            continue
-        old = float(out[dim])
-        out[dim] = flipped_value(old, sign, strict)
-        records.append((int(dim), old, float(out[dim]), sign))
-    return out, records
 
 
 def select_targets(

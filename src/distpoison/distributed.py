@@ -11,10 +11,10 @@ computation.
 Workers run one after another. Those that see the same graph view in an
 epoch share one forward state under that epoch's weights, taken over the
 union of their batches and built for those batches; each worker's reverse
-pass is its own. On large graphs neither touches an n-row dense array
-beyond ``X W0``: the forward state holds the logits on the union and the
-hidden layer on the nodes one hop from it, and every batch's gathers,
-found for all of the view's batches at once (see ``gnn.forward_state``); a
+pass is its own. On large graphs neither computes an n-row dense array: one
+field search over the view's batches gives the forward state its fields
+(the logits on the union, the hidden layer one hop from it, ``X W0`` two
+hops from it) and every batch its gathers (see ``gnn.forward_state``); a
 reverse pass reads its batch's gathers and only the rows its batch reaches
 in one and two hops, so it neither gathers from A nor sorts (see
 ``gnn.backward``). A batch is drawn without replacement, so its pass skips
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,13 +51,12 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class WorkerState:
-    """One logical worker: its training pool and the latest epoch's work."""
+    """One logical worker: its training pool and the latest epoch's batch."""
 
     worker_id: int
     pool: np.ndarray
     poisoned: bool = False
     batch: np.ndarray | None = None
-    bundle: GradientBundle | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -98,17 +97,14 @@ def train_distributed(
     epochs: int,
     batch_size: int,
     seed: int,
-    poison=None,
+    poisoned: Graph | None = None,
     poisoned_worker: int = 0,
     aggregation: str = "mean",
-    on_epoch=None,
 ) -> tuple[ParamSet, list[SyncRecord]]:
     """Run synchronized multi-worker training; returns final weights + telemetry.
 
-    ``poison`` is an optional perturbation set (anything with ``apply_to``)
-    installed as ``poisoned_worker``'s graph view. ``on_epoch(epoch, states,
-    params)`` is called after each synchronization with the per-worker states
-    of that epoch.
+    ``poisoned`` is an optional perturbed copy of ``g`` (same nodes, labels
+    and splits), installed as ``poisoned_worker``'s graph view.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -121,15 +117,14 @@ def train_distributed(
         if len(pool) == 0:
             raise TrainingError(f"worker {w} has an empty training pool")
         states.append(
-            WorkerState(worker_id=w, pool=pool, poisoned=poison is not None and w == poisoned_worker)
+            WorkerState(w, pool, poisoned=poisoned is not None and w == poisoned_worker)
         )
 
     views = [(normalize_adjacency(g), g.features)]  # views[0]: the clean graph
     view_of = []
     for st in states:
         if st.poisoned:
-            g_p = poison.apply_to(g)
-            views.append((normalize_adjacency(g_p), g_p.features))
+            views.append((normalize_adjacency(poisoned), poisoned.features))
         view_of.append(len(views) - 1 if st.poisoned else 0)
 
     rngs = [np.random.default_rng((seed, w)) for w in range(part.n)]
@@ -161,8 +156,6 @@ def train_distributed(
             st.batch = rngs[st.worker_id].choice(st.pool, size=size, replace=False)
         fwd = [None] * len(views)
         bundles = [worker_pass(st, fwd) for st in states]
-        for st, b in zip(states, bundles):
-            st.bundle = b
         agg = aggregate_gradients(bundles, aggregation)
         params = sgd_step(params, agg)
         records.append(
@@ -173,8 +166,6 @@ def train_distributed(
                 wall_ms=(time.perf_counter() - t0) * 1000.0,
             )
         )
-        if on_epoch is not None:
-            on_epoch(epoch, states, params)
     return params, records
 
 

@@ -240,6 +240,21 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> Graph:
         raise ConfigError(f"invalid dataset:\n  dataset.{exc.source}: {exc}") from exc
 
 
+def _check_training_pools(cfg: ExperimentConfig, g: Graph, part, seed: int) -> None:
+    """Raise ConfigError, before any attack or training, when a worker's
+    share of ``g`` holds no training node."""
+    owned = np.bincount(part.assignment[g.train_mask], minlength=part.n)
+    if owned.all():
+        return
+    errors = [f"workers: worker {int(np.argmin(owned))} of {part.n} owns no training node "
+              f"under seed {seed} ({int(owned.sum())} training nodes in all)"]
+    ds = _dataset(cfg)
+    if isinstance(ds, SBMDataset):
+        errors.append(f"dataset.train_frac: {ds.train_frac} leaves too few training nodes "
+                      f"for {part.n} workers")
+    raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+
+
 def _init_params(cfg: ExperimentConfig, g: Graph, seed: int) -> ParamSet:
     if cfg.model == "gcn":
         return ParamSet.init_gcn(
@@ -291,6 +306,7 @@ def run_single_seed(
     stands, and no attack is built or timed."""
     g = build_dataset(cfg, seed)
     part = partition_nodes(g, cfg.workers, cfg.partition_strategy, seed=seed)
+    _check_training_pools(cfg, g, part, seed)
     params0 = _init_params(cfg, g, seed)
 
     attack_seconds = 0.0
@@ -299,11 +315,12 @@ def run_single_seed(
         pert = build_attack(cfg, g, part, seed)
         attack_seconds = time.perf_counter() - t0
 
+    g_poisoned = pert.apply_to(g)
     common = dict(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed,
                   aggregation=cfg.aggregation)
     final_clean, rec_clean = train_distributed(g, part, params0, **common)
     final_poisoned, rec_poisoned = train_distributed(
-        g, part, params0, poison=pert, poisoned_worker=cfg.poisoned_worker, **common
+        g, part, params0, poisoned=g_poisoned, poisoned_worker=cfg.poisoned_worker, **common
     )
 
     adj = normalize_adjacency(g)
@@ -312,7 +329,7 @@ def run_single_seed(
 
     divergence = gradient_norm_divergence(rec_poisoned, cfg.poisoned_worker)
     h_clean = homophily_values(g)
-    h_pert = homophily_values(pert.apply_to(g))
+    h_pert = homophily_values(g_poisoned)
     homo_dist = distribution_distance(h_clean, h_pert)
 
     return RunResult(

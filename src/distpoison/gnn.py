@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from distpoison.graph import NormalizedAdjacency, _distinct
+from distpoison.graph import NormalizedAdjacency
 
 __all__ = [
     "ParamSet",
@@ -143,26 +143,20 @@ def _check_finite(name: str, *arrays) -> None:
 # A product with A is limited to the rows it gathers once A holds at least
 # _LIMITED_MIN_NNZ entries and those rows hold at most 1/_LIMITED_SHARE of
 # them; on smaller or more fully reached matrices the gather costs more than
-# the full product. The threshold lies between two measured graphs (degree
-# 6.4, median epoch of train_distributed, 2-core x86, one BLAS thread): at
-# n = 1,200 (nnz 9,050) full products were faster, at n = 1,600 (nnz 11,932)
-# limited ones.
-_LIMITED_MIN_NNZ = 10_000
+# the full product. The threshold lies between the largest measured graph
+# on which full products were faster and the smallest on which limited ones
+# were. Median epoch of train_distributed with the limited products forced
+# against kept full (degree 6.4, 8 workers, batches of 8, two views, 4 seeds
+# x 6 alternating rounds, 2-core x86, one BLAS thread):
+#   n =   400 (nnz  3,024): 2.21 against 1.88 ms, limited faster in  0 of 24
+#   n =   600 (nnz  4,406): 2.37 against 2.18 ms, limited faster in  8 of 24
+#   n =   800 (nnz  6,010): 2.04 against 2.70 ms, limited faster in 23 of 24
+#   n = 1,200 (nnz  9,050): 2.57 against 3.99 ms, limited faster in 24 of 24
+#   n = 1,600 (nnz 11,932): 2.40 against 4.39 ms, limited faster in 24 of 24
+# A share of 4 against 8, both limited, was faster in 14, 7 and 19 of 24
+# runs at n = 800, 1,600 and 3,200: no consistent gain, so 8 stays.
+_LIMITED_MIN_NNZ = 5_000
 _LIMITED_SHARE = 8
-
-
-def _limited_entries(A: sp.csr_matrix, rows: np.ndarray) -> tuple | None:
-    """Positions in ``A.indices``/``A.data`` of the given rows' entries, in
-    row then CSR order, and each row's entry count; None when A is too small
-    or the rows hold too much of it for a limited product."""
-    if A.nnz < _LIMITED_MIN_NNZ:
-        return None
-    lo = A.indptr[rows]
-    lens = A.indptr[rows + 1] - lo
-    total = int(lens.sum())
-    if total * _LIMITED_SHARE > A.nnz:
-        return None
-    return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total), lens
 
 
 def _take(M: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
@@ -190,48 +184,12 @@ def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (np.vstack([M, np.zeros_like(M)]) @ W)[:1]
 
 
-def _receptive_rows(A: sp.csr_matrix, rows, depth: int) -> list[tuple]:
-    """Row-restricted copies of A for a forward pass that needs only ``rows``.
-
-    Entry h of the ``depth`` entries is ``(field, sub)``: ``field`` holds the
-    sorted nodes h hops from ``rows`` and ``sub`` is A's rows at those nodes,
-    its columns numbered as the positions in field h + 1 when that field is
-    limited and as node ids otherwise. From the first field whose rows hold
-    more than 1/_LIMITED_SHARE of A on, entries are ``(None, A)``: all n
-    rows. Every entry is ``(None, A)`` when ``rows`` is None, when A holds
-    fewer than _LIMITED_MIN_NNZ entries, or when a deeper product would be
-    full and only the logits' product limited: that one is at the output
-    width and saves less than the gathers cost. Each row of ``sub @ M`` sums
-    the same terms in the same CSR order as the same row of ``A @ M``, so the
-    two agree bit for bit. These blocks serve the forward products only: a
-    reverse pass multiplies by A's block on the rows its batch reaches and
-    the rows it comes from, which ``_gathers`` finds from A's CSR arrays in
-    the same number of reads.
-    """
-    full = [(None, A)] * depth
-    if rows is None or A.nnz < _LIMITED_MIN_NNZ:
-        return full
-    hops = []  # [field, entry positions, columns, entry counts]
-    field = _distinct(rows)
-    while len(hops) < depth:
-        entries = _limited_entries(A, field)
-        if entries is None:
-            break
-        pos, lens = entries
-        if hops:  # the hop below reads this field's rows: number its columns in it
-            hops[-1][2] = inverse.astype(A.indices.dtype)
-        hops.append([field, pos, A.indices[pos], lens])
-        if len(hops) < depth:
-            field, inverse = np.unique(hops[-1][2], return_inverse=True)
-    if len(hops) < min(depth, 2):
-        return full
-    out = []
-    for h, (field, pos, cols, lens) in enumerate(hops):
-        width = len(hops[h + 1][0]) if h + 1 < len(hops) else A.shape[1]
-        indptr = np.zeros(len(field) + 1, dtype=A.indptr.dtype)
-        np.cumsum(lens, out=indptr[1:])
-        out.append((field, sp.csr_matrix((A.data[pos], cols, indptr), shape=(len(field), width))))
-    return out + full[len(out):]
+def _matvecs(kernel, n_out: int, step: tuple, M: np.ndarray) -> np.ndarray:
+    """A ``_Gather`` step's block of A times M, into ``n_out`` rows, through
+    scipy's ``csr_matvecs`` or ``csc_matvecs`` (see ``_Gather``)."""
+    out = np.zeros((n_out, M.shape[1]))
+    kernel(n_out, len(M), M.shape[1], *step[:3], M.ravel(), out.ravel())
+    return out
 
 
 class _Gather(NamedTuple):
@@ -243,11 +201,13 @@ class _Gather(NamedTuple):
     ``(indptr, cols, data, reached)``: the block of A on the rows
     ``reached`` (the sorted node ids h + 1 hops from the batch) and the
     columns at the rows h hops out, in CSR form; ``cols`` and ``data`` may
-    be shared with other batches, which ``indptr`` skips. The products from
-    hop ``len(steps)`` on are full. ``at`` places the rows 0 and 1 hops out
-    in the state: their positions in the field of the logits and of the
-    intermediate below them (H for the GCN), the node ids where the state
-    holds all n rows, None after a full product.
+    be shared with other batches, which ``indptr`` skips. Read as CSC, the
+    same arrays are A's block on the rows h hops out and the columns
+    ``reached``: the forward product at hop h of a state built on the batch.
+    The products from hop ``len(steps)`` on are full. ``at`` places the
+    rows 0 and 1 hops out in the state: their positions in the field of the
+    logits and of the intermediate below them (H for the GCN), the node ids
+    where the state holds all n rows, None after a full product.
     """
 
     rows: np.ndarray
@@ -287,12 +247,29 @@ def _stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return tagged & ((1 << bits) - 1), tagged >> bits
 
 
-def _gathers(A: sp.csr_matrix, batches: list, depth: int, fields: tuple) -> list[_Gather]:
+def _held_fields(rows: np.ndarray, steps: tuple, depth: int) -> list:
+    """The fields of a forward state of ``depth`` products built on a batch
+    with sorted unique ``rows`` and limited ``steps``: entry h holds the
+    node ids h hops out, up to ``len(steps)`` (``X W0``'s) when every
+    product is limited and below it otherwise. Empty (all n rows) when
+    fewer than min(depth, 2) products are limited: a lone limited product
+    at the logits is at the output width and saves less than it costs.
+    """
+    if len(steps) < min(depth, 2):
+        return []
+    fields = [rows, *(reached for *_, reached in steps)]
+    return fields if len(steps) == depth else fields[:-1]
+
+
+def _gathers(A: sp.csr_matrix, batches: list, depth: int, fields: tuple | None = None
+             ) -> list[_Gather]:
     """Each batch's ``_Gather`` for a reverse pass of ``depth`` products over
     an A of at least _LIMITED_MIN_NNZ entries.
 
     ``fields`` are the forward state's (see ``ForwardState``); the pass
-    reads the state at hops 0 and 1, on the last two. All batches are
+    reads the state at hops 0 and 1, on the last two. None stands for the
+    fields of a state yet to be built on the last batch, which then holds
+    every other batch's rows (see ``_held_fields``). All batches are
     gathered together, from A's CSR arrays: one sort of (batch, node) keys
     gives every batch's rows, and one stable sort of (batch, column) keys
     per hop gives every batch's reached rows and its block of A, each block
@@ -310,7 +287,7 @@ def _gathers(A: sp.csr_matrix, batches: list, depth: int, fields: tuple) -> list
         keys, counts = np.unique(keys, return_counts=True)
     bid = keys // n  # each row's batch, ascending
     rows = batch_rows = keys - bid * n
-    bounds, row_at = np.searchsorted(bid, ids).tolist(), _positions(fields[-1], rows)
+    bounds = np.searchsorted(bid, ids).tolist()
     hops = []  # per hop, every live batch's arrays in turn, sliced per batch by offsets
     live = np.ones(nb, dtype=bool)
     for h in range(depth):
@@ -332,24 +309,28 @@ def _gathers(A: sp.csr_matrix, batches: list, depth: int, fields: tuple) -> list
         reach = reach[indptr[:-1]]
         bid = reach // n
         rows = reach - bid * n
-        hops.append((
-            live.tolist(), np.searchsorted(bid, ids).tolist(), indptr,
-            np.repeat(row, lens)[order], A.data[pos[order]], rows,
-            _positions(fields[-2], rows) if h == 0 else None,
-        ))
-    out = []
+        hops.append((live.tolist(), np.searchsorted(bid, ids).tolist(), indptr,
+                     np.repeat(row, lens)[order], A.data[pos[order]], rows))
+    steps = []
     for b in range(nb):
-        mine = slice(bounds[b], bounds[b + 1])
-        steps, at = [], [row_at[mine], None]
-        for held, rb, indptr, cols, data, reached, reached_at in hops:
+        mine = []
+        for held, rb, indptr, cols, data, reached in hops:
             if not held[b]:
                 break
-            r = slice(rb[b], rb[b + 1])
-            steps.append((indptr[rb[b]:rb[b + 1] + 1], cols, data, reached[r]))
-            if reached_at is not None:
-                at[1] = reached_at[r]
-        out.append(_Gather(batch_rows[mine], None if counts is None else counts[mine],
-                           tuple(steps), tuple(at)))
+            mine.append((indptr[rb[b]:rb[b + 1] + 1], cols, data, reached[rb[b]:rb[b + 1]]))
+        steps.append(tuple(mine))
+    if fields is None:
+        held = _held_fields(batch_rows[bounds[-2]:], steps[-1], depth)
+        f0, f1 = held[:2] if held else (None, None)
+    else:
+        f1, f0 = fields[-2:]
+    row_at = _positions(f0, batch_rows)
+    reached_at, rb = (_positions(f1, hops[0][-1]), hops[0][1]) if hops else (None, None)
+    out = []
+    for b, mine in enumerate(steps):
+        r = slice(bounds[b], bounds[b + 1])
+        at = (row_at[r], reached_at[rb[b]:rb[b + 1]] if mine else None)
+        out.append(_Gather(batch_rows[r], None if counts is None else counts[r], mine, at))
     return out
 
 
@@ -360,7 +341,8 @@ class ForwardState:
     ``values[t]`` holds intermediate t on the rows ``fields[t]`` (sorted
     node ids), or on all n rows when ``fields[t]`` is None. ``gathers``
     maps each batch the state was built for, by the bytes of its int64 ids,
-    to what that batch's reverse pass reads (see ``_gathers``).
+    to what that batch's reverse pass reads (see ``_gathers``), found in the
+    same search as the fields.
     """
 
     values: tuple
@@ -372,23 +354,38 @@ class ForwardState:
         return any(f is not None for f in self.fields)
 
 
-def _gcn_state(params: ParamSet, X: np.ndarray, hops: list) -> tuple[tuple, tuple]:
-    """The GCN's intermediates and the rows each is held on."""
-    (f0, sub0), (f1, sub1) = hops  # the rows of Z, and of S0, H and Q (None: all n)
-    P = X @ params.W0
-    S0 = sub1 @ P
-    H = np.maximum(S0, 0.0)
-    Q = _rowwise(H, params.W1)
-    return (P, S0, H, Q, sub0 @ Q), (None, f1, f1, f1, f0)
+def _state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray, fields=(), steps=()
+           ) -> tuple[tuple, tuple]:
+    """The forward intermediates, logits last, and the rows each is held on.
 
+    ``fields`` and ``steps`` come from the ``_Gather`` of the rows whose
+    logits are wanted (see ``_held_fields``); both are empty for a state on
+    all n rows. The product at hop h (hop 0 gives the logits) is the step's
+    block through scipy's CSC kernel, the one ``A.T @ M`` runs, while
+    ``steps`` holds one for hop h, and ``A @ M`` from then on. A is
+    symmetric and both kernels add each output row's terms in ascending
+    column order, so the two agree bit for bit.
+    """
+    def on(h):  # the rows held h hops out (None: all n)
+        return fields[h] if h < len(fields) else None
 
-def _sgc_state(params: ParamSet, X: np.ndarray, hops: list) -> tuple[tuple, tuple]:
-    """The linear model's intermediates and the rows each is held on."""
-    hops = hops[::-1]  # hops[t - 1]: the rows of U_t
-    us = [X @ params.W0]
-    for _, sub in hops:
-        us.append(sub @ us[-1])
-    return tuple(us), (None, *(f for f, _ in hops))
+    def product(h, M):  # A @ M at hop h, for M on the rows h + 1 hops out
+        if h >= len(steps):
+            return A @ M
+        M = M if on(h + 1) is not None else M[steps[h][3]]
+        return _matvecs(_sparsetools.csc_matvecs, len(fields[h]), steps[h], M)
+
+    depth = 2 if params.W1 is not None else params.k
+    U0 = X @ params.W0 if on(depth) is None else _rowwise(X[on(depth)], params.W0)
+    if params.W1 is not None:
+        S0 = product(1, U0)
+        H = np.maximum(S0, 0.0)
+        Q = _rowwise(H, params.W1)
+        return (U0, S0, H, Q, product(0, Q)), (on(2), on(1), on(1), on(1), on(0))
+    us = [U0]
+    for h in range(depth - 1, -1, -1):
+        us.append(product(h, us[-1]))
+    return tuple(us), tuple(on(h) for h in range(depth, -1, -1))
 
 
 def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
@@ -396,7 +393,7 @@ def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np
     if params.W1 is None:
         raise ValueError("gcn_forward requires a two-weight ParamSet")
     _check_finite("gcn_forward inputs", X, params.W0, params.W1)
-    Z = _gcn_state(params, X, [(None, adj.matrix)] * 2)[0][-1]
+    Z = _state(params, adj.matrix, X)[0][-1]
     _check_finite("gcn_forward logits", Z)
     return Z
 
@@ -406,7 +403,7 @@ def sgc_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, k: in
     if k < 1:
         raise ValueError(f"propagation depth must be >= 1, got {k}")
     _check_finite("sgc_forward inputs", X, params.W0)
-    U = _sgc_state(params, X, [(None, adj.matrix)] * k)[0][-1]
+    U = _state(ParamSet(params.W0, k=k), adj.matrix, X)[0][-1]
     _check_finite("sgc_forward logits", U)
     return U
 
@@ -430,31 +427,33 @@ def forward_state(
 
     ``rows`` names the nodes whose logits will be differentiated: node ids
     (repeats allowed), or a list of numpy arrays of them, the batches whose
-    reverse passes will read the state; None means every node. On a
-    large graph the products are then taken over the receptive field of the
-    rows only: Z over the rows, S0, H and Q over the nodes one hop away, and
-    U_t over the nodes k - t hops away, each while that field passes the
-    product rule (see ``_receptive_rows``); P and U_0 stay full. Held rows
-    are bit-identical to the full state's while the row-restricted GEMM
-    ``H W1`` stays on OpenBLAS's small-matrix kernel (see ``backward``).
-    Given batches, the state on a large graph also holds each batch's
-    gathers (see ``_gathers``), found for all of them at once, so that the
-    batch's reverse pass gathers nothing itself.
+    reverse passes will read the state; None means every node. On a large
+    graph one ``_gathers`` call over the batches, with their union as one
+    more batch when there are several, finds every field: each batch's
+    gathers for its reverse pass, and the union's hop fields and blocks of
+    A. The state is held on the union's fields while they pass the product
+    rule (see ``_held_fields``): Z over the union, S0, H and Q over the
+    nodes one hop away, U_t over the nodes k - t hops away, and ``X W0``
+    over the field the deepest limited product reads. Its products read the
+    union's blocks, the same arrays the reverse passes read, through the
+    CSC kernel (see ``_state``). Held rows are bit-identical to the full
+    state's while the row-restricted GEMMs ``X W0`` and ``H W1`` stay on
+    OpenBLAS's small-matrix kernel, and agree within rounding beyond it
+    (see ``backward``).
     """
     _check_finite("forward inputs", X, *params.weights())
     A = adj.matrix
-    batches = rows if isinstance(rows, list) and rows and isinstance(rows[0], np.ndarray) else None
-    if batches:
-        rows = np.concatenate(batches)
+    if rows is None or A.nnz < _LIMITED_MIN_NNZ:
+        return ForwardState(*_state(params, A, X))
     depth = 2 if params.W1 is not None else params.k
-    hops = _receptive_rows(A, rows, depth)
-    values, fields = (_gcn_state if params.W1 is not None else _sgc_state)(params, X, hops)
-    gathers = None
-    if batches and A.nnz >= _LIMITED_MIN_NNZ:
-        batches = [np.asarray(b, dtype=np.int64) for b in batches]
-        found = _gathers(A, batches, depth, fields)
-        gathers = {b.tobytes(): g for b, g in zip(batches, found)}
-    return ForwardState(values, fields, gathers)
+    many = isinstance(rows, list) and rows and isinstance(rows[0], np.ndarray)
+    batches = [np.asarray(b, dtype=np.int64) for b in (rows if many else [rows])]
+    # One batch is its own union.
+    found = _gathers(A, batches + [np.concatenate(batches)] if len(batches) > 1 else batches, depth)
+    union = found[-1]
+    held = _held_fields(union.rows, union.steps, depth)
+    values, fields = _state(params, A, X, held, union.steps if held else ())
+    return ForwardState(values, fields, {b.tobytes(): g for b, g in zip(batches, found)})
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -565,12 +564,7 @@ def _reverse_product(
     """
     if step is None:
         return A @ M, None
-    indptr, cols, data, reached = step
-    out = np.zeros((len(reached), M.shape[1]))
-    _sparsetools.csr_matvecs(
-        len(reached), len(M), M.shape[1], indptr, cols, data, M.ravel(), out.ravel()
-    )
-    return out, reached
+    return _matvecs(_sparsetools.csr_matvecs, len(step[3]), step, M), step[3]
 
 
 def _hop_product(A: sp.csr_matrix, g: _Gather, h: int, M: np.ndarray, rows) -> tuple:
@@ -602,16 +596,20 @@ def backward(
     or "attack" (negated CE sum over node_set as targets). ``state`` is a
     ``forward_state(params, adj, X, rows)`` whose ``rows`` include node_set,
     when the caller already has one; a state that does not hold a row the
-    pass reads raises ValueError. Without a state, or when ``want_dA`` needs
-    the intermediates on every row and ``state`` is limited, the pass
-    computes its own. A node listed twice in node_set counts twice; with
-    ``assume_unique`` the caller vouches that none is, as for a batch drawn
-    without replacement, and on a graph too small for limited products the
-    pass skips that check.
+    pass reads raises ValueError. Without a state, the pass builds its own
+    for node_set, whose one field search also finds the pass's gathers;
+    when ``want_dA`` needs the intermediates on every row and ``state`` is
+    limited, it builds a full one. A node listed twice in node_set counts
+    twice; with ``assume_unique`` the caller vouches that none is, as for a
+    batch drawn without replacement, and on a graph too small for limited
+    products the pass skips that check.
 
     When the state was built for node_set as one of its batches (the same
-    ids in the same order), the pass reads the gathers found then;
-    otherwise it finds its own through the same routine (see ``_gathers``).
+    ids in the same order), the pass reads the gathers found then, and
+    gathers nothing itself; otherwise it finds its own through the same
+    routine (see ``_gathers``). Its limited products read the same blocks
+    of A that a state built on node_set multiplies by (see ``_Gather``),
+    through scipy's CSR kernel.
     Each reverse quantity is carried as a block over the rows it can be
     nonzero on, with those rows, or as a full matrix with None once a
     product went full; the dense steps then read only those rows of the

@@ -13,7 +13,7 @@ it has changed since.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,6 @@ __all__ = [
     "partition_nodes",
     "sample_1hop",
     "generate_sbm",
-    "count_cross_edges",
 ]
 
 # generate_sbm draws the upper triangle's uniforms into one buffer of this
@@ -424,14 +423,6 @@ def partition_nodes(g: Graph, n: int, strategy: str = "round_robin", seed: int =
     return Partition(assignment=assignment, n=n)
 
 
-def count_cross_edges(g: Graph, part: Partition) -> int:
-    """Number of undirected edges whose endpoints live on different workers."""
-    e = g.edge_array()
-    if len(e) == 0:
-        return 0
-    return int(np.count_nonzero(part.assignment[e[:, 0]] != part.assignment[e[:, 1]]))
-
-
 @dataclass
 class Subgraph:
     """A target node plus its current 1-hop neighbors, with induced structure.
@@ -444,7 +435,6 @@ class Subgraph:
     edges: np.ndarray
     features: np.ndarray
     labels: np.ndarray
-    local_of: dict[int, int] = field(repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -452,10 +442,6 @@ class Subgraph:
 
     def to_graph(self) -> Graph:
         return build_graph(self.edges, self.features, self.labels)
-
-    def to_global(self, i: int, j: int) -> tuple[int, int]:
-        a, b = int(self.node_ids[i]), int(self.node_ids[j])
-        return (a, b) if a < b else (b, a)
 
 
 def sample_1hop(g: Graph, target: int) -> Subgraph:
@@ -483,7 +469,6 @@ def sample_1hop(g: Graph, target: int) -> Subgraph:
         edges=np.column_stack([li[keep], lw[keep]]),
         features=g.features[node_ids],
         labels=g.labels[node_ids],
-        local_of=dict(zip(node_ids.tolist(), range(len(node_ids)))),
     )
 
 

@@ -30,7 +30,6 @@ import numpy as np
 from distpoison.graph import Graph
 
 __all__ = [
-    "node_homophily",
     "homophily_values",
     "distribution_distance",
     "StaleStateError",
@@ -59,18 +58,6 @@ def homophily_values(g: Graph) -> np.ndarray:
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     agg = agg * inv_sqrt[:, None]
     return np.sqrt((agg**2).sum(axis=1) + (g.features**2).sum(axis=1))
-
-
-def node_homophily(g: Graph, i: int) -> float:
-    """Homophily of a single node; isolated nodes reduce to ||X_i||."""
-    deg = g.degrees().astype(np.float64)
-    neigh = g.neighbors(i)
-    if len(neigh) == 0:
-        agg = np.zeros(g.feature_dim)
-    else:
-        w = _neighbor_weights(deg)[neigh]
-        agg = (g.features[neigh] * w[:, None]).sum(axis=0) / np.sqrt(deg[i])
-    return float(np.sqrt((agg**2).sum() + (g.features[i] ** 2).sum()))
 
 
 def _as_values(d) -> np.ndarray:

@@ -145,5 +145,4 @@ def sample_1hop(g, target):
         edges=edges,
         features=g.features[node_ids].copy(),
         labels=g.labels[node_ids].copy(),
-        local_of=local_of,
     )

@@ -25,6 +25,13 @@ def _recompute_nodes(values, nodes, features, neighbor_of, degree_of):
     return out
 
 
+def node_homophily(g, i):
+    """Node i's homophily, recomputed on its own."""
+    deg = g.degrees()
+    return float(_recompute_nodes(np.zeros(g.num_nodes), [i], g.features, g.neighbors,
+                                  lambda v: deg[v])[i])
+
+
 def homophily_after_edge_removal(g, values, i, j):
     deg = g.degrees().astype(np.float64)
 

@@ -41,5 +41,6 @@ def global_items(scores, sub):
     out = {}
     coo = sp.triu(scores.tocoo(), k=1)
     for i, j, v in zip(coo.row, coo.col, coo.data):
-        out[sub.to_global(int(i), int(j))] = float(v)
+        a, b = sorted((int(sub.node_ids[i]), int(sub.node_ids[j])))
+        out[(a, b)] = float(v)
     return out

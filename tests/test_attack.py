@@ -21,7 +21,6 @@ from distpoison.attack import (
     baseline_random,
     combined_subgraph_gradient,
     edge_scores,
-    flip_features,
     flipped_value,
     run_disttack,
     select_edge_removals,
@@ -126,6 +125,11 @@ def comm_scores(sub, part):
     return edge_scores(sp.csr_matrix((n, n)), sub, part, lambda_comm=1.0).scores
 
 
+def local(sub, v):
+    """The local id of node v in sub."""
+    return int(np.flatnonzero(sub.node_ids == v)[0])
+
+
 class TestCommunicationMatrix:
     def test_single_worker_all_minus_one(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -139,7 +143,7 @@ class TestCommunicationMatrix:
         part = Partition(assignment=np.array([0, 1]), n=2)
         sub = sample_1hop(g, 0)
         c = comm_scores(sub, part)
-        li, lj = sub.local_of[0], sub.local_of[1]
+        li, lj = local(sub, 0), local(sub, 1)
         assert c[li, lj] == 1.0
 
     def test_round_robin_collision(self):
@@ -147,7 +151,7 @@ class TestCommunicationMatrix:
         part = partition_nodes(g, 4)  # nodes 0 and 4 both land on worker 0
         sub = sample_1hop(g, 0)
         c = comm_scores(sub, part)
-        li, lj = sub.local_of[0], sub.local_of[4]
+        li, lj = local(sub, 0), local(sub, 4)
         assert c[li, lj] == -1.0
 
 
@@ -158,8 +162,8 @@ class TestEdgeScores:
         sub = sample_1hop(g, 1)
         n = sub.num_nodes
         grad = sp.lil_matrix((n, n))
-        a, b = sub.local_of[0], sub.local_of[1]
-        c = sub.local_of[2]
+        a, b = local(sub, 0), local(sub, 1)
+        c = local(sub, 2)
         grad[a, b] = grad[b, a] = 0.2  # cross-worker edge (0,1)
         grad[b, c] = grad[c, b] = 0.4  # cross-worker edge (1,2)
         return g, part, sub, grad.tocsr(), (a, b, c)
@@ -287,39 +291,19 @@ class TestSelectEdgeRemovals:
 
 class TestFlipFeatures:
     def test_positive_gradient_negates(self):
-        row, recs = flip_features(np.array([2.0]), np.array([0.7]), m=1)
-        assert row[0] == -2.0
-        assert recs == [(0, 2.0, -2.0, 1)]
+        assert flipped_value(2.0, 1) == -2.0
 
     def test_zero_gradient_unchanged(self):
-        row, recs = flip_features(np.array([2.0]), np.array([0.0]), m=1)
-        assert row[0] == 2.0
-        assert recs == []
+        assert flipped_value(2.0, 0) == 2.0
 
     def test_negative_gradient_triples(self):
-        row, recs = flip_features(np.array([2.0]), np.array([-0.7]), m=1)
-        assert row[0] == 6.0
-        assert recs == [(0, 2.0, 6.0, -1)]
+        assert flipped_value(2.0, -1) == 6.0
 
     def test_negation_mode_for_negative_gradient(self):
-        row, _ = flip_features(np.array([2.0]), np.array([-0.7]), m=1, strict=False)
-        assert row[0] == -2.0
-
-    def test_magnitude_selection(self):
-        row, recs = flip_features(
-            np.array([1.0, 1.0, 1.0]), np.array([0.1, -0.9, 0.5]), m=2
-        )
-        assert {r[0] for r in recs} == {1, 2}
-        np.testing.assert_allclose(row, [1.0, 3.0, -1.0])
+        assert flipped_value(2.0, -1, strict=False) == -2.0
 
     def test_involution_on_positive_sign(self):
-        row1, _ = flip_features(np.array([2.5]), np.array([0.3]), m=1)
-        row2, _ = flip_features(row1, np.array([0.3]), m=1)
-        assert row2[0] == 2.5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            flip_features(np.zeros(3), np.zeros(2), m=1)
+        assert flipped_value(flipped_value(2.5, 1), 1) == 2.5
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_attack_and_baseline_flips_follow_the_rule(self, strict):
@@ -330,8 +314,6 @@ class TestFlipFeatures:
         assert pert.features_flipped and ra.features_flipped
         for f in pert.features_flipped:
             assert f.new == flipped_value(f.old, f.sign, strict)
-            row, recs = flip_features(np.array([f.old]), np.array([float(f.sign)]), 1, strict)
-            assert recs == [(0, f.old, f.new, f.sign)]
         for f in ra.features_flipped:
             assert (f.sign, f.new) == (1, flipped_value(f.old, 1))
 
@@ -459,7 +441,7 @@ class TestRunDisttack:
             for t in targets:
                 sub = sample_1hop(g, t)
                 for li, lj in sub.edges:
-                    candidates.add(sub.to_global(int(li), int(lj)))
+                    candidates.add(tuple(sorted(sub.node_ids[[li, lj]].tolist())))
             best, best_damage = None, -np.inf
             for i, j in sorted(candidates):
                 trial = g.copy()

@@ -200,6 +200,32 @@ def test_missing_sbm_field_rejected(tmp_path, capsys, monkeypatch):
     assert "dataset.p_inter: required" in capsys.readouterr().err
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("a worker without training nodes reached an attack or training")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # The reference config's blocks of 50 keep no training node at 1%.
+        ["dataset.train_frac=0.01", "workers=8"],
+        ["dataset.train_frac=0.01", "workers=8", "attack.kind=ra"],
+        # Ten nodes hold four training nodes for 64 workers.
+        ["workers=64", "dataset.block_sizes=[5,5]", "attack.kind=none"],
+    ],
+)
+def test_empty_training_pool_rejected_before_training(tmp_path, capsys, monkeypatch, overrides):
+    for name in ("build_attack", "train_distributed"):
+        monkeypatch.setattr(f"distpoison.experiment.{name}", _no_training)
+    cfg = write_config(tmp_path, dataset=yaml.safe_load(
+        (Path(__file__).parents[1] / "configs" / "sbm_disttack.yaml").read_text())["dataset"])
+    args = [a for o in overrides for a in ("--set", o)]
+    assert main(["run", "--config", str(cfg), *args]) == 2
+    err = capsys.readouterr().err
+    assert "workers: worker " in err and "owns no training node" in err
+    assert "dataset.train_frac: " in err
+
+
 def write_files_dataset(tmp_path):
     """A 12-node two-class ring as the three dataset files."""
     n = 12

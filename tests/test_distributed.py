@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import distpoison.distributed as dist
+import distpoison.gnn as gnn
 from distpoison.distributed import (
     SyncRecord,
     TrainingError,
@@ -15,17 +16,25 @@ from distpoison.gnn import GradientBundle, ParamSet, backward, sgd_step
 from distpoison.graph import generate_sbm, normalize_adjacency, partition_nodes
 
 
-class FeatureBlast:
-    """Minimal poison stand-in: inflate one node's features."""
+def feature_blast(g, node, scale=40.0):
+    """A minimal poisoned view: one node's features inflated."""
+    gp = g.copy()
+    gp.features[node] *= scale
+    return gp
 
-    def __init__(self, node, scale=40.0):
-        self.node = node
-        self.scale = scale
 
-    def apply_to(self, g):
-        gp = g.copy()
-        gp.features[self.node] *= self.scale
-        return gp
+def spy_passes(monkeypatch):
+    """Record every worker pass, in call order, as (adj id, batch, bundle)."""
+    passes = []
+    real = dist.backward
+
+    def spy(params, adj, X, labels, node_set, **kwargs):
+        bundle = real(params, adj, X, labels, node_set, **kwargs)
+        passes.append((id(adj), np.array(node_set), bundle))
+        return bundle
+
+    monkeypatch.setattr(dist, "backward", spy)
+    return passes
 
 
 def sbm_all_train(seed, blocks, feature_dim=4, noise=0.3):
@@ -102,10 +111,9 @@ class TestTrainDistributed:
         g = sbm_all_train(2, [8, 8, 8, 8])
         part = partition_nodes(g, 4)
         params0 = fresh_params(g)
-        poison = FeatureBlast(node=0)
         _, clean = train_distributed(g, part, params0, epochs=10, batch_size=4, seed=1)
         _, poisoned = train_distributed(
-            g, part, params0, epochs=10, batch_size=4, seed=1, poison=poison
+            g, part, params0, epochs=10, batch_size=4, seed=1, poisoned=feature_blast(g, 0)
         )
         poisoned_w0 = [r.worker_norms[0] for r in poisoned]
         clean_w0 = [r.worker_norms[0] for r in clean]
@@ -129,84 +137,105 @@ class TestTrainDistributed:
         # Three workers, one of them poisoned: two views, so two forward
         # passes per epoch, each over the union of its view's batches, and
         # still one reverse pass per worker.
-        calls = {"forward": [], "backward": []}
-        real_forward, real_backward = dist.forward_state, dist.backward
+        forwards = []
+        real_forward = dist.forward_state
 
         def forward_spy(params, adj, X, rows=None):
-            calls["forward"].append((id(adj), rows))
+            forwards.append((id(adj), rows))
             return real_forward(params, adj, X, rows=rows)
 
-        def backward_spy(params, adj, *args, **kwargs):
-            calls["backward"].append(id(adj))
-            return real_backward(params, adj, *args, **kwargs)
-
         monkeypatch.setattr(dist, "forward_state", forward_spy)
-        monkeypatch.setattr(dist, "backward", backward_spy)
+        passes = spy_passes(monkeypatch)
         g = sbm_all_train(5, [6, 6, 6])
-        batches = []
         train_distributed(
             g, partition_nodes(g, 3), fresh_params(g), epochs=4, batch_size=3, seed=2,
-            poison=FeatureBlast(node=0), poisoned_worker=1,
-            on_epoch=lambda e, states, p: batches.append([st.batch.copy() for st in states]),
+            poisoned=feature_blast(g, 0), poisoned_worker=1,
         )
-        assert len(calls["backward"]) == 3 * 4
-        assert len(calls["forward"]) == 2 * 4
-        clean, poisoned = (adj for adj, _ in calls["forward"][:2])
+        assert len(passes) == 3 * 4
+        assert len(forwards) == 2 * 4
+        clean, poisoned = (adj for adj, _ in forwards[:2])
         assert clean != poisoned
-        assert calls["backward"] == [clean, poisoned, clean] * 4
+        assert [adj for adj, _, _ in passes] == [clean, poisoned, clean] * 4
+        batches = [[b for _, b, _ in passes[3 * e : 3 * e + 3]] for e in range(4)]
         for epoch, (b0, b1, b2) in enumerate(batches):
-            (_, rows_clean), (_, rows_poisoned) = calls["forward"][2 * epoch : 2 * epoch + 2]
+            (_, rows_clean), (_, rows_poisoned) = forwards[2 * epoch : 2 * epoch + 2]
             np.testing.assert_array_equal(np.unique(rows_clean), np.union1d(b0, b2))
             np.testing.assert_array_equal(np.unique(rows_poisoned), np.unique(b1))
 
-    def test_all_workers_share_global_params(self):
+    def test_one_field_search_per_view_per_epoch(self, monkeypatch):
+        # On a graph large enough for limited products, the forward state
+        # finds every field of a view's epoch with one _gathers call: each
+        # batch's gathers, and the blocks of the batches' union as one more
+        # batch. No reverse pass searches again, and the forward products
+        # take no reverse product.
+        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+        assert normalize_adjacency(g).matrix.nnz >= gnn._LIMITED_MIN_NNZ
+        searches, products, in_pass = [], {"pass": 0, "other": 0}, [False]
+        real_gathers, real_product = gnn._gathers, gnn._reverse_product
+        real_backward = dist.backward
+
+        def gathers_spy(A, batches, *args):
+            assert not in_pass[0], "a reverse pass searched for its own fields"
+            searches.append(len(batches))
+            return real_gathers(A, batches, *args)
+
+        def product_spy(A, M, step):
+            products["pass" if in_pass[0] else "other"] += step is not None
+            return real_product(A, M, step)
+
+        def backward_spy(*args, **kwargs):
+            in_pass[0] = True
+            try:
+                return real_backward(*args, **kwargs)
+            finally:
+                in_pass[0] = False
+
+        monkeypatch.setattr(gnn, "_gathers", gathers_spy)
+        monkeypatch.setattr(gnn, "_reverse_product", product_spy)
+        monkeypatch.setattr(dist, "backward", backward_spy)
+        train_distributed(
+            g, partition_nodes(g, 3), fresh_params(g), epochs=3, batch_size=8, seed=0,
+            poisoned=feature_blast(g, 0), poisoned_worker=1,
+        )
+        # The clean view: workers 0 and 2 and their union; the poisoned view:
+        # worker 1 alone, its batch its own union.
+        assert searches == [3, 1] * 3
+        assert products["pass"] > 0 and products["other"] == 0
+
+    def test_all_workers_share_global_params(self, monkeypatch):
         # Recompute each worker's recorded gradient from the single global
         # trajectory; byte-equality shows no worker saw a stale copy.
         g = sbm_all_train(4, [6, 6])
         part = partition_nodes(g, 2)
         params0 = fresh_params(g)
-        seen = []
-        train_distributed(
-            g,
-            part,
-            params0,
-            epochs=5,
-            batch_size=3,
-            seed=5,
-            on_epoch=lambda e, states, p: seen.append(
-                ([st.batch.copy() for st in states], [st.bundle.l2_norm for st in states], p)
-            ),
-        )
+        passes = spy_passes(monkeypatch)
+        final, _ = train_distributed(g, part, params0, epochs=5, batch_size=3, seed=5)
         adj = normalize_adjacency(g)
         current = params0
-        for batches, norms, params_after in seen:
-            for w, batch in enumerate(batches):
-                redo = backward(current, adj, g.features, g.labels, batch)
-                assert redo.l2_norm == norms[w]
-            current = params_after
+        for epoch in range(5):
+            redos = []
+            for _, batch, bundle in passes[2 * epoch : 2 * epoch + 2]:
+                redos.append(backward(current, adj, g.features, g.labels, batch))
+                assert redos[-1].l2_norm == bundle.l2_norm
+            current = sgd_step(current, aggregate_gradients(redos))
+        np.testing.assert_array_equal(current.W0, final.W0)
+        np.testing.assert_array_equal(current.W1, final.W1)
 
-    def test_poison_locality_first_epoch(self):
+    def test_poison_locality_first_epoch(self, monkeypatch):
         g = sbm_all_train(5, [6, 6, 6])
         part = partition_nodes(g, 3)
         params0 = fresh_params(g)
-        poison = FeatureBlast(node=0)
-
-        def capture(store):
-            return lambda e, states, p: store.append(
-                [st.bundle.dW0.copy() for st in states]
-            ) if e == 0 else None
-
-        clean_grads, poisoned_grads = [], []
-        train_distributed(
-            g, part, params0, epochs=1, batch_size=3, seed=2, on_epoch=capture(clean_grads)
-        )
+        passes = spy_passes(monkeypatch)
+        train_distributed(g, part, params0, epochs=1, batch_size=3, seed=2)
         train_distributed(
             g, part, params0, epochs=1, batch_size=3, seed=2,
-            poison=poison, poisoned_worker=0, on_epoch=capture(poisoned_grads),
+            poisoned=feature_blast(g, 0), poisoned_worker=0,
         )
-        assert not np.array_equal(clean_grads[0][0], poisoned_grads[0][0])
+        clean_grads = [bundle.dW0 for _, _, bundle in passes[:3]]
+        poisoned_grads = [bundle.dW0 for _, _, bundle in passes[3:]]
+        assert not np.array_equal(clean_grads[0], poisoned_grads[0])
         for w in (1, 2):
-            np.testing.assert_array_equal(clean_grads[0][w], poisoned_grads[0][w])
+            np.testing.assert_array_equal(clean_grads[w], poisoned_grads[w])
 
     def test_empty_pool_rejected(self):
         g = generate_sbm(0, [4, 4], 0.5, 0.1, feature_dim=3, noise=0.2)

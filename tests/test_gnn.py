@@ -524,14 +524,15 @@ class TestLimitedForward:
                 with pytest.raises(ValueError):
                     backward(params, adj, g.features, g.labels, [outside[0]], state=state)
         # Field h is the nodes h hops from the union, from the logits down,
-        # for as long as the product rule holds; share 1 always holds.
+        # for as long as the product rule holds; share 1 always holds, and
+        # then X W0 is held on the deepest field.
         fields = receptive_fields(adj, union, depth)
         held = [f for f in state.fields[::-1] if f is not None]
         if params.W1 is not None:
-            held = held[::3]  # S0, H and Q share one field
-        assert len(held) <= depth
+            held = held[:2] + held[4:]  # S0, H and Q share one field
+        assert len(held) <= depth + 1
         if share == 1:
-            assert len(held) == depth
+            assert len(held) == depth + 1
         for f, want_f in zip(held, fields):
             np.testing.assert_array_equal(f, want_f)
         full = oracle_state(params, adj, g.features)

@@ -13,7 +13,6 @@ from distpoison.homophily import (
     homophily_after_edge_removal,
     homophily_after_feature_change,
     homophily_values,
-    node_homophily,
     write_histogram_csv,
 )
 
@@ -25,12 +24,12 @@ def graph_with_features(num_nodes, edges, feats):
 class TestNodeHomophily:
     def test_isolated_node(self):
         g = graph_with_features(3, [(1, 2)], [[3.0, 4.0], [1.0, 0.0], [0.0, 1.0]])
-        assert node_homophily(g, 0) == pytest.approx(5.0)
+        assert homophily_values(g)[0] == pytest.approx(5.0)
 
     def test_single_neighbor_unit_degrees(self):
         # Hand case: d_i = d_j = 1, so the aggregate is exactly X_j.
         g = graph_with_features(2, [(0, 1)], [[0.0, 0.0], [1.0, 0.0]])
-        assert node_homophily(g, 0) == pytest.approx(1.0)
+        assert homophily_values(g)[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("c", [2.0, -3.0, 0.5])
     def test_feature_scaling_homogeneity(self, c):
@@ -43,13 +42,13 @@ class TestNodeHomophily:
     def test_values_match_scalar_path(self):
         g = generate_sbm(1, [6, 6], 0.4, 0.1, feature_dim=3, noise=0.3)
         vec = homophily_values(g)
-        scalar = np.array([node_homophily(g, i) for i in range(g.num_nodes)])
+        scalar = np.array([oracle.node_homophily(g, i) for i in range(g.num_nodes)])
         np.testing.assert_allclose(vec, scalar, rtol=1e-12)
 
     def test_triangle_hand_case(self):
         g = graph_with_features(3, [(0, 1), (0, 2), (1, 2)], np.eye(3))
         # d = (2, 2, 2): ratio weighting gives sqrt(2)/sqrt(2)=1 per neighbor.
-        assert node_homophily(g, 0) == pytest.approx(np.sqrt(2.0 + 1.0))
+        assert homophily_values(g)[0] == pytest.approx(np.sqrt(2.0 + 1.0))
 
 
 class TestDistribution:
