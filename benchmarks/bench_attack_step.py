@@ -10,13 +10,16 @@ attack scores a node's dimensions in a row, so it reuses the state's block
 for that node; ``test_feature_trial_new_node`` gathers a fresh one each call.
 ``test_view_forward`` is one graph view's forward state for an epoch, over
 the union of its workers' batches: 8 nodes (one worker, as on the poisoned
-view) or 56 (seven workers of 8), without the batches' gathers.
+view) or 56 (seven workers of 8), passed as one batch, so without the
+other batches' gathers.
 ``test_worker_backward`` is one victim worker's pass: an 8-node batch
 against a state built for seven batches of 8, whose gathers it reads.
 ``test_view_epoch`` is what a victim epoch spends on the clean view: that
 state, gathers included, and all seven passes; a change that moves work
 between the state and the passes shows there. At n = 1,600 and 6,400 the
 passes take the receptive-field (limited) products.
+``test_surrogate_fit`` is one 40-epoch surrogate fit on the training nodes,
+as each attack iteration runs; it takes full products at every size.
 ``test_generate_sbm`` draws the fixture's graph from its seed.
 ``test_subgraph_to_graph`` builds the hub's 1-hop subgraph as a Graph, as
 the attack does for each target's subgraph gradient. ``test_attack_step`` is
@@ -148,14 +151,14 @@ def _victim_setup(g):
 def test_view_forward(benchmark, case, union_size):
     g, _ = case
     adj, params, union = _victim_setup(g)
-    benchmark(forward_state, params, adj, g.features, rows=union[:union_size])
+    benchmark(forward_state, params, adj, g.features, [union[:union_size]])
 
 
 def test_worker_backward(benchmark, case):
     g, _ = case
     adj, params, union = _victim_setup(g)
     batches = [union[i : i + 8] for i in range(0, len(union), 8)]
-    state = forward_state(params, adj, g.features, rows=batches)
+    state = forward_state(params, adj, g.features, batches)
     benchmark(
         backward, params, adj, g.features, g.labels, batches[0], state=state, assume_unique=True
     )
@@ -167,7 +170,7 @@ def test_view_epoch(benchmark, case):
     batches = [union[i : i + 8] for i in range(0, len(union), 8)]
 
     def epoch():
-        state = forward_state(params, adj, g.features, rows=batches)
+        state = forward_state(params, adj, g.features, batches)
         for batch in batches:
             backward(params, adj, g.features, g.labels, batch, state=state, assume_unique=True)
 
@@ -187,3 +190,8 @@ def test_attack_step(benchmark, case, lambda_homo):
         return (_DisttackRun(g, part, cfg, targets), theta), {}
 
     benchmark.pedantic(_DisttackRun.step, setup=fresh_run, rounds=10)
+
+
+def test_surrogate_fit(benchmark, case):
+    g, _ = case
+    benchmark(train_surrogate, g, 40, 0)

@@ -29,9 +29,7 @@ from distpoison.gnn import (
     check_gradients,
     forward,
     forward_state,
-    gcn_forward,
     masked_ce_loss,
-    sgc_forward,
     sgd_step,
 )
 from distpoison.graph import (

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -226,7 +225,7 @@ class ScoreMatrix:
     """Removal scores of one sampled subgraph's edges, as flat arrays.
 
     ``rows[k] < cols[k]`` are the local ids of the k-th subgraph edge and
-    ``values[k]`` its score; ``scores`` is the symmetric sparse view.
+    ``values[k]`` its score.
     """
 
     sub: Subgraph
@@ -234,15 +233,8 @@ class ScoreMatrix:
     cols: np.ndarray
     values: np.ndarray
 
-    @cached_property
-    def scores(self) -> sp.csr_matrix:
-        n = self.sub.num_nodes
-        r = np.concatenate([self.rows, self.cols])
-        c = np.concatenate([self.cols, self.rows])
-        v = np.concatenate([self.values, self.values])
-        return sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
-
     def global_items(self) -> dict[tuple[int, int], float]:
+        """``{(i, j): score}`` over global node ids, i < j."""
         a = self.sub.node_ids[self.rows]
         b = self.sub.node_ids[self.cols]
         keys = zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
@@ -311,16 +303,16 @@ def edge_scores(
     return ScoreMatrix(sub=sub, rows=i, cols=j, values=vals)
 
 
-def select_edge_removals(scores, k: int) -> list[tuple[int, int, float]]:
-    """Top-k positive-score edges, descending; ties broken by (min id, max id).
+def select_edge_removals(scores: dict, k: int) -> list[tuple[int, int, float]]:
+    """Top-k positive-score edges of ``{(i, j): score}`` (i < j), descending;
+    ties broken by (min id, max id).
 
-    Accepts a ScoreMatrix or a mapping {(i, j): score} with i < j. Edges with
-    score <= 0 are ineligible: a removal must be expected to help the attack.
+    Edges with score <= 0 are ineligible: a removal must be expected to help
+    the attack.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    items = scores.global_items() if isinstance(scores, ScoreMatrix) else dict(scores)
-    eligible = [(i, j, s) for (i, j), s in items.items() if s > 0.0]
+    eligible = [(i, j, s) for (i, j), s in scores.items() if s > 0.0]
     eligible.sort(key=lambda t: (-t[2], t[0], t[1]))
     return eligible[:k]
 
@@ -592,9 +584,19 @@ def baseline_dice(
             "poisoned_worker": poisoned_worker,
         }
     )
-    added: set[tuple[int, int]] = set()
     labels = g.labels
     same = _share_edges(g, share_list, same_label=True)  # not yet removed, in edge order
+    # An addition draws uniformly from the pairs (u, v), u in the share in
+    # order and v ascending, of different labels, neither adjacent nor added
+    # already; a pair inside the share is listed once from each end. free[u]
+    # counts u's pairs, so the draw finds its pair by a cumulative sum over
+    # the share instead of listing them.
+    share = np.array(share_list, dtype=np.int64)
+    edges = g.edge_array()
+    cross = edges[labels[edges[:, 0]] != labels[edges[:, 1]]].ravel()
+    n = g.num_nodes
+    free = n - np.bincount(labels)[labels] - np.bincount(cross, minlength=n)
+    partners: dict[int, list[int]] = {}  # each node's added pairs' other ends
     for unit in range(edge_budget):
         if rng.random() < 0.5:
             if not same:
@@ -602,19 +604,19 @@ def baseline_dice(
             i, j = same.pop(rng.integers(len(same)))
             pert.edges_removed.append(EdgeRemoval(i, j, 0.0, unit + 1))
         else:
-            avail = [
-                (min(u, v), max(u, v))
-                for u in share_list
-                for v in range(g.num_nodes)
-                if u != v
-                and labels[u] != labels[v]
-                and not g.has_edge(u, v)
-                and (min(u, v), max(u, v)) not in added
-            ]
-            if not avail:
+            cum = np.cumsum(free[share])
+            if len(cum) == 0 or cum[-1] == 0:
                 continue
-            i, j = avail[rng.integers(len(avail))]
-            added.add((i, j))
-            pert.edges_added.append(EdgeAddition(i, j, unit + 1))
+            r = int(rng.integers(int(cum[-1])))
+            k = int(np.searchsorted(cum, r, side="right"))
+            u = share_list[k]
+            ok = labels != labels[u]
+            ok[g.neighbors(u)] = False
+            ok[partners.get(u, [])] = False
+            v = int(np.flatnonzero(ok)[r - cum[k] + free[u]])
+            for a, b in ((u, v), (v, u)):
+                partners.setdefault(a, []).append(b)
+                free[a] -= 1
+            pert.edges_added.append(EdgeAddition(min(u, v), max(u, v), unit + 1))
     return pert
 

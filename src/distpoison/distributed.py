@@ -141,7 +141,7 @@ def train_distributed(
         adj, X = views[v]
         try:
             if fwd[v] is None:
-                fwd[v] = forward_state(params, adj, X, rows=[s.batch for s in on_view[v]])
+                fwd[v] = forward_state(params, adj, X, [s.batch for s in on_view[v]])
             return backward(params, adj, X, labels, st.batch, state=fwd[v], assume_unique=True)
         except FloatingPointError as exc:
             raise TrainingError(

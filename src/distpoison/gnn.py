@@ -26,8 +26,6 @@ __all__ = [
     "ParamSet",
     "GradientBundle",
     "NumericalError",
-    "gcn_forward",
-    "sgc_forward",
     "forward",
     "forward_state",
     "ForwardState",
@@ -195,8 +193,8 @@ def _matvecs(kernel, n_out: int, step: tuple, M: np.ndarray) -> np.ndarray:
 class _Gather(NamedTuple):
     """What one batch's reverse pass reads, found before the pass.
 
-    ``rows`` are the batch's unique node ids, sorted once A holds
-    _LIMITED_MIN_NNZ entries, and ``counts`` how often each is listed (None:
+    ``rows`` are the batch's unique node ids, sorted when ``_gathers``
+    found them, and ``counts`` how often each is listed (None:
     once each). ``steps[h]`` is the limited reverse product at hop h, as
     ``(indptr, cols, data, reached)``: the block of A on the rows
     ``reached`` (the sorted node ids h + 1 hops from the batch) and the
@@ -217,17 +215,9 @@ class _Gather(NamedTuple):
 
 
 def _positions(field: np.ndarray | None, ids: np.ndarray) -> np.ndarray:
-    """The positions of ``ids`` in the sorted ``field``; ``ids`` itself when
-    the field is None (all n rows). Raises ValueError for an id not in it."""
-    if field is None:
-        return ids
-    at = np.minimum(np.searchsorted(field, ids), len(field) - 1)
-    if not (field[at] == ids).all():
-        raise ValueError(
-            f"forward state holds its logits on {len(field)} rows only, "
-            "not on every row asked for; pass the batch to forward_state"
-        )
-    return at
+    """The positions of ``ids`` in the sorted ``field``, which holds them;
+    ``ids`` itself when the field is None (all n rows)."""
+    return ids if field is None else np.searchsorted(field, ids)
 
 
 def _stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,16 +251,14 @@ def _held_fields(rows: np.ndarray, steps: tuple, depth: int) -> list:
     return fields if len(steps) == depth else fields[:-1]
 
 
-def _gathers(A: sp.csr_matrix, batches: list, depth: int, fields: tuple | None = None
-             ) -> list[_Gather]:
+def _gathers(A: sp.csr_matrix, batches: list, depth: int) -> list[_Gather]:
     """Each batch's ``_Gather`` for a reverse pass of ``depth`` products over
     an A of at least _LIMITED_MIN_NNZ entries.
 
-    ``fields`` are the forward state's (see ``ForwardState``); the pass
-    reads the state at hops 0 and 1, on the last two. None stands for the
-    fields of a state yet to be built on the last batch, which then holds
-    every other batch's rows (see ``_held_fields``). All batches are
-    gathered together, from A's CSR arrays: one sort of (batch, node) keys
+    The last batch holds every other batch's rows, and the passes read a
+    forward state built on its fields (see ``_held_fields``) at hops 0 and
+    1, where every batch's rows lie inside them. All batches are gathered
+    together, from A's CSR arrays: one sort of (batch, node) keys
     gives every batch's rows, and one stable sort of (batch, column) keys
     per hop gives every batch's reached rows and its block of A, each block
     row's entries in ascending column order as in A's own row. A batch's
@@ -319,11 +307,8 @@ def _gathers(A: sp.csr_matrix, batches: list, depth: int, fields: tuple | None =
                 break
             mine.append((indptr[rb[b]:rb[b + 1] + 1], cols, data, reached[rb[b]:rb[b + 1]]))
         steps.append(tuple(mine))
-    if fields is None:
-        held = _held_fields(batch_rows[bounds[-2]:], steps[-1], depth)
-        f0, f1 = held[:2] if held else (None, None)
-    else:
-        f1, f0 = fields[-2:]
+    held = _held_fields(batch_rows[bounds[-2]:], steps[-1], depth)
+    f0, f1 = held[:2] if held else (None, None)
     row_at = _positions(f0, batch_rows)
     reached_at, rb = (_positions(f1, hops[0][-1]), hops[0][1]) if hops else (None, None)
     out = []
@@ -388,66 +373,51 @@ def _state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray, fields=(), steps=(
     return tuple(us), tuple(on(h) for h in range(depth, -1, -1))
 
 
-def gcn_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
-    """Logits of the 2-layer GCN (no activation on the output layer)."""
-    if params.W1 is None:
-        raise ValueError("gcn_forward requires a two-weight ParamSet")
-    _check_finite("gcn_forward inputs", X, params.W0, params.W1)
-    Z = _state(params, adj.matrix, X)[0][-1]
-    _check_finite("gcn_forward logits", Z)
+def forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
+    """Logits on every node: ``A relu(A X W0) W1`` for the GCN, ``A^k X W0``
+    for the linear model (no activation on the output)."""
+    Z = forward_state(params, adj, X).values[-1]
+    _check_finite("forward logits", Z)
     return Z
 
 
-def sgc_forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, k: int) -> np.ndarray:
-    """Logits of the linear model: k propagation steps then one weight."""
-    if k < 1:
-        raise ValueError(f"propagation depth must be >= 1, got {k}")
-    _check_finite("sgc_forward inputs", X, params.W0)
-    U = _state(ParamSet(params.W0, k=k), adj.matrix, X)[0][-1]
-    _check_finite("sgc_forward logits", U)
-    return U
-
-
-def forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
-    if params.W1 is None:
-        return sgc_forward(params, adj, X, params.k)
-    return gcn_forward(params, adj, X)
-
-
 def forward_state(
-    params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, rows=None
+    params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, batches: list | None = None
 ) -> ForwardState:
     """The forward intermediates that ``backward`` reverses; logits last.
 
     For the GCN this is ``(P, S0, H, Q, Z)`` with ``P = X W0``, ``S0 = A P``,
     ``H = relu(S0)``, ``Q = H W1`` and ``Z = A Q``; for the linear model it is
-    ``(U_0, ..., U_k)`` with ``U_0 = X W0`` and ``U_t = A U_{t-1}``. The state
-    depends on the weights, the adjacency and the features only, so every
-    batch on the same graph view under the same weights can share one.
+    ``(U_0, ..., U_k)`` with ``U_0 = X W0`` and ``U_t = A U_{t-1}``, k >= 1.
+    The state depends on the weights, the adjacency and the features only,
+    so every batch on the same graph view under the same weights can share
+    one.
 
-    ``rows`` names the nodes whose logits will be differentiated: node ids
-    (repeats allowed), or a list of numpy arrays of them, the batches whose
-    reverse passes will read the state; None means every node. On a large
-    graph one ``_gathers`` call over the batches, with their union as one
-    more batch when there are several, finds every field: each batch's
-    gathers for its reverse pass, and the union's hop fields and blocks of
-    A. The state is held on the union's fields while they pass the product
-    rule (see ``_held_fields``): Z over the union, S0, H and Q over the
-    nodes one hop away, U_t over the nodes k - t hops away, and ``X W0``
-    over the field the deepest limited product reads. Its products read the
-    union's blocks, the same arrays the reverse passes read, through the
-    CSC kernel (see ``_state``). Held rows are bit-identical to the full
-    state's while the row-restricted GEMMs ``X W0`` and ``H W1`` stay on
-    OpenBLAS's small-matrix kernel, and agree within rounding beyond it
-    (see ``backward``).
+    This is the one place that decides whether products are limited.
+    ``batches`` lists the node-id arrays (repeats allowed) whose reverse
+    passes will read the state. Without batches, or on a graph of fewer
+    than _LIMITED_MIN_NNZ entries, the state holds all n rows and every
+    product is full. Otherwise one ``_gathers`` call over the batches, with
+    their union as one more batch when there are several, finds every
+    field: each batch's gathers for its reverse pass, and the union's hop
+    fields and blocks of A. The state is held on the union's fields while
+    they pass the product rule (see ``_held_fields``): Z over the union,
+    S0, H and Q over the nodes one hop away, U_t over the nodes k - t hops
+    away, and ``X W0`` over the field the deepest limited product reads.
+    Its products read the union's blocks, the same arrays the reverse
+    passes read, through the CSC kernel (see ``_state``). Held rows are
+    bit-identical to the full state's while the row-restricted GEMMs
+    ``X W0`` and ``H W1`` stay on OpenBLAS's small-matrix kernel, and agree
+    within rounding beyond it (see ``backward``).
     """
+    if params.W1 is None and params.k < 1:
+        raise ValueError(f"propagation depth must be >= 1, got {params.k}")
     _check_finite("forward inputs", X, *params.weights())
     A = adj.matrix
-    if rows is None or A.nnz < _LIMITED_MIN_NNZ:
+    if not batches or A.nnz < _LIMITED_MIN_NNZ:
         return ForwardState(*_state(params, A, X))
     depth = 2 if params.W1 is not None else params.k
-    many = isinstance(rows, list) and rows and isinstance(rows[0], np.ndarray)
-    batches = [np.asarray(b, dtype=np.int64) for b in (rows if many else [rows])]
+    batches = [np.asarray(b, dtype=np.int64) for b in batches]
     # One batch is its own union.
     found = _gathers(A, batches + [np.concatenate(batches)] if len(batches) > 1 else batches, depth)
     union = found[-1]
@@ -593,23 +563,22 @@ def backward(
     """Exact reverse-mode gradients of the chosen objective.
 
     ``objective`` is "masked_ce" (mean CE over node_set, the training loss)
-    or "attack" (negated CE sum over node_set as targets). ``state`` is a
-    ``forward_state(params, adj, X, rows)`` whose ``rows`` include node_set,
-    when the caller already has one; a state that does not hold a row the
-    pass reads raises ValueError. Without a state, the pass builds its own
-    for node_set, whose one field search also finds the pass's gathers;
-    when ``want_dA`` needs the intermediates on every row and ``state`` is
-    limited, it builds a full one. A node listed twice in node_set counts
-    twice; with ``assume_unique`` the caller vouches that none is, as for a
-    batch drawn without replacement, and on a graph too small for limited
-    products the pass skips that check.
+    or "attack" (negated CE sum over node_set as targets). A node listed
+    twice in node_set counts twice; with ``assume_unique`` the caller
+    vouches that none is, as for a batch drawn without replacement, and a
+    pass with full products skips that check.
 
-    When the state was built for node_set as one of its batches (the same
-    ids in the same order), the pass reads the gathers found then, and
-    gathers nothing itself; otherwise it finds its own through the same
-    routine (see ``_gathers``). Its limited products read the same blocks
-    of A that a state built on node_set multiplies by (see ``_Gather``),
-    through scipy's CSR kernel.
+    Whether products are limited is decided by ``forward_state`` alone.
+    Without ``state``, the pass builds the full state and takes full
+    products. Given a state, it reads the gathers found for node_set when
+    the state was built for it as one of its batches (the same ids in the
+    same order), and takes full products when it was not; a limited state
+    asked for a node set outside its batches raises ValueError. When
+    ``want_dA`` needs the intermediates on every row and ``state`` is
+    limited, the pass builds a full one.
+
+    Limited products read the same blocks of A that the state multiplies
+    by (see ``_Gather``), through scipy's CSR kernel.
     Each reverse quantity is carried as a block over the rows it can be
     nonzero on, with those rows, or as a full matrix with None once a
     product went full; the dense steps then read only those rows of the
@@ -625,15 +594,18 @@ def backward(
     if len(node_set) == 0:
         raise ValueError("node_set must be nonempty")
     if state is None or (want_dA and state.limited):
-        state = forward_state(params, adj, X, None if want_dA else node_set)
+        state = forward_state(params, adj, X)
     A = adj.matrix
     n = A.shape[0]
     g = state.gathers.get(node_set.tobytes()) if state.gathers else None
-    if g is None and A.nnz < _LIMITED_MIN_NNZ:  # every product is full
+    if g is None:
+        if state.limited:
+            raise ValueError(
+                "forward state is limited to the batches it was built for, "
+                "and node_set is not one of them; pass it to forward_state"
+            )
         rows, counts = (node_set, None) if assume_unique else np.unique(node_set, return_counts=True)
         g = _Gather(rows, counts, (), (rows, None))
-    elif g is None:
-        g = _gathers(A, [node_set], 2 if params.W1 is not None else params.k, state.fields)[0]
 
     dZ = _loss_grad_rows(state.values[-1], labels, g, len(node_set), objective)
     if params.W1 is not None:

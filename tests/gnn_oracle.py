@@ -2,14 +2,15 @@
 
 ``gcn_state``/``sgc_state`` compute every forward intermediate on all n rows;
 ``distpoison.gnn.forward_state`` must hold bit-identical rows wherever it
-holds a row, with or without a ``rows`` argument. Every ``backward`` call
+holds a row, with or without a ``batches`` argument. Every ``backward`` call
 runs its own full-graph forward pass and takes every reverse product over
 the whole adjacency, and the adjacency-entry gradient is built
 as a COO matrix, converted to CSR and index-sorted.
 The loss gradient is an n-row matrix, a node listed several times
 contributing once per listing. ``distpoison.gnn.backward`` must return
 bit-identical gradients (dA with identical CSR arrays), with or without a
-shared forward state and on either side of its full/limited product choice.
+forward state built for the batch and on either side of its full/limited
+product choice.
 """
 
 import numpy as np

@@ -357,9 +357,8 @@ def test_criterion_7_invariant_suite():
         sub = sample_1hop(g, t)
         eg, _ = combined_subgraph_gradient(theta, sub, cfg)
         s = edge_scores(eg, sub, part, 0.3)
-        edge_set = {(int(i), int(j)) for i, j in sub.edges}
-        coo = sp.triu(s.scores.tocoo(), k=1)
-        masked &= all((int(i), int(j)) in edge_set for i, j in zip(coo.row, coo.col))
+        edge_set = {tuple(sorted(int(v) for v in sub.node_ids[e])) for e in sub.edges}
+        masked &= set(s.global_items()) <= edge_set
     checks.append(("score-matrix masking", masked))
 
     # Communication case table: cross-worker +1, same-worker -1.
@@ -367,10 +366,8 @@ def test_criterion_7_invariant_suite():
     part2 = Partition(assignment=np.array([0, 1, 0]), n=2)
     sub2 = sample_1hop(g2, 0)
     # The cross-worker term alone: scores under a zero gradient, lambda_comm 1.
-    c = edge_scores(sp.csr_matrix((3, 3)), sub2, part2, 1.0).scores
-    ids = sub2.node_ids.tolist()
-    cross = c[ids.index(0), ids.index(1)]
-    same = c[ids.index(0), ids.index(2)]
+    c = edge_scores(sp.csr_matrix((3, 3)), sub2, part2, 1.0).global_items()
+    cross, same = c[(0, 1)], c[(0, 2)]
     checks.append(("communication case table", cross == 1.0 and same == -1.0))
 
     # Feature-flip multiplier table {+1 -> -1, 0 -> x1, -1 -> x3}.

@@ -140,9 +140,9 @@ class TestTrainDistributed:
         forwards = []
         real_forward = dist.forward_state
 
-        def forward_spy(params, adj, X, rows=None):
-            forwards.append((id(adj), rows))
-            return real_forward(params, adj, X, rows=rows)
+        def forward_spy(params, adj, X, batches=None):
+            forwards.append((id(adj), batches))
+            return real_forward(params, adj, X, batches)
 
         monkeypatch.setattr(dist, "forward_state", forward_spy)
         passes = spy_passes(monkeypatch)
@@ -158,9 +158,11 @@ class TestTrainDistributed:
         assert [adj for adj, _, _ in passes] == [clean, poisoned, clean] * 4
         batches = [[b for _, b, _ in passes[3 * e : 3 * e + 3]] for e in range(4)]
         for epoch, (b0, b1, b2) in enumerate(batches):
-            (_, rows_clean), (_, rows_poisoned) = forwards[2 * epoch : 2 * epoch + 2]
-            np.testing.assert_array_equal(np.unique(rows_clean), np.union1d(b0, b2))
-            np.testing.assert_array_equal(np.unique(rows_poisoned), np.unique(b1))
+            (_, clean_batches), (_, poisoned_batches) = forwards[2 * epoch : 2 * epoch + 2]
+            for got, want in ((clean_batches, [b0, b2]), (poisoned_batches, [b1])):
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
 
     def test_one_field_search_per_view_per_epoch(self, monkeypatch):
         # On a graph large enough for limited products, the forward state

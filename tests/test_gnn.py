@@ -18,9 +18,7 @@ from distpoison.gnn import (
     check_gradients,
     forward,
     forward_state,
-    gcn_forward,
     masked_ce_loss,
-    sgc_forward,
     sgd_step,
 )
 from distpoison.graph import build_graph, generate_sbm, normalize_adjacency
@@ -39,14 +37,14 @@ class TestGCNForward:
         g = make_graph(4, [(0, 1), (1, 2)], feature_dim=3)
         adj = normalize_adjacency(g)
         params = ParamSet(W0=np.zeros((3, 5)), W1=np.zeros((5, 2)))
-        Z = gcn_forward(params, adj, g.features)
+        Z = forward(params, adj, g.features)
         assert np.all(Z == 0.0)
 
     def test_identity_chain_single_node(self):
         g = make_graph(1, [], features=np.array([[1.0, 0.0]]))
         adj = normalize_adjacency(g)  # [[1.0]]
         params = ParamSet(W0=np.eye(2), W1=np.eye(2))
-        Z = gcn_forward(params, adj, g.features)
+        Z = forward(params, adj, g.features)
         np.testing.assert_allclose(Z, [[1.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -54,7 +52,7 @@ class TestGCNForward:
         g, rng = random_instance(seed, n=6, feature_dim=4, num_classes=3)
         adj = normalize_adjacency(g)
         params = gcn_params(4, 5, 3, seed=seed)
-        Z = gcn_forward(params, adj, g.features)
+        Z = forward(params, adj, g.features)
         ref = dense_gcn(dense_normalized(g), g.features, params.W0, params.W1)
         np.testing.assert_allclose(Z, ref, atol=1e-10)
 
@@ -63,7 +61,7 @@ class TestGCNForward:
         adj = normalize_adjacency(g)
         params = ParamSet(W0=np.full((2, 3), np.nan), W1=np.zeros((3, 2)))
         with pytest.raises(NumericalError):
-            gcn_forward(params, adj, g.features)
+            forward(params, adj, g.features)
 
 
 class TestSGCForward:
@@ -74,14 +72,14 @@ class TestSGCForward:
         adj = normalize_adjacency(g)
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
         params = ParamSet(W0=W, W1=None, k=1)
-        np.testing.assert_allclose(sgc_forward(params, adj, feats, k=1), feats @ W)
+        np.testing.assert_allclose(forward(params, adj, feats), feats @ W)
 
     def test_depth_two_is_composition(self):
         g, _ = random_instance(1, n=5, feature_dim=3)
         adj = normalize_adjacency(g)
         W = np.random.default_rng(1).standard_normal((3, 2))
         params = ParamSet(W0=W, W1=None, k=2)
-        z2 = sgc_forward(params, adj, g.features, k=2)
+        z2 = forward(params, adj, g.features)
         once = adj.matrix @ (g.features @ W)
         np.testing.assert_allclose(z2, adj.matrix @ once, atol=1e-12)
 
@@ -91,16 +89,16 @@ class TestSGCForward:
         adj = normalize_adjacency(g)
         W = np.random.default_rng(seed + 100).standard_normal((4, 3))
         params = ParamSet(W0=W, W1=None, k=2)
-        Z = sgc_forward(params, adj, g.features, k=2)
+        Z = forward(params, adj, g.features)
         D = dense_normalized(g)
         np.testing.assert_allclose(Z, D @ D @ g.features @ W, atol=1e-10)
 
     def test_invalid_depth(self):
         g = make_graph(2, [(0, 1)])
         adj = normalize_adjacency(g)
-        params = ParamSet(W0=np.zeros((2, 2)), W1=None)
-        with pytest.raises(ValueError):
-            sgc_forward(params, adj, g.features, k=0)
+        params = ParamSet(W0=np.zeros((2, 2)), W1=None, k=0)
+        with pytest.raises(ValueError, match="depth"):
+            forward(params, adj, g.features)
 
 
 class TestLosses:
@@ -292,16 +290,16 @@ class TestBackwardOracle:
         picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=10),
         removals=st.integers(0, 6),
         isolate=st.booleans(),
-        shared_state=st.booleans(),
+        batch_state=st.booleans(),
         limits=st.sampled_from([(None, None), (0, 8), (0, 1)]),
         objective=st.sampled_from(["masked_ce", "attack"]),
         want=st.booleans(),
     )
     # A lone isolated node: every block is one row, which numpy would hand to GEMV.
     @example(seed=0, n=11, model="gcn", picks=[0], removals=0, isolate=True,
-             shared_state=False, limits=(0, 8), objective="masked_ce", want=False)
+             batch_state=True, limits=(0, 8), objective="masked_ce", want=False)
     def test_matches_oracle(
-        self, seed, n, model, picks, removals, isolate, shared_state, limits, objective, want
+        self, seed, n, model, picks, removals, isolate, batch_state, limits, objective, want
     ):
         g, rng = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
         for _ in range(min(removals, g.num_edges)):
@@ -319,19 +317,23 @@ class TestBackwardOracle:
         kw = dict(want_dA=want, want_dX=want, objective=objective)
 
         want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, node_set, **kw)
-        state = forward_state(params, adj, g.features) if shared_state else None
         min_nnz, share = limits
         if min_nnz is None:
             min_nnz, share = gnn._LIMITED_MIN_NNZ, gnn._LIMITED_SHARE
         seen, spy = count_limited_products()
         with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", min_nnz), \
                 mock.patch.object(gnn, "_LIMITED_SHARE", share):
+            # A state built for the batch decides its products; without one
+            # every product is full.
+            state = forward_state(params, adj, g.features, [node_set]) if batch_state else None
             got = backward(params, adj, g.features, g.labels, node_set, state=state, **kw)
             if len(set(node_set)) == len(node_set):
                 unique = backward(params, adj, g.features, g.labels, node_set,
                                   state=state, assume_unique=True, **kw)
                 assert_same_bundle(unique, want_bundle)
-        if share == 1:
+        if state is None:
+            assert seen["limited"] == 0
+        elif share == 1 and not want:  # want_dA replaces a limited state by a full one
             assert seen["full"] == 0  # every product took the limited path
         assert_same_bundle(got, want_bundle)
 
@@ -353,16 +355,18 @@ class TestBackwardOracle:
         seen, spy = count_limited_products()
         with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", 0), \
                 mock.patch.object(gnn, "_LIMITED_SHARE", 1):
-            got = backward(params, adj, g.features, g.labels, batch, assume_unique=True)
+            state = forward_state(params, adj, g.features, [batch])
+            got = backward(params, adj, g.features, g.labels, batch, state=state,
+                           assume_unique=True)
         assert seen["full"] == 0
         assert_same_bundle(got, want_bundle)
 
     @pytest.mark.parametrize("model", ["gcn", "sgc"])
     def test_both_sides_of_the_path_choice(self, model):
-        # 3,200 nodes at degree about 6.5: large enough that an 8-node batch
-        # starts on the limited products (the third SGC hop reaches too much
-        # of A and goes full), while a batch of every training node takes the
-        # full ones throughout.
+        # 3,200 nodes at degree about 6.5: large enough that a state built
+        # for an 8-node batch starts it on the limited products (the third
+        # SGC hop reaches too much of A and goes full), while one built for
+        # every training node keeps the full ones throughout.
         g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
         adj = normalize_adjacency(g)
         assert adj.matrix.nnz >= gnn._LIMITED_MIN_NNZ
@@ -370,10 +374,10 @@ class TestBackwardOracle:
             params = ParamSet.init_gcn(8, 16, 4, seed=1)
         else:
             params = ParamSet.init_sgc(8, 4, seed=1, k=3)
-        state = forward_state(params, adj, g.features)
         rng = np.random.default_rng(0)
         small = rng.choice(np.flatnonzero(g.train_mask), size=8, replace=False)
         for node_set, limited in ((small, True), (np.flatnonzero(g.train_mask), False)):
+            state = forward_state(params, adj, g.features, [node_set])
             want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, node_set)
             seen, spy = count_limited_products()
             with spy:
@@ -388,39 +392,40 @@ class TestBackwardOracle:
 
     @pytest.mark.parametrize("model", ["gcn", "sgc"])
     def test_limited_pass_reads_only_its_field(self, model):
-        # Every state row and feature row the pass should not need is NaN; a
-        # pass that read one would carry the NaN into its gradients.
+        # The state built for the batch holds each intermediate on the rows
+        # its field names; every intermediate the pass should not read and
+        # every feature row outside the batch's two-hop field is NaN. A pass
+        # that read one would carry the NaN into its gradients.
         g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
         adj = normalize_adjacency(g)
         if model == "gcn":
             params = ParamSet.init_gcn(8, 16, 4, seed=1)
         else:
             params = ParamSet.init_sgc(8, 4, seed=1, k=2)
-        state = forward_state(params, adj, g.features)
         batch = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 8, replace=False)
-        fields = [np.unique(batch)]  # fields[t]: the rows t hops from the batch
-        for _ in range(2):
-            fields.append(np.unique(adj.matrix[fields[-1]].indices))
+        fields = receptive_fields(adj, batch, 2)  # fields[t]: the rows t hops from the batch
+        state = forward_state(params, adj, g.features, [batch])
+        hops = (2, 1, 1, 1, 0) if model == "gcn" else (2, 1, 0)
+        assert len(state.fields) == len(hops)
+        for f, h in zip(state.fields, hops):
+            np.testing.assert_array_equal(f, fields[h])
 
-        def outside(M, rows):
-            out = np.full_like(M, np.nan)
-            out[rows] = M[rows]
-            return out
+        def nan(M):
+            return np.full_like(M, np.nan)
 
         if model == "gcn":
             P, S0, H, Q, Z = state.values
-            poisoned = (np.full_like(P, np.nan), outside(S0, fields[1]), outside(H, fields[1]),
-                        np.full_like(Q, np.nan), outside(Z, fields[0]))
+            poisoned = (nan(P), nan(S0), H, nan(Q), Z)
         else:
             us = state.values
-            poisoned = (np.full_like(us[0], np.nan), np.full_like(us[1], np.nan),
-                        outside(us[2], fields[0]))
-        X = outside(g.features, fields[2])
-        want_bundle = backward(params, adj, g.features, g.labels, batch, state=state)
+            poisoned = (nan(us[0]), nan(us[1]), us[2])
+        X = np.full_like(g.features, np.nan)
+        X[fields[2]] = g.features[fields[2]]
+        want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, batch)
         seen, spy = count_limited_products()
         with spy:
             got = backward(params, adj, X, g.labels, batch,
-                           state=ForwardState(poisoned, state.fields))
+                           state=ForwardState(poisoned, state.fields, state.gathers))
         assert seen == {"limited": 2, "full": 0}
         assert_same_bundle(got, want_bundle)
 
@@ -438,7 +443,8 @@ class TestBackwardOracle:
         want_bundle = gnn_oracle.backward(params, adj, X, g.labels, batch)
         seen, spy = count_limited_products()
         with spy:
-            got = backward(params, adj, X, g.labels, batch)
+            got = backward(params, adj, X, g.labels, batch,
+                           state=forward_state(params, adj, X, [batch]))
         assert seen == {"limited": 2, "full": 0}
         np.testing.assert_allclose(got.dW0, want_bundle.dW0, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(got.dW1, want_bundle.dW1, rtol=1e-12, atol=1e-15)
@@ -517,10 +523,10 @@ class TestLimitedForward:
         kw = dict(want_dA=want, want_dX=want, objective=objective)
         with mock.patch.object(gnn, "_LIMITED_MIN_NNZ", 0), \
                 mock.patch.object(gnn, "_LIMITED_SHARE", share):
-            state = forward_state(params, adj, g.features, rows=union)
+            state = forward_state(params, adj, g.features, [union, batch])
             got = backward(params, adj, g.features, g.labels, batch, state=state, **kw)
             outside = np.setdiff1d(np.arange(n), union)
-            if len(outside) and state.fields[-1] is not None:
+            if len(outside) and state.limited:
                 with pytest.raises(ValueError):
                     backward(params, adj, g.features, g.labels, [outside[0]], state=state)
         # Field h is the nodes h hops from the union, from the logits down,
@@ -559,11 +565,12 @@ class TestLimitedForward:
         X = np.full_like(g.features, np.nan)
         field = receptive_fields(adj, union, 2)[2]
         X[field] = g.features[field]
-        clean = forward_state(params, adj, g.features, rows=union)
-        batch = union[:8]
+        batches = np.split(union, 3)
+        clean = forward_state(params, adj, g.features, batches)
+        batch = batches[0]
         want_bundle = backward(params, adj, g.features, g.labels, batch, state=clean)
         monkeypatch.setattr(gnn, "_check_finite", lambda *args: None)
-        got = forward_state(params, adj, X, rows=union)
+        got = forward_state(params, adj, X, batches)
         assert all(f is not None for f in got.fields[1:])
         for value, want_value in zip(got.values[1:], clean.values[1:]):
             assert np.isfinite(value).all()
@@ -575,19 +582,34 @@ class TestLimitedForward:
         adj = normalize_adjacency(g)
         params = ParamSet.init_gcn(8, 16, 4, seed=1)
         batch = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 4, replace=False)
-        state = forward_state(params, adj, g.features, rows=batch)
+        state = forward_state(params, adj, g.features, [batch])
         assert state.limited
         got = backward(params, adj, g.features, g.labels, batch, want_dA=True, state=state)
         want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, batch, want_dA=True)
         assert_same_bundle(got, want_bundle)
+
+    def test_limited_state_rejects_other_node_sets(self):
+        # A limited state serves the batches it was built for and no other
+        # node set: not a batch's reordering, part of it, or the union.
+        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+        adj = normalize_adjacency(g)
+        params = ParamSet.init_gcn(8, 16, 4, seed=1)
+        rng = np.random.default_rng(0)
+        batches = list(rng.choice(np.flatnonzero(g.train_mask), (2, 8), replace=False))
+        state = forward_state(params, adj, g.features, batches)
+        assert state.limited
+        for node_set in (batches[0][::-1], batches[0][:4], np.concatenate(batches)):
+            with pytest.raises(ValueError, match="not one of them"):
+                backward(params, adj, g.features, g.labels, node_set, state=state)
 
     def test_small_graph_gathers_nothing(self):
         # The reference experiment's size (200 nodes) keeps every row.
         g = generate_sbm(0, [50] * 4, 0.1, 0.01, feature_dim=8, noise=1.2)
         adj = normalize_adjacency(g)
         assert adj.matrix.nnz < gnn._LIMITED_MIN_NNZ
-        state = forward_state(ParamSet.init_gcn(8, 16, 4, seed=0), adj, g.features, rows=[0, 1])
-        assert not state.limited
+        state = forward_state(ParamSet.init_gcn(8, 16, 4, seed=0), adj, g.features,
+                              [np.array([0, 1])])
+        assert not state.limited and state.gathers is None
 
 
 def model_params(model, feature_dim, classes, seed):
@@ -624,8 +646,7 @@ class TestSharedGathers:
         self, seed, n, model, cuts, extra_picks, limits, objective, want_dX
     ):
         # Disjoint batches of a dense random graph share neighbours; the
-        # extra node set is a subset of their union with repeats, which the
-        # state was not built for, so its pass gathers for itself.
+        # extra batch is a subset of their union with repeats.
         g, rng = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
         adj = normalize_adjacency(g)
         params = model_params(model, 3, 3, seed)
@@ -640,7 +661,7 @@ class TestSharedGathers:
         seen, spy = count_limited_products()
         with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", min_nnz), \
                 mock.patch.object(gnn, "_LIMITED_SHARE", share):
-            state = forward_state(params, adj, g.features, rows=batches)
+            state = forward_state(params, adj, g.features, batches + [extra])
             assert (state.gathers is not None) == (min_nnz == 0)
             got = [backward(params, adj, g.features, g.labels, b, state=state,
                             assume_unique=True, **kw) for b in batches]
@@ -665,9 +686,9 @@ class TestSharedGathers:
         ring = rng.permutation(g.neighbors(hub))[:12]
         rest = np.setdiff1d(np.flatnonzero(g.train_mask), ring)
         batches = [*np.array_split(ring, 4), *rng.choice(rest, (3, 8), replace=False)]
-        state = forward_state(params, adj, g.features, rows=batches)
-        assert len(state.gathers) == len(batches)
-        extra = np.concatenate([batches[0], batches[0], batches[-1][:3]])  # undeclared, repeats
+        extra = np.concatenate([batches[0], batches[0], batches[-1][:3]])  # repeats
+        state = forward_state(params, adj, g.features, batches + [extra])
+        assert len(state.gathers) == len(batches) + 1
         seen, spy = count_limited_products()
         with spy:
             for b in batches + [extra]:
