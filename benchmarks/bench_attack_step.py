@@ -21,6 +21,8 @@ passes take the receptive-field (limited) products.
 ``test_surrogate_fit`` is one 40-epoch surrogate fit on the training nodes,
 as each attack iteration runs; it takes full products at every size.
 ``test_generate_sbm`` draws the fixture's graph from its seed.
+``test_edge_scores`` is the hub subgraph's weighted gradients and its edges'
+removal scores as ``{(i, j): score}``, as the attack takes them per target.
 ``test_subgraph_to_graph`` builds the hub's 1-hop subgraph as a Graph, as
 the attack does for each target's subgraph gradient. ``test_attack_step`` is
 one whole attack step under a fixed surrogate: 10 targets on worker 0 of 4,
@@ -115,8 +117,13 @@ def test_edge_scores(benchmark, case):
     part = partition_nodes(g, 4)
     theta = ParamSet.init_gcn(g.feature_dim, 16, g.num_classes, seed=0)
     sub = sample_1hop(g, hub)
-    edge_grad, _ = combined_subgraph_gradient(theta, sub, AttackConfig())
-    benchmark(lambda: edge_scores(edge_grad, sub, part, 0.1).global_items())
+    cfg = AttackConfig()
+
+    def score():
+        edge_grad, _ = combined_subgraph_gradient(theta, sub, cfg)
+        return edge_scores(edge_grad, sub, part, 0.1).global_items()
+
+    benchmark(score)
 
 
 def test_normalize_adjacency(benchmark, case):

@@ -16,7 +16,8 @@ order. Only candidates expected to help (score > 0) are ever taken.
 Feature flips follow the sign rule x <- x * (1 - 2*sgn(grad)): positive
 gradients negate the entry; zero gradients leave it alone (and do not consume
 budget); negative gradients triple it as literally specified, with
-``strict_flip=False`` substituting plain negation for that branch.
+``strict_flip=False`` substituting plain negation for that branch. An entry
+of 0 is no candidate either, since no flip changes it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from distpoison.fields import field_errors, spec
 from distpoison.gnn import ParamSet, backward, sgd_step
@@ -222,32 +222,28 @@ def train_surrogate(
 
 @dataclass(eq=False)
 class ScoreMatrix:
-    """Removal scores of one sampled subgraph's edges, as flat arrays.
-
-    ``rows[k] < cols[k]`` are the local ids of the k-th subgraph edge and
-    ``values[k]`` its score.
-    """
+    """Removal scores of one sampled subgraph's edges: ``values[k]`` is the
+    score of the k-th edge of ``sub.edges``."""
 
     sub: Subgraph
-    rows: np.ndarray
-    cols: np.ndarray
     values: np.ndarray
 
     def global_items(self) -> dict[tuple[int, int], float]:
         """``{(i, j): score}`` over global node ids, i < j."""
-        a = self.sub.node_ids[self.rows]
-        b = self.sub.node_ids[self.cols]
+        a = self.sub.node_ids[self.sub.edges[:, 0]]
+        b = self.sub.node_ids[self.sub.edges[:, 1]]
         keys = zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
         return dict(zip(keys, self.values.tolist()))
 
 
 def combined_subgraph_gradient(
     theta: ParamSet, sub: Subgraph, cfg: AttackConfig
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Weighted attack-loss gradients w.r.t. the subgraph's adjacency and features.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted attack-loss gradients w.r.t. the subgraph's edges and features.
 
     The target is local node 0; gradients are taken under the frozen
-    surrogate on the induced subgraph.
+    surrogate on the induced subgraph. The edge gradient holds one value per
+    edge of ``sub.edges``, in that order.
     """
     if sub.num_nodes == 0:
         raise ValueError("empty subgraph")
@@ -276,31 +272,16 @@ def _comm_signs(sub: Subgraph, part: Partition) -> np.ndarray:
     return np.where(part.assignment[gi] != part.assignment[gj], 1.0, -1.0)
 
 
-def _csr_entries(m: sp.csr_matrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``m[i, j]`` for index arrays, 0.0 where no entry is stored."""
-    if not m.has_canonical_format:
-        m = m.copy()
-        m.sum_duplicates()
-    n = m.shape[1]
-    # Row-major keys of the stored entries ascend in a canonical CSR matrix.
-    keys = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr)) * n + m.indices
-    want = i * n + j
-    if len(keys) == 0:
-        return np.zeros(len(want))
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.where(keys[pos] == want, m.data[pos], 0.0)
-
-
 def edge_scores(
-    edge_grad: sp.csr_matrix, sub: Subgraph, part: Partition, lambda_comm: float
+    edge_grad: np.ndarray, sub: Subgraph, part: Partition, lambda_comm: float
 ) -> ScoreMatrix:
     """Removal scores on the subgraph's existing edges: gradient + comm bonus.
 
-    Every subgraph edge is scored, zero scores included.
+    ``edge_grad`` holds one value per edge of ``sub.edges``, in that order,
+    as ``combined_subgraph_gradient`` returns it. Every subgraph edge is
+    scored, zero scores included.
     """
-    i, j = sub.edges[:, 0], sub.edges[:, 1]
-    vals = _csr_entries(edge_grad.tocsr(), i, j) + lambda_comm * _comm_signs(sub, part)
-    return ScoreMatrix(sub=sub, rows=i, cols=j, values=vals)
+    return ScoreMatrix(sub=sub, values=edge_grad + lambda_comm * _comm_signs(sub, part))
 
 
 def select_edge_removals(scores: dict, k: int) -> list[tuple[int, int, float]]:
@@ -426,8 +407,8 @@ class _DisttackRun:
                     if (node, dim) in self.flipped:
                         continue
                     sign = int(np.sign(grow[dim]))
-                    if sign == 0:
-                        continue
+                    if sign == 0 or g_cur.features[node, dim] == 0.0:
+                        continue  # no flip would change the entry
                     score = abs(grow[dim])
                     penalty = 0.0
                     if st is not None:

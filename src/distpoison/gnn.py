@@ -110,14 +110,15 @@ class ParamSet:
 class GradientBundle:
     """Gradients of a loss w.r.t. weights and optionally adjacency/features.
 
-    ``dA`` (when present) is a symmetric sparse matrix over existing edges of
-    the unnormalized adjacency; ``l2_norm`` is the Euclidean norm of the
-    flattened weight gradients.
+    ``dA`` (when present) is a float64 vector with one value per undirected
+    edge of the unnormalized adjacency, in ``adj.edge_list()`` order: the
+    derivative w.r.t. the symmetric raw entry ``A[i, j] = A[j, i]``.
+    ``l2_norm`` is the Euclidean norm of the flattened weight gradients.
     """
 
     dW0: np.ndarray
     dW1: np.ndarray | None = None
-    dA: sp.csr_matrix | None = None
+    dA: np.ndarray | None = None
     dX: np.ndarray | None = None
     l2_norm: float = 0.0
 
@@ -470,50 +471,35 @@ def _loss_grad_rows(
 
 def _adjacency_entry_grads(
     adj: NormalizedAdjacency, products: list[tuple[np.ndarray, np.ndarray]]
-) -> sp.csr_matrix:
-    """Gradient w.r.t. each existing undirected entry of the raw adjacency.
+) -> np.ndarray:
+    """Gradient w.r.t. each existing undirected entry of the raw adjacency,
+    one value per edge of ``adj.edge_list()``, in that order.
 
     ``products`` is a list of (upstream, downstream) pairs such that the loss
     gradient w.r.t. the normalized matrix is ``sum_t upstream_t @ downstream_t.T``,
     needed only on the normalized support. Chains through the entry value and
     through both endpoint degrees.
     """
-
     rows, cols, avals = adj.support()
-
-    def m_entries(r, c):
-        out = np.zeros(len(r))
-        for up, down in products:
-            out += np.einsum("ij,ij->i", up[r], down[c])
-        return out
-
-    m_support = m_entries(rows, cols)
-    t_vals = m_support * avals
+    m = np.zeros(len(rows))
+    for up, down in products:
+        m += np.einsum("ij,ij->i", up[rows], down[cols])
+    t_vals = m * avals
     n = adj.num_nodes
     row_sums = np.bincount(rows, weights=t_vals, minlength=n)
     col_sums = np.bincount(cols, weights=t_vals, minlength=n)
     deg = adj.degrees
 
-    edges = adj.edge_list()
-    if len(edges) == 0:
-        return sp.csr_matrix((n, n), dtype=np.float64)
-    k, l = edges[:, 0], edges[:, 1]
-    direct = (m_entries(k, l) + m_entries(l, k)) / np.sqrt(deg[k] * deg[l])
+    # The support is sorted by (row, column): its upper entries are the edges
+    # in order, and its lower entries (l, k), sorted stably by k, their mirrors.
+    upper, lower = rows < cols, rows > cols
+    k, l = rows[upper], cols[upper]
+    mirror = m[lower][np.argsort(cols[lower], kind="stable")]
+    direct = (m[upper] + mirror) / np.sqrt(deg[k] * deg[l])
     degree_term = 0.5 * (
         (row_sums[k] + col_sums[k]) / deg[k] + (row_sums[l] + col_sums[l]) / deg[l]
     )
-    vals = direct - degree_term
-    # dA has the support of A off the diagonal, rows and columns sorted: an
-    # upper entry is the next edge in order, a lower entry (r, c) takes the
-    # value of edge (c, r).
-    off = rows != cols
-    r, c = rows[off], cols[off]
-    lower = r > c
-    edge_of = np.empty(len(r), dtype=np.int64)
-    edge_of[~lower] = np.arange(len(k))
-    edge_of[lower] = np.searchsorted(k * n + l, c[lower] * n + r[lower])
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))])
-    return sp.csr_matrix((vals[edge_of], c, indptr), shape=(n, n))
+    return direct - degree_term
 
 
 def _reverse_product(
@@ -761,11 +747,10 @@ def check_gradients(
     report["X"] = _rel_err(bundle.dX, fd_tensor(Xw, lambda: loss_at(params, adj, Xw)))
 
     edges = adj.edge_list()
-    analytic = np.array([bundle.dA[i, j] for i, j in edges]) if len(edges) else np.zeros(0)
     numeric = np.zeros(len(edges))
     for e, (i, j) in enumerate(edges):
         hi = loss_at(params, _renormalized(adj, i, j, 1.0 + epsilon), X)
         lo = loss_at(params, _renormalized(adj, i, j, 1.0 - epsilon), X)
         numeric[e] = (hi - lo) / (2 * epsilon)
-    report["A"] = _rel_err(analytic, numeric)
+    report["A"] = _rel_err(bundle.dA, numeric)
     return GradCheckReport(max_rel_err=report)

@@ -428,7 +428,9 @@ class Subgraph:
     """A target node plus its current 1-hop neighbors, with induced structure.
 
     ``node_ids[0]`` is always the target. ``edges`` holds the induced
-    undirected adjacency in local ids (canonical i < j).
+    undirected adjacency in local ids (canonical i < j), sorted by (i, j):
+    the order of ``normalize_adjacency(self.to_graph()).edge_list()``, which
+    per-edge gradients of the subgraph follow.
     """
 
     node_ids: np.ndarray
@@ -449,7 +451,8 @@ def sample_1hop(g: Graph, target: int) -> Subgraph:
 
     The members' CSR rows are gathered at once and their columns looked up
     among the members by one ``searchsorted``. Edges come in the order of a
-    walk over the members' rows, keeping each (local i, local j) with i < j.
+    walk over the members' rows, keeping each (local i, local j) with i < j:
+    sorted by (i, j), as the neighbors' local ids ascend with their global ones.
     """
     if not 0 <= target < g.num_nodes:
         raise GraphError(f"target node {target} out of range")

@@ -116,12 +116,13 @@ class TestCombinedGradient:
 
     def test_zero_structure_weight(self):
         eg, _ = combined_subgraph_gradient(self.theta, self.sub, attack_cfg(w_A=0.0))
-        assert eg.nnz == 0 or np.all(eg.data == 0.0)
+        assert eg.shape == (len(self.sub.edges),)
+        assert np.all(eg == 0.0)
 
     def test_identity_weights(self):
         eg1, fg1 = combined_subgraph_gradient(self.theta, self.sub, attack_cfg(w_A=1.0, w_X=1.0))
         eg2, fg2 = combined_subgraph_gradient(self.theta, self.sub, attack_cfg(w_A=2.0, w_X=1.0))
-        np.testing.assert_allclose(2.0 * eg1.toarray(), eg2.toarray(), rtol=1e-12)
+        np.testing.assert_allclose(2.0 * eg1, eg2, rtol=1e-12)
         np.testing.assert_allclose(fg1, fg2, rtol=1e-12)
 
     def test_feature_weight_scaling(self):
@@ -146,8 +147,7 @@ class TestAttackConfig:
 
 def comm_scores(sub, part):
     """The cross-worker term alone: scores under a zero gradient, lambda_comm 1."""
-    n = sub.num_nodes
-    return edge_scores(sp.csr_matrix((n, n)), sub, part, lambda_comm=1.0).global_items()
+    return edge_scores(np.zeros(len(sub.edges)), sub, part, lambda_comm=1.0).global_items()
 
 
 def local(sub, v):
@@ -181,13 +181,10 @@ class TestEdgeScores:
         g = make_graph(3, [(0, 1), (1, 2)])
         part = Partition(assignment=np.array([0, 1, 0]), n=2)
         sub = sample_1hop(g, 1)
-        n = sub.num_nodes
-        grad = sp.lil_matrix((n, n))
-        a, b = local(sub, 0), local(sub, 1)
-        c = local(sub, 2)
-        grad[a, b] = grad[b, a] = 0.2  # cross-worker edge (0,1)
-        grad[b, c] = grad[c, b] = 0.4  # cross-worker edge (1,2)
-        return g, part, sub, grad.tocsr()
+        # Both edges cross workers.
+        want = {(local(sub, 0), local(sub, 1)): 0.2, (local(sub, 1), local(sub, 2)): 0.4}
+        grad = np.array([want.get((i, j), want.get((j, i))) for i, j in sub.edges.tolist()])
+        return g, part, sub, grad
 
     def test_lambda_zero_equals_gradient(self):
         _, part, sub, grad = self.make_sub_and_grad()
@@ -216,9 +213,20 @@ class TestEdgeScores:
             assert set(s.global_items()) <= edge_set
 
 
+def edge_csr(grad, sub):
+    """The symmetric CSR matrix holding per-edge values at both of each
+    edge's entries, zeros stored."""
+    m = sub.num_nodes
+    i, j = sub.edges[:, 0], sub.edges[:, 1]
+    return sp.csr_matrix(
+        (np.concatenate([grad, grad]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(m, m),
+    )
+
+
 def assert_scores_match_oracle(grad, sub, part, lam):
     got = edge_scores(grad, sub, part, lam)
-    want = score_oracle.edge_scores(grad, sub, part, lam)
+    want = score_oracle.edge_scores(edge_csr(grad, sub), sub, part, lam)
     items = got.global_items()
     want_items = score_oracle.global_items(want, sub)
     # Same keys, zero scores included; repr tells -0.0 from 0.0.
@@ -240,23 +248,16 @@ class TestEdgeScoresMatchOracle:
     )
     @settings(max_examples=100, deadline=None)
     def test_lil_gradients(self, seed, n, p, workers, lam, fill):
-        # Gradients stored on a random subset of entries, edges or not, some
-        # of them explicit (signed) zeros; an isolated target gives an empty
-        # subgraph.
+        # Random per-edge gradients, a share ``fill`` of them signed zeros;
+        # an isolated target gives an empty subgraph.
         rng = np.random.default_rng(seed)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         g = make_graph(n, edges)
         part = Partition(assignment=rng.integers(0, workers, size=n), n=workers)
         sub = sample_1hop(g, int(rng.integers(n)))
-        m = sub.num_nodes
-        lil = sp.lil_matrix((m, m))
-        for a in range(m):
-            for b in range(m):
-                if rng.random() < fill:
-                    lil[a, b] = rng.standard_normal()
-        grad = lil.tocsr()
-        zero = rng.random(grad.nnz) < 0.3
-        grad.data[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        grad = rng.standard_normal(len(sub.edges))
+        zero = rng.random(len(grad)) < fill
+        grad[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
         assert_scores_match_oracle(grad, sub, part, lam)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -268,25 +269,12 @@ class TestEdgeScoresMatchOracle:
             eg, _ = combined_subgraph_gradient(theta, sub, attack_cfg())
             assert_scores_match_oracle(eg, sub, part, 0.1)
 
-    def test_unsorted_gradient_with_duplicates(self):
-        # Path 0-1-2 from node 1: row 0 stores its entries out of order and
-        # (0, 1) twice, which indexing sums.
-        g = make_graph(3, [(0, 1), (1, 2)])
-        part = Partition(assignment=np.array([0, 1, 0]), n=2)
-        sub = sample_1hop(g, 1)
-        grad = sp.csr_matrix(
-            (np.array([0.5, 0.25, 0.125, -1.0]), np.array([2, 1, 1, 0]), np.array([0, 3, 4, 4])),
-            shape=(3, 3),
-        )
-        assert not grad.has_canonical_format
-        assert_scores_match_oracle(grad, sub, part, 0.1)
-
     def test_empty_subgraph(self):
         g = make_graph(3, [(1, 2)])
         part = Partition(assignment=np.array([0, 1, 0]), n=2)
         sub = sample_1hop(g, 0)
-        assert_scores_match_oracle(sp.csr_matrix((1, 1)), sub, part, 0.5)
-        assert edge_scores(sp.csr_matrix((1, 1)), sub, part, 0.5).global_items() == {}
+        assert_scores_match_oracle(np.zeros(0), sub, part, 0.5)
+        assert edge_scores(np.zeros(0), sub, part, 0.5).global_items() == {}
 
 
 class TestSelectEdgeRemovals:
@@ -379,20 +367,33 @@ class TestRunDisttack:
             run_disttack(g, part, attack_cfg(), [])
 
     def test_homophily_dominance_at_large_lambda(self):
-        # Feature column 3 is identically zero, so flipping it cannot move the
-        # homophily distribution; with a huge stealth weight only those
-        # zero-shift flips stay eligible.
+        # Every flip that changes an entry moves the homophily distribution,
+        # so a huge stealth weight leaves no flip eligible. Feature column 3
+        # is identically zero: flipping it would shift nothing, but it changes
+        # nothing either, so it is no candidate.
         g, part = toy_instance(2)
         g.features[:, 3] = 0.0
-        cfg = attack_cfg(
-            edge_budget=0, feature_budget=2, lambda_homo=1e9, surrogate_epochs=15, seed=2
-        )
         targets = select_targets(g, part, 0, 2)
-        pert = run_disttack(g, part, cfg, targets)
-        assert len(pert.features_flipped) >= 1
-        for flip in pert.features_flipped:
-            assert flip.old == 0.0 and flip.new == 0.0
-        assert all(p == 0.0 for p in pert.homophily_penalties)
+        for lambda_homo, flips in ((0.0, 2), (1e9, 0)):
+            cfg = attack_cfg(edge_budget=0, feature_budget=2, lambda_homo=lambda_homo,
+                             surrogate_epochs=15, seed=2)
+            pert = run_disttack(g, part, cfg, targets)
+            assert len(pert.features_flipped) == flips
+            assert all(f.dim != 3 for f in pert.features_flipped)
+
+    @pytest.mark.parametrize("lambda_homo", [0.0, 1.0])
+    def test_every_flip_changes_its_entry(self, lambda_homo):
+        # Without noise most features are 0, which the sign rule maps to -0.0:
+        # no change, no stealth cost. Such entries are no candidates, so the
+        # budget goes to flips that change the graph.
+        # Without that rule, 19 and 20 of these 20 flips change nothing.
+        g = generate_sbm(0, [50] * 4, 0.1, 0.01, feature_dim=8, noise=0.0)
+        part = partition_nodes(g, 4)
+        cfg = attack_cfg(edge_budget=0, feature_budget=20, lambda_comm=0.1,
+                         lambda_homo=lambda_homo, surrogate_epochs=10, target_count=10)
+        pert = run_disttack(g, part, cfg, select_targets(g, part, 0, 10))
+        assert len(pert.features_flipped) == 20
+        assert all(f.new != f.old for f in pert.features_flipped)
 
     def test_monotone_surrogate_harm(self):
         # Frozen-surrogate damage on the perturbed graph should exceed the
