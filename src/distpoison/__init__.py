@@ -33,6 +33,7 @@ from distpoison.gnn import (
     sgd_step,
 )
 from distpoison.graph import (
+    CSR,
     Graph,
     NormalizedAdjacency,
     Partition,

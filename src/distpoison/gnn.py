@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
-from distpoison.graph import NormalizedAdjacency
+from distpoison.graph import CSR, NormalizedAdjacency, matvecs, sparsetools
 
 __all__ = [
     "ParamSet",
@@ -183,14 +181,6 @@ def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (np.vstack([M, np.zeros_like(M)]) @ W)[:1]
 
 
-def _matvecs(kernel, n_out: int, step: tuple, M: np.ndarray) -> np.ndarray:
-    """A ``_Gather`` step's block of A times M, into ``n_out`` rows, through
-    scipy's ``csr_matvecs`` or ``csc_matvecs`` (see ``_Gather``)."""
-    out = np.zeros((n_out, M.shape[1]))
-    kernel(n_out, len(M), M.shape[1], *step[:3], M.ravel(), out.ravel())
-    return out
-
-
 class _Gather(NamedTuple):
     """What one batch's reverse pass reads, found before the pass.
 
@@ -252,7 +242,7 @@ def _held_fields(rows: np.ndarray, steps: tuple, depth: int) -> list:
     return fields if len(steps) == depth else fields[:-1]
 
 
-def _gathers(A: sp.csr_matrix, batches: list, depth: int) -> list[_Gather]:
+def _gathers(A: CSR, batches: list, depth: int) -> list[_Gather]:
     """Each batch's ``_Gather`` for a reverse pass of ``depth`` products over
     an A of at least _LIMITED_MIN_NNZ entries.
 
@@ -340,15 +330,15 @@ class ForwardState:
         return any(f is not None for f in self.fields)
 
 
-def _state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray, fields=(), steps=()
+def _state(params: ParamSet, A: CSR, X: np.ndarray, fields=(), steps=()
            ) -> tuple[tuple, tuple]:
     """The forward intermediates, logits last, and the rows each is held on.
 
     ``fields`` and ``steps`` come from the ``_Gather`` of the rows whose
     logits are wanted (see ``_held_fields``); both are empty for a state on
     all n rows. The product at hop h (hop 0 gives the logits) is the step's
-    block through scipy's CSC kernel, the one ``A.T @ M`` runs, while
-    ``steps`` holds one for hop h, and ``A @ M`` from then on. A is
+    block through scipy's CSC kernel ``csc_matvecs`` while ``steps`` holds
+    one for hop h, and ``A @ M`` (its CSR kernel) from then on. A is
     symmetric and both kernels add each output row's terms in ascending
     column order, so the two agree bit for bit.
     """
@@ -359,7 +349,7 @@ def _state(params: ParamSet, A: sp.csr_matrix, X: np.ndarray, fields=(), steps=(
         if h >= len(steps):
             return A @ M
         M = M if on(h + 1) is not None else M[steps[h][3]]
-        return _matvecs(_sparsetools.csc_matvecs, len(fields[h]), steps[h], M)
+        return matvecs(sparsetools.csc_matvecs, len(fields[h]), steps[h], M)
 
     depth = 2 if params.W1 is not None else params.k
     U0 = X @ params.W0 if on(depth) is None else _rowwise(X[on(depth)], params.W0)
@@ -503,7 +493,7 @@ def _adjacency_entry_grads(
 
 
 def _reverse_product(
-    A: sp.csr_matrix, M: np.ndarray, step: tuple | None
+    A: CSR, M: np.ndarray, step: tuple | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``A @ M`` for the symmetric A.
 
@@ -513,17 +503,16 @@ def _reverse_product(
     zero on every other row; the product is returned as a block over the
     sorted rows ``reached``, the only ones it can be nonzero on, with those
     rows. It is the step's block of A times M through scipy's CSR kernel,
-    the one ``A @ M`` runs, called directly because a ``csr_matrix`` per
-    block costs more to build than the product: each block row holds the
-    entries of A's row, less those at rows of M that are zero, in the same
-    order, so the two agree bit for bit.
+    the one ``A @ M`` runs: each block row holds the entries of A's row,
+    less those at rows of M that are zero, in the same order, so the two
+    agree bit for bit.
     """
     if step is None:
         return A @ M, None
-    return _matvecs(_sparsetools.csr_matvecs, len(step[3]), step, M), step[3]
+    return matvecs(sparsetools.csr_matvecs, len(step[3]), step, M), step[3]
 
 
-def _hop_product(A: sp.csr_matrix, g: _Gather, h: int, M: np.ndarray, rows) -> tuple:
+def _hop_product(A: CSR, g: _Gather, h: int, M: np.ndarray, rows) -> tuple:
     """``A @ M`` at hop h of g's reverse pass, for M on ``rows`` (None: all n
     rows): limited while g holds a step for hop h, full from then on. A is
     symmetric, so a product with A reverses a product with A."""
@@ -691,7 +680,9 @@ def _renormalized(adj: NormalizedAdjacency, i: int, j: int, value: float) -> Nor
     a_tilde = a + np.eye(n)
     d = a_tilde.sum(axis=1)
     inv = 1.0 / np.sqrt(d)
-    m = sp.csr_matrix(inv[:, None] * a_tilde * inv[None, :])
+    dense = inv[:, None] * a_tilde * inv[None, :]
+    rows, cols = np.nonzero(dense)  # row-major: each row's columns ascending
+    m = CSR.square(np.searchsorted(rows, np.arange(n + 1)), cols, dense[rows, cols])
     return NormalizedAdjacency(matrix=m, degrees=d)
 
 

@@ -12,13 +12,18 @@ it has changed since.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
+    "CSR",
     "Graph",
     "NormalizedAdjacency",
     "Partition",
@@ -33,6 +38,78 @@ __all__ = [
 # generate_sbm draws the upper triangle's uniforms into one buffer of this
 # many cells (8 MB of float64), or of the whole triangle when that is smaller.
 _SBM_BLOCK_CELLS = 1 << 20
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, without importing ``scipy.sparse``.
+
+    Only ``csr_matvecs``/``csc_matvecs`` are used, and importing the package
+    costs about 0.2 s of start-up and 15 MB of memory (scipy 1.17, 2-core
+    x86), most of it in ``scipy._lib``'s clone of the numpy namespace.
+    ``find_spec`` locates scipy without importing it; the extension file
+    under its ``sparse/`` directory is loaded by itself, and imported the
+    usual way when it is not there.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec.submodule_search_locations or []) if spec else []:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                return module
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+sparsetools = _load_sparsetools()
+
+
+def matvecs(kernel, n_out: int, arrays: tuple, M: np.ndarray) -> np.ndarray:
+    """The sparse matrix held in ``arrays[:3]`` (pointers, indices, data)
+    times the 2-D float64 M, into a zeroed (n_out, width) array by one call
+    of ``sparsetools.csr_matvecs`` or ``csc_matvecs`` (the arrays read as
+    CSR or as CSC): what scipy's ``A @ M`` runs."""
+    out = np.zeros((n_out, M.shape[1]))
+    kernel(n_out, len(M), M.shape[1], *arrays[:3], M.ravel(), out.ravel())
+    return out
+
+
+class CSR(NamedTuple):
+    """A float64 sparse matrix in CSR form.
+
+    ``scipy.sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)``
+    is the same matrix as a scipy one.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def square(cls, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> "CSR":
+        """The n x n matrix of the arrays, n = len(indptr) - 1, its index
+        arrays int32 while n and the entry count fit: scipy's choice, so
+        products run the same kernel instantiation."""
+        n = len(indptr) - 1
+        idx = np.int32 if max(n, len(data)) <= np.iinfo(np.int32).max else np.int64
+        return cls(indptr.astype(idx, copy=False), indices.astype(idx, copy=False), data, (n, n))
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __matmul__(self, M: np.ndarray) -> np.ndarray:
+        if not (isinstance(M, np.ndarray) and M.ndim == 2 and M.dtype == np.float64
+                and len(M) == self.shape[1]):
+            raise ValueError(f"CSR of shape {self.shape} @ M takes a 2-D float64 M of {self.shape[1]} rows")
+        return matvecs(sparsetools.csr_matvecs, self.shape[0], self, M)
 
 
 class GraphError(ValueError):
@@ -128,10 +205,9 @@ class Graph:
         """
         return self.indptr, self.indices
 
-    def adjacency_csr(self) -> sp.csr_matrix:
-        """Raw adjacency A (no self-loops) as a scipy CSR matrix of 1.0s."""
-        n = self.num_nodes
-        return sp.csr_matrix((np.ones(len(self.indices)), self.indices, self.indptr), shape=(n, n))
+    def adjacency_csr(self) -> CSR:
+        """Raw adjacency A (no self-loops) as a CSR matrix of 1.0s."""
+        return CSR.square(self.indptr, self.indices, np.ones(len(self.indices)))
 
     # -- mutation (perturbation owner only) --------------------------------
 
@@ -331,7 +407,7 @@ class NormalizedAdjacency:
     adjacency has an entry, where ``deg_sl = degree(A) + 1``.
     """
 
-    matrix: sp.csr_matrix
+    matrix: CSR
     degrees: np.ndarray  # self-looped degree per node, float64
 
     @property
@@ -373,8 +449,7 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     data[pos] = inv_sqrt[rows] * inv_sqrt[cols]
     indices[diag] = np.arange(n)
     data[diag] = inv_sqrt * inv_sqrt
-    m = sp.csr_matrix((data, indices, out_ptr), shape=(n, n))
-    return NormalizedAdjacency(matrix=m, degrees=deg_sl)
+    return NormalizedAdjacency(matrix=CSR.square(out_ptr, indices, data), degrees=deg_sl)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from distpoison.graph import build_graph
@@ -10,6 +11,12 @@ def make_graph(num_nodes, edges, feature_dim=2, features=None, labels=None, spli
     if labels is None:
         labels = np.zeros(num_nodes, dtype=np.int64)
     return build_graph(edges, features, labels, splits)
+
+
+def scipy_csr(m):
+    """The ``CSR`` m as a scipy matrix: tests read the normalized adjacency,
+    and oracles multiply by it, through scipy rather than ``CSR @ M``."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 
 def dense_normalized(g):

@@ -16,6 +16,7 @@ product choice.
 import numpy as np
 import scipy.sparse as sp
 
+from conftest import scipy_csr
 from distpoison.gnn import GradientBundle, _check_finite, _log_softmax
 
 
@@ -89,7 +90,7 @@ def backward(
     if len(node_set) == 0:
         raise ValueError("node_set must be nonempty")
     _check_finite("backward inputs", X, *params.weights())
-    A = adj.matrix
+    A = scipy_csr(adj.matrix)
 
     if params.W1 is not None:
         P, S0, H, Q, Z = gcn_state(params, A, X)

@@ -112,16 +112,26 @@ def test_replay_round_trip(tmp_path, capsys):
     assert "replayed" in capsys.readouterr().out
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats is most of the CLI's start-up; only the unequal-length W1
-    # distance needs it, and that path imports it on first use.
+    # distance needs it, and that path imports it on first use. scipy.sparse
+    # costs most of the rest (through scipy._lib, which imports numpy.f2py):
+    # the products load its compiled kernels alone, on every path of a run
+    # and of gradcheck.
     src = str(Path(distpoison.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, distpoison.cli; print('scipy.stats' in sys.modules)"
+    run = ["run", "--config", str(write_config(tmp_path)), "--set", "attack.lambda_homo=1.0"]
+    code = (
+        "import json, sys, distpoison.cli\n"
+        f"assert distpoison.cli.main({run!r}) == 0\n"
+        "assert distpoison.cli.main(['gradcheck', '--nodes', '8', '--hidden', '4']) == 0\n"
+        "names = ('scipy.stats', 'scipy.sparse', 'scipy._lib', 'numpy.f2py')\n"
+        "print(json.dumps([name for name in names if name in sys.modules]))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 def test_single_worker_rejected_before_training(tmp_path, capsys, monkeypatch):

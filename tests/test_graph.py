@@ -1,14 +1,18 @@
+import importlib.util
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graph_oracle
-from conftest import edit_ops, random_edit_script
+from conftest import edit_ops, random_edit_script, scipy_csr
 from distpoison import graph
 from distpoison.graph import (
     GraphError,
@@ -148,19 +152,19 @@ class TestNormalizeAdjacency:
     def test_single_node(self):
         g = make_graph(1, [])
         adj = normalize_adjacency(g)
-        np.testing.assert_allclose(adj.matrix.toarray(), [[1.0]])
+        np.testing.assert_allclose(scipy_csr(adj.matrix).toarray(), [[1.0]])
 
     def test_two_nodes_one_edge(self):
         # Hand oracle: self-looped degrees (2, 2) so every entry is 0.5.
         g = make_graph(2, [(0, 1)])
         adj = normalize_adjacency(g)
-        np.testing.assert_allclose(adj.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(scipy_csr(adj.matrix).toarray(), [[0.5, 0.5], [0.5, 0.5]])
         np.testing.assert_allclose(adj.degrees, [2.0, 2.0])
 
     def test_star_center_diagonal(self):
         g = make_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         adj = normalize_adjacency(g)
-        assert adj.matrix[0, 0] == pytest.approx(1.0 / 5.0)
+        assert scipy_csr(adj.matrix)[0, 0] == pytest.approx(1.0 / 5.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_dense_brute_force(self, seed):
@@ -170,9 +174,9 @@ class TestNormalizeAdjacency:
         g = make_graph(n, edges)
         adj = normalize_adjacency(g)
         ref = dense_normalized(g)
-        np.testing.assert_allclose(adj.matrix.toarray(), ref, atol=1e-14)
+        np.testing.assert_allclose(scipy_csr(adj.matrix).toarray(), ref, atol=1e-14)
         # support iff (i == j or edge present)
-        got = adj.matrix.toarray() > 0
+        got = scipy_csr(adj.matrix).toarray() > 0
         want = (dense_adjacency(g) + np.eye(n)) > 0
         assert np.array_equal(got, want)
 
@@ -481,8 +485,112 @@ class TestNormalizeAdjacencyOracle:
             for name in ("data", "indices", "indptr"):
                 a, b = getattr(got.matrix, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
-            assert got.matrix.has_sorted_indices
+            m = got.matrix
+            for r in range(g.num_nodes):
+                assert (np.diff(m.indices[m.indptr[r] : m.indptr[r + 1]]) > 0).all(), r
             np.testing.assert_array_equal(got.degrees, g.degrees() + 1.0)
+
+
+def random_csr(rng, n_rows, n_cols, density):
+    """CSR arrays (int64 indices, each row's columns ascending) of a random
+    n_rows x n_cols matrix. Entries span six decades, so a change in the
+    order of any row's sums shows in its last bits."""
+    rows, cols = np.nonzero(rng.random((n_rows, n_cols)) < density)
+    data = rng.standard_normal(len(cols)) * 10.0 ** rng.uniform(-3, 3, len(cols))
+    return np.searchsorted(rows, np.arange(n_rows + 1)), cols, data
+
+
+def random_dense(rng, n_rows, width, layout):
+    """A random (n_rows, width) matrix: C-ordered, Fortran-ordered or a
+    strided view."""
+    M = rng.standard_normal((n_rows, width)) * 10.0 ** rng.uniform(-3, 3, (n_rows, width))
+    if layout == "F":
+        return np.asfortranarray(M)
+    if layout == "strided":
+        return np.repeat(M, 2, axis=1)[:, ::2]
+    return M
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+csr_cases = given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 12),
+    n_cols=st.integers(1, 12),
+    density=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+    width=st.integers(1, 17),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    index=st.sampled_from([np.int32, np.int64]),
+)
+
+
+class TestCSRProduct:
+    """``CSR @ M`` and ``graph.matvecs`` against scipy's products, byte for
+    byte: scipy's ``A @ M`` and ``A.T @ M`` are the oracle."""
+
+    @csr_cases
+    @settings(max_examples=200, deadline=None)
+    @example(seed=0, n_rows=1, n_cols=1, density=0.0, width=1, layout="C", index=np.int32)
+    @example(seed=1, n_rows=1, n_cols=5, density=1.0, width=1, layout="F", index=np.int64)
+    @example(seed=2, n_rows=7, n_cols=7, density=0.1, width=17, layout="strided", index=np.int32)
+    def test_kernels_equal_scipy(self, seed, n_rows, n_cols, density, width, layout, index):
+        rng = np.random.default_rng(seed)
+        indptr, cols, data = random_csr(rng, n_rows, n_cols, density)
+        M, MT = random_dense(rng, n_cols, width, layout), random_dense(rng, n_rows, width, layout)
+        arrays = indptr.astype(index), cols.astype(index), data
+        want = sp.csr_matrix((data, cols, indptr), shape=(n_rows, n_cols))
+        # Read as CSR, the arrays are A; read as CSC, they are A.T.
+        assert_same_bytes(graph.matvecs(graph.sparsetools.csr_matvecs, n_rows, arrays, M), want @ M)
+        assert_same_bytes(graph.matvecs(graph.sparsetools.csc_matvecs, n_cols, arrays, MT), want.T @ MT)
+        assert_same_bytes(graph.CSR(*arrays, (n_rows, n_cols)) @ M, want @ M)
+
+    @csr_cases
+    @settings(max_examples=100, deadline=None)
+    def test_square_picks_scipys_index_dtype(self, seed, n_rows, n_cols, density, width, layout, index):
+        rng = np.random.default_rng(seed)
+        indptr, cols, data = random_csr(rng, n_rows, n_rows, density)
+        M = random_dense(rng, n_rows, width, layout)
+        got = graph.CSR.square(indptr.astype(index), cols.astype(index), data)
+        want = sp.csr_matrix((data, cols, indptr), shape=(n_rows, n_rows))
+        assert got.shape == want.shape and got.nnz == want.nnz
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert_same_bytes(got @ M, want @ M)
+
+    def test_rejects_what_it_does_not_multiply(self):
+        m = graph.CSR.square(np.array([0, 1, 2]), np.array([0, 1]), np.ones(2))
+        for bad in (np.ones(2), np.ones((2, 1), dtype=np.int64), np.ones((3, 1)), [[1.0], [2.0]]):
+            with pytest.raises(ValueError, match="2-D float64 M of 2 rows"):
+                m @ bad
+
+    def test_kernel_loaded_by_path_equals_scipy_import(self, monkeypatch):
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        import scipy.sparse as sp
+        from scipy.sparse import _sparsetools as imported
+
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        by_path = graph._load_sparsetools()
+        assert by_path is not imported
+        assert Path(by_path.__file__).parent == Path(sp.__file__).parent
+        rng = np.random.default_rng(0)
+        for density, width in [(0.0, 3), (0.3, 1), (0.5, 17), (1.0, 8)]:
+            arrays, M = random_csr(rng, 9, 9, density), random_dense(rng, 9, width, "C")
+            for kernel in ("csr_matvecs", "csc_matvecs"):
+                assert_same_bytes(
+                    graph.matvecs(getattr(by_path, kernel), 9, arrays, M),
+                    graph.matvecs(getattr(imported, kernel), 9, arrays, M),
+                )
+        # Without the file, the loader imports the same module.
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        assert graph._load_sparsetools() is imported
 
 
 def assert_same_sbm(got, want):
