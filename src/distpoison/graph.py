@@ -51,7 +51,7 @@ def _load_sparsetools():
     usual way when it is not there.
     """
     name = "scipy.sparse._sparsetools"
-    if name in sys.modules:
+    if name in sys.modules:  # loading the file again would replace it there
         return sys.modules[name]
     spec = importlib.util.find_spec("scipy")
     for root in (spec.submodule_search_locations or []) if spec else []:
