@@ -23,7 +23,7 @@ of 0 is no candidate either, since no flip changes it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -113,6 +113,15 @@ class FeatureFlip:
     iteration: int
 
 
+def _row_keys(cls) -> dict[str, str]:
+    """The JSON key of each field of a row, in declaration order: the
+    field's name, but "iter" for ``iteration``."""
+    return {f.name: "iter" if f.name == "iteration" else f.name for f in fields(cls)}
+
+
+_ROWS = {"edges_removed": EdgeRemoval, "edges_added": EdgeAddition, "features_flipped": FeatureFlip}
+
+
 @dataclass
 class PerturbationSet:
     """Ordered audit trail of an attack; replayable against any trainer."""
@@ -139,46 +148,20 @@ class PerturbationSet:
         return len(self.edges_removed) + len(self.edges_added) + len(self.features_flipped)
 
     def to_dict(self) -> dict:
-        return {
-            "edges_removed": [
-                {"i": r.i, "j": r.j, "score": r.score, "iter": r.iteration}
-                for r in self.edges_removed
-            ],
-            "edges_added": [
-                {"i": a.i, "j": a.j, "iter": a.iteration} for a in self.edges_added
-            ],
-            "features_flipped": [
-                {
-                    "node": f.node,
-                    "dim": f.dim,
-                    "old": f.old,
-                    "new": f.new,
-                    "sign": f.sign,
-                    "iter": f.iteration,
-                }
-                for f in self.features_flipped
-            ],
-            "homophily_penalties": list(self.homophily_penalties),
-            "config": self.config,
-        }
+        d = {}
+        for name, row in _ROWS.items():
+            keys = _row_keys(row).items()
+            d[name] = [{key: getattr(r, f) for f, key in keys} for r in getattr(self, name)]
+        return dict(d, homophily_penalties=list(self.homophily_penalties), config=self.config)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PerturbationSet":
-        return cls(
-            edges_removed=[
-                EdgeRemoval(r["i"], r["j"], r["score"], r["iter"])
-                for r in d.get("edges_removed", [])
-            ],
-            edges_added=[
-                EdgeAddition(a["i"], a["j"], a["iter"]) for a in d.get("edges_added", [])
-            ],
-            features_flipped=[
-                FeatureFlip(f["node"], f["dim"], f["old"], f["new"], f["sign"], f["iter"])
-                for f in d.get("features_flipped", [])
-            ],
-            homophily_penalties=list(d.get("homophily_penalties", [])),
-            config=d.get("config", {}),
-        )
+        rows = {}
+        for name, row in _ROWS.items():
+            keys = _row_keys(row).values()
+            rows[name] = [row(*(r[key] for key in keys)) for r in d.get(name, [])]
+        return cls(**rows, homophily_penalties=list(d.get("homophily_penalties", [])),
+                   config=d.get("config", {}))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -99,7 +99,8 @@ def cmd_bench(args) -> int:
 def cmd_replay(args) -> int:
     cfg = load_config(args.config, args.set)
     pert = PerturbationSet.load(args.perturbation)
-    r = replay_perturbation(cfg, pert, seed=args.seed)
+    seed = pert.config.get("seed", 0) if args.seed is None else args.seed
+    r = replay_perturbation(cfg, pert, seed=seed)
     print(
         f"replayed {pert.size} perturbation(s): clean {r.acc_clean:.4f} "
         f"attacked {r.acc_attacked:.4f} drop {r.accuracy_drop:+.4f}"
@@ -156,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--config", required=True)
     replay.add_argument("--set", action="append", metavar="KEY=VALUE")
     replay.add_argument("--perturbation", required=True, help="perturbation JSON")
-    replay.add_argument("--seed", type=int, default=0)
+    replay.add_argument("--seed", type=int,
+                        help="run seed (default: the one the perturbation records, else 0)")
     replay.set_defaults(func=cmd_replay)
 
     grad = sub.add_parser("gradcheck", help="finite-difference gradient oracle")

@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 import subprocess
 import time
-from dataclasses import asdict, dataclass, field, replace
-from numbers import Real
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +116,19 @@ def _dataset_errors(dataset: dict) -> list[str]:
 
 
 @dataclass
+class AttackSection(AttackConfig):
+    """``attack`` of a config: the attack's kind, and the edge budget as a
+    share of each graph's edges, beside the attack's knobs."""
+
+    kind: str = spec("none", choices=ATTACK_KINDS, required=True)
+    edge_budget_frac: float = spec(0.0, low=0, high=1)
+
+
+@dataclass
 class ExperimentConfig:
     dataset: dict
     attack: dict
-    seeds: list[int]
+    seeds: list[int] = spec((0,), low=0)
     model: str = spec("gcn", choices=MODELS)
     hidden_dim: int = spec(16, low=1)
     sgc_k: int = spec(2, low=1)
@@ -145,28 +153,17 @@ class ExperimentConfig:
         dataset = raw.get("dataset")
         if not isinstance(dataset, dict):
             errors.append("dataset: required mapping with kind 'sbm' or 'files'")
-            dataset = {}
         else:
             errors += _dataset_errors(dataset)
         attack = raw.get("attack", {"kind": "none"})
-        if not isinstance(attack, dict) or attack.get("kind") not in ATTACK_KINDS:
-            errors.append(f"attack.kind: must be one of {ATTACK_KINDS}")
-            attack = {"kind": "none"}
+        if not isinstance(attack, dict):
+            errors.append(f"attack: must be a mapping with a kind, got {attack!r}")
         else:
-            knobs = {k: v for k, v in attack.items() if k not in ("kind", "edge_budget_frac")}
-            errors += field_errors(AttackConfig, knobs, "attack.")
-            if "edge_budget_frac" in attack:
-                frac = attack["edge_budget_frac"]
-                if not (isinstance(frac, Real) and not isinstance(frac, bool) and 0 <= frac <= 1):
-                    errors.append(f"attack.edge_budget_frac: must be a number in [0, 1], got {frac!r}")
-                if "edge_budget" in attack:
-                    errors.append("attack.edge_budget_frac: set either it or attack.edge_budget")
-        seeds = raw.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds or not all(
-            isinstance(s, int) for s in seeds
-        ):
-            errors.append("seeds: must be a nonempty list of integers")
-            seeds = [0]
+            errors += field_errors(AttackSection, attack, "attack.")
+            if "edge_budget_frac" in attack and "edge_budget" in attack:
+                errors.append("attack.edge_budget_frac: set either it or attack.edge_budget")
+            if "seed" in attack:
+                errors.append("attack.seed: each run's seed comes from seeds; remove it")
         workers = raw.get("workers", cls.__dataclass_fields__["workers"].default)
         poisoned = raw.get("poisoned_worker", cls.__dataclass_fields__["poisoned_worker"].default)
         if isinstance(workers, int) and isinstance(poisoned, int) and poisoned >= workers >= 2:
@@ -174,10 +171,7 @@ class ExperimentConfig:
         if errors:
             raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
         kwargs = {k: raw[k] for k in cls.__dataclass_fields__ if k in raw}
-        kwargs["dataset"] = dataset
-        kwargs["attack"] = attack
-        kwargs["seeds"] = seeds
-        return cls(**kwargs)
+        return cls(**dict(kwargs, attack=attack))
 
 
 @dataclass
@@ -201,18 +195,8 @@ class RunResult:
     homophily_perturbed: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "acc_clean": self.acc_clean,
-            "acc_attacked": self.acc_attacked,
-            "accuracy_drop": self.accuracy_drop,
-            "divergence": list(self.divergence),
-            "homophily_distance": self.homophily_distance,
-            "attack_seconds": self.attack_seconds,
-            "edges_removed": self.edges_removed,
-            "edges_added": self.edges_added,
-            "features_flipped": self.features_flipped,
-        }
+        """The summary row: every field shown in the repr, in order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def _dataset(cfg: ExperimentConfig) -> SBMDataset | FilesDataset:
@@ -222,17 +206,8 @@ def _dataset(cfg: ExperimentConfig) -> SBMDataset | FilesDataset:
 
 def build_dataset(cfg: ExperimentConfig, seed: int) -> Graph:
     ds = _dataset(cfg)
-    if isinstance(ds, SBMDataset):
-        return generate_sbm(
-            seed,
-            ds.block_sizes,
-            ds.p_intra,
-            ds.p_inter,
-            feature_dim=ds.feature_dim,
-            noise=ds.noise,
-            train_frac=ds.train_frac,
-            val_frac=ds.val_frac,
-        )
+    if isinstance(ds, SBMDataset):  # its fields are generate_sbm's parameters
+        return generate_sbm(seed, **asdict(ds))
     try:
         return load_graph(ds.edges, ds.features, ds.splits)
     except GraphError as exc:
@@ -272,8 +247,6 @@ def _attack_config(cfg: ExperimentConfig, g: Graph, seed: int) -> AttackConfig:
     frac = a.pop("edge_budget_frac", None)
     if frac is not None:
         a["edge_budget"] = int(round(frac * g.num_edges))
-    a.setdefault("edge_budget", 0)
-    a.setdefault("feature_budget", 0)
     a["seed"] = seed
     return AttackConfig(**a)
 
@@ -371,10 +344,10 @@ def scaling_benchmark(
     """Attack time per step across growing graphs, with a cost-model fit.
 
     Each size times ``iterations`` steps under one fixed surrogate and
-    reports their median. Returns a table of per-size rows and the
-    least-squares fit of time
-    against nodes * (edges * avg_degree + feature_dim), all measured on the
-    sampled subgraphs.
+    reports their median; the sizes take their steps in turn. Returns a
+    table of per-size rows and the least-squares fit of time against
+    nodes * (edges * avg_degree + feature_dim), all measured on the sampled
+    subgraphs.
     """
     if len(size_multipliers) < 3:
         raise ConfigError("scaling benchmark needs at least 3 sizes")
@@ -382,12 +355,11 @@ def scaling_benchmark(
     if not isinstance(ds, SBMDataset):
         raise ConfigError("scaling benchmark generates its graphs; dataset.kind must be 'sbm'")
     seed = base.seeds[0]
-    rows = []
+    sizes = []
     for mult in size_multipliers:
         blocks = [b * mult for b in ds.block_sizes]
         fdim = ds.feature_dim * mult
-        g = generate_sbm(seed, blocks, ds.p_intra, ds.p_inter, feature_dim=fdim,
-                         noise=ds.noise, train_frac=ds.train_frac, val_frac=ds.val_frac)
+        g = generate_sbm(seed, **asdict(replace(ds, block_sizes=blocks, feature_dim=fdim)))
         part = partition_nodes(g, base.workers, base.partition_strategy, seed=seed)
         # The stealth term is outside the cost model, and budgets that last
         # every iteration keep each step's work the same.
@@ -406,8 +378,12 @@ def scaling_benchmark(
             hidden_dim=acfg.surrogate_hidden, learning_rate=acfg.surrogate_lr,
         )
         surrogate_s = time.perf_counter() - t0
-        times, sub_nodes, sub_edges = [], [], []
-        for _ in range(iterations):
+        # Per size: its row's graph facts, its step, and the steps' measurements.
+        sizes.append(((mult, g, fdim, surrogate_s), (targets, run, theta), ([], [], [])))
+    # One step of each size per round, so that a phase of the shared host's
+    # speed falls on every size alike.
+    for _ in range(iterations):
+        for _, (targets, run, theta), (times, sub_nodes, sub_edges) in sizes:
             # The subgraphs the step samples, counted outside its timing.
             for t in targets:
                 sub = sample_1hop(run.g, t)
@@ -416,6 +392,8 @@ def scaling_benchmark(
             t0 = time.perf_counter()
             run.step(theta)
             times.append(time.perf_counter() - t0)
+    rows = []
+    for (mult, g, fdim, surrogate_s), _, (times, sub_nodes, sub_edges) in sizes:
         # The median: a timing's noise on a shared host is one-sided.
         attack_s = float(np.median(times))
         n_sub, e_sub = float(np.mean(sub_nodes)), float(np.mean(sub_edges))

@@ -47,17 +47,21 @@ def _load_sparsetools():
     costs about 0.2 s of start-up and 15 MB of memory (scipy 1.17, 2-core
     x86), most of it in ``scipy._lib``'s clone of the numpy namespace.
     ``find_spec`` locates scipy without importing it; the extension file
-    under its ``sparse/`` directory is loaded by itself, and imported the
-    usual way when it is not there.
+    under its ``sparse/`` directory is loaded by itself, under a name of
+    this package's, so that a later ``import scipy.sparse`` still binds its
+    own ``_sparsetools``. When scipy has loaded the module already, that
+    one is used, and when the file is not there it is imported the usual
+    way.
     """
-    name = "scipy.sparse._sparsetools"
-    if name in sys.modules:  # loading the file again would replace it there
-        return sys.modules[name]
+    if "scipy.sparse._sparsetools" in sys.modules:
+        return sys.modules["scipy.sparse._sparsetools"]
     spec = importlib.util.find_spec("scipy")
     for root in (spec.submodule_search_locations or []) if spec else []:
         for suffix in EXTENSION_SUFFIXES:
             path = os.path.join(root, "sparse", "_sparsetools" + suffix)
             if os.path.isfile(path):
+                # The last name part picks the module's init function.
+                name = "distpoison._sparsetools"
                 loader = ExtensionFileLoader(name, path)
                 module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
                 loader.exec_module(module)

@@ -112,6 +112,42 @@ def test_replay_round_trip(tmp_path, capsys):
     assert "replayed" in capsys.readouterr().out
 
 
+def test_replay_defaults_to_recorded_seed(tmp_path, capsys):
+    # Replayed onto seed 0's graph, seed 3's edge moves name edges that are
+    # not there, and its flips train on another graph.
+    for attack in ({"kind": "ra", "edge_budget": 4, "feature_budget": 4},
+                   {"kind": "ra", "edge_budget": 0, "feature_budget": 4}):
+        cfg = write_config(tmp_path, attack=attack, seeds=[3])
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir), "--force"]) == 0
+        ran = capsys.readouterr().out.splitlines()[0].split(" (")[0]
+        pert = str(out_dir / "perturbation_seed3.json")
+        assert main(["replay", "--config", str(cfg), "--perturbation", pert]) == 0
+        replayed = capsys.readouterr().out.split(": ", 1)[1].strip()
+        assert ran == f"seed 3: {replayed}"
+
+
+def test_scipy_sparse_imports_after_run(tmp_path):
+    # The products load scipy's kernel module under a name of distpoison's,
+    # so scipy.sparse, imported later, binds and uses its own.
+    src = str(Path(distpoison.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = ["run", "--config", str(write_config(tmp_path))]
+    code = (
+        "import numpy as np, distpoison.cli\n"
+        f"assert distpoison.cli.main({run!r}) == 0\n"
+        "import scipy.sparse as sp\n"
+        "A = sp.random(6, 5, density=0.5, format='csr', random_state=0)\n"
+        "M = np.arange(10.0).reshape(5, 2)\n"
+        "assert np.allclose(A @ M, A.toarray() @ M)\n"
+        "print(hasattr(sp, '_sparsetools'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "True"
+
+
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats is most of the CLI's start-up; only the unequal-length W1
     # distance needs it, and that path imports it on first use. scipy.sparse
@@ -170,6 +206,11 @@ def _no_compute(*args, **kwargs):
         ("attack.homophily_measure=foo", "attack.homophily_measure"),
         ("attack.edge_budget_frac=0.1", "attack.edge_budget_frac"),  # beside edge_budget
         ("sgc_k=0", "sgc_k"),
+        ("seeds=[-1]", "seeds"),
+        ("seeds=[true]", "seeds"),
+        ("seeds=[]", "seeds"),
+        ("attack.kind=zzz", "attack.kind"),
+        ("attack.seed=5", "attack.seed"),  # each run's seed comes from seeds
     ],
 )
 def test_bad_value_rejected_before_dataset(tmp_path, capsys, monkeypatch, override, field):
@@ -177,6 +218,20 @@ def test_bad_value_rejected_before_dataset(tmp_path, capsys, monkeypatch, overri
     cfg = write_config(tmp_path)
     assert main(["run", "--config", str(cfg), "--set", override]) == 2
     assert f"{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "attack, message",
+    [
+        ({"edge_budget": 2}, "attack.kind: required"),
+        ({"kind": "ra", "edge_budget_frac": 1.5}, "attack.edge_budget_frac: must be in [0, 1]"),
+    ],
+)
+def test_bad_attack_rejected_before_dataset(tmp_path, capsys, monkeypatch, attack, message):
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    cfg = write_config(tmp_path, attack=attack)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -587,8 +587,9 @@ class TestCSRProduct:
                     graph.matvecs(getattr(by_path, kernel), 9, arrays, M),
                     graph.matvecs(getattr(imported, kernel), 9, arrays, M),
                 )
+        # Loaded under a name of its own, it leaves scipy's entry unset.
+        assert "scipy.sparse._sparsetools" not in sys.modules
         # Without the file, the loader imports the same module.
-        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
         assert graph._load_sparsetools() is imported
 
