@@ -15,9 +15,8 @@ order. Only candidates expected to help (score > 0) are ever taken.
 
 Feature flips follow the sign rule x <- x * (1 - 2*sgn(grad)): positive
 gradients negate the entry; zero gradients leave it alone (and do not consume
-budget); negative gradients triple it as literally specified, with
-``strict_flip=False`` substituting plain negation for that branch. An entry
-of 0 is no candidate either, since no flip changes it.
+budget); negative gradients triple it. An entry of 0 is no candidate either,
+since no flip changes it.
 """
 
 from __future__ import annotations
@@ -70,14 +69,10 @@ class AttackConfig:
     surrogate_epochs: int = spec(50, low=0)
     surrogate_hidden: int = spec(16, low=1)
     surrogate_lr: float = 0.2
-    target_rule: str = spec("high_degree", choices=("high_degree",))
     target_count: int = spec(5, low=1)
     seed: int = 0
-    strict_flip: bool = True
     edges_per_iter: int = spec(1, low=1)
     flips_per_iter: int = spec(1, low=1)
-    warm_start: bool = False
-    homophily_measure: str = spec("wasserstein1", choices=("wasserstein1", "ks"))
 
     def __post_init__(self):
         errors = field_errors(AttackConfig, asdict(self))
@@ -179,23 +174,17 @@ def train_surrogate(
     seed: int,
     hidden_dim: int = 16,
     learning_rate: float = 0.2,
-    init: ParamSet | None = None,
 ) -> ParamSet:
     """Full-batch GCN trained on the graph's training nodes.
 
-    ``init`` warm-starts from an earlier surrogate instead of reinitializing.
     Raises on divergence (non-finite loss or gradients).
     """
     train = np.flatnonzero(g.train_mask)
     if len(train) == 0:
         raise ValueError("graph has no training nodes")
     adj = normalize_adjacency(g)
-    params = (
-        init.copy()
-        if init is not None
-        else ParamSet.init_gcn(
-            g.feature_dim, hidden_dim, g.num_classes, seed=seed, learning_rate=learning_rate
-        )
+    params = ParamSet.init_gcn(
+        g.feature_dim, hidden_dim, g.num_classes, seed=seed, learning_rate=learning_rate
     )
     for _ in range(epochs):
         bundle = backward(params, adj, g.features, g.labels, train, assume_unique=True)
@@ -281,18 +270,13 @@ def select_edge_removals(scores: dict, k: int) -> list[tuple[int, int, float]]:
     return eligible[:k]
 
 
-def flipped_value(old: float, sign: int, strict: bool = True) -> float:
-    """The sign rule: ``old * (1 - 2*sign)``, or plain negation when not strict."""
-    mult = (1 - 2 * sign) if strict else -1.0
-    return old * mult
+def flipped_value(old: float, sign: int) -> float:
+    """The sign rule: ``old * (1 - 2*sign)``."""
+    return old * (1 - 2 * sign)
 
 
-def select_targets(
-    g: Graph, part: Partition, worker: int, count: int, rule: str = "high_degree"
-) -> list[int]:
+def select_targets(g: Graph, part: Partition, worker: int, count: int) -> list[int]:
     """Training nodes on the worker's share to attack; highest degree first."""
-    if rule != "high_degree":
-        raise ValueError(f"unknown target rule {rule!r}")
     pool = part.training_pool(g, worker)
     if len(pool) == 0:
         raise ValueError(f"worker {worker} owns no training nodes")
@@ -317,7 +301,9 @@ class _DisttackRun:
         self.part = part
         self.cfg = cfg
         self.targets = targets
-        self.pert = PerturbationSet(config=dict(cfg.to_dict(), kind="disttack"))
+        self.pert = PerturbationSet(
+            config=dict(cfg.to_dict(), kind="disttack", poisoned_worker=workers.pop())
+        )
         self.edges_left = cfg.edge_budget
         self.flips_left = cfg.feature_budget
         self.flipped: set[tuple[int, int]] = set()
@@ -326,7 +312,7 @@ class _DisttackRun:
         # and advances the state's rows with it.
         self.stealth = None
         if cfg.lambda_homo > 0.0:
-            self.stealth = StealthState(self.g, homophily_values(g), measure=cfg.homophily_measure)
+            self.stealth = StealthState(self.g, homophily_values(g))
         self.base_dist = 0.0
 
     def step(self, surrogate: ParamSet) -> bool:
@@ -396,7 +382,7 @@ class _DisttackRun:
                     penalty = 0.0
                     if st is not None:
                         new_row = g_cur.features[node].copy()
-                        new_row[dim] = flipped_value(new_row[dim], sign, cfg.strict_flip)
+                        new_row[dim] = flipped_value(new_row[dim], sign)
                         h_trial = homophily_after_feature_change(st, node, new_row)
                         penalty = cfg.lambda_homo * (st.distance(h_trial) - self.base_dist)
                     cands.append((score - penalty, node, dim, sign, penalty))
@@ -405,7 +391,7 @@ class _DisttackRun:
             k = min(cfg.flips_per_iter, self.flips_left)
             for score, node, dim, sign, penalty in cands[:k]:
                 old = float(g_cur.features[node, dim])
-                new = flipped_value(old, sign, cfg.strict_flip)
+                new = flipped_value(old, sign)
                 if st is not None:
                     new_row = g_cur.features[node].copy()
                     new_row[dim] = new
@@ -433,7 +419,6 @@ def run_disttack(
     step applies nothing.
     """
     run = _DisttackRun(g, part, cfg, targets)
-    surrogate: ParamSet | None = None
     while run.edges_left > 0 or run.flips_left > 0:
         surrogate = train_surrogate(
             run.g,
@@ -441,7 +426,6 @@ def run_disttack(
             cfg.seed,
             hidden_dim=cfg.surrogate_hidden,
             learning_rate=cfg.surrogate_lr,
-            init=surrogate if cfg.warm_start else None,
         )
         if not run.step(surrogate):
             break

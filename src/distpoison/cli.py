@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -58,6 +59,9 @@ def cmd_run(args) -> int:
     if args.out:
         cfg.out_dir = args.out
     results = run_experiment(cfg)
+    if cfg.out_dir:  # before any print, so a reader closing stdout loses no file
+        written = emit_results(results, cfg.out_dir, cfg, force=args.force)
+        written += emit_histograms(results, cfg.out_dir)
     for r in results:
         print(
             f"seed {r.seed}: clean {r.acc_clean:.4f} attacked {r.acc_attacked:.4f} "
@@ -68,8 +72,6 @@ def cmd_run(args) -> int:
     drops = [r.accuracy_drop for r in results]
     print(f"mean drop over {len(results)} seed(s): {np.mean(drops):+.4f}")
     if cfg.out_dir:
-        written = emit_results(results, cfg.out_dir, cfg, force=args.force)
-        written += emit_histograms(results, cfg.out_dir)
         print(f"wrote {len(written)} files to {cfg.out_dir}")
     return 0
 
@@ -175,14 +177,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:  # the reader closed stdout: the output has ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ConfigError, FileNotFoundError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

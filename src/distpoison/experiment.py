@@ -141,7 +141,7 @@ class ExperimentConfig:
     aggregation: str = spec("mean", choices=("mean", "sum"))
     partition_strategy: str = spec("round_robin", choices=PARTITION_STRATEGIES)
     poisoned_worker: int = spec(0, low=0)
-    parallel_seeds: int = 1
+    parallel_seeds: int = spec(1, low=1)
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
@@ -257,9 +257,7 @@ def build_attack(cfg: ExperimentConfig, g: Graph, part, seed: int) -> Perturbati
         return PerturbationSet(config={"kind": "none"})
     acfg = _attack_config(cfg, g, seed)
     if kind == "disttack":
-        targets = select_targets(
-            g, part, cfg.poisoned_worker, acfg.target_count, rule=acfg.target_rule
-        )
+        targets = select_targets(g, part, cfg.poisoned_worker, acfg.target_count)
         return run_disttack(g, part, acfg, targets)
     if kind == "ra":
         return baseline_random(
@@ -521,5 +519,10 @@ def load_summary(path) -> dict:
 
 
 def replay_perturbation(cfg: ExperimentConfig, pert: PerturbationSet, seed: int) -> RunResult:
-    """Apply a stored perturbation to a fresh paired training run."""
+    """Apply a stored perturbation to a fresh paired training run; one made
+    on another poisoned worker than the config's is a ConfigError."""
+    worker = pert.config.get("poisoned_worker", cfg.poisoned_worker)
+    if worker != cfg.poisoned_worker:
+        raise ConfigError(f"invalid configuration:\n  poisoned_worker: must be the "
+                          f"perturbation's worker {worker}, got {cfg.poisoned_worker}")
     return run_single_seed(cfg, seed, pert)

@@ -6,8 +6,8 @@ aggregate weights each neighbor j of node i by sqrt(d_j)/sqrt(d_i) with d the
 raw degree (no self-loop); an isolated node contributes the empty sum, so its
 homophily is just the norm of its own features.
 
-The shift between the clean and perturbed distributions is the stealth
-signature; smaller distance means a less noticeable attack.
+The Wasserstein-1 distance between the clean and perturbed distributions is
+the stealth signature; smaller distance means a less noticeable attack.
 
 The greedy attack scores each candidate with a trial vector
 (``homophily_after_edge_removal``, ``homophily_after_feature_change``) that
@@ -60,40 +60,20 @@ def homophily_values(g: Graph) -> np.ndarray:
     return np.sqrt((agg**2).sum(axis=1) + (g.features**2).sum(axis=1))
 
 
-def _as_values(d) -> np.ndarray:
-    v = np.asarray(d, dtype=np.float64)
-    if len(v) == 0:
-        raise ValueError("empty homophily distribution")
-    return v
-
-
 def _w1_sorted(p_sorted: np.ndarray, q_sorted: np.ndarray) -> float:
     """Empirical W1 of two equal-size samples given in ascending order."""
     # The mean, summed and divided as np.mean does, without its call overhead.
     return float(np.abs(p_sorted - q_sorted).sum() / len(p_sorted))
 
 
-def distribution_distance(p, q, measure: str = "wasserstein1") -> float:
-    """Distance between two empirical homophily distributions.
-
-    ``wasserstein1`` for equal sample counts is the mean absolute difference
-    of the sorted samples (the standard empirical W1 otherwise); ``ks`` is the
-    maximum CDF gap.
-    """
-    pv, qv = _as_values(p), _as_values(q)
-    if measure == "wasserstein1":
-        if len(pv) == len(qv):
-            return _w1_sorted(np.sort(pv), np.sort(qv))
-        # Imported here: scipy.stats costs about half a second of start-up.
-        from scipy.stats import wasserstein_distance
-
-        return float(wasserstein_distance(pv, qv))
-    if measure == "ks":
-        grid = np.concatenate([pv, qv])
-        cdf_p = np.searchsorted(np.sort(pv), grid, side="right") / len(pv)
-        cdf_q = np.searchsorted(np.sort(qv), grid, side="right") / len(qv)
-        return float(np.abs(cdf_p - cdf_q).max())
-    raise ValueError(f"unknown distance measure {measure!r}")
+def distribution_distance(p, q) -> float:
+    """Empirical Wasserstein-1 distance between two homophily vectors of one
+    graph, the mean absolute difference of their sorted entries; raises
+    ``ValueError`` unless both are nonempty and of equal length."""
+    pv, qv = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if len(pv) == 0 or len(pv) != len(qv):
+        raise ValueError(f"need two nonempty vectors of equal length, got {len(pv)} and {len(qv)}")
+    return _w1_sorted(np.sort(pv), np.sort(qv))
 
 
 # -- incremental evaluation for greedy candidate scoring ---------------------
@@ -121,22 +101,15 @@ class StealthState:
     built.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        values: np.ndarray,
-        clean: np.ndarray | None = None,
-        measure: str = "wasserstein1",
-    ):
+    def __init__(self, g: Graph, values: np.ndarray, clean: np.ndarray | None = None):
         n = g.num_nodes
         self.values = np.asarray(values, dtype=np.float64)
-        self.clean = self.values if clean is None else np.asarray(clean, dtype=np.float64)
-        if len(self.values) != n or len(self.clean) != n:
+        clean = self.values if clean is None else np.asarray(clean, dtype=np.float64)
+        if len(self.values) != n or len(clean) != n:
             raise ValueError(f"homophily vectors must have one entry per node ({n})")
         self.graph = g
         self.edits = g.edits
-        self.measure = measure
-        self.clean_sorted = np.sort(self.clean)
+        self.clean_sorted = np.sort(clean)
         self.indptr, self.indices = g.csr_arrays()
         self.degrees = g.degrees()
         self.weights = _neighbor_weights(self.degrees)
@@ -184,10 +157,8 @@ class StealthState:
         return self._feature_block[1:]
 
     def distance(self, trial: np.ndarray) -> float:
-        """Distance of a trial homophily vector from the clean one."""
-        if self.measure == "wasserstein1":
-            return _w1_sorted(self.clean_sorted, np.sort(trial))
-        return distribution_distance(self.clean, trial, self.measure)
+        """W1 distance of a trial homophily vector from the clean one."""
+        return _w1_sorted(self.clean_sorted, np.sort(trial))
 
     def remove_edge(self, i: int, j: int, values: np.ndarray) -> None:
         """Remove edge (i, j) from the graph and advance the state with it.

@@ -20,7 +20,6 @@ from distpoison.attack import (
     select_edge_removals,
     train_surrogate,
 )
-from distpoison.gnn import ParamSet
 from distpoison.graph import Graph, Partition, sample_1hop
 from distpoison.homophily import (
     StealthState,
@@ -49,17 +48,18 @@ def run_disttack(
         raise ValueError(f"targets span multiple workers: {sorted(workers)}")
 
     g_cur = g.copy()
-    pert = PerturbationSet(config=dict(cfg.to_dict(), kind="disttack"))
+    pert = PerturbationSet(
+        config=dict(cfg.to_dict(), kind="disttack", poisoned_worker=workers.pop())
+    )
     edges_left = cfg.edge_budget
     flips_left = cfg.feature_budget
     flipped: set[tuple[int, int]] = set()
-    surrogate: ParamSet | None = None
 
     use_homo = cfg.lambda_homo > 0.0
     if use_homo:
         # Built once; every applied move below goes through it, which edits
         # g_cur and advances the state's rows with it.
-        st = StealthState(g_cur, homophily_values(g), measure=cfg.homophily_measure)
+        st = StealthState(g_cur, homophily_values(g))
         base_dist = 0.0
 
     iteration = 0
@@ -71,7 +71,6 @@ def run_disttack(
             cfg.seed,
             hidden_dim=cfg.surrogate_hidden,
             learning_rate=cfg.surrogate_lr,
-            init=surrogate if cfg.warm_start else None,
         )
 
         edge_cands: dict[tuple[int, int], float] = {}
@@ -129,7 +128,7 @@ def run_disttack(
                     penalty = 0.0
                     if use_homo:
                         new_row = g_cur.features[node].copy()
-                        new_row[dim] = flipped_value(new_row[dim], sign, cfg.strict_flip)
+                        new_row[dim] = flipped_value(new_row[dim], sign)
                         h_trial = homophily_after_feature_change(st, node, new_row)
                         penalty = cfg.lambda_homo * (st.distance(h_trial) - base_dist)
                     cands.append((score - penalty, node, dim, sign, penalty))
@@ -137,7 +136,7 @@ def run_disttack(
             cands.sort(key=lambda c: (-c[0], c[1], c[2]))
             for score, node, dim, sign, penalty in cands[: min(cfg.flips_per_iter, flips_left)]:
                 old = float(g_cur.features[node, dim])
-                new = flipped_value(old, sign, cfg.strict_flip)
+                new = flipped_value(old, sign)
                 if use_homo:
                     new_row = g_cur.features[node].copy()
                     new_row[dim] = new

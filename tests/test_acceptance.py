@@ -388,7 +388,6 @@ def test_criterion_7_invariant_suite():
         and distribution_distance(a, c3)
         <= distribution_distance(a, b) + distribution_distance(b, c3) + 1e-12
         and distribution_distance(np.zeros(2), np.ones(2)) == pytest.approx(1.0)
-        and distribution_distance(np.zeros(2), np.ones(2), "ks") == pytest.approx(1.0)
     )
     checks.append(("distance metric axioms", bool(axioms)))
 

@@ -134,8 +134,8 @@ class TestCombinedGradient:
 class TestAttackConfig:
     @pytest.mark.parametrize(
         "bad",
-        [dict(lambda_homo=-1.0), dict(edge_budget=1.5), dict(homophily_measure="foo"),
-         dict(target_count=0), dict(strict_flip=1), dict(w_X=float("nan"))],
+        [dict(lambda_homo=-1.0), dict(edge_budget=1.5), dict(surrogate_hidden=0),
+         dict(target_count=0), dict(edges_per_iter=0), dict(w_X=float("nan"))],
     )
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -304,21 +304,17 @@ class TestFlipFeatures:
     def test_negative_gradient_triples(self):
         assert flipped_value(2.0, -1) == 6.0
 
-    def test_negation_mode_for_negative_gradient(self):
-        assert flipped_value(2.0, -1, strict=False) == -2.0
-
     def test_involution_on_positive_sign(self):
         assert flipped_value(flipped_value(2.5, 1), 1) == 2.5
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_attack_and_baseline_flips_follow_the_rule(self, strict):
+    def test_attack_and_baseline_flips_follow_the_rule(self):
         g, part = toy_instance(2)
-        cfg = attack_cfg(edge_budget=0, feature_budget=6, strict_flip=strict, lambda_homo=0.5)
+        cfg = attack_cfg(edge_budget=0, feature_budget=6, lambda_homo=0.5)
         pert = run_disttack(g, part, cfg, select_targets(g, part, 0, 2))
         ra = baseline_random(g, part, 0, 6, seed=2)
         assert pert.features_flipped and ra.features_flipped
         for f in pert.features_flipped:
-            assert f.new == flipped_value(f.old, f.sign, strict)
+            assert f.new == flipped_value(f.old, f.sign)
         for f in ra.features_flipped:
             assert (f.sign, f.new) == (1, flipped_value(f.old, 1))
 
@@ -479,22 +475,17 @@ class TestRunDisttackMatchesOracle:
         st.integers(0, 10**6),
         st.integers(1, 3),
         st.integers(1, 3),
-        st.booleans(),
-        st.booleans(),
         st.sampled_from([0.0, 0.5, 1.0]),
-        st.sampled_from(["wasserstein1", "ks"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_perturbations_equal(self, seed, edges_per_iter, flips_per_iter, strict,
-                                 warm, lambda_homo, measure):
+    def test_perturbations_equal(self, seed, edges_per_iter, flips_per_iter, lambda_homo):
         g = generate_sbm(seed, [8, 8], 0.4, 0.08, feature_dim=4, noise=0.4)
         part = partition_nodes(g, 2)
         worker = int(part.assignment[np.flatnonzero(g.train_mask)[0]])
         cfg = AttackConfig(
             edge_budget=5, feature_budget=5, lambda_comm=0.1, lambda_homo=lambda_homo,
-            surrogate_epochs=5, target_count=3, seed=seed, strict_flip=strict,
+            surrogate_epochs=5, target_count=3, seed=seed,
             edges_per_iter=edges_per_iter, flips_per_iter=flips_per_iter,
-            warm_start=warm, homophily_measure=measure,
         )
         targets = select_targets(g, part, worker, cfg.target_count)
         before = g.copy()

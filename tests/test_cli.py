@@ -8,7 +8,9 @@ import pytest
 import yaml
 
 import distpoison
-from distpoison.cli import main
+from distpoison.attack import PerturbationSet
+from distpoison.cli import load_config, main
+from distpoison.experiment import replay_perturbation
 
 
 def write_config(tmp_path, **kw):
@@ -127,11 +129,66 @@ def test_replay_defaults_to_recorded_seed(tmp_path, capsys):
         assert ran == f"seed 3: {replayed}"
 
 
+@pytest.mark.parametrize("kind", ["disttack", "ra"])
+def test_replay_rejects_another_poisoned_worker(tmp_path, capsys, monkeypatch, kind):
+    # Worker 1 was poisoned; replayed with worker 0 the run would train the
+    # perturbation on another worker's share.
+    cfg = write_config(tmp_path, workers=2, poisoned_worker=1)
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--set", f"attack.kind={kind}",
+                 "--out", str(out_dir)]) == 0
+    pert = out_dir / "perturbation_seed0.json"
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    capsys.readouterr()
+    assert main(["replay", "--config", str(cfg), "--perturbation", str(pert),
+                 "--set", "poisoned_worker=0"]) == 2
+    assert "poisoned_worker:" in capsys.readouterr().err
+    monkeypatch.undo()
+    replayed = replay_perturbation(load_config(cfg, []), PerturbationSet.load(pert), seed=0)
+    ran = json.loads((out_dir / "summary.json").read_text())["runs"][0]
+    assert replayed.acc_attacked == ran["acc_attacked"]
+
+
+def _env():
+    """The environment of a child Python that imports this distpoison."""
+    src = str(Path(distpoison.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _run_with_closed_stdout(*args, unbuffered):
+    """The CLI in a child whose stdout reader is gone before the first line,
+    as in `distpoison run ... | true`. Unbuffered, the first print raises;
+    block-buffered, as a pipe is by default, the flush at the end does."""
+    env = dict(_env(), PYTHONUNBUFFERED="1" if unbuffered else "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "distpoison.cli", *args], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_keeps_results(tmp_path):
+    # The run still writes every file, and its output just ends: exit 0, no
+    # traceback.
+    out_dir = tmp_path / "results"
+    proc = _run_with_closed_stdout("run", "--config", str(write_config(tmp_path)),
+                                   "--set", "seeds=[0,1]", "--out", str(out_dir),
+                                   unbuffered=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    runs = json.loads((out_dir / "summary.json").read_text())["runs"]
+    assert [r["seed"] for r in runs] == [0, 1]
+    assert len(list(out_dir.iterdir())) == 1 + 2 * 5  # summary, then 5 files per seed
+    # A failed check whose output was buffered keeps its exit status.
+    proc = _run_with_closed_stdout("gradcheck", "--nodes", "8", "--hidden", "4",
+                                   "--threshold", "0", unbuffered=False)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_scipy_sparse_imports_after_run(tmp_path):
     # The products load scipy's kernel module under a name of distpoison's,
     # so scipy.sparse, imported later, binds and uses its own.
-    src = str(Path(distpoison.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = ["run", "--config", str(write_config(tmp_path))]
     code = (
         "import numpy as np, distpoison.cli\n"
@@ -143,19 +200,16 @@ def test_scipy_sparse_imports_after_run(tmp_path):
         "print(hasattr(sp, '_sparsetools'))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == "True"
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy.stats is most of the CLI's start-up; only the unequal-length W1
-    # distance needs it, and that path imports it on first use. scipy.sparse
-    # costs most of the rest (through scipy._lib, which imports numpy.f2py):
-    # the products load its compiled kernels alone, on every path of a run
-    # and of gradcheck.
-    src = str(Path(distpoison.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # scipy.stats would be most of the CLI's start-up, and no path needs it.
+    # scipy.sparse costs most of the rest (through scipy._lib, which imports
+    # numpy.f2py): the products load its compiled kernels alone, on every path
+    # of a run and of gradcheck.
     run = ["run", "--config", str(write_config(tmp_path)), "--set", "attack.lambda_homo=1.0"]
     code = (
         "import json, sys, distpoison.cli\n"
@@ -165,7 +219,7 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
         "print(json.dumps([name for name in names if name in sys.modules]))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
     )
     assert json.loads(out.stdout.splitlines()[-1]) == []
 
@@ -204,6 +258,13 @@ def _no_compute(*args, **kwargs):
         ("learning_rate=nan", "learning_rate"),  # YAML reads a bare nan as a string
         ("attack.lambda_homo=-1", "attack.lambda_homo"),
         ("attack.homophily_measure=foo", "attack.homophily_measure"),
+        # Fields the attack no longer has are unknown, whatever their value.
+        ("attack.strict_flip=true", "attack.strict_flip"),
+        ("attack.warm_start=false", "attack.warm_start"),
+        ("attack.homophily_measure=wasserstein1", "attack.homophily_measure"),
+        ("attack.target_rule=high_degree", "attack.target_rule"),
+        ("parallel_seeds=0", "parallel_seeds"),
+        ("parallel_seeds=-2", "parallel_seeds"),
         ("attack.edge_budget_frac=0.1", "attack.edge_budget_frac"),  # beside edge_budget
         ("sgc_k=0", "sgc_k"),
         ("seeds=[-1]", "seeds"),

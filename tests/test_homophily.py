@@ -292,29 +292,23 @@ class TestTrialsMatchOracle:
         g = generate_sbm(4, [10, 10], 0.3, 0.1, feature_dim=3, noise=0.3)
         clean = homophily_values(g)
         trial = clean * np.linspace(0.5, 1.5, len(clean))
-        for measure in ("wasserstein1", "ks"):
-            st = StealthState(g, trial, clean, measure=measure)
-            assert st.distance(trial) == distribution_distance(clean, trial, measure)
+        st = StealthState(g, trial, clean)
+        assert st.distance(trial) == distribution_distance(clean, trial)
 
 
 class TestDistributionDistance:
     def test_identity(self):
         v = np.array([0.3, 1.2, 2.0])
-        assert distribution_distance(v, v, "wasserstein1") == 0.0
-        assert distribution_distance(v, v, "ks") == 0.0
+        assert distribution_distance(v, v) == 0.0
 
     def test_two_point_closed_form(self):
         p, q = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        assert distribution_distance(p, q, "wasserstein1") == pytest.approx(1.0)
-        assert distribution_distance(p, q, "ks") == pytest.approx(1.0)
+        assert distribution_distance(p, q) == pytest.approx(1.0)
 
-    @given(
-        st.lists(st.floats(-50, 50), min_size=1, max_size=20),
-        st.lists(st.floats(-50, 50), min_size=1, max_size=20),
-    )
+    @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
-    def test_symmetry(self, a, b):
-        pa, pb = np.array(a), np.array(b)
+    def test_symmetry(self, pairs):
+        pa, pb = np.array(pairs).T
         d1 = distribution_distance(pa, pb)
         d2 = distribution_distance(pb, pa)
         assert d1 == pytest.approx(d2, abs=1e-12)
@@ -334,13 +328,15 @@ class TestDistributionDistance:
         assert dac <= dab + dbc + 1e-12
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            distribution_distance(np.array([]), np.array([1.0]))
+        for p, q in (([], [1.0]), ([], [])):
+            with pytest.raises(ValueError):
+                distribution_distance(np.array(p), np.array(q))
 
     def test_unequal_sizes(self):
-        # W1 between {0} and {0, 1}: half the mass moves distance 1.
-        d = distribution_distance(np.array([0.0]), np.array([0.0, 1.0]))
-        assert d == pytest.approx(0.5)
+        # Both vectors are one graph's, one entry per node; vectors of two
+        # sizes are a caller's mistake.
+        with pytest.raises(ValueError, match="equal length"):
+            distribution_distance(np.array([0.0]), np.array([0.0, 1.0]))
 
 
 def test_histogram_csv(tmp_path):
