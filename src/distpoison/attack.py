@@ -28,7 +28,14 @@ import numpy as np
 
 from distpoison.fields import field_errors, spec
 from distpoison.gnn import ParamSet, backward, sgd_step
-from distpoison.graph import Graph, Partition, Subgraph, normalize_adjacency, sample_1hop
+from distpoison.graph import (
+    Graph,
+    GraphError,
+    Partition,
+    Subgraph,
+    normalize_adjacency,
+    sample_1hop,
+)
 from distpoison.homophily import (  # noqa: F401 (distribution_distance: re-exported)
     StealthState,
     distribution_distance,
@@ -128,13 +135,17 @@ class PerturbationSet:
     config: dict = field(default_factory=dict)
 
     def apply_to(self, g: Graph) -> Graph:
-        """Fresh perturbed copy of ``g``; the input is untouched."""
+        """Fresh perturbed copy of ``g``; the input is untouched. A move
+        naming an edge or a feature entry that ``g`` lacks raises
+        ``GraphError``."""
         out = g.copy()
         out.edit(
             removed=[(r.i, r.j) for r in self.edges_removed],
             added=[(a.i, a.j) for a in self.edges_added],
         )
         for flip in self.features_flipped:
+            if not (0 <= flip.node < g.num_nodes and 0 <= flip.dim < g.feature_dim):
+                raise GraphError(f"feature ({flip.node}, {flip.dim}) out of range")
             out.set_feature(flip.node, flip.dim, flip.new)
         return out
 
@@ -286,8 +297,10 @@ def select_targets(g: Graph, part: Partition, worker: int, count: int) -> list[i
 
 class _DisttackRun:
     """One attack in progress: the running perturbed graph, what is left of
-    the budgets, the audit trail and, with a stealth weight, the stealth
-    state. ``step`` is the attack's one step under a given surrogate.
+    the budgets, the entries flipped so far, the audit trail and, with a
+    stealth weight, the stealth state. ``step`` is the attack's one step
+    under a given surrogate; ``subgraphs`` holds the targets' 1-hop
+    subgraphs of the last step, sampled on the graph it started from.
     """
 
     def __init__(self, g: Graph, part: Partition, cfg: AttackConfig, targets: list[int]):
@@ -306,14 +319,14 @@ class _DisttackRun:
         )
         self.edges_left = cfg.edge_budget
         self.flips_left = cfg.feature_budget
-        self.flipped: set[tuple[int, int]] = set()
+        self.flipped = np.zeros(g.features.shape, dtype=bool)
         self.iteration = 0
+        self.subgraphs: list[Subgraph] = []
         # Built once; every applied move goes through it, which edits self.g
-        # and advances the state's rows with it.
+        # and advances the state with it.
         self.stealth = None
         if cfg.lambda_homo > 0.0:
             self.stealth = StealthState(self.g, homophily_values(g))
-        self.base_dist = 0.0
 
     def step(self, surrogate: ParamSet) -> bool:
         """Score candidates from every target's current 1-hop subgraph,
@@ -325,20 +338,15 @@ class _DisttackRun:
         """
         cfg, g_cur, st, pert = self.cfg, self.g, self.stealth, self.pert
         self.iteration += 1
+        self.subgraphs = [sample_1hop(g_cur, t) for t in self.targets]
         edge_cands: dict[tuple[int, int], float] = {}
-        feat_grads: dict[int, np.ndarray] = {}
-        for t in self.targets:
-            sub = sample_1hop(g_cur, t)
+        grad_rows = []
+        for sub in self.subgraphs:
             edge_grad, feat_grad = combined_subgraph_gradient(surrogate, sub, cfg)
             scores = edge_scores(edge_grad, sub, self.part, cfg.lambda_comm)
             for key, s in scores.global_items().items():
                 edge_cands[key] = edge_cands.get(key, 0.0) + s
-            for local, node in enumerate(sub.node_ids):
-                node = int(node)
-                if node in feat_grads:
-                    feat_grads[node] = feat_grads[node] + feat_grad[local]
-                else:
-                    feat_grads[node] = feat_grad[local].copy()
+            grad_rows.append(feat_grad)
 
         applied = False
 
@@ -349,7 +357,7 @@ class _DisttackRun:
                 # so shift-reducing candidates earn a bonus.
                 penalties = {
                     (i, j): cfg.lambda_homo
-                    * (st.distance(homophily_after_edge_removal(st, i, j)) - self.base_dist)
+                    * (st.distance(homophily_after_edge_removal(st, i, j)) - st.dist)
                     for i, j in edge_cands
                 }
                 penalized = {key: s - penalties[key] for key, s in edge_cands.items()}
@@ -359,9 +367,7 @@ class _DisttackRun:
             k = min(cfg.edges_per_iter, self.edges_left)
             for i, j, s in select_edge_removals(penalized, k):
                 if st is not None:
-                    h_new = homophily_after_edge_removal(st, i, j)
-                    self.base_dist = st.distance(h_new)
-                    st.remove_edge(i, j, h_new)
+                    st.remove_edge(i, j, homophily_after_edge_removal(st, i, j))
                 else:
                     g_cur.remove_edge(i, j)
                 pert.edges_removed.append(EdgeRemoval(i, j, s, self.iteration))
@@ -369,40 +375,41 @@ class _DisttackRun:
                 self.edges_left -= 1
                 applied = True
 
-        if self.flips_left > 0 and feat_grads:
-            cands = []  # (penalized score, node, dim, sign, penalty)
-            for node, grow in feat_grads.items():
-                for dim in range(len(grow)):
-                    if (node, dim) in self.flipped:
-                        continue
-                    sign = int(np.sign(grow[dim]))
-                    if sign == 0 or g_cur.features[node, dim] == 0.0:
-                        continue  # no flip would change the entry
-                    score = abs(grow[dim])
-                    penalty = 0.0
-                    if st is not None:
-                        new_row = g_cur.features[node].copy()
-                        new_row[dim] = flipped_value(new_row[dim], sign)
-                        h_trial = homophily_after_feature_change(st, node, new_row)
-                        penalty = cfg.lambda_homo * (st.distance(h_trial) - self.base_dist)
-                    cands.append((score - penalty, node, dim, sign, penalty))
-            cands = [c for c in cands if c[0] > 0.0]
-            cands.sort(key=lambda c: (-c[0], c[1], c[2]))
-            k = min(cfg.flips_per_iter, self.flips_left)
-            for score, node, dim, sign, penalty in cands[:k]:
-                old = float(g_cur.features[node, dim])
-                new = flipped_value(old, sign)
+        if self.flips_left > 0:
+            # The feature candidates as one table: each node's gradient row
+            # summed over the subgraphs holding it, in target order, then one
+            # row per entry a flip would change.
+            ids, at = np.unique(
+                np.concatenate([sub.node_ids for sub in self.subgraphs]), return_inverse=True
+            )
+            merged = np.zeros((len(ids), g_cur.feature_dim))
+            np.add.at(merged, at, np.concatenate(grad_rows))
+            row, dim = np.nonzero((merged != 0) & (g_cur.features[ids] != 0) & ~self.flipped[ids])
+            node, grad = ids[row], merged[row, dim]
+            sign = np.sign(grad).astype(np.int64)
+            penalty = np.zeros(len(node))
+            if st is not None:
+                for k, (u, j, s) in enumerate(zip(node.tolist(), dim.tolist(), sign.tolist())):
+                    new_row = g_cur.features[u].copy()
+                    new_row[j] = flipped_value(new_row[j], s)
+                    h_trial = homophily_after_feature_change(st, u, new_row)
+                    penalty[k] = cfg.lambda_homo * (st.distance(h_trial) - st.dist)
+            penalized = np.abs(grad) - penalty
+            keep = np.flatnonzero(penalized > 0.0)
+            order = keep[np.lexsort((dim[keep], node[keep], -penalized[keep]))]
+            for k in order[: min(cfg.flips_per_iter, self.flips_left)].tolist():
+                u, j, s = int(node[k]), int(dim[k]), int(sign[k])
+                old = float(g_cur.features[u, j])
+                new = flipped_value(old, s)
                 if st is not None:
-                    new_row = g_cur.features[node].copy()
-                    new_row[dim] = new
-                    h_new = homophily_after_feature_change(st, node, new_row)
-                    self.base_dist = st.distance(h_new)
-                    st.set_feature(node, dim, new, h_new)
+                    new_row = g_cur.features[u].copy()
+                    new_row[j] = new
+                    st.set_feature(u, j, new, homophily_after_feature_change(st, u, new_row))
                 else:
-                    g_cur.set_feature(node, dim, new)
-                pert.features_flipped.append(FeatureFlip(node, dim, old, new, sign, self.iteration))
-                pert.homophily_penalties.append(penalty)
-                self.flipped.add((node, dim))
+                    g_cur.set_feature(u, j, new)
+                pert.features_flipped.append(FeatureFlip(u, j, old, new, s, self.iteration))
+                pert.homophily_penalties.append(float(penalty[k]))
+                self.flipped[u, j] = True
                 self.flips_left -= 1
                 applied = True
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -15,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from distpoison.attack import PerturbationSet
 from distpoison.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -78,8 +78,7 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config, args.set)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    table = scaling_benchmark(cfg, sizes, iterations=args.iterations)
+    table = scaling_benchmark(cfg, args.sizes, iterations=args.iterations)
     header = f"{'mult':>5} {'graphN':>7} {'graphE':>7} {'N':>8} {'|A|':>8} {'d':>7} {'M':>5} {'sec/iter':>10}"
     print(header)
     for row in table["rows"]:
@@ -100,11 +99,9 @@ def cmd_bench(args) -> int:
 
 def cmd_replay(args) -> int:
     cfg = load_config(args.config, args.set)
-    pert = PerturbationSet.load(args.perturbation)
-    seed = pert.config.get("seed", 0) if args.seed is None else args.seed
-    r = replay_perturbation(cfg, pert, seed=seed)
+    r = replay_perturbation(cfg, args.perturbation, seed=args.seed)
     print(
-        f"replayed {pert.size} perturbation(s): clean {r.acc_clean:.4f} "
+        f"replayed {r.perturbation.size} perturbation(s): clean {r.acc_clean:.4f} "
         f"attacked {r.acc_attacked:.4f} drop {r.accuracy_drop:+.4f}"
     )
     return 0
@@ -130,6 +127,24 @@ def cmd_gradcheck(args) -> int:
     return 0 if status == "OK" else 1
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert(text)``, refused unless ``ok`` holds of it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    return parse
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distpoison",
@@ -149,9 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="runtime scaling benchmark")
     bench.add_argument("--config", required=True)
     bench.add_argument("--set", action="append", metavar="KEY=VALUE")
-    bench.add_argument("--sizes", default="1,2,4,8",
-                       help="comma-separated size multipliers (need >= 3)")
-    bench.add_argument("--iterations", type=int, default=12)
+    sizes = _checked(lambda text: [int(s) for s in text.split(",")],
+                     lambda v: min(v) >= 1 and len(set(v)) >= 3,
+                     "at least 3 distinct positive integers, comma-separated")
+    bench.add_argument("--sizes", type=sizes, default="1,2,4,8",
+                       help="comma-separated size multipliers (at least 3 distinct)")
+    bench.add_argument("--iterations", type=_at_least(1), default=12)
     bench.add_argument("--out", help="write the table as JSON here")
     bench.set_defaults(func=cmd_bench)
 
@@ -159,16 +177,20 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--config", required=True)
     replay.add_argument("--set", action="append", metavar="KEY=VALUE")
     replay.add_argument("--perturbation", required=True, help="perturbation JSON")
-    replay.add_argument("--seed", type=int,
+    replay.add_argument("--seed", type=_at_least(0),
                         help="run seed (default: the one the perturbation records, else 0)")
     replay.set_defaults(func=cmd_replay)
 
     grad = sub.add_parser("gradcheck", help="finite-difference gradient oracle")
-    grad.add_argument("--nodes", type=int, default=12)
-    grad.add_argument("--hidden", type=int, default=8)
-    grad.add_argument("--features", type=int, default=6)
-    grad.add_argument("--seed", type=int, default=0)
-    grad.add_argument("--epsilon", type=float, default=1e-4)
+    # The oracle takes graphs of at most 64 nodes; the features one-hot the
+    # graph's three blocks.
+    nodes = _checked(int, lambda v: 1 <= v <= 64, "an integer in [1, 64]")
+    grad.add_argument("--nodes", type=nodes, default=12)
+    grad.add_argument("--hidden", type=_at_least(1), default=8)
+    grad.add_argument("--features", type=_at_least(3), default=6)
+    grad.add_argument("--seed", type=_at_least(0), default=0)
+    grad.add_argument("--epsilon", type=_checked(float, lambda v: 0 < v < math.inf,
+                                                 "a finite number > 0"), default=1e-4)
     grad.add_argument("--threshold", type=float, default=1e-4)
     grad.set_defaults(func=cmd_gradcheck)
     return parser

@@ -48,7 +48,6 @@ from distpoison.graph import (
     generate_sbm,
     normalize_adjacency,
     partition_nodes,
-    sample_1hop,
 )
 from distpoison.homophily import distribution_distance, homophily_values, write_histogram_csv
 from distpoison.io import load_graph
@@ -273,7 +272,9 @@ def run_single_seed(
     cfg: ExperimentConfig, seed: int, pert: PerturbationSet | None = None
 ) -> RunResult:
     """One paired clean/poisoned run; a given ``pert`` is trained on as it
-    stands, and no attack is built or timed."""
+    stands, and no attack is built or timed. A perturbation that names an
+    edge or a feature entry the seed's graph lacks is a ConfigError, raised
+    before any training."""
     g = build_dataset(cfg, seed)
     part = partition_nodes(g, cfg.workers, cfg.partition_strategy, seed=seed)
     _check_training_pools(cfg, g, part, seed)
@@ -285,7 +286,10 @@ def run_single_seed(
         pert = build_attack(cfg, g, part, seed)
         attack_seconds = time.perf_counter() - t0
 
-    g_poisoned = pert.apply_to(g)
+    try:
+        g_poisoned = pert.apply_to(g)
+    except GraphError as exc:
+        raise ConfigError(f"invalid perturbation: {exc} in the graph of seed {seed}") from exc
     common = dict(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed,
                   aggregation=cfg.aggregation)
     final_clean, rec_clean = train_distributed(g, part, params0, **common)
@@ -377,19 +381,17 @@ def scaling_benchmark(
         )
         surrogate_s = time.perf_counter() - t0
         # Per size: its row's graph facts, its step, and the steps' measurements.
-        sizes.append(((mult, g, fdim, surrogate_s), (targets, run, theta), ([], [], [])))
+        sizes.append(((mult, g, fdim, surrogate_s), (run, theta), ([], [], [])))
     # One step of each size per round, so that a phase of the shared host's
     # speed falls on every size alike.
     for _ in range(iterations):
-        for _, (targets, run, theta), (times, sub_nodes, sub_edges) in sizes:
-            # The subgraphs the step samples, counted outside its timing.
-            for t in targets:
-                sub = sample_1hop(run.g, t)
-                sub_nodes.append(sub.num_nodes)
-                sub_edges.append(len(sub.edges))
+        for _, (run, theta), (times, sub_nodes, sub_edges) in sizes:
             t0 = time.perf_counter()
             run.step(theta)
             times.append(time.perf_counter() - t0)
+            # The subgraphs the step sampled, counted outside its timing.
+            sub_nodes += [sub.num_nodes for sub in run.subgraphs]
+            sub_edges += [len(sub.edges) for sub in run.subgraphs]
     rows = []
     for (mult, g, fdim, surrogate_s), _, (times, sub_nodes, sub_edges) in sizes:
         # The median: a timing's noise on a shared host is one-sided.
@@ -518,9 +520,20 @@ def load_summary(path) -> dict:
         return json.load(fh)
 
 
-def replay_perturbation(cfg: ExperimentConfig, pert: PerturbationSet, seed: int) -> RunResult:
-    """Apply a stored perturbation to a fresh paired training run; one made
-    on another poisoned worker than the config's is a ConfigError."""
+def replay_perturbation(
+    cfg: ExperimentConfig, pert: PerturbationSet | str | Path, seed: int | None = None
+) -> RunResult:
+    """Apply a stored perturbation, or the one saved at the path ``pert``, to
+    a fresh paired run on ``seed`` (by default the recorded seed, else 0). A
+    file that does not read as a perturbation, or one made on another
+    poisoned worker than the config's, is a ConfigError."""
+    if not isinstance(pert, PerturbationSet):
+        try:
+            pert = PerturbationSet.load(pert)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"invalid perturbation {pert}: {type(exc).__name__}: {exc}") from exc
+    if seed is None:
+        seed = pert.config.get("seed", 0)
     worker = pert.config.get("poisoned_worker", cfg.poisoned_worker)
     if worker != cfg.poisoned_worker:
         raise ConfigError(f"invalid configuration:\n  poisoned_worker: must be the "

@@ -201,14 +201,6 @@ class Graph:
         keep = rows < self.indices
         return np.column_stack([rows[keep], self.indices[keep]])
 
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)`` of the current adjacency, rows ascending.
-
-        These are the graph's own arrays, shared with its copies; read them,
-        never write them.
-        """
-        return self.indptr, self.indices
-
     def adjacency_csr(self) -> CSR:
         """Raw adjacency A (no self-loops) as a CSR matrix of 1.0s."""
         return CSR.square(self.indptr, self.indices, np.ones(len(self.indices)))
@@ -440,7 +432,7 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     n = g.num_nodes
     deg_sl = g.degrees().astype(np.float64) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg_sl)
-    indptr, cols = g.csr_arrays()
+    indptr, cols = g.indptr, g.indices
     rows = np.repeat(np.arange(n), np.diff(indptr))
     out_ptr = indptr + np.arange(n + 1)
     # Row r's entries move up by the r diagonals before it, and by one more
@@ -535,7 +527,7 @@ def sample_1hop(g: Graph, target: int) -> Subgraph:
     """
     if not 0 <= target < g.num_nodes:
         raise GraphError(f"target node {target} out of range")
-    indptr, indices = g.csr_arrays()
+    indptr, indices = g.indptr, g.indices
     node_ids = np.concatenate([[target], g.neighbors(target)]).astype(np.int64)
     starts = indptr[node_ids]
     counts = indptr[node_ids + 1] - starts

@@ -12,10 +12,11 @@ the stealth signature; smaller distance means a less noticeable attack.
 The greedy attack scores each candidate with a trial vector
 (``homophily_after_edge_removal``, ``homophily_after_feature_change``) that
 recomputes only the candidate's one-hop neighborhood. The trials read a
-``StealthState`` built once per attack and advanced by each applied move:
-the graph's CSR arrays, its degrees and the weighted rows of the whole graph,
-so a trial gathers the affected rows, overrides the entries the candidate
-changes and reduces them.
+``StealthState`` built once per attack and advanced by each applied move: it
+reads the graph's own CSR arrays and degrees and keeps the weighted rows of
+the whole graph, so a trial gathers the affected rows, overrides the entries
+the candidate changes and reduces them. The state also keeps the W1 distance
+of its current vector, the base each candidate's shift is measured from.
 Trial vectors are bit-identical to recomputing each affected node from
 scratch on its own, with its neighbor rows summed in ascending neighbor
 order; the tests keep that per-node recompute as their oracle.
@@ -86,19 +87,19 @@ class StaleStateError(RuntimeError):
 class StealthState:
     """What every stealth trial reads, kept current with the graph it describes.
 
-    Holds, for ``g`` as it stands: its CSR arrays ``indptr`` and ``indices``
-    as ``g.csr_arrays()`` gives them, the degrees, each node's weighted row
+    Reads the adjacency and degrees from ``graph`` itself, whose CSR arrays
+    no edit writes. Holds, for ``g`` as it stands: each node's weighted row
     (its features times its neighbor weight; one row per node plus a zero row
     at index n that pads the blocks a trial gathers), the squared norms of
-    the own rows, the current homophily vector ``values`` and the clean
-    vector sorted once for W1. ``clean`` defaults to ``values``. Everything
-    cached is O(n d), so a trial pads only the neighborhood it touches.
+    the own rows, the current homophily vector ``values``, the clean vector
+    sorted once for W1, and ``dist``, the W1 distance of ``values`` from it.
+    ``clean`` defaults to ``values``. Everything cached is O(n d), so a trial
+    pads only the neighborhood it touches.
 
     ``remove_edge`` and ``set_feature`` edit the graph and advance the state
-    with it: the CSR arrays and degrees are read again from the graph, the
-    weighted rows are updated where they changed. Once ``g`` is edited any
-    other way, trials raise ``StaleStateError`` and a fresh state must be
-    built.
+    with it: the weighted rows are updated where they changed, and ``dist``
+    is measured again. Once ``g`` is edited any other way, trials raise
+    ``StaleStateError`` and a fresh state must be built.
     """
 
     def __init__(self, g: Graph, values: np.ndarray, clean: np.ndarray | None = None):
@@ -110,9 +111,8 @@ class StealthState:
         self.graph = g
         self.edits = g.edits
         self.clean_sorted = np.sort(clean)
-        self.indptr, self.indices = g.csr_arrays()
-        self.degrees = g.degrees()
-        self.weights = _neighbor_weights(self.degrees)
+        self.dist = self.distance(self.values)
+        self.weights = _neighbor_weights(g.degrees())
         self.rows = np.zeros((n + 1, g.feature_dim))
         self.rows[:n] = g.features * self.weights[:, None]
         self.own_sq = (g.features**2).sum(axis=1)
@@ -126,20 +126,18 @@ class StealthState:
         if self.stale:
             raise StaleStateError("graph edited since this stealth state was built")
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
     def block(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Degrees, padded neighbor ids and weighted rows of ``nodes``.
 
         Row k lists the neighbors of ``nodes[k]`` ascending, then n; the
         rows are gathered per slot, so padding slots read the zero row.
         """
-        counts = self.degrees[nodes]
+        g = self.graph
+        counts = g.degrees(nodes)
         slot = np.arange(counts.max(initial=0))
         # Padding slots may point past the last entry; clipped, then set to n.
-        ids = np.take(self.indices, self.indptr[nodes, None] + slot, mode="clip")
-        ids = np.where(slot < counts[:, None], ids, self.graph.num_nodes)
+        ids = np.take(g.indices, g.indptr[nodes, None] + slot, mode="clip")
+        ids = np.where(slot < counts[:, None], ids, g.num_nodes)
         return counts, ids, np.take(self.rows, ids, axis=0)
 
     def feature_block(self, node: int):
@@ -151,7 +149,7 @@ class StealthState:
         ``node`` and the first own norm, the same ones on every call.
         """
         if self._feature_block is None or self._feature_block[0] != node:
-            nodes = np.concatenate([[node], self.neighbors(node)])
+            nodes = np.concatenate([[node], self.graph.neighbors(node)])
             counts, ids, rows = self.block(nodes)
             self._feature_block = (node, nodes, counts, ids == node, rows, self.own_sq[nodes])
         return self._feature_block[1:]
@@ -168,9 +166,7 @@ class StealthState:
         """
         self._check()
         self.graph.remove_edge(i, j)
-        self.indptr, self.indices = self.graph.csr_arrays()
-        self.degrees = self.graph.degrees()
-        self.weights[[i, j]] = _neighbor_weights(self.degrees[[i, j]])
+        self.weights[[i, j]] = _neighbor_weights(self.graph.degrees([i, j]))
         self.rows[[i, j]] = self.graph.features[[i, j]] * self.weights[[i, j], None]
         self._advance(values)
 
@@ -189,6 +185,7 @@ class StealthState:
 
     def _advance(self, values: np.ndarray) -> None:
         self.values = np.asarray(values, dtype=np.float64)
+        self.dist = self.distance(self.values)
         self.edits = self.graph.edits
         self._feature_block = None
 
@@ -223,12 +220,13 @@ def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndar
     carried over from ``state.values``. The graph is not touched.
     """
     state._check()
-    nodes = np.unique(np.concatenate([[i, j], state.neighbors(i), state.neighbors(j)]))
+    g = state.graph
+    nodes = np.unique(np.concatenate([[i, j], g.neighbors(i), g.neighbors(j)]))
     counts, ids, rows = state.block(nodes)
     # Both endpoints lose one degree, which re-weights every slot holding them.
-    w = _neighbor_weights(state.degrees[[i, j]] - 1)
-    rows[ids == i] = state.graph.features[i] * w[0]
-    rows[ids == j] = state.graph.features[j] * w[1]
+    w = _neighbor_weights(g.degrees([i, j]) - 1)
+    rows[ids == i] = g.features[i] * w[0]
+    rows[ids == j] = g.features[j] * w[1]
     for a, b in ((i, j), (j, i)):
         # Drop b from a's row, closing the gap.
         r = np.searchsorted(nodes, a)

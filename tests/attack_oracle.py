@@ -122,8 +122,8 @@ def run_disttack(
                     if (node, dim) in flipped:
                         continue
                     sign = int(np.sign(grow[dim]))
-                    if sign == 0:
-                        continue
+                    if sign == 0 or g_cur.features[node, dim] == 0.0:
+                        continue  # no flip would change the entry
                     score = abs(grow[dim])
                     penalty = 0.0
                     if use_homo:

@@ -19,6 +19,7 @@ from distpoison.attack import (
     EdgeRemoval,
     FeatureFlip,
     PerturbationSet,
+    _DisttackRun,
     baseline_dice,
     baseline_random,
     combined_subgraph_gradient,
@@ -391,6 +392,23 @@ class TestRunDisttack:
         assert len(pert.features_flipped) == 20
         assert all(f.new != f.old for f in pert.features_flipped)
 
+    @pytest.mark.parametrize("lambda_homo", [0.0, 1.0])
+    def test_step_keeps_the_subgraphs_it_sampled(self, lambda_homo):
+        # run.subgraphs are the targets' 1-hop subgraphs of the graph as the
+        # step found it, before its own moves.
+        g, part = toy_instance(3)
+        cfg = attack_cfg(edge_budget=4, feature_budget=4, lambda_homo=lambda_homo, seed=3)
+        run = _DisttackRun(g, part, cfg, select_targets(g, part, 0, 3))
+        theta = train_surrogate(g, cfg.surrogate_epochs, cfg.seed)
+        for _ in range(4):
+            before = run.g.copy()
+            assert run.step(theta)
+            assert len(run.subgraphs) == len(run.targets)
+            for t, got in zip(run.targets, run.subgraphs):
+                want = sample_1hop(before, t)
+                for name in ("node_ids", "edges", "features", "labels"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_monotone_surrogate_harm(self):
         # Frozen-surrogate damage on the perturbed graph should exceed the
         # clean graph in >= 90% of seeded runs (first-order sanity).
@@ -476,10 +494,12 @@ class TestRunDisttackMatchesOracle:
         st.integers(1, 3),
         st.integers(1, 3),
         st.sampled_from([0.0, 0.5, 1.0]),
+        # At noise 0 most feature entries are 0, which no flip changes.
+        st.sampled_from([0.0, 0.4]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_perturbations_equal(self, seed, edges_per_iter, flips_per_iter, lambda_homo):
-        g = generate_sbm(seed, [8, 8], 0.4, 0.08, feature_dim=4, noise=0.4)
+    def test_perturbations_equal(self, seed, edges_per_iter, flips_per_iter, lambda_homo, noise):
+        g = generate_sbm(seed, [8, 8], 0.4, 0.08, feature_dim=4, noise=noise)
         part = partition_nodes(g, 2)
         worker = int(part.assignment[np.flatnonzero(g.train_mask)[0]])
         cfg = AttackConfig(
@@ -636,7 +656,7 @@ class TestPerturbationSet:
             single.set_feature(f.node, f.dim, f.new)
         want = pert.apply_to(g)
         for got in (loaded.apply_to(g), single):
-            for a, b in zip(want.csr_arrays(), got.csr_arrays()):
+            for a, b in ((want.indptr, got.indptr), (want.indices, got.indices)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert want.features.tobytes() == got.features.tobytes()
             assert want.edits == got.edits == pert.size

@@ -426,3 +426,78 @@ def test_files_dataset_requires_every_file(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, dataset=dataset, attack={"kind": "none"})
     assert main(["run", "--config", str(cfg)]) == 2
     assert "dataset.splits: required" in capsys.readouterr().err
+
+
+BAD_OPTIONS = [
+    (["bench", "--sizes", "1,2,x"], "--sizes"),
+    (["bench", "--sizes", "0,1,2"], "--sizes"),
+    (["bench", "--sizes", "1,1,1"], "--sizes"),  # no fit through one size
+    (["bench", "--sizes", "1,2"], "--sizes"),
+    (["bench", "--iterations", "0"], "--iterations"),
+    (["gradcheck", "--nodes", "100"], "--nodes"),  # the oracle takes <= 64 nodes
+    (["gradcheck", "--nodes", "0"], "--nodes"),
+    (["gradcheck", "--features", "1"], "--features"),  # three blocks to one-hot
+    (["gradcheck", "--hidden", "0"], "--hidden"),
+    (["gradcheck", "--epsilon", "0"], "--epsilon"),
+    (["gradcheck", "--epsilon", "nan"], "--epsilon"),
+    (["gradcheck", "--seed", "-1"], "--seed"),
+    (["replay", "--perturbation", "p.json", "--seed", "-3"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("argv, option", BAD_OPTIONS, ids=[" ".join(a) for a, _ in BAD_OPTIONS])
+def test_bad_option_exits_two_before_compute(tmp_path, capsys, monkeypatch, argv, option):
+    for name in ("generate_sbm", "scaling_benchmark", "replay_perturbation", "load_config"):
+        monkeypatch.setattr(f"distpoison.cli.{name}", _no_compute)
+    if argv[0] != "gradcheck":
+        argv = [argv[0], "--config", str(write_config(tmp_path)), *argv[1:]]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"argument {option}: " in capsys.readouterr().err
+
+
+def _edit_rows(name, key, value):
+    def edit(d):
+        d[name][0][key] = value
+        return d
+    return edit
+
+
+def _drop_key(name, key):
+    def edit(d):
+        del d[name][0][key]
+        return d
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit_rows("features_flipped", "node", -1), "feature (-1, 0) out of range"),
+        (_edit_rows("features_flipped", "dim", 4), "out of range"),
+        (_drop_key("edges_removed", "j"), "KeyError"),
+        (lambda d: dict(d, edges_removed=[{"i": 0, "j": 0, "score": 0.0, "iter": 1}]),
+         "edge (0, 0) not present"),
+        (lambda d: [d], "AttributeError"),
+        (None, "JSONDecodeError"),
+    ],
+    ids=["flip-node-minus-1", "flip-dim-out-of-range", "row-without-j", "absent-edge",
+         "list-not-mapping", "not-json"],
+)
+def test_replay_rejects_a_bad_perturbation_before_training(tmp_path, capsys, monkeypatch,
+                                                           edit, message):
+    # Without the checks a flip of node -1 edits node n - 1 and the run
+    # exits 0; a malformed row or an absent edge fails as a runtime error.
+    cfg = write_config(tmp_path, attack={"kind": "ra", "edge_budget": 4, "feature_budget": 4})
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    pert = out_dir / "perturbation_seed0.json"
+    d = json.loads(pert.read_text())
+    d["features_flipped"][0]["dim"] = 0
+    pert.write_text("{" if edit is None else json.dumps(edit(d)))
+    monkeypatch.setattr("distpoison.experiment.train_distributed", _no_training)
+    capsys.readouterr()
+    assert main(["replay", "--config", str(cfg), "--perturbation", str(pert)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid perturbation" in err and message in err

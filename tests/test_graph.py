@@ -328,7 +328,7 @@ class TestDegreeCache:
             recount = np.bincount(g.edge_array().ravel(), minlength=n)
             np.testing.assert_array_equal(g.degrees(), recount)
             assert [g.degree(i) for i in range(n)] == recount.tolist()
-            indptr, indices = g.csr_arrays()
+            indptr, indices = g.indptr, g.indices
             np.testing.assert_array_equal(np.diff(indptr), recount)
             for i in range(n):
                 np.testing.assert_array_equal(indices[indptr[i] : indptr[i + 1]], g.neighbors(i))
@@ -361,7 +361,7 @@ class TestDegreeCache:
 
 def assert_same_structure(g, h):
     """``g`` and ``h`` hold the same adjacency, dtypes included."""
-    for a, b in zip(g.csr_arrays(), h.csr_arrays()):
+    for a, b in ((g.indptr, h.indptr), (g.indices, h.indices)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     for a, b in ((g.degrees(), h.degrees()), (g.edge_array(), h.edge_array())):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -395,7 +395,7 @@ class TestEditScripts:
                 assert_same_structure(g, make_graph(n, sorted(edges)))
                 continue
             old, before = set(edges), g.copy()
-            views = [*g.csr_arrays(), *(g.neighbors(i) for i in range(n))]
+            views = [g.indptr, g.indices, *(g.neighbors(i) for i in range(n))]
             saved = [v.copy() for v in views]
             edits = g.edits
             if op == "remove" and edges:
@@ -459,7 +459,7 @@ class TestEditChecks:
         removed, added, message = self.CASES[case]
         g = make_graph(5, [(0, 1), (1, 2), (2, 3)])
         g.set_feature(0, 0, 1.0)
-        indptr, indices = g.csr_arrays()
+        indptr, indices = g.indptr, g.indices
         saved = indptr.copy(), indices.copy()
         with pytest.raises(GraphError) as err:
             g.edit(removed=removed, added=added)

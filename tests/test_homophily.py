@@ -181,7 +181,8 @@ class TestTrialsMatchOracle:
     @settings(max_examples=60, deadline=None)
     def test_state_advanced_by_moves(self, case, moves):
         # A state that applies each move itself stays equal to one built
-        # fresh on the edited graph, and its trials to the oracle.
+        # fresh on the edited graph, its distance to that of its vector, and
+        # its trials to the oracle.
         seed, n, dim, p, ops = case
         g0, rng = draw_graph(seed, n, dim, p)
         for g in random_edit_script(g0, ops):
@@ -201,10 +202,9 @@ class TestTrialsMatchOracle:
                 state.set_feature(node, d, row[d], trial)
             assert not state.stale
             fresh = StealthState(g_run, state.values, h)
-            for name in ("degrees", "weights", "rows", "own_sq"):
+            for name in ("weights", "rows", "own_sq", "dist"):
                 assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
-            for u in range(n):
-                assert np.array_equal(state.neighbors(u), fresh.neighbors(u))
+            assert state.dist == distribution_distance(h, state.values)
             assert_trials_match_oracle(state, rng)
         np.testing.assert_allclose(state.values, homophily_values(g_run), rtol=1e-10)
         g_run.set_feature(0, 0, 1.0)
