@@ -5,9 +5,11 @@
 The file name keeps these out of the default test collection. Graphs are
 four-block SBMs with the reference config's expected degree (about 6.4) at
 n = 200, 1,600 and 6,400 nodes; candidates come from the highest-degree node,
-as the attack's targets do. ``test_feature_trial`` repeats one node, as the
-attack scores a node's dimensions in a row, so it reuses the state's block
-for that node; ``test_feature_trial_new_node`` gathers a fresh one each call.
+as the attack's targets do. The trials are timed as computed, not
+remembered: every round starts with the state's remembered trials
+forgotten. ``test_feature_trial`` repeats one node, as the attack scores a
+node's dimensions in a row, so it reuses the state's block for that node;
+``test_feature_trial_new_node`` gathers a fresh one each call.
 ``test_view_forward`` is one graph view's forward state for an epoch, over
 the union of its workers' batches: 8 nodes (one worker, as on the poisoned
 view) or 56 (seven workers of 8), passed as one batch, so without the
@@ -28,7 +30,10 @@ the attack does for each target's subgraph gradient. ``test_attack_step`` is
 one whole attack step under a fixed surrogate: 10 targets on worker 0 of 4,
 one edge removal and one feature flip, without (``lambda_homo`` 0) and with
 (1) stealth scoring; each round starts from a fresh run, whose setup
-(graph copy, stealth state) is not timed.
+(graph copy, stealth state) is not timed, after warm-up rounds.
+``test_attack_steps`` is three consecutive steps of one run under the same
+surrogate, where a step reuses the trials of the one before that no move
+touched.
 """
 
 import itertools
@@ -78,11 +83,26 @@ def test_state_build(benchmark, case):
     benchmark(StealthState, g, h)
 
 
+TRIAL_ROUNDS = dict(rounds=500, warmup_rounds=20)
+
+
+def _forgetting(state, args_of):
+    """A pedantic setup: the state forgets every remembered trial, then the
+    round's arguments are drawn."""
+    def setup():
+        state.begin_step()
+        state.begin_step()
+        return args_of(), {}
+
+    return setup
+
+
 def test_edge_trial(benchmark, case):
     g, hub = case
     state = StealthState(g, homophily_values(g))
     j = int(g.neighbors(hub)[0])
-    benchmark(homophily_after_edge_removal, state, hub, j)
+    benchmark.pedantic(homophily_after_edge_removal,
+                       setup=_forgetting(state, lambda: (state, hub, j)), **TRIAL_ROUNDS)
 
 
 def test_feature_trial(benchmark, case):
@@ -90,7 +110,8 @@ def test_feature_trial(benchmark, case):
     state = StealthState(g, homophily_values(g))
     row = g.features[hub].copy()
     row[0] = -row[0]
-    benchmark(homophily_after_feature_change, state, hub, row)
+    benchmark.pedantic(homophily_after_feature_change,
+                       setup=_forgetting(state, lambda: (state, hub, row)), **TRIAL_ROUNDS)
 
 
 def test_feature_trial_new_node(benchmark, case):
@@ -101,9 +122,10 @@ def test_feature_trial_new_node(benchmark, case):
     for node in (hub, int(g.neighbors(hub)[0])):
         row = g.features[node].copy()
         row[0] = -row[0]
-        picks.append((node, row))
+        picks.append((state, node, row))
     it = itertools.cycle(picks)
-    benchmark(lambda: homophily_after_feature_change(state, *next(it)))
+    benchmark.pedantic(homophily_after_feature_change,
+                       setup=_forgetting(state, lambda: next(it)), **TRIAL_ROUNDS)
 
 
 def test_w1_distance(benchmark, case):
@@ -184,19 +206,39 @@ def test_view_epoch(benchmark, case):
     benchmark(epoch)
 
 
-@pytest.mark.parametrize("lambda_homo", [0.0, 1.0])
-def test_attack_step(benchmark, case, lambda_homo):
-    g, _ = case
+def _fresh_run(g, lambda_homo, steps):
+    """A pedantic setup that starts a fresh run with budgets for ``steps``
+    steps of one removal and one flip, and the surrogate for its graph."""
     part = partition_nodes(g, 4)
-    cfg = AttackConfig(edge_budget=1, feature_budget=1, lambda_homo=lambda_homo,
+    cfg = AttackConfig(edge_budget=steps, feature_budget=steps, lambda_homo=lambda_homo,
                        surrogate_epochs=40, target_count=10)
     targets = select_targets(g, part, 0, cfg.target_count)
     theta = train_surrogate(g, cfg.surrogate_epochs, cfg.seed)
 
-    def fresh_run():
+    def setup():
         return (_DisttackRun(g, part, cfg, targets), theta), {}
 
-    benchmark.pedantic(_DisttackRun.step, setup=fresh_run, rounds=10)
+    return setup
+
+
+STEP_ROUNDS = dict(rounds=50, warmup_rounds=5)
+
+
+@pytest.mark.parametrize("lambda_homo", [0.0, 1.0])
+def test_attack_step(benchmark, case, lambda_homo):
+    g, _ = case
+    benchmark.pedantic(_DisttackRun.step, setup=_fresh_run(g, lambda_homo, 1), **STEP_ROUNDS)
+
+
+@pytest.mark.parametrize("lambda_homo", [0.0, 1.0])
+def test_attack_steps(benchmark, case, lambda_homo):
+    g, _ = case
+
+    def three_steps(run, theta):
+        for _ in range(3):
+            run.step(theta)
+
+    benchmark.pedantic(three_steps, setup=_fresh_run(g, lambda_homo, 3), **STEP_ROUNDS)
 
 
 def test_surrogate_fit(benchmark, case):

@@ -6,7 +6,9 @@ subgraph, score existing edges (gradient value plus a cross-worker bonus for
 edges that span computing nodes), remove the top-scoring edges, and flip the
 feature entries with the largest gradient magnitude. A nonzero homophily
 weight debits every candidate by the shift it would cause in the graph's
-homophily distribution, trading raw damage for stealth.
+homophily distribution, trading raw damage for stealth. That shift is a
+stealth trial per candidate; the stealth state remembers the trials of the
+step before, so a candidate no move has touched since costs a lookup.
 
 Scores are the attack-loss gradient at each adjacency entry: removing an edge
 is a unit step down in that entry, so edges with the largest positive gradient
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from distpoison.fields import field_errors, spec
-from distpoison.gnn import ParamSet, backward, sgd_step
+from distpoison.gnn import ParamSet, backward, fit_gcn
 from distpoison.graph import (
     Graph,
     GraphError,
@@ -90,29 +92,42 @@ class AttackConfig:
         return asdict(self)
 
 
+# The rows of a perturbation. Every field is required; its default states
+# its type for ``field_errors``, which checks the rows a replay reads. Node
+# ids are checked against the graph when the rows are applied.
+
+
 @dataclass
 class EdgeRemoval:
-    i: int
-    j: int
-    score: float
-    iteration: int
+    i: int = spec(0, required=True)
+    j: int = spec(0, required=True)
+    score: float = spec(0.0, required=True)
+    iteration: int = spec(0, low=0, required=True)
 
 
 @dataclass
 class EdgeAddition:
-    i: int
-    j: int
-    iteration: int
+    i: int = spec(0, required=True)
+    j: int = spec(0, required=True)
+    iteration: int = spec(0, low=0, required=True)
 
 
 @dataclass
 class FeatureFlip:
-    node: int
-    dim: int
-    old: float
-    new: float
-    sign: int
-    iteration: int
+    node: int = spec(0, required=True)
+    dim: int = spec(0, required=True)
+    old: float = spec(0.0, required=True)
+    new: float = spec(0.0, required=True)
+    sign: int = spec(1, choices=(-1, 1), required=True)
+    iteration: int = spec(0, low=0, required=True)
+
+
+@dataclass
+class _Recorded:
+    """The entries of a perturbation's ``config`` that a replay reads."""
+
+    seed: int = spec(0, low=0)
+    poisoned_worker: int = spec(0, low=0)
 
 
 def _row_keys(cls) -> dict[str, str]:
@@ -169,6 +184,19 @@ class PerturbationSet:
         return cls(**rows, homophily_penalties=list(d.get("homophily_penalties", [])),
                    config=d.get("config", {}))
 
+    def field_errors(self) -> list[str]:
+        """One message per row field of a wrong type or out of range, and
+        per config entry a replay reads that is: what a replay refuses."""
+        if not isinstance(self.config, dict):
+            return [f"config: must be a mapping, got {self.config!r}"]
+        read = {f.name for f in fields(_Recorded)}
+        errors = field_errors(_Recorded, {k: v for k, v in self.config.items() if k in read},
+                              "config.")
+        for name, row in _ROWS.items():
+            for k, r in enumerate(getattr(self, name)):
+                errors += field_errors(row, asdict(r), f"{name}[{k}].")
+        return errors
+
     def save(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
@@ -186,21 +214,17 @@ def train_surrogate(
     hidden_dim: int = 16,
     learning_rate: float = 0.2,
 ) -> ParamSet:
-    """Full-batch GCN trained on the graph's training nodes.
+    """Full-batch GCN trained on the graph's training nodes by ``fit_gcn``.
 
-    Raises on divergence (non-finite loss or gradients).
+    Raises ``NumericalError`` on divergence (non-finite weights).
     """
     train = np.flatnonzero(g.train_mask)
     if len(train) == 0:
         raise ValueError("graph has no training nodes")
-    adj = normalize_adjacency(g)
     params = ParamSet.init_gcn(
         g.feature_dim, hidden_dim, g.num_classes, seed=seed, learning_rate=learning_rate
     )
-    for _ in range(epochs):
-        bundle = backward(params, adj, g.features, g.labels, train, assume_unique=True)
-        params = sgd_step(params, bundle)
-    return params
+    return fit_gcn(params, normalize_adjacency(g), g.features, g.labels, train, epochs)
 
 
 @dataclass(eq=False)
@@ -332,12 +356,16 @@ class _DisttackRun:
         """Score candidates from every target's current 1-hop subgraph,
         penalize them by their stealth cost when ``lambda_homo > 0``, then
         select and apply up to ``edges_per_iter`` edge removals and
-        ``flips_per_iter`` feature flips of the remaining budgets.
+        ``flips_per_iter`` feature flips of the remaining budgets. The
+        stealth state is told a step begins, so it keeps the trials of this
+        step and the last one only.
 
         Returns whether any move was applied.
         """
         cfg, g_cur, st, pert = self.cfg, self.g, self.stealth, self.pert
         self.iteration += 1
+        if st is not None:
+            st.begin_step()
         self.subgraphs = [sample_1hop(g_cur, t) for t in self.targets]
         edge_cands: dict[tuple[int, int], float] = {}
         grad_rows = []

@@ -1,6 +1,11 @@
 """Command-line entry point: run experiments, benchmark, replay, gradcheck.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
+
+Each command does all of its work, files included, and returns its exit
+status with the lines it reports; ``main`` prints them. So a reader that
+closes stdout early ends the output, but changes neither the files nor the
+status.
 """
 
 from __future__ import annotations
@@ -54,60 +59,57 @@ def load_config(path, overrides) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple[int, list[str]]:
     cfg = load_config(args.config, args.set)
     if args.out:
         cfg.out_dir = args.out
     results = run_experiment(cfg)
-    if cfg.out_dir:  # before any print, so a reader closing stdout loses no file
+    lines = [
+        f"seed {r.seed}: clean {r.acc_clean:.4f} attacked {r.acc_attacked:.4f} "
+        f"drop {r.accuracy_drop:+.4f} "
+        f"(removed {r.edges_removed}, added {r.edges_added}, flips {r.features_flipped}, "
+        f"attack {r.attack_seconds:.2f}s)"
+        for r in results
+    ]
+    drops = [r.accuracy_drop for r in results]
+    lines.append(f"mean drop over {len(results)} seed(s): {np.mean(drops):+.4f}")
+    if cfg.out_dir:
         written = emit_results(results, cfg.out_dir, cfg, force=args.force)
         written += emit_histograms(results, cfg.out_dir)
-    for r in results:
-        print(
-            f"seed {r.seed}: clean {r.acc_clean:.4f} attacked {r.acc_attacked:.4f} "
-            f"drop {r.accuracy_drop:+.4f} "
-            f"(removed {r.edges_removed}, added {r.edges_added}, flips {r.features_flipped}, "
-            f"attack {r.attack_seconds:.2f}s)"
-        )
-    drops = [r.accuracy_drop for r in results]
-    print(f"mean drop over {len(results)} seed(s): {np.mean(drops):+.4f}")
-    if cfg.out_dir:
-        print(f"wrote {len(written)} files to {cfg.out_dir}")
-    return 0
+        lines.append(f"wrote {len(written)} files to {cfg.out_dir}")
+    return 0, lines
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[int, list[str]]:
     cfg = load_config(args.config, args.set)
     table = scaling_benchmark(cfg, args.sizes, iterations=args.iterations)
-    header = f"{'mult':>5} {'graphN':>7} {'graphE':>7} {'N':>8} {'|A|':>8} {'d':>7} {'M':>5} {'sec/iter':>10}"
-    print(header)
+    lines = [f"{'mult':>5} {'graphN':>7} {'graphE':>7} {'N':>8} {'|A|':>8} {'d':>7} {'M':>5} {'sec/iter':>10}"]
     for row in table["rows"]:
-        print(
+        lines.append(
             f"{row['multiplier']:>5} {row['graph_nodes']:>7} {row['graph_edges']:>7} "
             f"{row['nodes']:>8.1f} {row['edges']:>8.1f} {row['avg_degree']:>7.2f} "
             f"{row['feature_dim']:>5} {row['attack_seconds']:>10.6f}"
         )
     fit = table["fit"]
-    print(f"fit vs {table['cost_model']}: R^2 = {fit['r2']:.4f}")
+    lines.append(f"fit vs {table['cost_model']}: R^2 = {fit['r2']:.4f}")
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w") as fh:
             json.dump(table, fh, indent=2)
-        print(f"wrote {args.out}")
-    return 0
+        lines.append(f"wrote {args.out}")
+    return 0, lines
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> tuple[int, list[str]]:
     cfg = load_config(args.config, args.set)
     r = replay_perturbation(cfg, args.perturbation, seed=args.seed)
-    print(
+    return 0, [
         f"replayed {r.perturbation.size} perturbation(s): clean {r.acc_clean:.4f} "
         f"attacked {r.acc_attacked:.4f} drop {r.accuracy_drop:+.4f}"
-    )
-    return 0
+    ]
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args) -> tuple[int, list[str]]:
     blocks = [args.nodes // 3, args.nodes // 3, args.nodes - 2 * (args.nodes // 3)]
     g = generate_sbm(args.seed, blocks, 0.35, 0.2, feature_dim=args.features, noise=0.4)
     adj = normalize_adjacency(g)
@@ -118,13 +120,12 @@ def cmd_gradcheck(args) -> int:
     t0 = time.perf_counter()
     report = check_gradients(params, adj, g.features, g.labels, node_set, epsilon=args.epsilon)
     elapsed = time.perf_counter() - t0
-    for name in ("W0", "W1", "X", "A"):
-        if name in report.max_rel_err:
-            print(f"d{name}: max relative error {report.max_rel_err[name]:.3e}")
+    lines = [f"d{name}: max relative error {report.max_rel_err[name]:.3e}"
+             for name in ("W0", "W1", "X", "A") if name in report.max_rel_err]
     status = "OK" if report.overall < args.threshold else "FAIL"
-    print(f"overall {report.overall:.3e} (threshold {args.threshold:g}) "
-          f"in {elapsed:.2f}s: {status}")
-    return 0 if status == "OK" else 1
+    lines.append(f"overall {report.overall:.3e} (threshold {args.threshold:g}) "
+                 f"in {elapsed:.2f}s: {status}")
+    return (0 if status == "OK" else 1), lines
 
 
 def _checked(convert, ok, what: str):
@@ -199,18 +200,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    code = 0
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
-    except BrokenPipeError:  # the reader closed stdout: the output has ended
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, lines = args.func(args)
     except (ConfigError, FileNotFoundError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:  # the reader closed stdout: the output has ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -525,13 +525,19 @@ def replay_perturbation(
 ) -> RunResult:
     """Apply a stored perturbation, or the one saved at the path ``pert``, to
     a fresh paired run on ``seed`` (by default the recorded seed, else 0). A
-    file that does not read as a perturbation, or one made on another
-    poisoned worker than the config's, is a ConfigError."""
+    file that does not read as a perturbation, one with a field of a wrong
+    type or range (see ``PerturbationSet.field_errors``), or one made on
+    another poisoned worker than the config's, is a ConfigError."""
+    source = ""  # the file's path, when the set is read from one
     if not isinstance(pert, PerturbationSet):
+        source = f" {pert}"
         try:
             pert = PerturbationSet.load(pert)
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ConfigError(f"invalid perturbation {pert}: {type(exc).__name__}: {exc}") from exc
+            raise ConfigError(f"invalid perturbation{source}: {type(exc).__name__}: {exc}") from exc
+    errors = pert.field_errors()
+    if errors:
+        raise ConfigError(f"invalid perturbation{source}: " + "; ".join(errors))
     if seed is None:
         seed = pert.config.get("seed", 0)
     worker = pert.config.get("poisoned_worker", cfg.poisoned_worker)

@@ -31,6 +31,7 @@ __all__ = [
     "attack_loss",
     "backward",
     "sgd_step",
+    "fit_gcn",
     "check_gradients",
     "GradCheckReport",
     "predict_accuracy",
@@ -634,6 +635,41 @@ def sgd_step(params: ParamSet, grad: GradientBundle) -> ParamSet:
     if new.W1 is not None:
         new.W1 = new.W1 - params.learning_rate * grads[1]
     return new
+
+
+def fit_gcn(
+    params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, labels: np.ndarray,
+    rows: np.ndarray, epochs: int,
+) -> ParamSet:
+    """The 2-layer GCN ``params`` after ``epochs`` full-batch descent steps
+    on the mean cross-entropy over ``rows`` (unique node ids); inputs
+    untouched.
+
+    Each epoch is ``sgd_step(params, backward(params, adj, X, labels, rows,
+    assume_unique=True))`` bit for bit: the same full products and GEMMs in
+    the same order, without the per-epoch state, bundle, copies and checks.
+    The training rows' labels and the zeroed loss-gradient buffer, which is
+    nonzero on ``rows`` only, are built once. Raises ``NumericalError`` if
+    the final weights are not finite: a non-finite gradient makes some
+    weight non-finite, and descent never makes it finite again.
+    """
+    A, lr = adj.matrix, params.learning_rate
+    W0, W1 = params.W0, params.W1
+    y, at = labels[rows], np.arange(len(rows))
+    dZ = np.zeros((A.shape[0], W1.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            H = np.maximum(A @ (X @ W0), 0.0)
+            probs = np.exp(_log_softmax((A @ _rowwise(H, W1))[rows]))
+            probs[at, y] -= 1.0
+            dZ[rows] = probs / len(rows)
+            dQ = A @ dZ
+            dW1 = H.T @ dQ
+            dS0 = _rowwise(dQ, W1.T) * (H > 0.0)
+            W0 = W0 - lr * (X.T @ (A @ dS0))
+            W1 = W1 - lr * dW1
+    _check_finite("surrogate weights", W0, W1)
+    return ParamSet(W0=W0, W1=W1, learning_rate=lr, k=params.k)
 
 
 def predict_accuracy(

@@ -20,6 +20,12 @@ of its current vector, the base each candidate's shift is measured from.
 Trial vectors are bit-identical to recomputing each affected node from
 scratch on its own, with its neighbor rows summed in ascending neighbor
 order; the tests keep that per-node recompute as their oracle.
+
+Most candidates of one attack step are candidates of the next one too, and
+a move changes the trials of few of them. So the state remembers each
+trial's recomputed entries, with a version count per node that every move
+bumps where it changes a homophily input; a trial asked again while no node
+of its block has moved returns the remembered entries, the same floats.
 """
 
 from __future__ import annotations
@@ -100,6 +106,13 @@ class StealthState:
     with it: the weighted rows are updated where they changed, and ``dist``
     is measured again. Once ``g`` is edited any other way, trials raise
     ``StaleStateError`` and a fresh state must be built.
+
+    Trials are remembered (see ``recall``). ``version[u]`` counts the moves
+    that changed an input of node u's homophily: its features, its degree,
+    or a neighbor's features or degree. A removal of (i, j) bumps i, j and
+    their neighbors, a change of u's features bumps u and its neighbors.
+    ``begin_step`` forgets the trials the last step did not ask for, so
+    what is remembered is at most two steps' trials.
     """
 
     def __init__(self, g: Graph, values: np.ndarray, clean: np.ndarray | None = None):
@@ -117,6 +130,41 @@ class StealthState:
         self.rows[:n] = g.features * self.weights[:, None]
         self.own_sq = (g.features**2).sum(axis=1)
         self._feature_block = None
+        self.version = np.zeros(n, dtype=np.int64)
+        # Trials asked since the last begin_step, and those asked in the
+        # step before: key -> (block node ids, their entries, version sum).
+        self.memo: dict = {}
+        self.last_memo: dict = {}
+
+    def begin_step(self) -> None:
+        """Start an attack step: forget the trials the last one did not ask for."""
+        self.last_memo, self.memo = self.memo, {}
+
+    def recall(self, key) -> np.ndarray | None:
+        """The trial vector remembered under ``key``, or None.
+
+        A trial is returned only while no node of its block has moved since
+        it was computed; its block's entries are written into a copy of the
+        current ``values``, as the trial that computed them wrote them.
+        """
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.last_memo.pop(key, None)
+            if hit is None:
+                return None
+            self.memo[key] = hit
+        nodes, entries, versions = hit
+        if self.version[nodes].sum() != versions:
+            return None
+        out = self.values.copy()
+        out[nodes] = entries
+        return out
+
+    def remember(self, key, nodes: np.ndarray, trial: np.ndarray) -> np.ndarray:
+        """Remember ``trial``, which recomputed the entries of ``nodes``
+        under ``key``, and return it."""
+        self.memo[key] = (nodes, trial[nodes], self.version[nodes].sum())
+        return trial
 
     @property
     def stale(self) -> bool:
@@ -165,9 +213,12 @@ class StealthState:
         ``homophily_after_edge_removal`` gives it.
         """
         self._check()
-        self.graph.remove_edge(i, j)
-        self.weights[[i, j]] = _neighbor_weights(self.graph.degrees([i, j]))
-        self.rows[[i, j]] = self.graph.features[[i, j]] * self.weights[[i, j], None]
+        g = self.graph
+        touched = np.concatenate([[i, j], g.neighbors(i), g.neighbors(j)])
+        g.remove_edge(i, j)
+        self.version[touched] += 1
+        self.weights[[i, j]] = _neighbor_weights(g.degrees([i, j]))
+        self.rows[[i, j]] = g.features[[i, j]] * self.weights[[i, j], None]
         self._advance(values)
 
     def set_feature(self, node: int, dim: int, value: float, values: np.ndarray) -> None:
@@ -178,6 +229,8 @@ class StealthState:
         """
         self._check()
         self.graph.set_feature(node, dim, value)
+        self.version[node] += 1
+        self.version[self.graph.neighbors(node)] += 1
         row = self.graph.features[[node]]
         self.rows[node] = row[0] * self.weights[node]
         self.own_sq[node] = (row**2).sum(axis=1)[0]
@@ -217,9 +270,13 @@ def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndar
     """Homophily vector of the state's graph with edge (i, j) removed.
 
     Only nodes within one hop of either endpoint change; everything else is
-    carried over from ``state.values``. The graph is not touched.
+    carried over from ``state.values``. The graph is not touched. The trial
+    is remembered under ``(i, j)``.
     """
     state._check()
+    remembered = state.recall((i, j))
+    if remembered is not None:
+        return remembered
     g = state.graph
     nodes = np.unique(np.concatenate([[i, j], g.neighbors(i), g.neighbors(j)]))
     counts, ids, rows = state.block(nodes)
@@ -237,15 +294,23 @@ def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndar
         rows[r, p : c - 1] = rows[r, p + 1 : c]
         rows[r, c - 1] = 0.0
         counts[r] = c - 1
-    return state._trial(nodes, counts, rows, state.own_sq[nodes])
+    return state.remember((i, j), nodes, state._trial(nodes, counts, rows, state.own_sq[nodes]))
 
 
 def homophily_after_feature_change(
     state: StealthState, node: int, new_row: np.ndarray
 ) -> np.ndarray:
-    """Homophily vector of the state's graph with node's feature row replaced."""
+    """Homophily vector of the state's graph with node's feature row replaced.
+
+    The trial is remembered under ``(node, new_row.tobytes())``. A row equal
+    to the node's own is never remembered: the node moves when its row does.
+    """
     state._check()
     new_row = np.asarray(new_row, dtype=np.float64)
+    key = (node, new_row.tobytes())
+    remembered = state.recall(key)
+    if remembered is not None:
+        return remembered
     if np.array_equal(state.graph.features[node], new_row):
         return state.values.copy()
     nodes, counts, holds_node, rows, own_sq = state.feature_block(node)
@@ -253,7 +318,7 @@ def homophily_after_feature_change(
     # arrays are edited in place.
     rows[holds_node] = new_row * state.weights[node]
     own_sq[0] = (new_row[None] ** 2).sum(axis=1)[0]
-    return state._trial(nodes, counts, rows, own_sq)
+    return state.remember(key, nodes, state._trial(nodes, counts, rows, own_sq))
 
 
 def write_histogram_csv(

@@ -109,6 +109,51 @@ class TestTrainSurrogate:
         assert theta.W1.tobytes() == want.W1.tobytes()
 
 
+def oracle_fit(g, epochs, seed, hidden_dim=16, learning_rate=0.2):
+    """The surrogate fit as first written: ``backward`` and ``sgd_step``
+    once per epoch."""
+    train = np.flatnonzero(g.train_mask)
+    adj = normalize_adjacency(g)
+    params = ParamSet.init_gcn(g.feature_dim, hidden_dim, g.num_classes, seed=seed,
+                               learning_rate=learning_rate)
+    for _ in range(epochs):
+        params = sgd_step(params, gnn.backward(params, adj, g.features, g.labels, train,
+                                               assume_unique=True))
+    return params
+
+
+class TestTrainSurrogateMatchesOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_weights_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [int(b) for b in rng.integers(3, 40, size=rng.integers(2, 5))]
+        g = generate_sbm(seed, blocks, float(rng.uniform(0.1, 0.6)), float(rng.uniform(0, 0.1)),
+                         feature_dim=int(rng.integers(len(blocks), 12)),
+                         noise=float(rng.choice([0.0, 0.5, 2.0])))
+        kw = dict(epochs=int(rng.integers(0, 60)), seed=seed,
+                  hidden_dim=int(rng.integers(1, 20)), learning_rate=float(rng.uniform(0.01, 1)))
+        got, want = train_surrogate(g, **kw), oracle_fit(g, **kw)
+        assert got.W0.tobytes() == want.W0.tobytes()
+        assert got.W1.tobytes() == want.W1.tobytes()
+        assert (got.learning_rate, got.k) == (want.learning_rate, want.k)
+
+    def test_one_node_graph(self):
+        # One row: numpy would hand H W1 to GEMV; both fits keep it on GEMM.
+        g = make_graph(1, [], features=np.array([[0.3, -1.2, 2.0, 0.7]]), labels=np.array([2]),
+                       splits=([0], (), ()))
+        assert g.num_classes == 3
+        got, want = train_surrogate(g, 7, 2), oracle_fit(g, 7, 2)
+        assert got.W0.tobytes() == want.W0.tobytes()
+        assert got.W1.tobytes() == want.W1.tobytes()
+
+    def test_diverging_fit_raises(self):
+        g = generate_sbm(1, [6, 6], 0.5, 0.1, feature_dim=3, noise=0.2)
+        with pytest.raises(gnn.NumericalError), np.errstate(over="ignore", invalid="ignore"):
+            oracle_fit(g, 30, 0, learning_rate=1e200)
+        with pytest.raises(gnn.NumericalError):
+            train_surrogate(g, 30, 0, learning_rate=1e200)
+
+
 class TestCombinedGradient:
     def setup_method(self):
         self.g, self.part = toy_instance()

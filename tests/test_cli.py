@@ -186,6 +186,19 @@ def test_closed_stdout_keeps_results(tmp_path):
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+@pytest.mark.parametrize("stdout", ["closed-unbuffered", "closed-buffered", "devnull"])
+def test_failed_check_keeps_its_status_when_output_ends(stdout):
+    # Unbuffered, the first print used to meet the closed pipe before the
+    # command had returned its status, and the CLI exited 0.
+    args = ("gradcheck", "--nodes", "8", "--hidden", "4", "--threshold", "0")
+    if stdout == "devnull":
+        proc = subprocess.run([sys.executable, "-m", "distpoison.cli", *args], env=_env(),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    else:
+        proc = _run_with_closed_stdout(*args, unbuffered=stdout == "closed-unbuffered")
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_scipy_sparse_imports_after_run(tmp_path):
     # The products load scipy's kernel module under a name of distpoison's,
     # so scipy.sparse, imported later, binds and uses its own.
@@ -497,6 +510,47 @@ def test_replay_rejects_a_bad_perturbation_before_training(tmp_path, capsys, mon
     d["features_flipped"][0]["dim"] = 0
     pert.write_text("{" if edit is None else json.dumps(edit(d)))
     monkeypatch.setattr("distpoison.experiment.train_distributed", _no_training)
+    capsys.readouterr()
+    assert main(["replay", "--config", str(cfg), "--perturbation", str(pert)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid perturbation" in err and message in err
+
+
+def _edit_config(key, value):
+    def edit(d):
+        d["config"][key] = value
+        return d
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit_rows("features_flipped", "node", 1.5),
+         "features_flipped[0].node: must be an integer, got 1.5"),
+        (_edit_rows("features_flipped", "sign", 0), "features_flipped[0].sign: must be one of"),
+        (_edit_rows("features_flipped", "new", "x"), "features_flipped[0].new: must be a finite"),
+        (_edit_rows("edges_removed", "i", True), "edges_removed[0].i: must be an integer"),
+        (_edit_rows("edges_removed", "score", None), "edges_removed[0].score: must be a finite"),
+        (_edit_config("seed", -3), "config.seed: must be nonnegative, got -3"),
+        (_edit_config("poisoned_worker", "0"), "config.poisoned_worker: must be an integer"),
+        (lambda d: dict(d, config=[1]), "config: must be a mapping"),
+    ],
+    ids=["flip-node-float", "flip-sign-zero", "flip-new-string", "edge-i-bool",
+         "edge-score-null", "config-seed-negative", "config-worker-string", "config-list"],
+)
+def test_replay_rejects_a_mistyped_field_before_any_dataset(tmp_path, capsys, monkeypatch,
+                                                           edit, message):
+    # Unchecked, a flip node of 1.5 raised IndexError and a recorded seed of
+    # -3 ValueError, each after the dataset was built: exit 1.
+    cfg = write_config(tmp_path, attack={"kind": "ra", "edge_budget": 4, "feature_budget": 4})
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    pert = out_dir / "perturbation_seed0.json"
+    d = json.loads(pert.read_text())
+    assert d["edges_removed"] and d["features_flipped"]
+    pert.write_text(json.dumps(edit(d)))
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
     capsys.readouterr()
     assert main(["replay", "--config", str(cfg), "--perturbation", str(pert)]) == 2
     err = capsys.readouterr().err

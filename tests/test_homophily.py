@@ -296,6 +296,133 @@ class TestTrialsMatchOracle:
         assert st.distance(trial) == distribution_distance(clean, trial)
 
 
+def flip_candidates(g):
+    """Every edge removal, both ways round, and one sign-rule flip of every
+    feature entry (negated or tripled), as the attack asks for them."""
+    edges = [("edge", int(a), int(b)) for i, j in g.edge_array() for a, b in ((i, j), (j, i))]
+    flips = []
+    for node in range(g.num_nodes):
+        for dim in range(g.feature_dim):
+            row = g.features[node].copy()
+            row[dim] *= -1.0 if (node + dim) % 2 else 3.0
+            flips.append(("feature", node, row))
+    return edges + flips
+
+
+def ask(state, cand):
+    kind, a, b = cand
+    if kind == "edge":
+        return homophily_after_edge_removal(state, a, b)
+    return homophily_after_feature_change(state, a, b)
+
+
+def ask_oracle(g, values, cand):
+    kind, a, b = cand
+    if kind == "edge":
+        return oracle.homophily_after_edge_removal(g, values, a, b)
+    return oracle.homophily_after_feature_change(g, values, a, b)
+
+
+def block_of(g, cand):
+    kind, a, b = cand
+    nodes = {a} | set(g.neighbors(a).tolist())
+    return nodes | {b} | set(g.neighbors(b).tolist()) if kind == "edge" else nodes
+
+
+@pytest.fixture
+def recomputes(monkeypatch):
+    """The number of trials recomputed so far, as a one-item list."""
+    count = [0]
+    real = StealthState._trial
+
+    def counted(self, *args):
+        count[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(StealthState, "_trial", counted)
+    return count
+
+
+class TestRememberedTrials:
+    """Trials remembered across moves equal the per-node oracle, and a move
+    forgets exactly the trials whose block it touched."""
+
+    @given(graph_cases, st.lists(st.tuples(st.booleans(), st.integers(0, 10**6), st.booleans()),
+                                 max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_every_candidate_before_and_after_each_move(self, case, moves):
+        seed, n, dim, p, ops = case
+        g0, _ = draw_graph(seed, n, dim, p)
+        for g in random_edit_script(g0, ops):
+            pass
+        g = g.copy()
+        state = StealthState(g, homophily_values(g))
+        for is_edge, k, new_step in [*moves, (None, 0, False)]:
+            for cand in flip_candidates(g):
+                if cand[0] == "edge" and not g.has_edge(cand[1], cand[2]):
+                    continue
+                assert np.array_equal(ask(state, cand), ask_oracle(g, state.values, cand))
+            if is_edge is None:
+                break
+            if new_step:
+                state.begin_step()
+            if is_edge and g.num_edges:
+                i, j = (int(v) for v in g.edge_array()[k % g.num_edges])
+                state.remove_edge(i, j, homophily_after_edge_removal(state, i, j))
+            else:
+                node, d = k % n, k % dim
+                row = g.features[node].copy()
+                row[d] = -3.0 * row[d]
+                state.set_feature(node, d, row[d], homophily_after_feature_change(state, node, row))
+
+    @pytest.mark.parametrize("move", ["edge", "feature"])
+    def test_move_forgets_only_the_blocks_it_touches(self, recomputes, move):
+        g = generate_sbm(4, [10, 10], 0.3, 0.1, feature_dim=3, noise=0.3)
+        state = StealthState(g, homophily_values(g))
+        cands = flip_candidates(g)
+        for cand in cands:
+            ask(state, cand)
+        assert recomputes[0] == len(cands)
+        blocks = {id(c): block_of(g, c) for c in cands}
+        u = int(np.argmax(g.degrees()))
+        v = int(g.neighbors(u)[0])
+        if move == "edge":
+            touched = block_of(g, ("edge", u, v))
+            state.remove_edge(u, v, homophily_after_edge_removal(state, u, v))
+            cands = [c for c in cands if c[0] == "feature" or {c[1], c[2]} != {u, v}]
+        else:
+            touched = block_of(g, ("feature", u, None))
+            row = g.features[u].copy()
+            row[0] = 5.0
+            state.set_feature(u, 0, 5.0, homophily_after_feature_change(state, u, row))
+        recomputed = []
+        for cand in cands:
+            before = recomputes[0]
+            assert np.array_equal(ask(state, cand), ask_oracle(g, state.values, cand))
+            if recomputes[0] > before:
+                recomputed.append(id(cand))
+        want = [id(c) for c in cands if blocks[id(c)] & touched]
+        assert recomputed == want
+        assert 0 < len(want) < len(cands)
+
+    def test_begin_step_keeps_two_steps(self, recomputes):
+        g = generate_sbm(4, [10, 10], 0.3, 0.1, feature_dim=3, noise=0.3)
+        state = StealthState(g, homophily_values(g))
+        asked = [("feature", node, -g.features[node]) for node in range(3)]
+        for cand in asked:
+            state.begin_step()
+            ask(state, cand)
+        keys = [(node, row.tobytes()) for _, node, row in asked]
+        assert set(state.memo) | set(state.last_memo) == set(keys[1:])
+        state.begin_step()
+        assert set(state.last_memo) == {keys[2]} and not state.memo
+        before = recomputes[0]
+        ask(state, asked[2])  # asked in the last step: remembered
+        assert recomputes[0] == before
+        ask(state, asked[0])  # asked three steps ago: forgotten
+        assert recomputes[0] == before + 1
+
+
 class TestDistributionDistance:
     def test_identity(self):
         v = np.array([0.3, 1.2, 2.0])
