@@ -25,8 +25,9 @@ as each attack iteration runs; it takes full products at every size.
 ``test_generate_sbm`` draws the fixture's graph from its seed.
 ``test_edge_scores`` is the hub subgraph's weighted gradients and its edges'
 removal scores as ``{(i, j): score}``, as the attack takes them per target.
-``test_subgraph_to_graph`` builds the hub's 1-hop subgraph as a Graph, as
-the attack does for each target's subgraph gradient. ``test_attack_step`` is
+``test_subgraph_to_graph`` samples the hub's 1-hop subgraph, a Graph, and
+normalizes its adjacency, as the attack does for each target's subgraph
+gradient. ``test_attack_step`` is
 one whole attack step under a fixed surrogate: 10 targets on worker 0 of 4,
 one edge removal and one feature flip, without (``lambda_homo`` 0) and with
 (1) stealth scoring; each round starts from a fresh run, whose setup
@@ -160,7 +161,7 @@ def test_sample_1hop(benchmark, case):
 
 def test_subgraph_to_graph(benchmark, case):
     g, hub = case
-    benchmark(sample_1hop(g, hub).to_graph)
+    benchmark(lambda: normalize_adjacency(sample_1hop(g, hub)))
 
 
 def test_generate_sbm(benchmark, case):

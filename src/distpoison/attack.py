@@ -77,7 +77,7 @@ class AttackConfig:
     lambda_homo: float = spec(1.0, low=0.0)
     surrogate_epochs: int = spec(50, low=0)
     surrogate_hidden: int = spec(16, low=1)
-    surrogate_lr: float = 0.2
+    surrogate_lr: float = spec(0.2, low=0)
     target_count: int = spec(5, low=1)
     seed: int = 0
     edges_per_iter: int = spec(1, low=1)
@@ -254,11 +254,9 @@ def combined_subgraph_gradient(
     """
     if sub.num_nodes == 0:
         raise ValueError("empty subgraph")
-    local = sub.to_graph()
-    adj = normalize_adjacency(local)
     bundle = backward(
         theta,
-        adj,
+        normalize_adjacency(sub),
         sub.features,
         sub.labels,
         node_set=[0],
@@ -322,9 +320,10 @@ def select_targets(g: Graph, part: Partition, worker: int, count: int) -> list[i
 class _DisttackRun:
     """One attack in progress: the running perturbed graph, what is left of
     the budgets, the entries flipped so far, the audit trail and, with a
-    stealth weight, the stealth state. ``step`` is the attack's one step
-    under a given surrogate; ``subgraphs`` holds the targets' 1-hop
-    subgraphs of the last step, sampled on the graph it started from.
+    stealth weight, the stealth state. ``fit_surrogate`` is the attack's one
+    surrogate refit and ``step`` its one step under a given surrogate;
+    ``subgraphs`` holds the targets' 1-hop subgraphs of the last step,
+    sampled on the graph it started from.
     """
 
     def __init__(self, g: Graph, part: Partition, cfg: AttackConfig, targets: list[int]):
@@ -351,6 +350,12 @@ class _DisttackRun:
         self.stealth = None
         if cfg.lambda_homo > 0.0:
             self.stealth = StealthState(self.g, homophily_values(g))
+
+    def fit_surrogate(self) -> ParamSet:
+        """The surrogate refit on the running perturbed graph."""
+        cfg = self.cfg
+        return train_surrogate(self.g, cfg.surrogate_epochs, cfg.seed,
+                               hidden_dim=cfg.surrogate_hidden, learning_rate=cfg.surrogate_lr)
 
     def step(self, surrogate: ParamSet) -> bool:
         """Score candidates from every target's current 1-hop subgraph,
@@ -455,14 +460,7 @@ def run_disttack(
     """
     run = _DisttackRun(g, part, cfg, targets)
     while run.edges_left > 0 or run.flips_left > 0:
-        surrogate = train_surrogate(
-            run.g,
-            cfg.surrogate_epochs,
-            cfg.seed,
-            hidden_dim=cfg.surrogate_hidden,
-            learning_rate=cfg.surrogate_lr,
-        )
-        if not run.step(surrogate):
+        if not run.step(run.fit_surrogate()):
             break
     return run.pert
 
@@ -493,7 +491,7 @@ def baseline_random(
     if edge_budget < 0 or feature_budget < 0:
         raise ValueError("budgets must be nonnegative")
     rng = np.random.default_rng(seed)
-    share_list = sorted(set(int(v) for v in part.share(poisoned_worker)))
+    share_list = part.share(poisoned_worker).tolist()
     pert = PerturbationSet(
         config={
             "kind": "ra",
@@ -558,7 +556,8 @@ def baseline_dice(
     if edge_budget < 0:
         raise ValueError("edge budget must be nonnegative")
     rng = np.random.default_rng(seed)
-    share_list = sorted(set(int(v) for v in part.share(poisoned_worker)))
+    share = part.share(poisoned_worker)
+    share_list = share.tolist()
     pert = PerturbationSet(
         config={
             "kind": "dice",
@@ -574,7 +573,6 @@ def baseline_dice(
     # already; a pair inside the share is listed once from each end. free[u]
     # counts u's pairs, so the draw finds its pair by a cumulative sum over
     # the share instead of listing them.
-    share = np.array(share_list, dtype=np.int64)
     edges = g.edge_array()
     cross = edges[labels[edges[:, 0]] != labels[edges[:, 1]]].ravel()
     n = g.num_nodes

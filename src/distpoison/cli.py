@@ -24,6 +24,7 @@ import yaml
 from distpoison.experiment import (
     ConfigError,
     ExperimentConfig,
+    check_out_dir,
     emit_histograms,
     emit_results,
     replay_perturbation,
@@ -63,6 +64,8 @@ def cmd_run(args) -> tuple[int, list[str]]:
     cfg = load_config(args.config, args.set)
     if args.out:
         cfg.out_dir = args.out
+    if cfg.out_dir:
+        check_out_dir(cfg.out_dir, "--out" if args.out else "out_dir", args.force)
     results = run_experiment(cfg)
     lines = [
         f"seed {r.seed}: clean {r.acc_clean:.4f} attacked {r.acc_attacked:.4f} "
@@ -82,6 +85,10 @@ def cmd_run(args) -> tuple[int, list[str]]:
 
 def cmd_bench(args) -> tuple[int, list[str]]:
     cfg = load_config(args.config, args.set)
+    if args.out:  # the table's file is overwritten, but a directory is not
+        if Path(args.out).is_dir():
+            raise FileExistsError(f"--out: {args.out} is a directory")
+        check_out_dir(Path(args.out).parent, "--out", force=True)
     table = scaling_benchmark(cfg, args.sizes, iterations=args.iterations)
     lines = [f"{'mult':>5} {'graphN':>7} {'graphE':>7} {'N':>8} {'|A|':>8} {'d':>7} {'M':>5} {'sec/iter':>10}"]
     for row in table["rows"]:

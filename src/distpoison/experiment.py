@@ -31,7 +31,6 @@ from distpoison.attack import (
     baseline_random,
     run_disttack,
     select_targets,
-    train_surrogate,
 )
 from distpoison.distributed import (
     gradient_norm_divergence,
@@ -58,6 +57,7 @@ __all__ = [
     "RunResult",
     "run_experiment",
     "scaling_benchmark",
+    "check_out_dir",
     "emit_results",
     "load_summary",
     "replay_perturbation",
@@ -127,7 +127,7 @@ class AttackSection(AttackConfig):
 class ExperimentConfig:
     dataset: dict
     attack: dict
-    seeds: list[int] = spec((0,), low=0)
+    seeds: list[int] = spec((0,), low=0, distinct=True)
     model: str = spec("gcn", choices=MODELS)
     hidden_dim: int = spec(16, low=1)
     sgc_k: int = spec(2, low=1)
@@ -136,11 +136,12 @@ class ExperimentConfig:
     workers: int = spec(4, low=2)
     epochs: int = spec(100, low=0)
     batch_size: int = spec(8, low=1)
-    learning_rate: float = 0.3
+    learning_rate: float = spec(0.3, low=0)
     aggregation: str = spec("mean", choices=("mean", "sum"))
     partition_strategy: str = spec("round_robin", choices=PARTITION_STRATEGIES)
     poisoned_worker: int = spec(0, low=0)
-    parallel_seeds: int = spec(1, low=1)
+    # Seeds run in sequence; a config may still state the one value.
+    parallel_seeds: int = spec(1, choices=(1,))
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
@@ -326,14 +327,7 @@ def run_single_seed(
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
-    """One paired clean/attacked run per seed."""
-    if cfg.parallel_seeds > 1:
-        # Imported here, at its one use: concurrent.futures adds up to 6 ms to
-        # every start-up (2-core x86).
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.parallel_seeds) as pool:
-            return list(pool.map(lambda s: run_single_seed(cfg, s), cfg.seeds))
+    """One paired clean/attacked run per seed, in sequence."""
     return [run_single_seed(cfg, s) for s in cfg.seeds]
 
 
@@ -375,10 +369,7 @@ def scaling_benchmark(
         targets = select_targets(g, part, base.poisoned_worker, acfg.target_count)
         run = _DisttackRun(g, part, acfg, targets)
         t0 = time.perf_counter()
-        theta = train_surrogate(
-            run.g, acfg.surrogate_epochs, acfg.seed,
-            hidden_dim=acfg.surrogate_hidden, learning_rate=acfg.surrogate_lr,
-        )
+        theta = run.fit_surrogate()
         surrogate_s = time.perf_counter() - t0
         # Per size: its row's graph facts, its step, and the steps' measurements.
         sizes.append(((mult, g, fdim, surrogate_s), (run, theta), ([], [], [])))
@@ -451,32 +442,42 @@ def _code_version(module_file=__file__) -> str:
     return distpoison.__version__
 
 
+def check_out_dir(out_dir, option: str = "out_dir", force: bool = False) -> None:
+    """Raise FileExistsError, naming ``option``, when no directory can be made
+    at ``out_dir`` because a file stands there or at an ancestor, or when it
+    holds a summary.json and ``force`` is not set. A command checks its
+    output paths with it before any compute."""
+    path = Path(out_dir)
+    first = next(p for p in (path, *path.parents) if p.exists())
+    if not first.is_dir():
+        raise FileExistsError(f"{option}: cannot make directory {path}: {first} is a file")
+    if (path / "summary.json").exists() and not force:
+        raise FileExistsError(f"{option}: {path / 'summary.json'} exists; "
+                              "pass force=True (--force) to overwrite")
+
+
 def emit_results(
-    results: list[RunResult],
-    out_dir,
-    cfg: ExperimentConfig | None = None,
-    force: bool = False,
+    results: list[RunResult], out_dir, cfg: ExperimentConfig, force: bool = False
 ) -> list[Path]:
     """Write summary.json plus per-run telemetry, histograms, perturbations.
 
-    Refuses to overwrite an out_dir that already holds a summary.json unless
-    ``force`` is set.
+    Refuses, by ``check_out_dir``, to overwrite an out_dir that already holds
+    a summary.json unless ``force`` is set.
     """
+    check_out_dir(out_dir, force=force)
     out = Path(out_dir)
     summary_path = out / "summary.json"
-    if summary_path.exists() and not force:
-        raise FileExistsError(f"{summary_path} exists; pass force=True (--force) to overwrite")
     out.mkdir(parents=True, exist_ok=True)
     written = []
     summary = {
-        "config": cfg.to_dict() if cfg is not None else None,
+        "config": cfg.to_dict(),
         "code_version": _code_version(),
         "runs": [r.to_dict() for r in results],
     }
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
     written.append(summary_path)
-    poisoned = None if cfg is None else cfg.poisoned_worker
+    poisoned = cfg.poisoned_worker
     for r in results:
         tag = f"seed{r.seed}"
         if r.records_clean:
@@ -487,7 +488,7 @@ def emit_results(
             p = out / f"grad_poisoned_{tag}.csv"
             write_telemetry_csv(r.records_poisoned, poisoned, p)
             written.append(p)
-            if len(r.records_poisoned[0].worker_norms) >= 2 and poisoned is not None:
+            if len(r.records_poisoned[0].worker_norms) >= 2:
                 p = out / f"divergence_{tag}.csv"
                 write_divergence_csv(r.records_poisoned, poisoned, p)
                 written.append(p)

@@ -2,10 +2,11 @@
 
 A field's type comes from its default value: a tuple default stands for a
 nonempty list of integers and a ``Path`` default for the name of an existing
-file. ``spec`` attaches bounds, a set of allowed values, or a required flag
-(the default then only gives the type). ``field_errors`` checks a mapping of
-raw values against a dataclass and names every bad field, so an invalid
-config can be rejected before any compute.
+file. ``spec`` attaches bounds, a set of allowed values, a required flag
+(the default then only gives the type), or a flag that a list's entries be
+distinct. ``field_errors`` checks a mapping of raw values against a dataclass
+and names every bad field, so an invalid config can be rejected before any
+compute.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from pathlib import Path
 __all__ = ["spec", "field_errors"]
 
 
-def spec(default, low=None, high=None, choices=None, required=False):
-    """A dataclass field with bounds, a choice list or a required flag attached."""
+def spec(default, low=None, high=None, choices=None, required=False, distinct=False):
+    """A dataclass field with bounds, a choice list, a required flag or, for a
+    list, a distinct-entries flag attached."""
     meta = {}
     if low is not None:
         meta["low"] = low
@@ -29,6 +31,8 @@ def spec(default, low=None, high=None, choices=None, required=False):
         meta["choices"] = tuple(choices)
     if required:
         meta["required"] = True
+    if distinct:
+        meta["distinct"] = True
     return field(default=default, metadata=meta)
 
 
@@ -65,6 +69,8 @@ def _problem(default, meta, val) -> str | None:
         else:
             bound = "must be nonnegative" if low == 0 else f"must be >= {low}"
         return f"every entry {bound}" if isinstance(default, tuple) else bound
+    if meta.get("distinct") and len(set(val)) < len(val):
+        return "must not repeat an entry"
     return None
 
 

@@ -494,56 +494,45 @@ def partition_nodes(g: Graph, n: int, strategy: str = "round_robin", seed: int =
     return Partition(assignment=assignment, n=n)
 
 
-@dataclass
-class Subgraph:
+class Subgraph(Graph):
     """A target node plus its current 1-hop neighbors, with induced structure.
 
-    ``node_ids[0]`` is always the target. ``edges`` holds the induced
-    undirected adjacency in local ids (canonical i < j), sorted by (i, j):
-    the order of ``normalize_adjacency(self.to_graph()).edge_list()``, which
+    Local node k is global node ``node_ids[k]``, and ``node_ids[0]`` is
+    always the target. No node is in a split. ``edges`` is ``edge_array()``,
+    the induced undirected adjacency in local ids (canonical i < j), sorted by
+    (i, j): the order of ``normalize_adjacency(self).edge_list()``, which
     per-edge gradients of the subgraph follow.
     """
 
-    node_ids: np.ndarray
-    edges: np.ndarray
-    features: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_ids)
-
-    def to_graph(self) -> Graph:
-        return build_graph(self.edges, self.features, self.labels)
+    def __init__(self, node_ids, indptr, indices, features, labels):
+        none = np.zeros(len(node_ids), dtype=bool)
+        super().__init__(len(node_ids), indptr, indices, features, labels, none, none, none)
+        self.node_ids = node_ids
+        self.edges = self.edge_array()
 
 
 def sample_1hop(g: Graph, target: int) -> Subgraph:
     """Induced subgraph on the target and all of its current neighbors.
 
     The members' CSR rows are gathered at once and their columns looked up
-    among the members by one ``searchsorted``. Edges come in the order of a
-    walk over the members' rows, keeping each (local i, local j) with i < j:
-    sorted by (i, j), as the neighbors' local ids ascend with their global ones.
+    among the members by one ``searchsorted``; the member-to-member entries,
+    as sorted local keys, give the subgraph's CSR arrays.
     """
     if not 0 <= target < g.num_nodes:
         raise GraphError(f"target node {target} out of range")
     indptr, indices = g.indptr, g.indices
     node_ids = np.concatenate([[target], g.neighbors(target)]).astype(np.int64)
+    k = len(node_ids)
     starts = indptr[node_ids]
     counts = indptr[node_ids + 1] - starts
-    li = np.repeat(np.arange(len(node_ids)), counts)
+    li = np.repeat(np.arange(k), counts)
     cols = indices[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(len(li))]
     # node_ids is ascending except for the target in front.
     order = np.argsort(node_ids)
-    at = np.minimum(np.searchsorted(node_ids[order], cols), len(node_ids) - 1)
-    lw = order[at]
-    keep = (node_ids[lw] == cols) & (li < lw)
-    return Subgraph(
-        node_ids=node_ids,
-        edges=np.column_stack([li[keep], lw[keep]]),
-        features=g.features[node_ids],
-        labels=g.labels[node_ids],
-    )
+    lw = order[np.minimum(np.searchsorted(node_ids[order], cols), k - 1)]
+    member = node_ids[lw] == cols
+    keys = np.sort(li[member] * k + lw[member])
+    return Subgraph(node_ids, *_csr(keys, k), g.features[node_ids], g.labels[node_ids])
 
 
 def generate_sbm(

@@ -46,7 +46,7 @@ __all__ = [
     "write_histogram_csv",
 ]
 
-DEFAULT_BINS = 32
+HISTOGRAM_BINS = 32
 
 
 def _neighbor_weights(degrees: np.ndarray) -> np.ndarray:
@@ -321,15 +321,11 @@ def homophily_after_feature_change(
     return state.remember(key, nodes, state._trial(nodes, counts, rows, own_sq))
 
 
-def write_histogram_csv(
-    clean: np.ndarray,
-    perturbed: np.ndarray,
-    path,
-    bins: int = DEFAULT_BINS,
-) -> None:
-    """Clean-vs-perturbed histogram over a shared range, one row per bin."""
+def write_histogram_csv(clean: np.ndarray, perturbed: np.ndarray, path) -> None:
+    """Clean-vs-perturbed histogram over a shared range, one row for each of
+    its ``HISTOGRAM_BINS`` bins."""
     pooled = np.concatenate([np.asarray(clean), np.asarray(perturbed)])
-    edges = np.histogram_bin_edges(pooled, bins=bins)
+    edges = np.histogram_bin_edges(pooled, bins=HISTOGRAM_BINS)
     c_clean, _ = np.histogram(clean, bins=edges)
     c_pert, _ = np.histogram(perturbed, bins=edges)
     with open(path, "w", newline="") as fh:

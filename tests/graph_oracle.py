@@ -22,11 +22,12 @@ must return the same subgraph, its edges in the same order.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
-from distpoison.graph import Graph, GraphError, Subgraph
+from distpoison.graph import Graph, GraphError
 
 
 def build_graph(edge_list, features, labels, splits=((), (), ())):
@@ -127,7 +128,8 @@ def generate_sbm(seed, block_sizes, p_intra, p_inter, feature_dim, noise,
 
 
 def sample_1hop(g, target):
-    """The target's 1-hop subgraph, its members' neighbor lists walked in turn."""
+    """The target's 1-hop subgraph as its node ids, edges, features and
+    labels, its members' neighbor lists walked in turn."""
     if not 0 <= target < g.num_nodes:
         raise GraphError(f"target node {target} out of range")
     neigh = g.neighbors(target)
@@ -140,7 +142,7 @@ def sample_1hop(g, target):
             if lw is not None and li < lw:
                 edges.append((li, lw))
     edges = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
-    return Subgraph(
+    return SimpleNamespace(
         node_ids=node_ids,
         edges=edges,
         features=g.features[node_ids].copy(),

@@ -101,6 +101,32 @@ def test_bench_and_json_output(tmp_path, capsys):
     assert "r2" in table["fit"]
 
 
+@pytest.mark.parametrize(
+    "command, out, option",
+    [
+        ("run", "done", "--out"),  # holds a summary.json, and --force is not given
+        ("run", "file", "--out"),
+        ("run", "file/sub", "--out"),
+        (None, "file", "out_dir"),  # the config's out_dir, without --out
+        ("bench", "file/x.json", "--out"),
+        ("bench", "file/sub/x.json", "--out"),
+        ("bench", "done", "--out"),  # a directory, where the table's file would go
+    ],
+)
+def test_bad_out_exits_two_before_compute(tmp_path, capsys, monkeypatch, command, out, option):
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    monkeypatch.setattr("distpoison.cli.scaling_benchmark", _no_compute)
+    (tmp_path / "done").mkdir()
+    (tmp_path / "done" / "summary.json").write_text("{}")
+    (tmp_path / "file").write_text("")
+    if command is None:
+        argv = ["run", "--config", str(write_config(tmp_path, out_dir=str(tmp_path / out)))]
+    else:
+        argv = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    assert f"{option}: " in capsys.readouterr().err
+
+
 def test_replay_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out_dir = tmp_path / "results"
@@ -278,11 +304,15 @@ def _no_compute(*args, **kwargs):
         ("attack.target_rule=high_degree", "attack.target_rule"),
         ("parallel_seeds=0", "parallel_seeds"),
         ("parallel_seeds=-2", "parallel_seeds"),
+        ("parallel_seeds=2", "parallel_seeds"),  # seeds run in sequence
+        ("learning_rate=-1", "learning_rate"),
+        ("attack.surrogate_lr=-5", "attack.surrogate_lr"),
         ("attack.edge_budget_frac=0.1", "attack.edge_budget_frac"),  # beside edge_budget
         ("sgc_k=0", "sgc_k"),
         ("seeds=[-1]", "seeds"),
         ("seeds=[true]", "seeds"),
         ("seeds=[]", "seeds"),
+        ("seeds=[0,0]", "seeds"),  # each seed's files would be written twice
         ("attack.kind=zzz", "attack.kind"),
         ("attack.seed=5", "attack.seed"),  # each run's seed comes from seeds
     ],

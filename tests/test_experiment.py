@@ -117,19 +117,9 @@ class TestRunExperiment:
         assert r.homophily_distance == 0.0
 
     def test_seed_accounting(self):
-        cfg = ExperimentConfig.from_dict(base_config(seeds=[3, 1, 4, 1, 5]))
+        cfg = ExperimentConfig.from_dict(base_config(seeds=[3, 1, 4, 5]))
         results = run_experiment(cfg)
-        assert [r.seed for r in results] == [3, 1, 4, 1, 5]
-
-    def test_parallel_seeds_match_sequential(self):
-        cfg_seq = ExperimentConfig.from_dict(base_config(seeds=[0, 1]))
-        cfg_par = ExperimentConfig.from_dict(base_config(seeds=[0, 1], parallel_seeds=2))
-        seq = run_experiment(cfg_seq)
-        par = run_experiment(cfg_par)
-        for a, b in zip(seq, par):
-            assert a.acc_clean == b.acc_clean
-            assert a.acc_attacked == b.acc_attacked
-            assert a.divergence == b.divergence
+        assert [r.seed for r in results] == [3, 1, 4, 5]
 
     def test_paired_runs_share_everything_but_the_poison(self):
         # At epoch 0 the clean workers of the attacked run must produce the

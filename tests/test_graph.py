@@ -271,20 +271,28 @@ class TestSample1Hop:
                     assert a.dtype == b.dtype and a.shape == b.shape, name
                     assert np.array_equal(a, b), name
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 0.9))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 0.9), edit_ops)
     @settings(max_examples=60, deadline=None)
-    def test_edges_in_edge_list_order(self, seed, n, p):
-        # Per-edge subgraph gradients follow the normalized subgraph's
-        # edge_list(); the edge scores read them against sub.edges.
+    def test_edges_in_edge_list_order(self, seed, n, p, ops):
+        # The subgraph is the graph build_graph makes of its own edges, and
+        # per-edge subgraph gradients, which follow the normalized subgraph's
+        # edge_list(), are read against sub.edges.
         rng = np.random.default_rng(seed)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         edges = [(i, j) for i, j in edges if 0 not in (i, j)]  # node 0 is isolated
-        g = build_graph(edges, rng.standard_normal((n, 2)), rng.integers(0, 3, size=n))
-        for t in range(n):
-            sub = sample_1hop(g, t)
-            want = normalize_adjacency(sub.to_graph()).edge_list()
-            assert sub.edges.shape == want.shape
-            assert np.array_equal(sub.edges, want)
+        g0 = build_graph(edges, rng.standard_normal((n, 2)), rng.integers(0, 3, size=n))
+        for g in random_edit_script(g0, ops):
+            for t in range(n):
+                sub = sample_1hop(g, t)
+                want = build_graph(sub.edges, sub.features, sub.labels)
+                for name in ("indptr", "indices", "features", "labels"):
+                    a, b = getattr(sub, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+                assert sub.num_nodes == want.num_nodes
+                assert not (sub.train_mask | sub.val_mask | sub.test_mask).any()
+                listed = normalize_adjacency(sub).edge_list()
+                assert sub.edges.shape == listed.shape
+                assert np.array_equal(sub.edges, listed)
 
 
 class TestMutation:
