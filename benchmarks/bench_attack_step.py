@@ -7,9 +7,11 @@ four-block SBMs with the reference config's expected degree (about 6.4) at
 n = 200, 1,600 and 6,400 nodes; candidates come from the highest-degree node,
 as the attack's targets do. The trials are timed as computed, not
 remembered: every round starts with the state's remembered trials
-forgotten. ``test_feature_trial`` repeats one node, as the attack scores a
-node's dimensions in a row, so it reuses the state's block for that node;
-``test_feature_trial_new_node`` gathers a fresh one each call.
+forgotten. ``test_edge_trial`` and ``test_feature_trial`` are one
+candidate's trial, a batch of one. ``test_step_trials`` is the batched
+kernel over one step's candidates: the edges of the 1-hop subgraphs of 10
+targets on worker 0 of 4, or every nonzero feature entry of their nodes,
+negated.
 ``test_view_forward`` is one graph view's forward state for an epoch, over
 the union of its workers' batches: 8 nodes (one worker, as on the poisoned
 view) or 56 (seven workers of 8), passed as one batch, so without the
@@ -36,8 +38,6 @@ one edge removal and one feature flip, without (``lambda_homo`` 0) and with
 surrogate, where a step reuses the trials of the one before that no move
 touched.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -115,18 +115,25 @@ def test_feature_trial(benchmark, case):
                        setup=_forgetting(state, lambda: (state, hub, row)), **TRIAL_ROUNDS)
 
 
-def test_feature_trial_new_node(benchmark, case):
-    # Alternates two nodes, so every call gathers its block afresh.
-    g, hub = case
+@pytest.mark.parametrize("kind", ["edge", "feature"])
+def test_step_trials(benchmark, case, kind):
+    g, _ = case
+    part = partition_nodes(g, 4)
+    subs = [sample_1hop(g, t) for t in select_targets(g, part, 0, 10)]
     state = StealthState(g, homophily_values(g))
-    picks = []
-    for node in (hub, int(g.neighbors(hub)[0])):
-        row = g.features[node].copy()
-        row[0] = -row[0]
-        picks.append((state, node, row))
-    it = itertools.cycle(picks)
-    benchmark.pedantic(homophily_after_feature_change,
-                       setup=_forgetting(state, lambda: next(it)), **TRIAL_ROUNDS)
+    if kind == "edge":
+        pairs = set()
+        for sub in subs:
+            a, b = sub.node_ids[sub.edges[:, 0]], sub.node_ids[sub.edges[:, 1]]
+            pairs |= set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+        trials, args = state.edge_trials, (sorted(pairs),)
+    else:
+        ids = np.unique(np.concatenate([sub.node_ids for sub in subs]))
+        row, dim = np.nonzero(g.features[ids])
+        rows = g.features[ids[row]]
+        rows[np.arange(len(row)), dim] *= -1.0
+        trials, args = state.feature_trials, (ids[row], rows)
+    benchmark.pedantic(trials, setup=_forgetting(state, lambda: args), rounds=50, warmup_rounds=5)
 
 
 def test_w1_distance(benchmark, case):

@@ -6,9 +6,12 @@ subgraph, score existing edges (gradient value plus a cross-worker bonus for
 edges that span computing nodes), remove the top-scoring edges, and flip the
 feature entries with the largest gradient magnitude. A nonzero homophily
 weight debits every candidate by the shift it would cause in the graph's
-homophily distribution, trading raw damage for stealth. That shift is a
-stealth trial per candidate; the stealth state remembers the trials of the
-step before, so a candidate no move has touched since costs a lookup.
+homophily distribution, trading raw damage for stealth. A step computes
+the stealth trials of all its candidates in one batch per move kind; the
+stealth state remembers the trials of the step before, so a candidate no
+move has touched since costs a lookup. Each trial bounds the W1 shift it
+can make, and the shift itself is measured only for candidates whose bound
+leaves them in reach of a pick, so the picks equal measuring every one.
 
 Scores are the attack-loss gradient at each adjacency entry: removing an edge
 is a unit step down in that entry, so edges with the largest positive gradient
@@ -23,6 +26,7 @@ since no flip changes it.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import asdict, dataclass, field, fields
 
@@ -384,20 +388,18 @@ class _DisttackRun:
         applied = False
 
         if self.edges_left > 0 and edge_cands:
+            k = min(cfg.edges_per_iter, self.edges_left)
             if st is not None:
-                # Greedy increment of the stealth regularizer: distance change
-                # of the candidate against the running perturbed graph. Signed,
-                # so shift-reducing candidates earn a bonus.
-                penalties = {
-                    (i, j): cfg.lambda_homo
-                    * (st.distance(homophily_after_edge_removal(st, i, j)) - st.dist)
-                    for i, j in edge_cands
-                }
-                penalized = {key: s - penalties[key] for key, s in edge_cands.items()}
+                keys = list(edge_cands)
+                scores, penalty = self._penalize(
+                    np.array(list(edge_cands.values())), st.edge_trials(keys), k,
+                    lambda c: homophily_after_edge_removal(st, *keys[c]),
+                )
+                penalized = dict(zip(keys, scores.tolist()))
+                penalties = dict(zip(keys, penalty.tolist()))
             else:
                 penalized = edge_cands
                 penalties = {key: 0.0 for key in edge_cands}
-            k = min(cfg.edges_per_iter, self.edges_left)
             for i, j, s in select_edge_removals(penalized, k):
                 if st is not None:
                     st.remove_edge(i, j, homophily_after_edge_removal(st, i, j))
@@ -420,17 +422,21 @@ class _DisttackRun:
             row, dim = np.nonzero((merged != 0) & (g_cur.features[ids] != 0) & ~self.flipped[ids])
             node, grad = ids[row], merged[row, dim]
             sign = np.sign(grad).astype(np.int64)
-            penalty = np.zeros(len(node))
+            picks = min(cfg.flips_per_iter, self.flips_left)
             if st is not None:
-                for k, (u, j, s) in enumerate(zip(node.tolist(), dim.tolist(), sign.tolist())):
-                    new_row = g_cur.features[u].copy()
-                    new_row[j] = flipped_value(new_row[j], s)
-                    h_trial = homophily_after_feature_change(st, u, new_row)
-                    penalty[k] = cfg.lambda_homo * (st.distance(h_trial) - st.dist)
-            penalized = np.abs(grad) - penalty
+                # One candidate row per entry: the node's row with the entry flipped.
+                rows = g_cur.features[node]
+                entry = (np.arange(len(node)), dim)
+                rows[entry] = flipped_value(rows[entry], sign)
+                penalized, penalty = self._penalize(
+                    np.abs(grad), st.feature_trials(node, rows), picks,
+                    lambda c: homophily_after_feature_change(st, int(node[c]), rows[c]),
+                )
+            else:
+                penalized, penalty = np.abs(grad), np.zeros(len(node))
             keep = np.flatnonzero(penalized > 0.0)
             order = keep[np.lexsort((dim[keep], node[keep], -penalized[keep]))]
-            for k in order[: min(cfg.flips_per_iter, self.flips_left)].tolist():
+            for k in order[:picks].tolist():
                 u, j, s = int(node[k]), int(dim[k]), int(sign[k])
                 old = float(g_cur.features[u, j])
                 new = flipped_value(old, s)
@@ -447,6 +453,34 @@ class _DisttackRun:
                 applied = True
 
         return applied
+
+    def _penalize(self, raw: np.ndarray, bounds: np.ndarray, k: int, trial_of):
+        """Stealth-penalized scores of candidates with raw scores ``raw``, and
+        their penalties, for picking up to ``k`` of those scoring above 0.
+
+        The penalty is the greedy increment of the stealth regularizer:
+        ``lambda_homo`` times the change in W1 distance the candidate's trial
+        vector ``trial_of(c)`` makes against the running perturbed graph.
+        Signed, so shift-reducing candidates earn a bonus. It lies within
+        ``lambda_homo * bounds[c]``. Candidates are walked in descending raw
+        score and each one's trial is asked once; its distance is measured
+        only while its upper bound can still reach the k-th best penalized
+        score measured so far, and 0. One left unmeasured keeps its upper
+        bound, which lies below k measured scores or at most 0, so it is
+        never picked, and penalty 0.
+        """
+        st, lam = self.stealth, self.cfg.lambda_homo
+        scores, penalized = raw.tolist(), (raw + lam * bounds).tolist()
+        penalty = np.zeros(len(raw))
+        best: list[float] = []  # the k best measured scores, a min-heap
+        for c in np.argsort(-raw, kind="stable").tolist():
+            trial = trial_of(c)
+            if penalized[c] <= 0.0 or (len(best) == k and penalized[c] < best[0]):
+                continue
+            penalty[c] = p = lam * (st.distance(trial) - st.dist)
+            penalized[c] = scores[c] - p
+            (heapq.heappush if len(best) < k else heapq.heappushpop)(best, penalized[c])
+        return np.array(penalized), penalty
 
 
 def run_disttack(

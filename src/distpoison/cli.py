@@ -197,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--hidden", type=_at_least(1), default=8)
     grad.add_argument("--features", type=_at_least(3), default=6)
     grad.add_argument("--seed", type=_at_least(0), default=0)
-    grad.add_argument("--epsilon", type=_checked(float, lambda v: 0 < v < math.inf,
-                                                 "a finite number > 0"), default=1e-4)
-    grad.add_argument("--threshold", type=float, default=1e-4)
+    positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+    grad.add_argument("--epsilon", type=positive, default=1e-4)
+    grad.add_argument("--threshold", type=positive, default=1e-4)
     grad.set_defaults(func=cmd_gradcheck)
     return parser
 

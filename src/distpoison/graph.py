@@ -335,14 +335,19 @@ def build_graph(
 
     ``edge_list`` is a sequence of (i, j) pairs or an (m, 2) array. Edges are
     symmetrized and deduplicated; self-loops are dropped (with a counter kept
-    on the graph) because normalization adds them canonically. Labels must be
-    nonnegative. ``splits`` is (train_ids, val_ids, test_ids); a node may
-    appear in at most one split. Each error names the first offending edge,
-    label or split entry in input order.
+    on the graph) because normalization adds them canonically. Features must
+    be finite and labels nonnegative. ``splits`` is (train_ids, val_ids,
+    test_ids); a node may appear in at most one split. Each error names the
+    first offending edge, feature, label or split entry in input order.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
         raise GraphError("features must be a nonempty (num_nodes, dim) matrix", "features")
+    if not np.isfinite(features).all():
+        node, col = np.argwhere(~np.isfinite(features))[0]
+        raise GraphError(
+            f"node {node} has non-finite feature {features[node, col]} in column {col}", "features"
+        )
     n = features.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):

@@ -9,23 +9,29 @@ homophily is just the norm of its own features.
 The Wasserstein-1 distance between the clean and perturbed distributions is
 the stealth signature; smaller distance means a less noticeable attack.
 
-The greedy attack scores each candidate with a trial vector
-(``homophily_after_edge_removal``, ``homophily_after_feature_change``) that
-recomputes only the candidate's one-hop neighborhood. The trials read a
-``StealthState`` built once per attack and advanced by each applied move: it
-reads the graph's own CSR arrays and degrees and keeps the weighted rows of
-the whole graph, so a trial gathers the affected rows, overrides the entries
-the candidate changes and reduces them. The state also keeps the W1 distance
-of its current vector, the base each candidate's shift is measured from.
-Trial vectors are bit-identical to recomputing each affected node from
-scratch on its own, with its neighbor rows summed in ascending neighbor
-order; the tests keep that per-node recompute as their oracle.
+The greedy attack scores each candidate with a trial vector: the
+homophily vector with only the candidate's one-hop neighborhood (its
+block) recomputed. The trials read a ``StealthState`` built once per attack
+and advanced by each applied move: it reads the graph's own CSR arrays and
+degrees and keeps the weighted rows of the whole graph. One trial kernel
+per move kind computes a whole attack step's candidates together, in
+vectorized passes over chunks of a bounded size: an edge removal re-sums
+the rows of both endpoints' neighborhoods, with the endpoints re-weighted
+and each endpoint's row closed over the removed slot; a feature change
+re-sums only the changed columns of the slot holding the node. Trial
+vectors are bit-identical to recomputing each affected node from scratch
+on its own, with its neighbor rows summed in ascending neighbor order; the
+tests keep that per-node recompute as their oracle.
 
 Most candidates of one attack step are candidates of the next one too, and
 a move changes the trials of few of them. So the state remembers each
 trial's recomputed entries, with a version count per node that every move
 bumps where it changes a homophily input; a trial asked again while no node
 of its block has moved returns the remembered entries, the same floats.
+Each remembered trial also keeps its shift, the l1 distance of its entries
+from the current ones. Sorting is a contraction in l1, so the shift over n
+bounds how far the trial can move the W1 distance, and the attack measures
+W1 only for candidates that bound leaves in reach of a pick.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import csv
 
 import numpy as np
 
-from distpoison.graph import Graph
+from distpoison.graph import Graph, _distinct
 
 __all__ = [
     "homophily_values",
@@ -47,6 +53,15 @@ __all__ = [
 ]
 
 HISTOGRAM_BINS = 32
+
+# A chunk of trials gathers the neighbor rows of its blocks' nodes, one slot
+# per neighbor up to the block's largest degree; it takes at most this many
+# floats, unless one block alone takes more.
+_CHUNK_FLOATS = 1 << 16
+
+# Relative pad on a bound of how far a trial moves W1: far above the rounding
+# of the n-term sums W1 and the bound take, far below any gap between scores.
+_BOUND_PAD = 1e-9
 
 
 def _neighbor_weights(degrees: np.ndarray) -> np.ndarray:
@@ -96,11 +111,15 @@ class StealthState:
     Reads the adjacency and degrees from ``graph`` itself, whose CSR arrays
     no edit writes. Holds, for ``g`` as it stands: each node's weighted row
     (its features times its neighbor weight; one row per node plus a zero row
-    at index n that pads the blocks a trial gathers), the squared norms of
+    at index n that pads the slots a trial gathers), the squared norms of
     the own rows, the current homophily vector ``values``, the clean vector
     sorted once for W1, and ``dist``, the W1 distance of ``values`` from it.
-    ``clean`` defaults to ``values``. Everything cached is O(n d), so a trial
-    pads only the neighborhood it touches.
+    ``clean`` defaults to ``values``. Everything cached is O(n d).
+
+    ``edge_trials`` and ``feature_trials`` compute the trials of many
+    candidates at once and remember them; ``homophily_after_edge_removal``
+    and ``homophily_after_feature_change`` answer one candidate, from what is
+    remembered or by a batch of one.
 
     ``remove_edge`` and ``set_feature`` edit the graph and advance the state
     with it: the weighted rows are updated where they changed, and ``dist``
@@ -129,10 +148,10 @@ class StealthState:
         self.rows = np.zeros((n + 1, g.feature_dim))
         self.rows[:n] = g.features * self.weights[:, None]
         self.own_sq = (g.features**2).sum(axis=1)
-        self._feature_block = None
         self.version = np.zeros(n, dtype=np.int64)
-        # Trials asked since the last begin_step, and those asked in the
-        # step before: key -> (block node ids, their entries, version sum).
+        # Trials asked since the last begin_step, and those asked in the step
+        # before: key -> [block node ids, their entries, version sum, shift,
+        # the ``edits`` at which the version sum was last found unchanged].
         self.memo: dict = {}
         self.last_memo: dict = {}
 
@@ -140,31 +159,40 @@ class StealthState:
         """Start an attack step: forget the trials the last one did not ask for."""
         self.last_memo, self.memo = self.memo, {}
 
+    def _lookup(self, key):
+        """The trial remembered under ``key``, moved into this step's memo,
+        or None; it may be stale."""
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.last_memo.pop(key, None)
+            if hit is not None:
+                self.memo[key] = hit
+        return hit
+
+    def _held(self, key):
+        """The remembered trial under ``key`` while no node of its block has
+        moved since it was computed, else None."""
+        hit = self._lookup(key)
+        if hit is None or hit[4] == self.edits:
+            return hit
+        if self.version[hit[0]].sum() != hit[2]:
+            return None
+        hit[4] = self.edits
+        return hit
+
     def recall(self, key) -> np.ndarray | None:
         """The trial vector remembered under ``key``, or None.
 
         A trial is returned only while no node of its block has moved since
         it was computed; its block's entries are written into a copy of the
-        current ``values``, as the trial that computed them wrote them.
+        current ``values``.
         """
-        hit = self.memo.get(key)
+        hit = self._held(key)
         if hit is None:
-            hit = self.last_memo.pop(key, None)
-            if hit is None:
-                return None
-            self.memo[key] = hit
-        nodes, entries, versions = hit
-        if self.version[nodes].sum() != versions:
             return None
         out = self.values.copy()
-        out[nodes] = entries
+        out[hit[0]] = hit[1]
         return out
-
-    def remember(self, key, nodes: np.ndarray, trial: np.ndarray) -> np.ndarray:
-        """Remember ``trial``, which recomputed the entries of ``nodes``
-        under ``key``, and return it."""
-        self.memo[key] = (nodes, trial[nodes], self.version[nodes].sum())
-        return trial
 
     @property
     def stale(self) -> bool:
@@ -174,37 +202,195 @@ class StealthState:
         if self.stale:
             raise StaleStateError("graph edited since this stealth state was built")
 
-    def block(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Degrees, padded neighbor ids and weighted rows of ``nodes``.
+    def distance(self, trial: np.ndarray) -> float:
+        """W1 distance of a trial homophily vector from the clean one."""
+        return _w1_sorted(self.clean_sorted, np.sort(trial))
 
-        Row k lists the neighbors of ``nodes[k]`` ascending, then n; the
-        rows are gathered per slot, so padding slots read the zero row.
+    def edge_trials(self, pairs) -> np.ndarray:
+        """Compute and remember the trial of removing each edge (i, j) of
+        ``pairs`` that is not remembered, under the key ``(i, j)``.
+
+        Returns, per pair, a bound on ``|distance(trial) - dist|``. A missing
+        edge raises ``ValueError`` and leaves the state as it was.
         """
+        self._check()
+        shifts, todo = self._remembered_shifts(pairs)
+        if todo:
+            keys = [pairs[k] for k in todo]
+            ij = np.array(keys, dtype=np.int64).reshape(-1, 2)
+            shifts[todo] = self._edge_kernel(ij[:, 0], ij[:, 1], keys)
+        return self._bounds(shifts)
+
+    def feature_trials(self, nodes, rows) -> np.ndarray:
+        """Compute and remember the trial of giving each node of ``nodes``
+        the matching feature row of ``rows``, under the key
+        ``(node, row.tobytes())``, unless it is remembered. A row equal to
+        the node's own is never remembered: the node moves when its row does.
+
+        Returns, per candidate, a bound on ``|distance(trial) - dist|``.
+        """
+        self._check()
+        nodes = np.asarray(nodes, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.float64)
+        changed = rows != self.graph.features[nodes]
+        keys = [(u, row.tobytes()) for u, row in zip(nodes.tolist(), rows)]
+        shifts, todo = self._remembered_shifts(keys, changed.any(axis=1).tolist())
+        if todo:
+            shifts[todo] = self._feature_kernel(
+                nodes[todo], rows[todo], changed[todo], [keys[k] for k in todo]
+            )
+        return self._bounds(shifts)
+
+    def _remembered_shifts(self, keys, moves=None) -> tuple[np.ndarray, list[int]]:
+        """The shift of each remembered trial of ``keys`` (0 elsewhere), and
+        the positions of the others that move something. The version sums of
+        the remembered trials are checked together, as ``_held`` checks one.
+        """
+        shifts = np.zeros(len(keys))
+        hits = [self._lookup(key) for key in keys]
+        unchecked = [k for k, hit in enumerate(hits) if hit is not None and hit[4] != self.edits]
+        if unchecked:
+            blocks = [hits[k][0] for k in unchecked]
+            first = np.cumsum([0, *map(len, blocks[:-1])])
+            sums = np.add.reduceat(self.version[np.concatenate(blocks)], first)
+            for k, vsum in zip(unchecked, sums.tolist()):
+                if vsum == hits[k][2]:
+                    hits[k][4] = self.edits
+                else:
+                    hits[k] = None
+        todo = []
+        for k, hit in enumerate(hits):
+            if hit is not None:
+                shifts[k] = hit[3]
+            elif moves is None or moves[k]:
+                todo.append(k)
+        return shifts, todo
+
+    def _bounds(self, shifts: np.ndarray) -> np.ndarray:
+        """Bounds on how far the W1 distance of trials whose entries differ
+        from ``values`` by ``shifts`` in sum lies from ``dist``.
+
+        Sorting is a contraction in l1, so ``|W1(t) - W1(v)| <= sum|t - v| / n``;
+        the pad covers the rounding of both distances.
+        """
+        return shifts / len(self.values) * (1.0 + _BOUND_PAD) + _BOUND_PAD * self.dist
+
+    def _slots(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Degrees and padded neighbor ids of ``nodes``: row k lists the
+        neighbors of ``nodes[k]`` ascending, then n, which reads the zero row."""
         g = self.graph
         counts = g.degrees(nodes)
         slot = np.arange(counts.max(initial=0))
         # Padding slots may point past the last entry; clipped, then set to n.
         ids = np.take(g.indices, g.indptr[nodes, None] + slot, mode="clip")
-        ids = np.where(slot < counts[:, None], ids, g.num_nodes)
-        return counts, ids, np.take(self.rows, ids, axis=0)
+        return counts, np.where(slot < counts[:, None], ids, g.num_nodes)
 
-    def feature_block(self, node: int):
-        """``node`` and its neighbors with their block, as a feature trial
-        reads it, plus a mask of the slots holding ``node``.
+    def _edge_kernel(self, i: np.ndarray, j: np.ndarray, keys) -> np.ndarray:
+        """Remember the removal trials of the edges (i[k], j[k]); return their shifts.
 
-        Kept for the last node asked: the attack scores a node's dimensions
-        one after another. A trial overwrites only the slots holding
-        ``node`` and the first own norm, the same ones on every call.
+        A block holds both endpoints and their neighbors, distinct and
+        ascending. Each block node's neighbor rows are summed anew: both
+        endpoints lose one degree, which re-weights every slot holding them,
+        and each endpoint's row drops the other endpoint, closing the gap.
         """
-        if self._feature_block is None or self._feature_block[0] != node:
-            nodes = np.concatenate([[node], self.graph.neighbors(node)])
-            counts, ids, rows = self.block(nodes)
-            self._feature_block = (node, nodes, counts, ids == node, rows, self.own_sq[nodes])
-        return self._feature_block[1:]
+        g, n = self.graph, self.graph.num_nodes
+        c = np.arange(len(i))
+        nbr_i, deg_i = _concat_neighbors(g, i)
+        nbr_j, deg_j = _concat_neighbors(g, j)
+        owner = np.concatenate([c, c, np.repeat(c, deg_i), np.repeat(c, deg_j)])
+        owner, nodes = np.divmod(_distinct(owner * n + np.concatenate([i, j, nbr_i, nbr_j])), n)
+        first = np.searchsorted(owner, c)
+        new_i = g.features[i] * _neighbor_weights(deg_i - 1)[:, None]
+        new_j = g.features[j] * _neighbor_weights(deg_j - 1)[:, None]
+        pairwise = g.feature_dim == 1
+        h = np.empty(len(nodes))
+        for rows_at in self._chunks(nodes, first):
+            v, o = nodes[rows_at], owner[rows_at]
+            counts, ids = self._slots(v)
+            end = np.flatnonzero((v == i[o]) | (v == j[o]))
+            other = np.where(v[end] == i[o[end]], j[o[end]], i[o[end]])
+            hit = ids[end] == other[:, None]
+            absent = ~hit.any(axis=1)
+            if absent.any():
+                k = o[end[np.argmax(absent)]]
+                raise ValueError(f"edge ({i[k]}, {j[k]}) not present")
+            slot = np.arange(ids.shape[1])
+            after = slot + (slot >= hit.argmax(axis=1)[:, None])
+            padded = np.concatenate([ids[end], np.full((len(end), 1), n)], axis=1)
+            ids[end] = np.take_along_axis(padded, after, axis=1)
+            counts[end] -= 1
+            rows = np.take(self.rows, ids, axis=0)
+            for ends, new in ((i, new_i), (j, new_j)):
+                r, s = np.nonzero(ids == ends[o][:, None])
+                rows[r, s] = new[o[r]]
+            h[rows_at] = _homophily(_slot_sums(rows, counts, pairwise), counts, self.own_sq[v])
+        return self._remember(keys, nodes, h, first)
 
-    def distance(self, trial: np.ndarray) -> float:
-        """W1 distance of a trial homophily vector from the clean one."""
-        return _w1_sorted(self.clean_sorted, np.sort(trial))
+    def _feature_kernel(self, u: np.ndarray, new_rows: np.ndarray, changed: np.ndarray,
+                        keys) -> np.ndarray:
+        """Remember the trials of giving node u[k] the row new_rows[k], whose
+        columns ``changed[k]`` differ from its own; return their shifts.
+
+        A block holds the node, then its neighbors. The node's own norm
+        changes; in each neighbor's row only the changed columns of the slot
+        holding the node change, so only those columns are summed anew, and
+        the others keep the sums of the current graph.
+        """
+        g = self.graph
+        nbrs, deg = _concat_neighbors(g, u)
+        first = np.cumsum(deg + 1) - (deg + 1)
+        head = np.zeros(len(u) + len(nbrs), dtype=bool)
+        head[first] = True
+        nodes = np.empty(len(head), dtype=np.int64)
+        nodes[head], nodes[~head] = u, nbrs
+        owner = np.repeat(np.arange(len(u)), deg + 1)
+        own_sq = self.own_sq[nodes]
+        own_sq[first] = (new_rows**2).sum(axis=1)
+        pairwise = g.feature_dim == 1
+        h = np.empty(len(nodes))
+        for rows_at in self._chunks(nodes, first):
+            v, o = nodes[rows_at], owner[rows_at]
+            distinct = _distinct(v)
+            at = np.searchsorted(distinct, v)
+            counts, ids = self._slots(distinct)
+            rows = np.take(self.rows, ids, axis=0)
+            agg = _slot_sums(rows, counts, pairwise)[at]
+            r, col = np.nonzero(changed[o] & ~head[rows_at, None])
+            if len(r):
+                held = u[o[r]]
+                x = rows[at[r], :, col]
+                p, s = np.nonzero(ids[at[r]] == held[:, None])
+                x[p, s] = (new_rows[o[r], col] * self.weights[held])[p]
+                agg[r, col] = _slot_sums(x, counts[at[r]], pairwise)
+            h[rows_at] = _homophily(agg, counts[at], own_sq[rows_at])
+        return self._remember(keys, nodes, h, first)
+
+    def _chunks(self, nodes: np.ndarray, first: np.ndarray):
+        """Slices of whole blocks (block k starts at ``first[k]``) whose
+        gathered neighbor rows take at most ``_CHUNK_FLOATS`` floats, or one
+        block that alone takes more."""
+        degrees = self.graph.degrees(nodes)
+        cost = np.diff(first, append=len(nodes)) * np.maximum.reduceat(degrees, first)
+        cost *= self.graph.feature_dim
+        start, total = 0, 0
+        for k, x in enumerate(cost.tolist()):
+            if total and total + x > _CHUNK_FLOATS:
+                yield slice(first[start], first[k])
+                start, total = k, 0
+            total += x
+        if len(first):
+            yield slice(first[start], len(nodes))
+
+    def _remember(self, keys, nodes: np.ndarray, h: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Remember the trial of each key, whose block is ``nodes`` from
+        ``first[k]`` on, with entries ``h``; return the trials' shifts, the
+        sums of ``|h - values|`` over their blocks."""
+        versions = np.add.reduceat(self.version[nodes], first).tolist()
+        shifts = np.add.reduceat(np.abs(h - self.values[nodes]), first)
+        stops = [*first[1:].tolist(), len(nodes)]
+        for key, a, b, ver, shift in zip(keys, first.tolist(), stops, versions, shifts.tolist()):
+            self.memo[key] = [nodes[a:b], h[a:b], ver, shift, self.edits]
+        return shifts
 
     def remove_edge(self, i: int, j: int, values: np.ndarray) -> None:
         """Remove edge (i, j) from the graph and advance the state with it.
@@ -240,30 +426,45 @@ class StealthState:
         self.values = np.asarray(values, dtype=np.float64)
         self.dist = self.distance(self.values)
         self.edits = self.graph.edits
-        self._feature_block = None
 
-    def _trial(self, nodes, counts, rows, own_sq) -> np.ndarray:
-        """``values`` with the entries of ``nodes`` recomputed from scratch.
 
-        ``rows[k]`` holds the weighted rows of the ``counts[k]`` neighbors
-        of ``nodes[k]`` in the trial graph, ascending by id, and zeros past
-        them. Each node's rows are added in sequence, exactly as
-        ``(rows * w).sum(axis=0)`` adds them for one node: summing over slots
-        does this, and the zero padding changes no sum. With a single feature
-        column numpy sums a node's rows pairwise instead and the padding
-        would regroup them, so nodes are then summed in blocks of one
-        neighbor count each.
-        """
-        if rows.shape[2] > 1:
-            agg = rows.sum(axis=1)
-        else:
-            agg = np.zeros((len(nodes), 1))
-            for c in np.unique(counts):
-                agg[counts == c] = rows[counts == c, :c].sum(axis=1)
-        agg /= np.sqrt(np.maximum(counts, 1))[:, None]
-        out = self.values.copy()
-        out[nodes] = np.sqrt((agg**2).sum(axis=1) + own_sq)
+def _concat_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor lists of ``nodes``, one after another, and their lengths."""
+    counts = g.degrees(nodes)
+    start = np.repeat(g.indptr[nodes] - (np.cumsum(counts) - counts), counts)
+    return g.indices[start + np.arange(len(start))], counts
+
+
+def _slot_sums(x: np.ndarray, counts: np.ndarray, pairwise: bool) -> np.ndarray:
+    """Row k of ``x`` summed over its slots (axis 1) as numpy sums the
+    ``counts[k]`` rows of one node's neighbors on their own, so that trials
+    are bit-identical to a per-node recompute.
+
+    ``x`` is (rows, slots, d), or (rows, slots) for one feature column of
+    each slot. With several feature columns numpy adds a node's neighbor
+    rows in sequence, so the slots are added in sequence, and the zero
+    padding past a row's count changes no sum. With a single column
+    (``pairwise``) numpy sums them pairwise, which the padding would
+    regroup, so rows are then summed in blocks of one count each.
+    """
+    if pairwise:
+        out = np.zeros(x.shape[:1] + x.shape[2:])
+        for c in np.unique(counts):
+            sel = counts == c
+            out[sel] = x[sel, :c].sum(axis=1)
         return out
+    if x.ndim == 3:
+        # A sum over a middle axis adds in sequence.
+        return x.sum(axis=1)
+    # Over the last axis numpy sums pairwise; a running sum adds in sequence.
+    return np.cumsum(x, axis=1)[:, -1]
+
+
+def _homophily(agg: np.ndarray, counts: np.ndarray, own_sq: np.ndarray) -> np.ndarray:
+    """Homophily from each node's summed weighted neighbor rows ``agg``, its
+    degree and the squared norm of its own row."""
+    agg /= np.sqrt(np.maximum(counts, 1))[:, None]
+    return np.sqrt((agg**2).sum(axis=1) + own_sq)
 
 
 def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndarray:
@@ -274,27 +475,11 @@ def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndar
     is remembered under ``(i, j)``.
     """
     state._check()
-    remembered = state.recall((i, j))
-    if remembered is not None:
-        return remembered
-    g = state.graph
-    nodes = np.unique(np.concatenate([[i, j], g.neighbors(i), g.neighbors(j)]))
-    counts, ids, rows = state.block(nodes)
-    # Both endpoints lose one degree, which re-weights every slot holding them.
-    w = _neighbor_weights(g.degrees([i, j]) - 1)
-    rows[ids == i] = g.features[i] * w[0]
-    rows[ids == j] = g.features[j] * w[1]
-    for a, b in ((i, j), (j, i)):
-        # Drop b from a's row, closing the gap.
-        r = np.searchsorted(nodes, a)
-        c = counts[r]
-        p = np.searchsorted(ids[r, :c], b)
-        if p == c or ids[r, p] != b:
-            raise ValueError(f"edge ({i}, {j}) not present")
-        rows[r, p : c - 1] = rows[r, p + 1 : c]
-        rows[r, c - 1] = 0.0
-        counts[r] = c - 1
-    return state.remember((i, j), nodes, state._trial(nodes, counts, rows, state.own_sq[nodes]))
+    trial = state.recall((i, j))
+    if trial is None:
+        state.edge_trials([(i, j)])
+        trial = state.recall((i, j))
+    return trial
 
 
 def homophily_after_feature_change(
@@ -308,17 +493,13 @@ def homophily_after_feature_change(
     state._check()
     new_row = np.asarray(new_row, dtype=np.float64)
     key = (node, new_row.tobytes())
-    remembered = state.recall(key)
-    if remembered is not None:
-        return remembered
-    if np.array_equal(state.graph.features[node], new_row):
-        return state.values.copy()
-    nodes, counts, holds_node, rows, own_sq = state.feature_block(node)
-    # Every call for this block overwrites the same entries, so the cached
-    # arrays are edited in place.
-    rows[holds_node] = new_row * state.weights[node]
-    own_sq[0] = (new_row[None] ** 2).sum(axis=1)[0]
-    return state.remember(key, nodes, state._trial(nodes, counts, rows, own_sq))
+    trial = state.recall(key)
+    if trial is None:
+        if np.array_equal(state.graph.features[node], new_row):
+            return state.values.copy()
+        state.feature_trials([node], new_row[None])
+        trial = state.recall(key)
+    return trial
 
 
 def write_histogram_csv(clean: np.ndarray, perturbed: np.ndarray, path) -> None:

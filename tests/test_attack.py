@@ -1,6 +1,7 @@
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -538,13 +539,17 @@ class TestRunDisttackMatchesOracle:
         st.integers(0, 10**6),
         st.integers(1, 3),
         st.integers(1, 3),
-        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0, 5.0]),
         # At noise 0 most feature entries are 0, which no flip changes.
         st.sampled_from([0.0, 0.4]),
+        # One feature column sums a node's neighbor rows pairwise.
+        st.sampled_from([1, 4]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_perturbations_equal(self, seed, edges_per_iter, flips_per_iter, lambda_homo, noise):
+    def test_perturbations_equal(self, seed, edges_per_iter, flips_per_iter, lambda_homo, noise,
+                                 feature_dim):
         g = generate_sbm(seed, [8, 8], 0.4, 0.08, feature_dim=4, noise=noise)
+        g.features = g.features[:, :feature_dim].copy()
         part = partition_nodes(g, 2)
         worker = int(part.assignment[np.flatnonzero(g.train_mask)[0]])
         cfg = AttackConfig(
@@ -559,6 +564,70 @@ class TestRunDisttackMatchesOracle:
         assert got.to_dict() == want.to_dict()
         assert np.array_equal(g.features, before.features)
         assert np.array_equal(g.edge_array(), before.edge_array())
+
+
+def lazy_penalties(raw, bounds, k, shifts, lam=1.0):
+    """``_DisttackRun._penalize`` on a stand-in stealth state whose trial of
+    candidate c is the W1 distance ``shifts[c]`` itself, measured from 0;
+    also the candidates whose trials were asked and those measured, in order."""
+    asked, measured = [], []
+
+    def distance(trial):
+        measured.append(trial)
+        return shifts[trial]
+
+    run = SimpleNamespace(stealth=SimpleNamespace(dist=0.0, distance=distance),
+                          cfg=SimpleNamespace(lambda_homo=lam))
+    scores, penalty = _DisttackRun._penalize(
+        run, np.array(raw, dtype=float), np.array(bounds, dtype=float), k,
+        lambda c: asked.append(c) or c,
+    )
+    return scores, penalty, asked, measured
+
+
+class TestLazyPenalties:
+    """Distances are measured only where they can change the pick."""
+
+    def test_tie_with_kth_score_is_measured(self):
+        # Candidate 1's upper bound 0.5 + 0.5 ties the best score 1.0: it is
+        # measured, and scores 0.25, not its bound.
+        scores, penalty, asked, measured = lazy_penalties([1.0, 0.5], [0.0, 0.5], 1, [0.0, 0.25])
+        assert asked == measured == [0, 1]
+        assert scores.tolist() == [1.0, 0.25] and penalty.tolist() == [0.0, 0.25]
+
+    def test_below_kth_score_or_zero_keeps_its_bound(self):
+        raw, bounds = [0.3, 1.0, 0.4, -0.5], [0.1, 0.0, 0.5, 0.4]
+        scores, penalty, asked, measured = lazy_penalties(raw, bounds, 1, [0.1, 0.0, 0.5, 0.4])
+        assert asked == [1, 2, 0, 3] and measured == [1]
+        assert scores.tolist() == [0.3 + 0.1, 1.0, 0.4 + 0.5, -0.5 + 0.4] and not penalty.any()
+        # No candidate measured yet, but an upper bound of 0 cannot score above 0.
+        scores, _, asked, measured = lazy_penalties([-0.5], [0.5], 1, [0.5])
+        assert asked == [0] and measured == [] and scores.tolist() == [0.0]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_picks_equal_measuring_every_candidate(self, data):
+        # Raw scores on a coarse grid, so ties are common; each candidate's
+        # W1 shift lies within its bound.
+        m = data.draw(st.integers(0, 12))
+        grid = st.integers(-4, 8).map(lambda v: v / 4)
+        raw = np.array(data.draw(st.lists(grid, min_size=m, max_size=m)))
+        bounds = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))) / 8
+        shifts = [b * data.draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])) for b in bounds]
+        k = data.draw(st.integers(1, 4))
+        lam = data.draw(st.sampled_from([0.5, 1.0, 5.0]))
+        scores, penalty, asked, _ = lazy_penalties(raw, bounds, k, shifts, lam)
+        eager_penalty = lam * np.array(shifts)
+        eager = raw - eager_penalty
+
+        def picks(s):
+            keep = [c for c in range(m) if s[c] > 0.0]
+            return sorted(keep, key=lambda c: (-s[c], c))[:k]
+
+        assert sorted(asked) == list(range(m))
+        assert picks(scores) == picks(eager)
+        for c in picks(eager):
+            assert scores[c] == eager[c] and penalty[c] == eager_penalty[c]
 
 
 class TestBaselines:

@@ -206,9 +206,10 @@ def test_closed_stdout_keeps_results(tmp_path):
     runs = json.loads((out_dir / "summary.json").read_text())["runs"]
     assert [r["seed"] for r in runs] == [0, 1]
     assert len(list(out_dir.iterdir())) == 1 + 2 * 5  # summary, then 5 files per seed
-    # A failed check whose output was buffered keeps its exit status.
+    # A failed check whose output was buffered keeps its exit status. A
+    # threshold below any nonzero error fails the check.
     proc = _run_with_closed_stdout("gradcheck", "--nodes", "8", "--hidden", "4",
-                                   "--threshold", "0", unbuffered=False)
+                                   "--threshold", "1e-300", unbuffered=False)
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
@@ -216,7 +217,7 @@ def test_closed_stdout_keeps_results(tmp_path):
 def test_failed_check_keeps_its_status_when_output_ends(stdout):
     # Unbuffered, the first print used to meet the closed pipe before the
     # command had returned its status, and the CLI exited 0.
-    args = ("gradcheck", "--nodes", "8", "--hidden", "4", "--threshold", "0")
+    args = ("gradcheck", "--nodes", "8", "--hidden", "4", "--threshold", "1e-300")
     if stdout == "devnull":
         proc = subprocess.run([sys.executable, "-m", "distpoison.cli", *args], env=_env(),
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -440,6 +441,10 @@ def test_files_dataset_negative_label_fails_before_training(tmp_path, capsys, mo
         ("splits.json", "[8, 9]", "[8, null]", "dataset.splits: val split lists null, not an"),
         ("splits.json", "[8, 9]", "[8, [9]]", "dataset.splits: val split lists [9], not an"),
         ("splits.json", "[8, 9]", "8", "dataset.splits: val split must be a list of node ids"),
+        ("nodes.csv", "\n5,0.0,1.0,1\n", "\n5,0.0,nan,1\n",
+         "dataset.features: node 5 has non-finite feature nan in column 1"),
+        ("nodes.csv", "\n5,0.0,1.0,1\n", "\n5,-inf,1.0,1\n",
+         "dataset.features: node 5 has non-finite feature -inf in column 0"),
     ],
 )
 def test_files_dataset_bad_content_exits_two(tmp_path, capsys, name, old, new, message):
@@ -483,6 +488,10 @@ BAD_OPTIONS = [
     (["gradcheck", "--hidden", "0"], "--hidden"),
     (["gradcheck", "--epsilon", "0"], "--epsilon"),
     (["gradcheck", "--epsilon", "nan"], "--epsilon"),
+    (["gradcheck", "--threshold", "-1"], "--threshold"),  # no error is below it
+    (["gradcheck", "--threshold", "0"], "--threshold"),
+    (["gradcheck", "--threshold", "nan"], "--threshold"),
+    (["gradcheck", "--threshold", "inf"], "--threshold"),  # every finite error is below it
     (["gradcheck", "--seed", "-1"], "--seed"),
     (["replay", "--perturbation", "p.json", "--seed", "-3"], "--seed"),
 ]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import homophily_oracle as oracle
 from conftest import edit_ops, random_edit_script
+from distpoison import homophily
 from distpoison.graph import build_graph, generate_sbm
 from distpoison.homophily import (
     StaleStateError,
@@ -333,13 +336,13 @@ def block_of(g, cand):
 def recomputes(monkeypatch):
     """The number of trials recomputed so far, as a one-item list."""
     count = [0]
-    real = StealthState._trial
+    real = StealthState._remember
 
-    def counted(self, *args):
-        count[0] += 1
-        return real(self, *args)
+    def counted(self, keys, *args):
+        count[0] += len(keys)
+        return real(self, keys, *args)
 
-    monkeypatch.setattr(StealthState, "_trial", counted)
+    monkeypatch.setattr(StealthState, "_remember", counted)
     return count
 
 
@@ -421,6 +424,125 @@ class TestRememberedTrials:
         assert recomputes[0] == before
         ask(state, asked[0])  # asked three steps ago: forgotten
         assert recomputes[0] == before + 1
+
+
+def batch_candidates(g, rng):
+    """Every edge removal both ways round, and per node a row with one entry
+    flipped and the row times -2 (a zero row stays equal to its own), as
+    ``edge_trials`` and ``feature_trials`` take them."""
+    pairs = [(int(a), int(b)) for i, j in g.edge_array() for a, b in ((i, j), (j, i))]
+    rows = []
+    for node in range(g.num_nodes):
+        row = g.features[node].copy()
+        row[rng.integers(g.feature_dim)] *= -1.0 if rng.random() < 0.5 else 3.0
+        rows += [row, -2.0 * g.features[node]]
+    return pairs, np.repeat(np.arange(g.num_nodes), 2), np.array(rows)
+
+
+def oracle_of(state, key):
+    """The oracle's trial vector for a memo key."""
+    a, b = key
+    if isinstance(b, bytes):
+        return oracle.homophily_after_feature_change(state.graph, state.values, a, np.frombuffer(b))
+    return oracle.homophily_after_edge_removal(state.graph, state.values, a, b)
+
+
+def assert_batch_remembered(state, pairs, nodes, rows):
+    """Every trial the state holds equals the oracle's, and every candidate
+    of the batch is held unless its row equals the node's own."""
+    for key in [*state.memo, *state.last_memo]:
+        trial = state.recall(key)
+        if trial is not None:
+            assert np.array_equal(trial, oracle_of(state, key)), key
+    for key in pairs:
+        assert state.recall(key) is not None
+    for node, row in zip(nodes.tolist(), rows):
+        same = np.array_equal(state.graph.features[node], row)
+        assert (state.recall((node, row.tobytes())) is None) == same
+
+
+def apply_move(state, is_edge, k):
+    g = state.graph
+    if is_edge and g.num_edges:
+        i, j = (int(v) for v in g.edge_array()[k % g.num_edges])
+        state.remove_edge(i, j, homophily_after_edge_removal(state, i, j))
+    else:
+        node, d = k % g.num_nodes, k % g.feature_dim
+        row = g.features[node].copy()
+        row[d] = -3.0 * row[d]
+        state.set_feature(node, d, row[d], homophily_after_feature_change(state, node, row))
+
+
+move_lists = st.lists(st.tuples(st.booleans(), st.integers(0, 10**6), st.booleans()), max_size=4)
+# 1 puts every block in a chunk of its own; the default holds these graphs whole.
+chunk_floats = st.sampled_from([1, 8, 64, homophily._CHUNK_FLOATS])
+
+
+class TestBatchedTrials:
+    """The batched trial kernels remember trials equal to the per-node oracle
+    bit for bit, however the candidates are chunked, and the bounds they
+    return hold for the W1 penalties the attack computes."""
+
+    @given(graph_cases, chunk_floats, move_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_remembered_trials_equal_oracle(self, case, chunk, moves):
+        # Each batch after a move finds fresh trials and stale ones, and
+        # after begin_step trials of the step before.
+        seed, n, dim, p, ops = case
+        g0, rng = draw_graph(seed, n, dim, p)
+        for g in random_edit_script(g0, ops):
+            pass
+        state = StealthState(g.copy(), homophily_values(g))
+        with mock.patch.object(homophily, "_CHUNK_FLOATS", chunk):
+            for is_edge, k, new_step in [*moves, (None, 0, False)]:
+                batch = batch_candidates(state.graph, rng)
+                state.edge_trials(batch[0])
+                state.feature_trials(*batch[1:])
+                assert_batch_remembered(state, *batch)
+                if is_edge is None:
+                    break
+                if new_step:
+                    state.begin_step()
+                apply_move(state, is_edge, k)
+
+    @pytest.mark.parametrize("chunk", [1, homophily._CHUNK_FLOATS])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_degree_one_endpoints_and_isolated_nodes(self, chunk, dim):
+        # Path 0-1-2, edge 3-4, node 5 isolated: removals leave endpoints
+        # isolated, and a feature trial of node 5 has a block of one.
+        feats = np.arange(6 * dim, dtype=float).reshape(6, dim) - 7.5
+        g = graph_with_features(6, [(0, 1), (1, 2), (3, 4)], feats)
+        state = StealthState(g, homophily_values(g))
+        batch = batch_candidates(g, np.random.default_rng(0))
+        with mock.patch.object(homophily, "_CHUNK_FLOATS", chunk):
+            state.edge_trials(batch[0])
+            state.feature_trials(*batch[1:])
+        assert_batch_remembered(state, *batch)
+
+    def test_missing_edge_in_batch_remembers_nothing(self):
+        g = graph_with_features(3, [(0, 1)], np.eye(3))
+        state = StealthState(g, homophily_values(g))
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) not present"):
+            state.edge_trials([(0, 1), (1, 2)])
+        assert not state.memo
+
+    @given(graph_cases, move_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_hold(self, case, moves):
+        seed, n, dim, p, ops = case
+        g0, rng = draw_graph(seed, n, dim, p)
+        for g in random_edit_script(g0, ops):
+            pass
+        state = StealthState(g.copy(), homophily_values(g))
+        for is_edge, k, _ in moves:
+            apply_move(state, is_edge, k)
+        pairs, nodes, rows = batch_candidates(state.graph, rng)
+        trials = [homophily_after_edge_removal(state, *key) for key in pairs]
+        trials += [homophily_after_feature_change(state, u, row) for u, row in zip(nodes, rows)]
+        bounds = np.concatenate([state.edge_trials(pairs), state.feature_trials(nodes, rows)])
+        for lam in (0.3, 1.0, 5.0):
+            for trial, bound in zip(trials, bounds.tolist()):
+                assert abs(lam * (state.distance(trial) - state.dist)) <= lam * bound
 
 
 class TestDistributionDistance:
