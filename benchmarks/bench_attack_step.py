@@ -5,10 +5,10 @@
 The file name keeps these out of the default test collection. Graphs are
 four-block SBMs with the reference config's expected degree (about 6.4) at
 n = 200, 1,600 and 6,400 nodes; candidates come from the highest-degree node,
-as the attack's targets do. The trials are timed as computed, not
-remembered: every round starts with the state's remembered trials
-forgotten. ``test_edge_trial`` and ``test_feature_trial`` are one
-candidate's trial, a batch of one. ``test_step_trials`` is the batched
+as the attack's targets do. The trials are timed as computed: every round
+starts with the state's held trials (``memo``) cleared.
+``test_edge_trial`` and ``test_feature_trial`` are one candidate's trial,
+a batch of one. ``test_step_trials`` is the batched
 kernel over one step's candidates: the edges of the 1-hop subgraphs of 10
 targets on worker 0 of 4, or every nonzero feature entry of their nodes,
 negated.
@@ -35,8 +35,7 @@ one edge removal and one feature flip, without (``lambda_homo`` 0) and with
 (1) stealth scoring; each round starts from a fresh run, whose setup
 (graph copy, stealth state) is not timed, after warm-up rounds.
 ``test_attack_steps`` is three consecutive steps of one run under the same
-surrogate, where a step reuses the trials of the one before that no move
-touched.
+surrogate.
 """
 
 import numpy as np
@@ -88,11 +87,10 @@ TRIAL_ROUNDS = dict(rounds=500, warmup_rounds=20)
 
 
 def _forgetting(state, args_of):
-    """A pedantic setup: the state forgets every remembered trial, then the
+    """A pedantic setup: the state's held trials are cleared, then the
     round's arguments are drawn."""
     def setup():
-        state.begin_step()
-        state.begin_step()
+        state.memo.clear()
         return args_of(), {}
 
     return setup

@@ -7,11 +7,11 @@ edges that span computing nodes), remove the top-scoring edges, and flip the
 feature entries with the largest gradient magnitude. A nonzero homophily
 weight debits every candidate by the shift it would cause in the graph's
 homophily distribution, trading raw damage for stealth. A step computes
-the stealth trials of all its candidates in one batch per move kind; the
-stealth state remembers the trials of the step before, so a candidate no
-move has touched since costs a lookup. Each trial bounds the W1 shift it
-can make, and the shift itself is measured only for candidates whose bound
-leaves them in reach of a pick, so the picks equal measuring every one.
+the stealth trials of all its candidates in one batch per move kind; an
+applied move drops them, so a later pick's trial is computed again. Each
+trial bounds the W1 shift it can make, and the shift itself is measured
+only for candidates whose bound leaves them in reach of a pick, so the
+picks equal measuring every one.
 
 Scores are the attack-loss gradient at each adjacency entry: removing an edge
 is a unit step down in that entry, so edges with the largest positive gradient
@@ -365,16 +365,14 @@ class _DisttackRun:
         """Score candidates from every target's current 1-hop subgraph,
         penalize them by their stealth cost when ``lambda_homo > 0``, then
         select and apply up to ``edges_per_iter`` edge removals and
-        ``flips_per_iter`` feature flips of the remaining budgets. The
-        stealth state is told a step begins, so it keeps the trials of this
-        step and the last one only.
+        ``flips_per_iter`` feature flips of the remaining budgets. Each
+        move kind's trials are computed in one batch on the graph as the
+        step reaches it.
 
         Returns whether any move was applied.
         """
         cfg, g_cur, st, pert = self.cfg, self.g, self.stealth, self.pert
         self.iteration += 1
-        if st is not None:
-            st.begin_step()
         self.subgraphs = [sample_1hop(g_cur, t) for t in self.targets]
         edge_cands: dict[tuple[int, int], float] = {}
         grad_rows = []

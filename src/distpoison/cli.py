@@ -35,14 +35,25 @@ from distpoison.gnn import ParamSet, check_gradients
 from distpoison.graph import generate_sbm, normalize_adjacency
 
 
+def _parse_yaml(source, where: str):
+    """``yaml.safe_load(source)``; a YAML error is a ``ConfigError`` naming ``where``."""
+    try:
+        return yaml.safe_load(source)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"{where}: not valid YAML{at}: {problem}") from None
+
+
 def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw_val = item.split("=", 1)
-        value = yaml.safe_load(raw_val)
-        node = cfg
+        key, _, raw_val = item.partition("=")
         parts = key.split(".")
+        if "=" not in item or "" in parts:
+            raise ConfigError(f"--set expects key=value, got {item!r}")
+        value = _parse_yaml(raw_val, f"--set {key}")
+        node = cfg
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
@@ -52,10 +63,14 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 
 def load_config(path, overrides) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config {path}: cannot be read: {exc}") from None
+    raw = _parse_yaml(text, f"--config {path}") or {}
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+        raise ConfigError(f"--config {path}: top level must be a mapping")
     raw = _apply_overrides(raw, overrides or [])
     return ExperimentConfig.from_dict(raw)
 

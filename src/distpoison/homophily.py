@@ -23,15 +23,13 @@ vectors are bit-identical to recomputing each affected node from scratch
 on its own, with its neighbor rows summed in ascending neighbor order; the
 tests keep that per-node recompute as their oracle.
 
-Most candidates of one attack step are candidates of the next one too, and
-a move changes the trials of few of them. So the state remembers each
-trial's recomputed entries, with a version count per node that every move
-bumps where it changes a homophily input; a trial asked again while no node
-of its block has moved returns the remembered entries, the same floats.
-Each remembered trial also keeps its shift, the l1 distance of its entries
-from the current ones. Sorting is a contraction in l1, so the shift over n
-bounds how far the trial can move the W1 distance, and the attack measures
-W1 only for candidates that bound leaves in reach of a pick.
+The state holds the trials of its graph as it stands: a batch's trials are
+kept until the next applied move, which drops them all, so a trial asked
+after a move is computed again. Each batch also returns, per trial, its
+shift, the l1 distance of its entries from the current ones. Sorting is a
+contraction in l1, so the shift over n bounds how far the trial can move
+the W1 distance, and the attack measures W1 only for candidates that bound
+leaves in reach of a pick.
 """
 
 from __future__ import annotations
@@ -117,21 +115,16 @@ class StealthState:
     ``clean`` defaults to ``values``. Everything cached is O(n d).
 
     ``edge_trials`` and ``feature_trials`` compute the trials of many
-    candidates at once and remember them; ``homophily_after_edge_removal``
-    and ``homophily_after_feature_change`` answer one candidate, from what is
-    remembered or by a batch of one.
+    candidates at once and keep them in ``memo``, which maps each
+    candidate's key to its block's node ids and their recomputed entries;
+    ``homophily_after_edge_removal`` and ``homophily_after_feature_change``
+    answer one candidate, from ``memo`` or by a batch of one.
 
     ``remove_edge`` and ``set_feature`` edit the graph and advance the state
-    with it: the weighted rows are updated where they changed, and ``dist``
-    is measured again. Once ``g`` is edited any other way, trials raise
+    with it: the weighted rows are updated where they changed, ``dist`` is
+    measured again, and ``memo`` is emptied, since its trials describe the
+    graph before the move. Once ``g`` is edited any other way, trials raise
     ``StaleStateError`` and a fresh state must be built.
-
-    Trials are remembered (see ``recall``). ``version[u]`` counts the moves
-    that changed an input of node u's homophily: its features, its degree,
-    or a neighbor's features or degree. A removal of (i, j) bumps i, j and
-    their neighbors, a change of u's features bumps u and its neighbors.
-    ``begin_step`` forgets the trials the last step did not ask for, so
-    what is remembered is at most two steps' trials.
     """
 
     def __init__(self, g: Graph, values: np.ndarray, clean: np.ndarray | None = None):
@@ -148,46 +141,14 @@ class StealthState:
         self.rows = np.zeros((n + 1, g.feature_dim))
         self.rows[:n] = g.features * self.weights[:, None]
         self.own_sq = (g.features**2).sum(axis=1)
-        self.version = np.zeros(n, dtype=np.int64)
-        # Trials asked since the last begin_step, and those asked in the step
-        # before: key -> [block node ids, their entries, version sum, shift,
-        # the ``edits`` at which the version sum was last found unchanged].
+        # The trials computed since the last move: key -> (block node ids,
+        # their entries).
         self.memo: dict = {}
-        self.last_memo: dict = {}
-
-    def begin_step(self) -> None:
-        """Start an attack step: forget the trials the last one did not ask for."""
-        self.last_memo, self.memo = self.memo, {}
-
-    def _lookup(self, key):
-        """The trial remembered under ``key``, moved into this step's memo,
-        or None; it may be stale."""
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.last_memo.pop(key, None)
-            if hit is not None:
-                self.memo[key] = hit
-        return hit
-
-    def _held(self, key):
-        """The remembered trial under ``key`` while no node of its block has
-        moved since it was computed, else None."""
-        hit = self._lookup(key)
-        if hit is None or hit[4] == self.edits:
-            return hit
-        if self.version[hit[0]].sum() != hit[2]:
-            return None
-        hit[4] = self.edits
-        return hit
 
     def recall(self, key) -> np.ndarray | None:
-        """The trial vector remembered under ``key``, or None.
-
-        A trial is returned only while no node of its block has moved since
-        it was computed; its block's entries are written into a copy of the
-        current ``values``.
-        """
-        hit = self._held(key)
+        """The trial vector held under ``key``, its block's entries written
+        into a copy of the current ``values``, or None."""
+        hit = self.memo.get(key)
         if hit is None:
             return None
         out = self.values.copy()
@@ -207,64 +168,35 @@ class StealthState:
         return _w1_sorted(self.clean_sorted, np.sort(trial))
 
     def edge_trials(self, pairs) -> np.ndarray:
-        """Compute and remember the trial of removing each edge (i, j) of
-        ``pairs`` that is not remembered, under the key ``(i, j)``.
+        """Compute the trial of removing each edge (i, j) of ``pairs`` and
+        keep it in ``memo`` under the key ``(i, j)``.
 
         Returns, per pair, a bound on ``|distance(trial) - dist|``. A missing
         edge raises ``ValueError`` and leaves the state as it was.
         """
         self._check()
-        shifts, todo = self._remembered_shifts(pairs)
-        if todo:
-            keys = [pairs[k] for k in todo]
-            ij = np.array(keys, dtype=np.int64).reshape(-1, 2)
-            shifts[todo] = self._edge_kernel(ij[:, 0], ij[:, 1], keys)
+        ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        shifts = self._edge_kernel(ij[:, 0], ij[:, 1], pairs) if len(ij) else np.zeros(0)
         return self._bounds(shifts)
 
     def feature_trials(self, nodes, rows) -> np.ndarray:
-        """Compute and remember the trial of giving each node of ``nodes``
-        the matching feature row of ``rows``, under the key
-        ``(node, row.tobytes())``, unless it is remembered. A row equal to
-        the node's own is never remembered: the node moves when its row does.
+        """Compute the trial of giving each node of ``nodes`` the matching
+        feature row of ``rows`` and keep it in ``memo`` under the key
+        ``(node, row.tobytes())``. A row equal to the node's own changes
+        nothing: it is not computed, and its shift is 0.
 
         Returns, per candidate, a bound on ``|distance(trial) - dist|``.
         """
         self._check()
         nodes = np.asarray(nodes, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.float64).reshape(len(nodes), self.graph.feature_dim)
         changed = rows != self.graph.features[nodes]
-        keys = [(u, row.tobytes()) for u, row in zip(nodes.tolist(), rows)]
-        shifts, todo = self._remembered_shifts(keys, changed.any(axis=1).tolist())
-        if todo:
-            shifts[todo] = self._feature_kernel(
-                nodes[todo], rows[todo], changed[todo], [keys[k] for k in todo]
-            )
+        todo = np.flatnonzero(changed.any(axis=1))
+        keys = [(u, rows[k].tobytes()) for k, u in zip(todo.tolist(), nodes[todo].tolist())]
+        shifts = np.zeros(len(nodes))
+        if len(todo):
+            shifts[todo] = self._feature_kernel(nodes[todo], rows[todo], changed[todo], keys)
         return self._bounds(shifts)
-
-    def _remembered_shifts(self, keys, moves=None) -> tuple[np.ndarray, list[int]]:
-        """The shift of each remembered trial of ``keys`` (0 elsewhere), and
-        the positions of the others that move something. The version sums of
-        the remembered trials are checked together, as ``_held`` checks one.
-        """
-        shifts = np.zeros(len(keys))
-        hits = [self._lookup(key) for key in keys]
-        unchecked = [k for k, hit in enumerate(hits) if hit is not None and hit[4] != self.edits]
-        if unchecked:
-            blocks = [hits[k][0] for k in unchecked]
-            first = np.cumsum([0, *map(len, blocks[:-1])])
-            sums = np.add.reduceat(self.version[np.concatenate(blocks)], first)
-            for k, vsum in zip(unchecked, sums.tolist()):
-                if vsum == hits[k][2]:
-                    hits[k][4] = self.edits
-                else:
-                    hits[k] = None
-        todo = []
-        for k, hit in enumerate(hits):
-            if hit is not None:
-                shifts[k] = hit[3]
-            elif moves is None or moves[k]:
-                todo.append(k)
-        return shifts, todo
 
     def _bounds(self, shifts: np.ndarray) -> np.ndarray:
         """Bounds on how far the W1 distance of trials whose entries differ
@@ -286,7 +218,8 @@ class StealthState:
         return counts, np.where(slot < counts[:, None], ids, g.num_nodes)
 
     def _edge_kernel(self, i: np.ndarray, j: np.ndarray, keys) -> np.ndarray:
-        """Remember the removal trials of the edges (i[k], j[k]); return their shifts.
+        """Keep the removal trials of the edges (i[k], j[k]) under ``keys``;
+        return their shifts.
 
         A block holds both endpoints and their neighbors, distinct and
         ascending. Each block node's neighbor rows are summed anew: both
@@ -328,8 +261,9 @@ class StealthState:
 
     def _feature_kernel(self, u: np.ndarray, new_rows: np.ndarray, changed: np.ndarray,
                         keys) -> np.ndarray:
-        """Remember the trials of giving node u[k] the row new_rows[k], whose
-        columns ``changed[k]`` differ from its own; return their shifts.
+        """Keep the trials of giving node u[k] the row new_rows[k], whose
+        columns ``changed[k]`` differ from its own, under ``keys``; return
+        their shifts.
 
         A block holds the node, then its neighbors. The node's own norm
         changes; in each neighbor's row only the changed columns of the slot
@@ -382,15 +316,13 @@ class StealthState:
             yield slice(first[start], len(nodes))
 
     def _remember(self, keys, nodes: np.ndarray, h: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """Remember the trial of each key, whose block is ``nodes`` from
+        """Keep the trial of each key, whose block is ``nodes`` from
         ``first[k]`` on, with entries ``h``; return the trials' shifts, the
         sums of ``|h - values|`` over their blocks."""
-        versions = np.add.reduceat(self.version[nodes], first).tolist()
-        shifts = np.add.reduceat(np.abs(h - self.values[nodes]), first)
         stops = [*first[1:].tolist(), len(nodes)]
-        for key, a, b, ver, shift in zip(keys, first.tolist(), stops, versions, shifts.tolist()):
-            self.memo[key] = [nodes[a:b], h[a:b], ver, shift, self.edits]
-        return shifts
+        for key, a, b in zip(keys, first.tolist(), stops):
+            self.memo[key] = (nodes[a:b], h[a:b])
+        return np.add.reduceat(np.abs(h - self.values[nodes]), first)
 
     def remove_edge(self, i: int, j: int, values: np.ndarray) -> None:
         """Remove edge (i, j) from the graph and advance the state with it.
@@ -400,9 +332,7 @@ class StealthState:
         """
         self._check()
         g = self.graph
-        touched = np.concatenate([[i, j], g.neighbors(i), g.neighbors(j)])
         g.remove_edge(i, j)
-        self.version[touched] += 1
         self.weights[[i, j]] = _neighbor_weights(g.degrees([i, j]))
         self.rows[[i, j]] = g.features[[i, j]] * self.weights[[i, j], None]
         self._advance(values)
@@ -415,8 +345,6 @@ class StealthState:
         """
         self._check()
         self.graph.set_feature(node, dim, value)
-        self.version[node] += 1
-        self.version[self.graph.neighbors(node)] += 1
         row = self.graph.features[[node]]
         self.rows[node] = row[0] * self.weights[node]
         self.own_sq[node] = (row**2).sum(axis=1)[0]
@@ -426,6 +354,7 @@ class StealthState:
         self.values = np.asarray(values, dtype=np.float64)
         self.dist = self.distance(self.values)
         self.edits = self.graph.edits
+        self.memo.clear()
 
 
 def _concat_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,14 +401,12 @@ def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndar
 
     Only nodes within one hop of either endpoint change; everything else is
     carried over from ``state.values``. The graph is not touched. The trial
-    is remembered under ``(i, j)``.
+    is read from ``state.memo``, or computed and kept there under ``(i, j)``.
     """
     state._check()
-    trial = state.recall((i, j))
-    if trial is None:
+    if (i, j) not in state.memo:
         state.edge_trials([(i, j)])
-        trial = state.recall((i, j))
-    return trial
+    return state.recall((i, j))
 
 
 def homophily_after_feature_change(
@@ -487,19 +414,18 @@ def homophily_after_feature_change(
 ) -> np.ndarray:
     """Homophily vector of the state's graph with node's feature row replaced.
 
-    The trial is remembered under ``(node, new_row.tobytes())``. A row equal
-    to the node's own is never remembered: the node moves when its row does.
+    The trial is read from ``state.memo``, or computed and kept there under
+    ``(node, new_row.tobytes())``. A row equal to the node's own changes
+    nothing and is answered with a copy of ``state.values``.
     """
     state._check()
     new_row = np.asarray(new_row, dtype=np.float64)
     key = (node, new_row.tobytes())
-    trial = state.recall(key)
-    if trial is None:
+    if key not in state.memo:
         if np.array_equal(state.graph.features[node], new_row):
             return state.values.copy()
         state.feature_trials([node], new_row[None])
-        trial = state.recall(key)
-    return trial
+    return state.recall(key)
 
 
 def write_histogram_csv(clean: np.ndarray, perturbed: np.ndarray, path) -> None:

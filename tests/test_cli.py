@@ -325,6 +325,40 @@ def test_bad_value_rejected_before_dataset(tmp_path, capsys, monkeypatch, overri
     assert f"{field}:" in capsys.readouterr().err
 
 
+UNREADABLE_CONFIGS = [
+    # (the --config file's bytes, or "dir", "absent" or "good"; --set items; message)
+    (b"seeds: [0\n", [], "not valid YAML at line 2, column 1"),
+    (b"\xff\xfe: 1\n", [], "cannot be read: 'utf-8' codec can't decode"),
+    ("dir", [], "cannot be read: [Errno 21] Is a directory"),
+    ("absent", [], "cannot be read: [Errno 2] No such file"),
+    ("good", ["seeds=[0"], "--set seeds: not valid YAML at line 1, column 3"),
+    ("good", ["=5"], "--set expects key=value, got '=5'"),
+    ("good", ["attack..kind=ra"], "--set expects key=value, got 'attack..kind=ra'"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "replay"])
+@pytest.mark.parametrize("config, overrides, message", UNREADABLE_CONFIGS)
+def test_unreadable_config_exits_two(tmp_path, capsys, monkeypatch, command, config,
+                                     overrides, message):
+    monkeypatch.setattr("distpoison.experiment.build_dataset", _no_compute)
+    cfg = tmp_path / "cfg.yaml"
+    if config == "good":
+        cfg = write_config(tmp_path)
+    elif config == "dir":
+        cfg.mkdir()
+    elif config != "absent":
+        cfg.write_bytes(config)
+    argv = [command, "--config", str(cfg), *(a for o in overrides for a in ("--set", o))]
+    if command == "replay":
+        argv += ["--perturbation", str(tmp_path / "p.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if not overrides:
+        assert f"--config {cfg}:" in err
+
+
 @pytest.mark.parametrize(
     "attack, message",
     [

@@ -326,12 +326,6 @@ def ask_oracle(g, values, cand):
     return oracle.homophily_after_feature_change(g, values, a, b)
 
 
-def block_of(g, cand):
-    kind, a, b = cand
-    nodes = {a} | set(g.neighbors(a).tolist())
-    return nodes | {b} | set(g.neighbors(b).tolist()) if kind == "edge" else nodes
-
-
 @pytest.fixture
 def recomputes(monkeypatch):
     """The number of trials recomputed so far, as a one-item list."""
@@ -347,11 +341,10 @@ def recomputes(monkeypatch):
 
 
 class TestRememberedTrials:
-    """Trials remembered across moves equal the per-node oracle, and a move
-    forgets exactly the trials whose block it touched."""
+    """Trials held between moves equal the per-node oracle, and a move drops
+    every trial held."""
 
-    @given(graph_cases, st.lists(st.tuples(st.booleans(), st.integers(0, 10**6), st.booleans()),
-                                 max_size=5))
+    @given(graph_cases, st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_every_candidate_before_and_after_each_move(self, case, moves):
         seed, n, dim, p, ops = case
@@ -360,15 +353,13 @@ class TestRememberedTrials:
             pass
         g = g.copy()
         state = StealthState(g, homophily_values(g))
-        for is_edge, k, new_step in [*moves, (None, 0, False)]:
+        for is_edge, k in [*moves, (None, 0)]:
             for cand in flip_candidates(g):
                 if cand[0] == "edge" and not g.has_edge(cand[1], cand[2]):
                     continue
                 assert np.array_equal(ask(state, cand), ask_oracle(g, state.values, cand))
             if is_edge is None:
                 break
-            if new_step:
-                state.begin_step()
             if is_edge and g.num_edges:
                 i, j = (int(v) for v in g.edge_array()[k % g.num_edges])
                 state.remove_edge(i, j, homophily_after_edge_removal(state, i, j))
@@ -379,51 +370,30 @@ class TestRememberedTrials:
                 state.set_feature(node, d, row[d], homophily_after_feature_change(state, node, row))
 
     @pytest.mark.parametrize("move", ["edge", "feature"])
-    def test_move_forgets_only_the_blocks_it_touches(self, recomputes, move):
+    def test_move_leaves_no_trial_behind(self, recomputes, move):
+        # Each trial is computed once while the graph stands; after a move
+        # none is held, and each is computed again, equal to the oracle.
         g = generate_sbm(4, [10, 10], 0.3, 0.1, feature_dim=3, noise=0.3)
         state = StealthState(g, homophily_values(g))
         cands = flip_candidates(g)
-        for cand in cands:
-            ask(state, cand)
-        assert recomputes[0] == len(cands)
-        blocks = {id(c): block_of(g, c) for c in cands}
+        for _ in range(2):
+            for cand in cands:
+                ask(state, cand)
+        assert recomputes[0] == len(cands) == len(state.memo)
         u = int(np.argmax(g.degrees()))
         v = int(g.neighbors(u)[0])
         if move == "edge":
-            touched = block_of(g, ("edge", u, v))
             state.remove_edge(u, v, homophily_after_edge_removal(state, u, v))
             cands = [c for c in cands if c[0] == "feature" or {c[1], c[2]} != {u, v}]
         else:
-            touched = block_of(g, ("feature", u, None))
             row = g.features[u].copy()
             row[0] = 5.0
             state.set_feature(u, 0, 5.0, homophily_after_feature_change(state, u, row))
-        recomputed = []
-        for cand in cands:
-            before = recomputes[0]
-            assert np.array_equal(ask(state, cand), ask_oracle(g, state.values, cand))
-            if recomputes[0] > before:
-                recomputed.append(id(cand))
-        want = [id(c) for c in cands if blocks[id(c)] & touched]
-        assert recomputed == want
-        assert 0 < len(want) < len(cands)
-
-    def test_begin_step_keeps_two_steps(self, recomputes):
-        g = generate_sbm(4, [10, 10], 0.3, 0.1, feature_dim=3, noise=0.3)
-        state = StealthState(g, homophily_values(g))
-        asked = [("feature", node, -g.features[node]) for node in range(3)]
-        for cand in asked:
-            state.begin_step()
-            ask(state, cand)
-        keys = [(node, row.tobytes()) for _, node, row in asked]
-        assert set(state.memo) | set(state.last_memo) == set(keys[1:])
-        state.begin_step()
-        assert set(state.last_memo) == {keys[2]} and not state.memo
+        assert not state.memo
         before = recomputes[0]
-        ask(state, asked[2])  # asked in the last step: remembered
-        assert recomputes[0] == before
-        ask(state, asked[0])  # asked three steps ago: forgotten
-        assert recomputes[0] == before + 1
+        for cand in cands:
+            assert np.array_equal(ask(state, cand), ask_oracle(g, state.values, cand))
+        assert recomputes[0] - before == len(cands)
 
 
 def batch_candidates(g, rng):
@@ -450,10 +420,8 @@ def oracle_of(state, key):
 def assert_batch_remembered(state, pairs, nodes, rows):
     """Every trial the state holds equals the oracle's, and every candidate
     of the batch is held unless its row equals the node's own."""
-    for key in [*state.memo, *state.last_memo]:
-        trial = state.recall(key)
-        if trial is not None:
-            assert np.array_equal(trial, oracle_of(state, key)), key
+    for key in state.memo:
+        assert np.array_equal(state.recall(key), oracle_of(state, key)), key
     for key in pairs:
         assert state.recall(key) is not None
     for node, row in zip(nodes.tolist(), rows):
@@ -473,36 +441,33 @@ def apply_move(state, is_edge, k):
         state.set_feature(node, d, row[d], homophily_after_feature_change(state, node, row))
 
 
-move_lists = st.lists(st.tuples(st.booleans(), st.integers(0, 10**6), st.booleans()), max_size=4)
+move_lists = st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=4)
 # 1 puts every block in a chunk of its own; the default holds these graphs whole.
 chunk_floats = st.sampled_from([1, 8, 64, homophily._CHUNK_FLOATS])
 
 
 class TestBatchedTrials:
-    """The batched trial kernels remember trials equal to the per-node oracle
+    """The batched trial kernels hold trials equal to the per-node oracle
     bit for bit, however the candidates are chunked, and the bounds they
     return hold for the W1 penalties the attack computes."""
 
     @given(graph_cases, chunk_floats, move_lists)
     @settings(max_examples=60, deadline=None)
     def test_remembered_trials_equal_oracle(self, case, chunk, moves):
-        # Each batch after a move finds fresh trials and stale ones, and
-        # after begin_step trials of the step before.
+        # Each batch after a move is computed on the moved graph.
         seed, n, dim, p, ops = case
         g0, rng = draw_graph(seed, n, dim, p)
         for g in random_edit_script(g0, ops):
             pass
         state = StealthState(g.copy(), homophily_values(g))
         with mock.patch.object(homophily, "_CHUNK_FLOATS", chunk):
-            for is_edge, k, new_step in [*moves, (None, 0, False)]:
+            for is_edge, k in [*moves, (None, 0)]:
                 batch = batch_candidates(state.graph, rng)
                 state.edge_trials(batch[0])
                 state.feature_trials(*batch[1:])
                 assert_batch_remembered(state, *batch)
                 if is_edge is None:
                     break
-                if new_step:
-                    state.begin_step()
                 apply_move(state, is_edge, k)
 
     @pytest.mark.parametrize("chunk", [1, homophily._CHUNK_FLOATS])
@@ -526,6 +491,19 @@ class TestBatchedTrials:
             state.edge_trials([(0, 1), (1, 2)])
         assert not state.memo
 
+    def test_empty_batches_remember_nothing(self):
+        # No pairs, no rows, and rows equal to the nodes' own: empty or
+        # pad-only bounds, and no trial held.
+        g = generate_sbm(4, [10, 10], 0.3, 0.1, feature_dim=3, noise=0.3)
+        h = homophily_values(g)
+        state = StealthState(g, 1.5 * h, h)
+        assert state.dist > 0
+        assert len(state.edge_trials([])) == 0
+        assert len(state.feature_trials([], np.zeros((0, g.feature_dim)))) == 0
+        bounds = state.feature_trials([0, 3, 3], g.features[[0, 3, 3]])
+        assert np.array_equal(bounds, np.full(3, homophily._BOUND_PAD * state.dist))
+        assert not state.memo
+
     @given(graph_cases, move_lists)
     @settings(max_examples=60, deadline=None)
     def test_bounds_hold(self, case, moves):
@@ -534,7 +512,7 @@ class TestBatchedTrials:
         for g in random_edit_script(g0, ops):
             pass
         state = StealthState(g.copy(), homophily_values(g))
-        for is_edge, k, _ in moves:
+        for is_edge, k in moves:
             apply_move(state, is_edge, k)
         pairs, nodes, rows = batch_candidates(state.graph, rng)
         trials = [homophily_after_edge_removal(state, *key) for key in pairs]
