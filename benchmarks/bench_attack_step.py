@@ -8,10 +8,11 @@ n = 200, 1,600 and 6,400 nodes; candidates come from the highest-degree node,
 as the attack's targets do. The trials are timed as computed: every round
 starts with the state's held trials (``memo``) cleared.
 ``test_edge_trial`` and ``test_feature_trial`` are one candidate's trial,
-a batch of one. ``test_step_trials`` is the batched
-kernel over one step's candidates: the edges of the 1-hop subgraphs of 10
-targets on worker 0 of 4, or every nonzero feature entry of their nodes,
-negated.
+a batch of one: the hub's edge to its first neighbor, or its first feature
+entry negated. ``test_step_trials`` is the batched kernel over one step's
+candidates: the edges of the 1-hop subgraphs of 10 targets on worker 0 of
+4, or every nonzero feature entry of their nodes, negated, each as one
+move (node, dim, value).
 ``test_view_forward`` is one graph view's forward state for an epoch, over
 the union of its workers' batches: 8 nodes (one worker, as on the poisoned
 view) or 56 (seven workers of 8), passed as one batch, so without the
@@ -107,10 +108,9 @@ def test_edge_trial(benchmark, case):
 def test_feature_trial(benchmark, case):
     g, hub = case
     state = StealthState(g, homophily_values(g))
-    row = g.features[hub].copy()
-    row[0] = -row[0]
+    value = -float(g.features[hub, 0])
     benchmark.pedantic(homophily_after_feature_change,
-                       setup=_forgetting(state, lambda: (state, hub, row)), **TRIAL_ROUNDS)
+                       setup=_forgetting(state, lambda: (state, hub, 0, value)), **TRIAL_ROUNDS)
 
 
 @pytest.mark.parametrize("kind", ["edge", "feature"])
@@ -128,9 +128,7 @@ def test_step_trials(benchmark, case, kind):
     else:
         ids = np.unique(np.concatenate([sub.node_ids for sub in subs]))
         row, dim = np.nonzero(g.features[ids])
-        rows = g.features[ids[row]]
-        rows[np.arange(len(row)), dim] *= -1.0
-        trials, args = state.feature_trials, (ids[row], rows)
+        trials, args = state.feature_trials, (ids[row], dim, -g.features[ids[row], dim])
     benchmark.pedantic(trials, setup=_forgetting(state, lambda: args), rounds=50, warmup_rounds=5)
 
 

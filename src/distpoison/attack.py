@@ -411,7 +411,7 @@ class _DisttackRun:
         if self.flips_left > 0:
             # The feature candidates as one table: each node's gradient row
             # summed over the subgraphs holding it, in target order, then one
-            # row per entry a flip would change.
+            # move (node, dim, value) per entry a flip would change.
             ids, at = np.unique(
                 np.concatenate([sub.node_ids for sub in self.subgraphs]), return_inverse=True
             )
@@ -420,28 +420,23 @@ class _DisttackRun:
             row, dim = np.nonzero((merged != 0) & (g_cur.features[ids] != 0) & ~self.flipped[ids])
             node, grad = ids[row], merged[row, dim]
             sign = np.sign(grad).astype(np.int64)
+            value = flipped_value(g_cur.features[node, dim], sign)
             picks = min(cfg.flips_per_iter, self.flips_left)
             if st is not None:
-                # One candidate row per entry: the node's row with the entry flipped.
-                rows = g_cur.features[node]
-                entry = (np.arange(len(node)), dim)
-                rows[entry] = flipped_value(rows[entry], sign)
                 penalized, penalty = self._penalize(
-                    np.abs(grad), st.feature_trials(node, rows), picks,
-                    lambda c: homophily_after_feature_change(st, int(node[c]), rows[c]),
+                    np.abs(grad), st.feature_trials(node, dim, value), picks,
+                    lambda c: homophily_after_feature_change(
+                        st, int(node[c]), int(dim[c]), float(value[c])),
                 )
             else:
                 penalized, penalty = np.abs(grad), np.zeros(len(node))
             keep = np.flatnonzero(penalized > 0.0)
             order = keep[np.lexsort((dim[keep], node[keep], -penalized[keep]))]
             for k in order[:picks].tolist():
-                u, j, s = int(node[k]), int(dim[k]), int(sign[k])
+                u, j, s, new = int(node[k]), int(dim[k]), int(sign[k]), float(value[k])
                 old = float(g_cur.features[u, j])
-                new = flipped_value(old, s)
                 if st is not None:
-                    new_row = g_cur.features[u].copy()
-                    new_row[j] = new
-                    st.set_feature(u, j, new, homophily_after_feature_change(st, u, new_row))
+                    st.set_feature(u, j, new, homophily_after_feature_change(st, u, j, new))
                 else:
                     g_cur.set_feature(u, j, new)
                 pert.features_flipped.append(FeatureFlip(u, j, old, new, s, self.iteration))

@@ -214,19 +214,26 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> Graph:
         raise ConfigError(f"invalid dataset:\n  dataset.{exc.source}: {exc}") from exc
 
 
-def _check_training_pools(cfg: ExperimentConfig, g: Graph, part, seed: int) -> None:
+def _check_splits(cfg: ExperimentConfig, g: Graph, part, seed: int) -> None:
     """Raise ConfigError, before any attack or training, when a worker's
-    share of ``g`` holds no training node."""
-    owned = np.bincount(part.assignment[g.train_mask], minlength=part.n)
-    if owned.all():
-        return
-    errors = [f"workers: worker {int(np.argmin(owned))} of {part.n} owns no training node "
-              f"under seed {seed} ({int(owned.sum())} training nodes in all)"]
+    share of ``g`` holds no training node or ``g`` has no test node."""
     ds = _dataset(cfg)
-    if isinstance(ds, SBMDataset):
-        errors.append(f"dataset.train_frac: {ds.train_frac} leaves too few training nodes "
-                      f"for {part.n} workers")
-    raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+    sbm = isinstance(ds, SBMDataset)
+    errors = []
+    owned = np.bincount(part.assignment[g.train_mask], minlength=part.n)
+    if not owned.all():
+        errors.append(f"workers: worker {int(np.argmin(owned))} of {part.n} owns no training "
+                      f"node under seed {seed} ({int(owned.sum())} training nodes in all)")
+        if sbm:
+            errors.append(f"dataset.train_frac: {ds.train_frac} leaves too few training nodes "
+                          f"for {part.n} workers")
+    if not g.test_mask.any() and sbm:
+        errors.append(f"dataset.val_frac: {ds.val_frac} with train_frac {ds.train_frac} leaves "
+                      f"no test node in any block under seed {seed}")
+    elif not g.test_mask.any():
+        errors.append("dataset.splits: the test split is empty")
+    if errors:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
 
 
 def _init_params(cfg: ExperimentConfig, g: Graph, seed: int) -> ParamSet:
@@ -278,7 +285,7 @@ def run_single_seed(
     before any training."""
     g = build_dataset(cfg, seed)
     part = partition_nodes(g, cfg.workers, cfg.partition_strategy, seed=seed)
-    _check_training_pools(cfg, g, part, seed)
+    _check_splits(cfg, g, part, seed)
     params0 = _init_params(cfg, g, seed)
 
     attack_seconds = 0.0

@@ -18,10 +18,10 @@ per move kind computes a whole attack step's candidates together, in
 vectorized passes over chunks of a bounded size: an edge removal re-sums
 the rows of both endpoints' neighborhoods, with the endpoints re-weighted
 and each endpoint's row closed over the removed slot; a feature change
-re-sums only the changed columns of the slot holding the node. Trial
-vectors are bit-identical to recomputing each affected node from scratch
-on its own, with its neighbor rows summed in ascending neighbor order; the
-tests keep that per-node recompute as their oracle.
+(node, dim, value) re-sums only column dim of the slot holding the node.
+Trial vectors are bit-identical to recomputing each affected node from
+scratch on its own, with its neighbor rows summed in ascending neighbor
+order; the tests keep that per-node recompute as their oracle.
 
 The state holds the trials of its graph as it stands: a batch's trials are
 kept until the next applied move, which drops them all, so a trial asked
@@ -53,8 +53,8 @@ __all__ = [
 HISTOGRAM_BINS = 32
 
 # A chunk of trials gathers the neighbor rows of its blocks' nodes, one slot
-# per neighbor up to the block's largest degree; it takes at most this many
-# floats, unless one block alone takes more.
+# per neighbor up to the block's largest degree; it takes fewer than this
+# many floats plus those of its last block.
 _CHUNK_FLOATS = 1 << 16
 
 # Relative pad on a bound of how far a trial moves W1: far above the rounding
@@ -116,7 +116,8 @@ class StealthState:
 
     ``edge_trials`` and ``feature_trials`` compute the trials of many
     candidates at once and keep them in ``memo``, which maps each
-    candidate's key to its block's node ids and their recomputed entries;
+    candidate's move, ``(i, j)`` or ``(node, dim, value)``, to its block's
+    node ids and their recomputed entries;
     ``homophily_after_edge_removal`` and ``homophily_after_feature_change``
     answer one candidate, from ``memo`` or by a batch of one.
 
@@ -179,23 +180,24 @@ class StealthState:
         shifts = self._edge_kernel(ij[:, 0], ij[:, 1], pairs) if len(ij) else np.zeros(0)
         return self._bounds(shifts)
 
-    def feature_trials(self, nodes, rows) -> np.ndarray:
-        """Compute the trial of giving each node of ``nodes`` the matching
-        feature row of ``rows`` and keep it in ``memo`` under the key
-        ``(node, row.tobytes())``. A row equal to the node's own changes
-        nothing: it is not computed, and its shift is 0.
+    def feature_trials(self, nodes, dims, values) -> np.ndarray:
+        """Compute the trial of setting feature ``dims[k]`` of node
+        ``nodes[k]`` to ``values[k]``, for each k, and keep it in ``memo``
+        under the key ``(node, dim, value)``.
 
-        Returns, per candidate, a bound on ``|distance(trial) - dist|``.
+        Returns, per move, a bound on ``|distance(trial) - dist|``. A value
+        equal to the entry's own raises ``ValueError`` and leaves the state
+        as it was.
         """
         self._check()
-        nodes = np.asarray(nodes, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.float64).reshape(len(nodes), self.graph.feature_dim)
-        changed = rows != self.graph.features[nodes]
-        todo = np.flatnonzero(changed.any(axis=1))
-        keys = [(u, rows[k].tobytes()) for k, u in zip(todo.tolist(), nodes[todo].tolist())]
-        shifts = np.zeros(len(nodes))
-        if len(todo):
-            shifts[todo] = self._feature_kernel(nodes[todo], rows[todo], changed[todo], keys)
+        nodes, dims = np.asarray(nodes, dtype=np.int64), np.asarray(dims, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        same = values == self.graph.features[nodes, dims]
+        if same.any():
+            k = np.argmax(same)
+            raise ValueError(f"feature ({nodes[k]}, {dims[k]}) already holds {values[k]}")
+        keys = list(zip(nodes.tolist(), dims.tolist(), values.tolist()))
+        shifts = self._feature_kernel(nodes, dims, values, keys) if len(keys) else np.zeros(0)
         return self._bounds(shifts)
 
     def _bounds(self, shifts: np.ndarray) -> np.ndarray:
@@ -259,15 +261,14 @@ class StealthState:
             h[rows_at] = _homophily(_slot_sums(rows, counts, pairwise), counts, self.own_sq[v])
         return self._remember(keys, nodes, h, first)
 
-    def _feature_kernel(self, u: np.ndarray, new_rows: np.ndarray, changed: np.ndarray,
+    def _feature_kernel(self, u: np.ndarray, dims: np.ndarray, values: np.ndarray,
                         keys) -> np.ndarray:
-        """Keep the trials of giving node u[k] the row new_rows[k], whose
-        columns ``changed[k]`` differ from its own, under ``keys``; return
-        their shifts.
+        """Keep the trials of setting feature dims[k] of node u[k] to
+        values[k] under ``keys``; return their shifts.
 
         A block holds the node, then its neighbors. The node's own norm
-        changes; in each neighbor's row only the changed columns of the slot
-        holding the node change, so only those columns are summed anew, and
+        changes; in each neighbor's row only column dims[k] of the slot
+        holding the node changes, so only that column is summed anew, and
         the others keep the sums of the current graph.
         """
         g = self.graph
@@ -279,7 +280,9 @@ class StealthState:
         nodes[head], nodes[~head] = u, nbrs
         owner = np.repeat(np.arange(len(u)), deg + 1)
         own_sq = self.own_sq[nodes]
-        own_sq[first] = (new_rows**2).sum(axis=1)
+        sq = g.features[u] ** 2
+        sq[np.arange(len(u)), dims] = values**2
+        own_sq[first] = sq.sum(axis=1)
         pairwise = g.feature_dim == 1
         h = np.empty(len(nodes))
         for rows_at in self._chunks(nodes, first):
@@ -289,31 +292,27 @@ class StealthState:
             counts, ids = self._slots(distinct)
             rows = np.take(self.rows, ids, axis=0)
             agg = _slot_sums(rows, counts, pairwise)[at]
-            r, col = np.nonzero(changed[o] & ~head[rows_at, None])
+            r = np.flatnonzero(~head[rows_at])
             if len(r):
-                held = u[o[r]]
+                held, col = u[o[r]], dims[o[r]]
                 x = rows[at[r], :, col]
                 p, s = np.nonzero(ids[at[r]] == held[:, None])
-                x[p, s] = (new_rows[o[r], col] * self.weights[held])[p]
+                x[p, s] = (values[o[r]] * self.weights[held])[p]
                 agg[r, col] = _slot_sums(x, counts[at[r]], pairwise)
             h[rows_at] = _homophily(agg, counts[at], own_sq[rows_at])
         return self._remember(keys, nodes, h, first)
 
     def _chunks(self, nodes: np.ndarray, first: np.ndarray):
-        """Slices of whole blocks (block k starts at ``first[k]``) whose
-        gathered neighbor rows take at most ``_CHUNK_FLOATS`` floats, or one
-        block that alone takes more."""
+        """Slices of whole blocks (block k starts at ``first[k]``), cut where
+        the floats gathered before a block cross a multiple of
+        ``_CHUNK_FLOATS``: a chunk takes fewer than that plus its last block's."""
         degrees = self.graph.degrees(nodes)
         cost = np.diff(first, append=len(nodes)) * np.maximum.reduceat(degrees, first)
         cost *= self.graph.feature_dim
-        start, total = 0, 0
-        for k, x in enumerate(cost.tolist()):
-            if total and total + x > _CHUNK_FLOATS:
-                yield slice(first[start], first[k])
-                start, total = k, 0
-            total += x
-        if len(first):
-            yield slice(first[start], len(nodes))
+        chunk = (np.cumsum(cost) - cost) // _CHUNK_FLOATS
+        starts = first[np.flatnonzero(np.diff(chunk, prepend=-1))].tolist()
+        for a, b in zip(starts, [*starts[1:], len(nodes)]):
+            yield slice(a, b)
 
     def _remember(self, keys, nodes: np.ndarray, h: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Keep the trial of each key, whose block is ``nodes`` from
@@ -410,21 +409,19 @@ def homophily_after_edge_removal(state: StealthState, i: int, j: int) -> np.ndar
 
 
 def homophily_after_feature_change(
-    state: StealthState, node: int, new_row: np.ndarray
+    state: StealthState, node: int, dim: int, value: float
 ) -> np.ndarray:
-    """Homophily vector of the state's graph with node's feature row replaced.
+    """Homophily vector of the state's graph with feature ``dim`` of
+    ``node`` set to ``value``.
 
-    The trial is read from ``state.memo``, or computed and kept there under
-    ``(node, new_row.tobytes())``. A row equal to the node's own changes
-    nothing and is answered with a copy of ``state.values``.
+    Only the node and its neighbors change. The trial is read from
+    ``state.memo``, or computed and kept there under ``(node, dim, value)``;
+    a value equal to the entry's own raises ``ValueError``.
     """
     state._check()
-    new_row = np.asarray(new_row, dtype=np.float64)
-    key = (node, new_row.tobytes())
+    key = (node, dim, value)
     if key not in state.memo:
-        if np.array_equal(state.graph.features[node], new_row):
-            return state.values.copy()
-        state.feature_trials([node], new_row[None])
+        state.feature_trials([node], [dim], [value])
     return state.recall(key)
 
 

@@ -37,22 +37,34 @@ def load_edge_list(path) -> list[tuple[int, int]]:
 
 
 def load_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (features, labels) of a CSV whose header is
+    ``node_id,f0..f{d-1},label`` with d >= 1 and whose every row holds one
+    cell per header column; errors in a row name ``path:line``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if header[:1] != ["node_id"] or header[-1:] != ["label"]:
+        if header[:1] != ["node_id"] or header[-1:] != ["label"] or len(header) < 3:
             raise ValueError(
-                f"{path}: header must be node_id,f0..f{{d-1}},label, got {header}"
+                f"{path}: header must be node_id,f0..f{{d-1}},label with at least one "
+                f"feature column, got {header}"
             )
         dim = len(header) - 2
         rows = {}
         for rec in reader:
             if not rec:
                 continue
-            node = int(rec[0])
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} cells (node_id, {dim} "
+                                 f"features, label), got {len(rec)}")
+            try:
+                node, label = int(rec[0]), int(rec[-1])
+                feat = np.array(rec[1:-1], dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             if node in rows:
-                raise ValueError(f"{path}: duplicate node_id {node}")
-            rows[node] = (np.array(rec[1:-1], dtype=np.float64), int(rec[-1]))
+                raise ValueError(f"{where}: duplicate node_id {node}")
+            rows[node] = (feat, label)
     n = len(rows)
     if sorted(rows) != list(range(n)):
         raise ValueError(f"{path}: node ids must cover 0..{n - 1} exactly")

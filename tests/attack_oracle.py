@@ -127,9 +127,8 @@ def run_disttack(
                     score = abs(grow[dim])
                     penalty = 0.0
                     if use_homo:
-                        new_row = g_cur.features[node].copy()
-                        new_row[dim] = flipped_value(new_row[dim], sign)
-                        h_trial = homophily_after_feature_change(st, node, new_row)
+                        new = flipped_value(float(g_cur.features[node, dim]), sign)
+                        h_trial = homophily_after_feature_change(st, node, dim, new)
                         penalty = cfg.lambda_homo * (st.distance(h_trial) - base_dist)
                     cands.append((score - penalty, node, dim, sign, penalty))
             cands = [c for c in cands if c[0] > 0.0]
@@ -138,9 +137,7 @@ def run_disttack(
                 old = float(g_cur.features[node, dim])
                 new = flipped_value(old, sign)
                 if use_homo:
-                    new_row = g_cur.features[node].copy()
-                    new_row[dim] = new
-                    h_new = homophily_after_feature_change(st, node, new_row)
+                    h_new = homophily_after_feature_change(st, node, dim, new)
                     base_dist = st.distance(h_new)
                     st.set_feature(node, dim, new, h_new)
                 else:

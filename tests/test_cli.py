@@ -430,6 +430,20 @@ def test_empty_training_pool_rejected_before_training(tmp_path, capsys, monkeypa
     assert "dataset.train_frac: " in err
 
 
+def test_empty_test_split_rejected_before_training(tmp_path, capsys, monkeypatch):
+    # Blocks of 3 round 0.3 and 0.6 of each to 1 training and 2 validation
+    # nodes, which leaves no test node.
+    for name in ("build_attack", "train_distributed"):
+        monkeypatch.setattr(f"distpoison.experiment.{name}", _no_training)
+    dataset = {"kind": "sbm", "block_sizes": [3, 3], "p_intra": 0.5, "p_inter": 0.1,
+               "feature_dim": 2, "noise": 0.3, "val_frac": 0.6}
+    cfg = write_config(tmp_path, dataset=dataset)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "dataset.val_frac: 0.6 with train_frac 0.3 leaves no test node" in (
+        capsys.readouterr().err
+    )
+
+
 def write_files_dataset(tmp_path):
     """A 12-node two-class ring as the three dataset files."""
     n = 12
@@ -479,6 +493,15 @@ def test_files_dataset_negative_label_fails_before_training(tmp_path, capsys, mo
          "dataset.features: node 5 has non-finite feature nan in column 1"),
         ("nodes.csv", "\n5,0.0,1.0,1\n", "\n5,-inf,1.0,1\n",
          "dataset.features: node 5 has non-finite feature -inf in column 0"),
+        ("nodes.csv", "\n5,0.0,1.0,1\n", "\n5,0.0,1\n",
+         "nodes.csv:7: expected 4 cells (node_id, 2 features, label), got 3"),
+        ("nodes.csv", "\n5,0.0,1.0,1\n", "\n5,0.0,1.0,2.0,1\n",
+         "nodes.csv:7: expected 4 cells (node_id, 2 features, label), got 5"),
+        ("nodes.csv", "\n5,0.0,1.0,1\n", "\n5,0.0,x,1\n",
+         "nodes.csv:7: could not convert string to float: 'x'"),
+        ("nodes.csv", "node_id,f0,f1,label\n", "node_id,label\n",
+         "with at least one feature column"),
+        ("splits.json", "[10, 11]", "[]", "dataset.splits: the test split is empty"),
     ],
 )
 def test_files_dataset_bad_content_exits_two(tmp_path, capsys, name, old, new, message):

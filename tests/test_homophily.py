@@ -24,6 +24,14 @@ def graph_with_features(num_nodes, edges, feats):
     return build_graph(edges, np.asarray(feats, dtype=float), np.zeros(num_nodes, dtype=np.int64))
 
 
+def oracle_feature_change(g, values, node, dim, value):
+    """The oracle's trial of setting feature ``dim`` of ``node`` to
+    ``value``: it takes the whole row that move makes."""
+    row = g.features[node].copy()
+    row[dim] = value
+    return oracle.homophily_after_feature_change(g, values, node, row)
+
+
 class TestNodeHomophily:
     def test_isolated_node(self):
         g = graph_with_features(3, [(1, 2)], [[3.0, 4.0], [1.0, 0.0], [0.0, 1.0]])
@@ -106,10 +114,10 @@ class TestIncrementalUpdates:
         g = generate_sbm(seed, [10, 10], 0.3, 0.1, feature_dim=4, noise=0.3)
         h = homophily_values(g)
         rng = np.random.default_rng(seed)
-        node = int(rng.integers(g.num_nodes))
-        new_row = rng.standard_normal(g.feature_dim)
-        predicted = homophily_after_feature_change(StealthState(g, h), node, new_row)
-        g.features[node] = new_row
+        node, dim = int(rng.integers(g.num_nodes)), int(rng.integers(g.feature_dim))
+        value = float(rng.standard_normal())
+        predicted = homophily_after_feature_change(StealthState(g, h), node, dim, value)
+        g.features[node, dim] = value
         np.testing.assert_allclose(predicted, homophily_values(g), rtol=1e-10)
 
 
@@ -140,11 +148,11 @@ def assert_trials_match_oracle(state, rng):
                 oracle.homophily_after_edge_removal(g, h, a, b),
             )
     for node in range(g.num_nodes):
-        row = g.features[node].copy()
-        row[rng.integers(g.feature_dim)] *= -3.0
+        dim = int(rng.integers(g.feature_dim))
+        value = -3.0 * g.features[node, dim]
         assert np.array_equal(
-            homophily_after_feature_change(state, node, row),
-            oracle.homophily_after_feature_change(g, h, node, row),
+            homophily_after_feature_change(state, node, dim, value),
+            oracle_feature_change(g, h, node, dim, value),
         )
 
 
@@ -163,7 +171,7 @@ class TestTrialsMatchOracle:
             for st in states:
                 if st.stale:
                     with pytest.raises(StaleStateError):
-                        homophily_after_feature_change(st, 0, st.graph.features[0] + 1.0)
+                        homophily_after_feature_change(st, 0, 0, st.graph.features[0, 0] + 1.0)
                     with pytest.raises(StaleStateError):
                         homophily_after_edge_removal(st, 0, 1)
                 else:
@@ -177,7 +185,7 @@ class TestTrialsMatchOracle:
         g.set_feature(2, 1, -g.features[2, 1])
         assert st.stale
         with pytest.raises(StaleStateError):
-            homophily_after_feature_change(st, 2, g.features[2])
+            homophily_after_feature_change(st, 2, 1, 3.0 * g.features[2, 1])
         assert_trials_match_oracle(StealthState(g, homophily_values(g)), rng)
 
     @given(graph_cases, st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=8))
@@ -199,10 +207,9 @@ class TestTrialsMatchOracle:
                 state.remove_edge(i, j, homophily_after_edge_removal(state, i, j))
             else:
                 node, d = k % n, k % dim
-                row = g_run.features[node].copy()
-                row[d] = -3.0 * row[d]
-                trial = homophily_after_feature_change(state, node, row)
-                state.set_feature(node, d, row[d], trial)
+                value = -3.0 * g_run.features[node, d]
+                trial = homophily_after_feature_change(state, node, d, value)
+                state.set_feature(node, d, value, trial)
             assert not state.stale
             fresh = StealthState(g_run, state.values, h)
             for name in ("weights", "rows", "own_sq", "dist"):
@@ -224,20 +231,17 @@ class TestTrialsMatchOracle:
         v = int(g.neighbors(u)[0])
 
         def check(node):
-            row = -2.0 * g.features[node]
-            got = homophily_after_feature_change(state, node, row)
+            value = -2.0 * g.features[node, dim - 1]
+            got = homophily_after_feature_change(state, node, dim - 1, value)
             assert np.array_equal(
-                got, oracle.homophily_after_feature_change(g, state.values, node, row)
+                got, oracle_feature_change(g, state.values, node, dim - 1, value)
             )
 
         check(u)
-        row = g.features[u].copy()
-        row[0] = -3.0 * row[0]
-        state.set_feature(u, 0, row[0], homophily_after_feature_change(state, u, row))
+        value = -3.0 * g.features[u, 0]
+        state.set_feature(u, 0, value, homophily_after_feature_change(state, u, 0, value))
         check(u)
-        row = g.features[v].copy()
-        row[0] = 5.0
-        state.set_feature(v, 0, 5.0, homophily_after_feature_change(state, v, row))
+        state.set_feature(v, 0, 5.0, homophily_after_feature_change(state, v, 0, 5.0))
         check(u)
         state.remove_edge(u, v, homophily_after_edge_removal(state, u, v))
         check(u)
@@ -265,10 +269,10 @@ class TestTrialsMatchOracle:
                 oracle.homophily_after_edge_removal(g, h, i, j),
             )
         for node in (0, 5):
-            row = -g.features[node]
+            value = -g.features[node, dim - 1]
             assert np.array_equal(
-                homophily_after_feature_change(state, node, row),
-                oracle.homophily_after_feature_change(g, h, node, row),
+                homophily_after_feature_change(state, node, dim - 1, value),
+                oracle_feature_change(g, h, node, dim - 1, value),
             )
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -303,27 +307,26 @@ def flip_candidates(g):
     """Every edge removal, both ways round, and one sign-rule flip of every
     feature entry (negated or tripled), as the attack asks for them."""
     edges = [("edge", int(a), int(b)) for i, j in g.edge_array() for a, b in ((i, j), (j, i))]
-    flips = []
-    for node in range(g.num_nodes):
-        for dim in range(g.feature_dim):
-            row = g.features[node].copy()
-            row[dim] *= -1.0 if (node + dim) % 2 else 3.0
-            flips.append(("feature", node, row))
+    flips = [
+        ("feature", node, dim, g.features[node, dim] * (-1.0 if (node + dim) % 2 else 3.0))
+        for node in range(g.num_nodes)
+        for dim in range(g.feature_dim)
+    ]
     return edges + flips
 
 
 def ask(state, cand):
-    kind, a, b = cand
+    kind, *move = cand
     if kind == "edge":
-        return homophily_after_edge_removal(state, a, b)
-    return homophily_after_feature_change(state, a, b)
+        return homophily_after_edge_removal(state, *move)
+    return homophily_after_feature_change(state, *move)
 
 
 def ask_oracle(g, values, cand):
-    kind, a, b = cand
+    kind, *move = cand
     if kind == "edge":
-        return oracle.homophily_after_edge_removal(g, values, a, b)
-    return oracle.homophily_after_feature_change(g, values, a, b)
+        return oracle.homophily_after_edge_removal(g, values, *move)
+    return oracle_feature_change(g, values, *move)
 
 
 @pytest.fixture
@@ -365,9 +368,9 @@ class TestRememberedTrials:
                 state.remove_edge(i, j, homophily_after_edge_removal(state, i, j))
             else:
                 node, d = k % n, k % dim
-                row = g.features[node].copy()
-                row[d] = -3.0 * row[d]
-                state.set_feature(node, d, row[d], homophily_after_feature_change(state, node, row))
+                value = -3.0 * g.features[node, d]
+                state.set_feature(node, d, value,
+                                  homophily_after_feature_change(state, node, d, value))
 
     @pytest.mark.parametrize("move", ["edge", "feature"])
     def test_move_leaves_no_trial_behind(self, recomputes, move):
@@ -386,9 +389,7 @@ class TestRememberedTrials:
             state.remove_edge(u, v, homophily_after_edge_removal(state, u, v))
             cands = [c for c in cands if c[0] == "feature" or {c[1], c[2]} != {u, v}]
         else:
-            row = g.features[u].copy()
-            row[0] = 5.0
-            state.set_feature(u, 0, 5.0, homophily_after_feature_change(state, u, row))
+            state.set_feature(u, 0, 5.0, homophily_after_feature_change(state, u, 0, 5.0))
         assert not state.memo
         before = recomputes[0]
         for cand in cands:
@@ -397,36 +398,32 @@ class TestRememberedTrials:
 
 
 def batch_candidates(g, rng):
-    """Every edge removal both ways round, and per node a row with one entry
-    flipped and the row times -2 (a zero row stays equal to its own), as
+    """Every edge removal both ways round, and per node two entry moves, one
+    by the sign rule (negated or tripled) and one to a fresh draw, as
     ``edge_trials`` and ``feature_trials`` take them."""
     pairs = [(int(a), int(b)) for i, j in g.edge_array() for a, b in ((i, j), (j, i))]
-    rows = []
-    for node in range(g.num_nodes):
-        row = g.features[node].copy()
-        row[rng.integers(g.feature_dim)] *= -1.0 if rng.random() < 0.5 else 3.0
-        rows += [row, -2.0 * g.features[node]]
-    return pairs, np.repeat(np.arange(g.num_nodes), 2), np.array(rows)
+    nodes = np.repeat(np.arange(g.num_nodes), 2)
+    dims = rng.integers(g.feature_dim, size=len(nodes))
+    values = g.features[nodes, dims] * np.where(rng.random(len(nodes)) < 0.5, -1.0, 3.0)
+    values[1::2] = rng.standard_normal(g.num_nodes)
+    return pairs, nodes, dims, values
 
 
 def oracle_of(state, key):
-    """The oracle's trial vector for a memo key."""
-    a, b = key
-    if isinstance(b, bytes):
-        return oracle.homophily_after_feature_change(state.graph, state.values, a, np.frombuffer(b))
-    return oracle.homophily_after_edge_removal(state.graph, state.values, a, b)
+    """The oracle's trial vector for a memo key: a feature move
+    ``(node, dim, value)`` or an edge removal ``(i, j)``."""
+    if len(key) == 3:
+        return oracle_feature_change(state.graph, state.values, *key)
+    return oracle.homophily_after_edge_removal(state.graph, state.values, *key)
 
 
-def assert_batch_remembered(state, pairs, nodes, rows):
+def assert_batch_remembered(state, pairs, nodes, dims, values):
     """Every trial the state holds equals the oracle's, and every candidate
-    of the batch is held unless its row equals the node's own."""
+    of the batch is held."""
     for key in state.memo:
         assert np.array_equal(state.recall(key), oracle_of(state, key)), key
-    for key in pairs:
+    for key in [*pairs, *zip(nodes.tolist(), dims.tolist(), values.tolist())]:
         assert state.recall(key) is not None
-    for node, row in zip(nodes.tolist(), rows):
-        same = np.array_equal(state.graph.features[node], row)
-        assert (state.recall((node, row.tobytes())) is None) == same
 
 
 def apply_move(state, is_edge, k):
@@ -436,13 +433,13 @@ def apply_move(state, is_edge, k):
         state.remove_edge(i, j, homophily_after_edge_removal(state, i, j))
     else:
         node, d = k % g.num_nodes, k % g.feature_dim
-        row = g.features[node].copy()
-        row[d] = -3.0 * row[d]
-        state.set_feature(node, d, row[d], homophily_after_feature_change(state, node, row))
+        value = -3.0 * g.features[node, d]
+        state.set_feature(node, d, value, homophily_after_feature_change(state, node, d, value))
 
 
 move_lists = st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=4)
-# 1 puts every block in a chunk of its own; the default holds these graphs whole.
+# 1 puts every block that gathers a row in a chunk of its own; the default
+# holds these graphs whole.
 chunk_floats = st.sampled_from([1, 8, 64, homophily._CHUNK_FLOATS])
 
 
@@ -484,6 +481,26 @@ class TestBatchedTrials:
             state.feature_trials(*batch[1:])
         assert_batch_remembered(state, *batch)
 
+    @pytest.mark.parametrize("chunk", [1, 8, 64, homophily._CHUNK_FLOATS])
+    def test_chunks_are_whole_blocks_within_bound(self, chunk):
+        # Chunks run over the blocks in order, and each gathers fewer than
+        # _CHUNK_FLOATS floats plus those of its last block.
+        g = generate_sbm(4, [20, 20], 0.3, 0.1, feature_dim=3, noise=0.3)
+        state = StealthState(g, homophily_values(g))
+        rng = np.random.default_rng(0)
+        sizes = rng.integers(1, 5, size=30)
+        first = np.cumsum(sizes) - sizes
+        nodes = rng.integers(g.num_nodes, size=sizes.sum())
+        cost = [n * g.degrees(nodes[a : a + n]).max() * 3 for a, n in zip(first, sizes)]
+        with mock.patch.object(homophily, "_CHUNK_FLOATS", chunk):
+            chunks = list(state._chunks(nodes, first))
+        assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+        assert chunks[0].start == 0 and chunks[-1].stop == len(nodes)
+        for c in chunks:
+            blocks = np.flatnonzero((first >= c.start) & (first < c.stop))
+            assert first[blocks[0]] == c.start
+            assert sum(cost[k] for k in blocks) < chunk + cost[blocks[-1]]
+
     def test_missing_edge_in_batch_remembers_nothing(self):
         g = graph_with_features(3, [(0, 1)], np.eye(3))
         state = StealthState(g, homophily_values(g))
@@ -492,16 +509,16 @@ class TestBatchedTrials:
         assert not state.memo
 
     def test_empty_batches_remember_nothing(self):
-        # No pairs, no rows, and rows equal to the nodes' own: empty or
-        # pad-only bounds, and no trial held.
+        # No pairs and no moves give empty bounds; a move to the entry's own
+        # value raises, alone or in a batch, and no trial is held.
         g = generate_sbm(4, [10, 10], 0.3, 0.1, feature_dim=3, noise=0.3)
-        h = homophily_values(g)
-        state = StealthState(g, 1.5 * h, h)
-        assert state.dist > 0
+        state = StealthState(g, homophily_values(g))
         assert len(state.edge_trials([])) == 0
-        assert len(state.feature_trials([], np.zeros((0, g.feature_dim)))) == 0
-        bounds = state.feature_trials([0, 3, 3], g.features[[0, 3, 3]])
-        assert np.array_equal(bounds, np.full(3, homophily._BOUND_PAD * state.dist))
+        assert len(state.feature_trials([], [], [])) == 0
+        with pytest.raises(ValueError, match=r"feature \(3, 2\) already holds"):
+            state.feature_trials([0, 3], [1, 2], [g.features[0, 1] + 1.0, g.features[3, 2]])
+        with pytest.raises(ValueError, match=r"feature \(0, 1\) already holds"):
+            homophily_after_feature_change(state, 0, 1, float(g.features[0, 1]))
         assert not state.memo
 
     @given(graph_cases, move_lists)
@@ -514,10 +531,13 @@ class TestBatchedTrials:
         state = StealthState(g.copy(), homophily_values(g))
         for is_edge, k in moves:
             apply_move(state, is_edge, k)
-        pairs, nodes, rows = batch_candidates(state.graph, rng)
+        pairs, nodes, dims, values = batch_candidates(state.graph, rng)
+        moves = zip(nodes.tolist(), dims.tolist(), values.tolist())
         trials = [homophily_after_edge_removal(state, *key) for key in pairs]
-        trials += [homophily_after_feature_change(state, u, row) for u, row in zip(nodes, rows)]
-        bounds = np.concatenate([state.edge_trials(pairs), state.feature_trials(nodes, rows)])
+        trials += [homophily_after_feature_change(state, *move) for move in moves]
+        bounds = np.concatenate(
+            [state.edge_trials(pairs), state.feature_trials(nodes, dims, values)]
+        )
         for lam in (0.3, 1.0, 5.0):
             for trial, bound in zip(trials, bounds.tolist()):
                 assert abs(lam * (state.distance(trial) - state.dist)) <= lam * bound
