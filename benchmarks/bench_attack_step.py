@@ -13,16 +13,10 @@ entry negated. ``test_step_trials`` is the batched kernel over one step's
 candidates: the edges of the 1-hop subgraphs of 10 targets on worker 0 of
 4, or every nonzero feature entry of their nodes, negated, each as one
 move (node, dim, value).
-``test_view_forward`` is one graph view's forward state for an epoch, over
-the union of its workers' batches: 8 nodes (one worker, as on the poisoned
-view) or 56 (seven workers of 8), passed as one batch, so without the
-other batches' gathers.
-``test_worker_backward`` is one victim worker's pass: an 8-node batch
-against a state built for seven batches of 8, whose gathers it reads.
-``test_view_epoch`` is what a victim epoch spends on the clean view: that
-state, gathers included, and all seven passes; a change that moves work
-between the state and the passes shows there. At n = 1,600 and 6,400 the
-passes take the receptive-field (limited) products.
+``test_view_epoch`` is what a victim epoch spends on the clean view's seven
+batches of 8: one ``sweep`` over them at n = 1,600 and 6,400, and at
+n = 200, below the sweep's threshold, one full forward state and seven
+reverse passes.
 ``test_surrogate_fit`` is one 40-epoch surrogate fit on the training nodes,
 as each attack iteration runs; it takes full products at every size.
 ``test_generate_sbm`` draws the fixture's graph from its seed.
@@ -50,7 +44,7 @@ from distpoison.attack import (
     select_targets,
     train_surrogate,
 )
-from distpoison.gnn import ParamSet, backward, forward_state
+from distpoison.gnn import ParamSet, backward, forward_state, sweep
 from distpoison.graph import generate_sbm, normalize_adjacency, partition_nodes, sample_1hop
 from distpoison.homophily import (
     StealthState,
@@ -172,40 +166,18 @@ def test_generate_sbm(benchmark, case):
     benchmark(generate_sbm, *_sbm_args(g.num_nodes))
 
 
-def _victim_setup(g):
+def test_view_epoch(benchmark, case):
+    g, _ = case
     adj = normalize_adjacency(g)
     params = ParamSet.init_gcn(g.feature_dim, 16, g.num_classes, seed=0)
     rng = np.random.default_rng(0)
-    union = rng.choice(np.flatnonzero(g.train_mask), size=56, replace=False)
-    return adj, params, union
-
-
-@pytest.mark.parametrize("union_size", [8, 56])
-def test_view_forward(benchmark, case, union_size):
-    g, _ = case
-    adj, params, union = _victim_setup(g)
-    benchmark(forward_state, params, adj, g.features, [union[:union_size]])
-
-
-def test_worker_backward(benchmark, case):
-    g, _ = case
-    adj, params, union = _victim_setup(g)
-    batches = [union[i : i + 8] for i in range(0, len(union), 8)]
-    state = forward_state(params, adj, g.features, batches)
-    benchmark(
-        backward, params, adj, g.features, g.labels, batches[0], state=state, assume_unique=True
-    )
-
-
-def test_view_epoch(benchmark, case):
-    g, _ = case
-    adj, params, union = _victim_setup(g)
-    batches = [union[i : i + 8] for i in range(0, len(union), 8)]
+    batches = list(rng.choice(np.flatnonzero(g.train_mask), size=(7, 8), replace=False))
 
     def epoch():
-        state = forward_state(params, adj, g.features, batches)
-        for batch in batches:
-            backward(params, adj, g.features, g.labels, batch, state=state, assume_unique=True)
+        if sweep(params, adj, g.features, g.labels, batches) is None:
+            state = forward_state(params, adj, g.features)
+            for batch in batches:
+                backward(params, adj, g.features, g.labels, batch, state=state, assume_unique=True)
 
     benchmark(epoch)
 

@@ -8,17 +8,14 @@ global update. Poisoning is data poisoning: the designated worker sees a
 perturbed graph view, and everything downstream of that view is honest
 computation.
 
-Workers run one after another. Those that see the same graph view in an
-epoch share one forward state under that epoch's weights, taken over the
-union of their batches and built for those batches; each worker's reverse
-pass is its own. On large graphs neither computes an n-row dense array: one
-field search over the view's batches gives the forward state its fields
-(the logits on the union, the hidden layer one hop from it, ``X W0`` two
-hops from it) and every batch its gathers (see ``gnn.forward_state``); a
-reverse pass reads its batch's gathers and only the rows its batch reaches
-in one and two hops, so it neither gathers from A nor sorts (see
-``gnn.backward``). A batch is drawn without replacement, so its pass skips
-the repeat check. Results are bit-reproducible for a fixed (graph,
+Workers run one after another. The batches of the workers that see the same
+graph view in an epoch are swept together under that epoch's weights (see
+``gnn.sweep``): on a large graph, one field search over the view's batches
+and one product per hop, each over every batch's block of A at once, give
+every worker's gradients, and no n-row dense array is computed. Otherwise the
+view's workers share one full forward state and each takes its own reverse
+pass (``gnn.backward``). A batch is drawn without replacement, so its pass
+skips the repeat check. Results are bit-reproducible for a fixed (graph,
 partition, seed, config): batches come from per-worker RNG streams and the
 reduction order is fixed by worker index.
 """
@@ -26,12 +23,22 @@ reduction order is fixed by worker index.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from distpoison.gnn import GradientBundle, ParamSet, backward, forward_state, sgd_step
+from distpoison.gnn import (
+    ForwardState,
+    GradientBundle,
+    ParamSet,
+    _check_finite,
+    backward,
+    forward_state,
+    sgd_step,
+    sweep,
+)
 from distpoison.graph import Graph, Partition, normalize_adjacency
 
 __all__ = [
@@ -132,17 +139,26 @@ def train_distributed(
     records: list[SyncRecord] = []
 
     on_view = [[st for st in states if view_of[st.worker_id] == v] for v in range(len(views))]
+    slot = {st.worker_id: b for sts in on_view for b, st in enumerate(sts)}
 
     def worker_pass(st: WorkerState, fwd: list) -> GradientBundle:
-        # fwd holds this epoch's forward state per view, built for that
-        # view's batches by the first worker that needs it, so a failure
-        # still names that worker.
+        # fwd holds this epoch's work per view, done by the first worker that
+        # needs it: every batch's bundle from one sweep, or one full forward
+        # state. A swept bundle is checked at its own worker's turn, so a
+        # failure names the first worker, in worker order, whose gradients
+        # are not finite.
         v = view_of[st.worker_id]
         adj, X = views[v]
         try:
             if fwd[v] is None:
-                fwd[v] = forward_state(params, adj, X, [s.batch for s in on_view[v]])
-            return backward(params, adj, X, labels, st.batch, state=fwd[v], assume_unique=True)
+                fwd[v] = (sweep(params, adj, X, labels, [s.batch for s in on_view[v]])
+                          or forward_state(params, adj, X))
+            if isinstance(fwd[v], ForwardState):
+                return backward(params, adj, X, labels, st.batch, state=fwd[v], assume_unique=True)
+            bundle = fwd[v][slot[st.worker_id]]
+            if not math.isfinite(bundle.l2_norm):  # a gradient, or only its square, is not finite
+                _check_finite("backward gradients", *bundle.weight_grads())
+            return bundle
         except FloatingPointError as exc:
             raise TrainingError(
                 f"worker {st.worker_id} produced non-finite gradients "

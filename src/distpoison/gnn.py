@@ -8,14 +8,18 @@ for each existing undirected adjacency entry -- the latter chained through
 the symmetric degree normalization, degree terms included, so that removing
 an edge is differentiated faithfully.
 
+``forward_state`` and ``backward`` hold every intermediate on all n rows and
+take full products. ``sweep`` gives many batches' weight gradients at once,
+one training epoch on one graph view: on a large graph it multiplies only
+the rows each batch reaches, with each batch's blocks of A laid along the
+diagonal of one matrix per hop, and its gradients equal ``backward``'s.
+
 All math is float64. ReLU's subgradient at 0 is taken as 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from distpoison.graph import CSR, NormalizedAdjacency, matvecs, sparsetools
@@ -30,6 +34,7 @@ __all__ = [
     "masked_ce_loss",
     "attack_loss",
     "backward",
+    "sweep",
     "sgd_step",
     "fit_gcn",
     "check_gradients",
@@ -138,37 +143,26 @@ def _check_finite(name: str, *arrays) -> None:
             raise NumericalError(f"non-finite values encountered in {name}")
 
 
-# A product with A is limited to the rows it gathers once A holds at least
-# _LIMITED_MIN_NNZ entries and those rows hold at most 1/_LIMITED_SHARE of
-# them; on smaller or more fully reached matrices the gather costs more than
-# the full product. The threshold lies between the largest measured graph
-# on which full products were faster and the smallest on which limited ones
-# were. Median epoch of train_distributed with the limited products forced
-# against kept full (degree 6.4, 8 workers, batches of 8, two views, 4 seeds
-# x 6 alternating rounds, 2-core x86, one BLAS thread):
-#   n =   400 (nnz  3,024): 2.21 against 1.88 ms, limited faster in  0 of 24
-#   n =   600 (nnz  4,406): 2.37 against 2.18 ms, limited faster in  8 of 24
-#   n =   800 (nnz  6,010): 2.04 against 2.70 ms, limited faster in 23 of 24
-#   n = 1,200 (nnz  9,050): 2.57 against 3.99 ms, limited faster in 24 of 24
-#   n = 1,600 (nnz 11,932): 2.40 against 4.39 ms, limited faster in 24 of 24
-# A share of 4 against 8, both limited, was faster in 14, 7 and 19 of 24
-# runs at n = 800, 1,600 and 3,200: no consistent gain, so 8 stays.
+# A view's batches are swept (see ``sweep``) once A holds at least
+# _LIMITED_MIN_NNZ entries and each batch's rows at each hop hold at most
+# 1/_LIMITED_SHARE of them; on smaller or more fully reached matrices the
+# field search costs more than the full products. The threshold lies
+# between the largest measured graph on which full products were as fast
+# and the smallest on which the sweep was faster. Median epoch of
+# train_distributed with the sweep allowed at any size against never
+# (degree 6.4, 8 workers, batches of 8, two views, the poisoned one 5% of
+# its edges short, 4 seeds x 6 alternating rounds of 100 epochs, 2-core
+# x86, one BLAS thread; the share of view-epochs the share rule let sweep):
+#   n =   400 (nnz  3,112): 1.64 against 1.37 ms, sweep faster in  0 of 24 (5%)
+#   n =   600 (nnz  4,546): 1.33 against 1.27 ms, sweep faster in 13 of 24 (72%)
+#   n =   800 (nnz  6,106): 1.21 against 2.05 ms, sweep faster in 23 of 24 (100%)
+#   n = 1,200 (nnz  8,660): 1.44 against 3.15 ms, sweep faster in 24 of 24 (100%)
+#   n = 1,600 (nnz 11,908): 1.39 against 3.83 ms, sweep faster in 24 of 24 (100%)
+# A share of 4 against 8 was faster in 14, 7 and 19 of 24 runs at n = 800,
+# 1,600 and 3,200 when each batch's products were limited on their own: no
+# consistent gain, so 8 stays.
 _LIMITED_MIN_NNZ = 5_000
 _LIMITED_SHARE = 8
-
-
-def _take(M: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """The rows of an n-row M (all of them when ``rows`` is None)."""
-    return M if rows is None else M[rows]
-
-
-def _full(block: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
-    """The n-row matrix that is ``block`` on ``rows`` and zero elsewhere."""
-    if rows is None:
-        return block
-    out = np.zeros((n, block.shape[1]))
-    out[rows] = block
-    return out
 
 
 def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -180,36 +174,6 @@ def _rowwise(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     if len(M) > 1:
         return M @ W
     return (np.vstack([M, np.zeros_like(M)]) @ W)[:1]
-
-
-class _Gather(NamedTuple):
-    """What one batch's reverse pass reads, found before the pass.
-
-    ``rows`` are the batch's unique node ids, sorted when ``_gathers``
-    found them, and ``counts`` how often each is listed (None:
-    once each). ``steps[h]`` is the limited reverse product at hop h, as
-    ``(indptr, cols, data, reached)``: the block of A on the rows
-    ``reached`` (the sorted node ids h + 1 hops from the batch) and the
-    columns at the rows h hops out, in CSR form; ``cols`` and ``data`` may
-    be shared with other batches, which ``indptr`` skips. Read as CSC, the
-    same arrays are A's block on the rows h hops out and the columns
-    ``reached``: the forward product at hop h of a state built on the batch.
-    The products from hop ``len(steps)`` on are full. ``at`` places the
-    rows 0 and 1 hops out in the state: their positions in the field of the
-    logits and of the intermediate below them (H for the GCN), the node ids
-    where the state holds all n rows, None after a full product.
-    """
-
-    rows: np.ndarray
-    counts: np.ndarray | None
-    steps: tuple
-    at: tuple
-
-
-def _positions(field: np.ndarray | None, ids: np.ndarray) -> np.ndarray:
-    """The positions of ``ids`` in the sorted ``field``, which holds them;
-    ``ids`` itself when the field is None (all n rows)."""
-    return ids if field is None else np.searchsorted(field, ids)
 
 
 def _stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,140 +193,61 @@ def _stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return tagged & ((1 << bits) - 1), tagged >> bits
 
 
-def _held_fields(rows: np.ndarray, steps: tuple, depth: int) -> list:
-    """The fields of a forward state of ``depth`` products built on a batch
-    with sorted unique ``rows`` and limited ``steps``: entry h holds the
-    node ids h hops out, up to ``len(steps)`` (``X W0``'s) when every
-    product is limited and below it otherwise. Empty (all n rows) when
-    fewer than min(depth, 2) products are limited: a lone limited product
-    at the logits is at the output width and saves less than it costs.
-    """
-    if len(steps) < min(depth, 2):
-        return []
-    fields = [rows, *(reached for *_, reached in steps)]
-    return fields if len(steps) == depth else fields[:-1]
+def _gathers(A: CSR, batches: list, depth: int) -> tuple | None:
+    """What one sweep of ``depth`` products over ``batches`` reads, or None
+    when some batch reaches too much of A.
 
+    ``batches`` are int64 arrays of distinct node ids. The result is
+    ``(fields, bounds, blocks)``. ``fields[h]`` lays every batch's sorted
+    node ids h hops out end to end, batch after batch, and ``bounds[h]``
+    lists each batch's start in it, then its end. ``blocks[h]`` is
+    ``(indptr, cols, data)``: in CSR form, the block-diagonal matrix whose
+    block b is A on batch b's rows h + 1 hops out and its columns h hops
+    out, ``cols`` counting positions in ``fields[h]``; each row holds its
+    entries in ascending column order, as in A's own row. Read as CSC, the
+    same arrays are A's blocks on the rows h hops out and the columns
+    h + 1 hops out: the forward product at hop h.
 
-def _gathers(A: CSR, batches: list, depth: int) -> list[_Gather]:
-    """Each batch's ``_Gather`` for a reverse pass of ``depth`` products over
-    an A of at least _LIMITED_MIN_NNZ entries.
-
-    The last batch holds every other batch's rows, and the passes read a
-    forward state built on its fields (see ``_held_fields``) at hops 0 and
-    1, where every batch's rows lie inside them. All batches are gathered
-    together, from A's CSR arrays: one sort of (batch, node) keys
-    gives every batch's rows, and one stable sort of (batch, column) keys
-    per hop gives every batch's reached rows and its block of A, each block
-    row's entries in ascending column order as in A's own row. A batch's
-    product at hop h is limited while its rows h hops out hold at most
-    1/_LIMITED_SHARE of A's entries; from its first full product on it
-    gathers nothing more.
+    All batches are gathered together, from A's CSR arrays: one sort of
+    (batch, node) keys gives every batch's rows, and one stable sort of
+    (batch, column) keys per hop gives every batch's reached rows and its
+    block. A batch's product at hop h pays while its rows h hops out hold
+    at most 1/_LIMITED_SHARE of A's entries; the search stops with None at
+    the first hop where some batch's does not.
     """
     nb, n = len(batches), A.shape[0]
     ids = np.arange(nb + 1)
-    sizes = [len(b) for b in batches]
-    keys = np.sort(np.repeat(ids[:-1] * n, sizes) + np.concatenate(batches))
-    counts = None
-    if (keys[1:] == keys[:-1]).any():
-        keys, counts = np.unique(keys, return_counts=True)
+    keys = np.sort(np.repeat(ids[:-1] * n, [len(b) for b in batches]) + np.concatenate(batches))
     bid = keys // n  # each row's batch, ascending
-    rows = batch_rows = keys - bid * n
-    bounds = np.searchsorted(bid, ids).tolist()
-    hops = []  # per hop, every live batch's arrays in turn, sliced per batch by offsets
-    live = np.ones(nb, dtype=bool)
-    for h in range(depth):
+    rows = keys - bid * n
+    fields, bounds, blocks = [rows], [np.searchsorted(bid, ids).tolist()], []
+    for _ in range(depth):
         lo = A.indptr[rows]
         lens = A.indptr[rows + 1] - lo
-        live &= np.bincount(bid, weights=lens, minlength=nb) * _LIMITED_SHARE <= A.nnz
-        if not live.all():
-            if not live.any():
-                break
-            keep = live[bid]
-            bid, lo, lens = bid[keep], lo[keep], lens[keep]
-        row = np.arange(len(bid)) - np.searchsorted(bid, ids)[bid]  # index in its batch
+        if (np.bincount(bid, weights=lens, minlength=nb) * _LIMITED_SHARE > A.nnz).any():
+            return None
         pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
         order, reach = _stable_sort(np.repeat(bid * n, lens) + A.indices[pos], nb * n)
         new = np.empty(len(reach) + 1, dtype=bool)
         new[0] = new[-1] = True
         np.not_equal(reach[1:], reach[:-1], out=new[1:-1])
         indptr = np.flatnonzero(new)  # each reached row's first entry, and the end
+        cols = np.repeat(np.arange(len(rows)), lens)[order]
         reach = reach[indptr[:-1]]
         bid = reach // n
         rows = reach - bid * n
-        hops.append((live.tolist(), np.searchsorted(bid, ids).tolist(), indptr,
-                     np.repeat(row, lens)[order], A.data[pos[order]], rows))
-    steps = []
-    for b in range(nb):
-        mine = []
-        for held, rb, indptr, cols, data, reached in hops:
-            if not held[b]:
-                break
-            mine.append((indptr[rb[b]:rb[b + 1] + 1], cols, data, reached[rb[b]:rb[b + 1]]))
-        steps.append(tuple(mine))
-    held = _held_fields(batch_rows[bounds[-2]:], steps[-1], depth)
-    f0, f1 = held[:2] if held else (None, None)
-    row_at = _positions(f0, batch_rows)
-    reached_at, rb = (_positions(f1, hops[0][-1]), hops[0][1]) if hops else (None, None)
-    out = []
-    for b, mine in enumerate(steps):
-        r = slice(bounds[b], bounds[b + 1])
-        at = (row_at[r], reached_at[rb[b]:rb[b + 1]] if mine else None)
-        out.append(_Gather(batch_rows[r], None if counts is None else counts[r], mine, at))
-    return out
+        fields.append(rows)
+        bounds.append(np.searchsorted(bid, ids).tolist())
+        blocks.append((indptr, cols, A.data[pos[order]]))
+    return fields, bounds, blocks
 
 
 @dataclass
 class ForwardState:
-    """The forward intermediates that ``backward`` reverses, logits last.
-
-    ``values[t]`` holds intermediate t on the rows ``fields[t]`` (sorted
-    node ids), or on all n rows when ``fields[t]`` is None. ``gathers``
-    maps each batch the state was built for, by the bytes of its int64 ids,
-    to what that batch's reverse pass reads (see ``_gathers``), found in the
-    same search as the fields.
-    """
+    """The forward intermediates that ``backward`` reverses, on all n rows,
+    logits last."""
 
     values: tuple
-    fields: tuple
-    gathers: dict | None = None
-
-    @property
-    def limited(self) -> bool:
-        return any(f is not None for f in self.fields)
-
-
-def _state(params: ParamSet, A: CSR, X: np.ndarray, fields=(), steps=()
-           ) -> tuple[tuple, tuple]:
-    """The forward intermediates, logits last, and the rows each is held on.
-
-    ``fields`` and ``steps`` come from the ``_Gather`` of the rows whose
-    logits are wanted (see ``_held_fields``); both are empty for a state on
-    all n rows. The product at hop h (hop 0 gives the logits) is the step's
-    block through scipy's CSC kernel ``csc_matvecs`` while ``steps`` holds
-    one for hop h, and ``A @ M`` (its CSR kernel) from then on. A is
-    symmetric and both kernels add each output row's terms in ascending
-    column order, so the two agree bit for bit.
-    """
-    def on(h):  # the rows held h hops out (None: all n)
-        return fields[h] if h < len(fields) else None
-
-    def product(h, M):  # A @ M at hop h, for M on the rows h + 1 hops out
-        if h >= len(steps):
-            return A @ M
-        M = M if on(h + 1) is not None else M[steps[h][3]]
-        return matvecs(sparsetools.csc_matvecs, len(fields[h]), steps[h], M)
-
-    depth = 2 if params.W1 is not None else params.k
-    U0 = X @ params.W0 if on(depth) is None else _rowwise(X[on(depth)], params.W0)
-    if params.W1 is not None:
-        S0 = product(1, U0)
-        H = np.maximum(S0, 0.0)
-        Q = _rowwise(H, params.W1)
-        return (U0, S0, H, Q, product(0, Q)), (on(2), on(1), on(1), on(1), on(0))
-    us = [U0]
-    for h in range(depth - 1, -1, -1):
-        us.append(product(h, us[-1]))
-    return tuple(us), tuple(on(h) for h in range(depth, -1, -1))
 
 
 def forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.ndarray:
@@ -373,49 +258,31 @@ def forward(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> np.nda
     return Z
 
 
-def forward_state(
-    params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, batches: list | None = None
-) -> ForwardState:
+def forward_state(params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray) -> ForwardState:
     """The forward intermediates that ``backward`` reverses; logits last.
 
     For the GCN this is ``(P, S0, H, Q, Z)`` with ``P = X W0``, ``S0 = A P``,
     ``H = relu(S0)``, ``Q = H W1`` and ``Z = A Q``; for the linear model it is
     ``(U_0, ..., U_k)`` with ``U_0 = X W0`` and ``U_t = A U_{t-1}``, k >= 1.
+    Every intermediate is held on all n rows, and every product is full.
     The state depends on the weights, the adjacency and the features only,
     so every batch on the same graph view under the same weights can share
     one.
-
-    This is the one place that decides whether products are limited.
-    ``batches`` lists the node-id arrays (repeats allowed) whose reverse
-    passes will read the state. Without batches, or on a graph of fewer
-    than _LIMITED_MIN_NNZ entries, the state holds all n rows and every
-    product is full. Otherwise one ``_gathers`` call over the batches, with
-    their union as one more batch when there are several, finds every
-    field: each batch's gathers for its reverse pass, and the union's hop
-    fields and blocks of A. The state is held on the union's fields while
-    they pass the product rule (see ``_held_fields``): Z over the union,
-    S0, H and Q over the nodes one hop away, U_t over the nodes k - t hops
-    away, and ``X W0`` over the field the deepest limited product reads.
-    Its products read the union's blocks, the same arrays the reverse
-    passes read, through the CSC kernel (see ``_state``). Held rows are
-    bit-identical to the full state's while the row-restricted GEMMs
-    ``X W0`` and ``H W1`` stay on OpenBLAS's small-matrix kernel, and agree
-    within rounding beyond it (see ``backward``).
     """
     if params.W1 is None and params.k < 1:
         raise ValueError(f"propagation depth must be >= 1, got {params.k}")
     _check_finite("forward inputs", X, *params.weights())
     A = adj.matrix
-    if not batches or A.nnz < _LIMITED_MIN_NNZ:
-        return ForwardState(*_state(params, A, X))
-    depth = 2 if params.W1 is not None else params.k
-    batches = [np.asarray(b, dtype=np.int64) for b in batches]
-    # One batch is its own union.
-    found = _gathers(A, batches + [np.concatenate(batches)] if len(batches) > 1 else batches, depth)
-    union = found[-1]
-    held = _held_fields(union.rows, union.steps, depth)
-    values, fields = _state(params, A, X, held, union.steps if held else ())
-    return ForwardState(values, fields, {b.tobytes(): g for b, g in zip(batches, found)})
+    U0 = X @ params.W0
+    if params.W1 is not None:
+        S0 = A @ U0
+        H = np.maximum(S0, 0.0)
+        Q = _rowwise(H, params.W1)
+        return ForwardState((U0, S0, H, Q, A @ Q))
+    us = [U0]
+    for _ in range(params.k):
+        us.append(A @ us[-1])
+    return ForwardState(tuple(us))
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -442,17 +309,18 @@ def attack_loss(logits: np.ndarray, labels: np.ndarray, target_set) -> float:
 
 
 def _loss_grad_rows(
-    Z: np.ndarray, labels: np.ndarray, g: _Gather, listed: int, objective: str
+    Z: np.ndarray, y: np.ndarray, counts: np.ndarray | None, listed, objective: str
 ) -> np.ndarray:
-    """dLoss/dlogits on the batch's unique rows ``g.rows``, zero elsewhere.
+    """dLoss/dlogits on the rows of the logits Z, whose labels are y.
 
-    A node listed more than once counts once per listing, as in the losses;
-    ``listed`` is the number of listings.
+    A node listed more than once counts once per listing (``counts``; None:
+    once each), as in the losses; ``listed`` is the number of listings, or
+    a column of them, one per row.
     """
-    probs = np.exp(_log_softmax(Z[g.at[0]]))
-    probs[np.arange(len(g.rows)), labels[g.rows]] -= 1.0
-    if g.counts is not None:
-        probs *= g.counts[:, None]
+    probs = np.exp(_log_softmax(Z))
+    probs[np.arange(len(Z)), y] -= 1.0
+    if counts is not None:
+        probs *= counts[:, None]
     if objective == "masked_ce":
         return probs / listed
     if objective == "attack":
@@ -493,37 +361,6 @@ def _adjacency_entry_grads(
     return direct - degree_term
 
 
-def _reverse_product(
-    A: CSR, M: np.ndarray, step: tuple | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``A @ M`` for the symmetric A.
-
-    With ``step`` None, M is a full n-row matrix and so is the product,
-    returned with None. Otherwise ``step`` is a ``_Gather`` step and M holds
-    the rows at the step's columns, one each, of an n-row matrix that is
-    zero on every other row; the product is returned as a block over the
-    sorted rows ``reached``, the only ones it can be nonzero on, with those
-    rows. It is the step's block of A times M through scipy's CSR kernel,
-    the one ``A @ M`` runs: each block row holds the entries of A's row,
-    less those at rows of M that are zero, in the same order, so the two
-    agree bit for bit.
-    """
-    if step is None:
-        return A @ M, None
-    return matvecs(sparsetools.csr_matvecs, len(step[3]), step, M), step[3]
-
-
-def _hop_product(A: CSR, g: _Gather, h: int, M: np.ndarray, rows) -> tuple:
-    """``A @ M`` at hop h of g's reverse pass, for M on ``rows`` (None: all n
-    rows): limited while g holds a step for hop h, full from then on. A is
-    symmetric, so a product with A reverses a product with A."""
-    if h < len(g.steps):
-        return _reverse_product(A, M, g.steps[h])
-    if rows is not None:
-        M = _full(M, rows, A.shape[0])
-    return _reverse_product(A, M, None)
-
-
 def backward(
     params: ParamSet,
     adj: NormalizedAdjacency,
@@ -541,85 +378,122 @@ def backward(
     ``objective`` is "masked_ce" (mean CE over node_set, the training loss)
     or "attack" (negated CE sum over node_set as targets). A node listed
     twice in node_set counts twice; with ``assume_unique`` the caller
-    vouches that none is, as for a batch drawn without replacement, and a
-    pass with full products skips that check.
-
-    Whether products are limited is decided by ``forward_state`` alone.
-    Without ``state``, the pass builds the full state and takes full
-    products. Given a state, it reads the gathers found for node_set when
-    the state was built for it as one of its batches (the same ids in the
-    same order), and takes full products when it was not; a limited state
-    asked for a node set outside its batches raises ValueError. When
-    ``want_dA`` needs the intermediates on every row and ``state`` is
-    limited, the pass builds a full one.
-
-    Limited products read the same blocks of A that the state multiplies
-    by (see ``_Gather``), through scipy's CSR kernel.
-    Each reverse quantity is carried as a block over the rows it can be
-    nonzero on, with those rows, or as a full matrix with None once a
-    product went full; the dense steps then read only those rows of the
-    state and of X. dA and dX are built from full matrices. A
-    row-restricted GEMM sums the same nonzero terms as the full one.
-    OpenBLAS adds them in the same order, so the two agree bit for bit,
-    while the full product stays on its small-matrix GEMM kernel
-    (m*n*k <= 10**6, every weight at least two wide); beyond that it sums
-    over the n rows in blocks, or as a GEMV, and the two agree within
-    rounding.
+    vouches that none is, as for a batch drawn without replacement, and the
+    pass skips that check. ``state`` is the ``forward_state`` of the same
+    weights, adjacency and features, built here when not given. Every
+    product is full: ``A @ M`` through scipy's CSR kernel (A is symmetric,
+    so a product with A reverses one). The weight gradients of many batches
+    of one training epoch come cheaper from ``sweep``.
     """
     node_set = np.asarray(node_set, dtype=np.int64)
     if len(node_set) == 0:
         raise ValueError("node_set must be nonempty")
-    if state is None or (want_dA and state.limited):
+    if state is None:
         state = forward_state(params, adj, X)
     A = adj.matrix
-    n = A.shape[0]
-    g = state.gathers.get(node_set.tobytes()) if state.gathers else None
-    if g is None:
-        if state.limited:
-            raise ValueError(
-                "forward state is limited to the batches it was built for, "
-                "and node_set is not one of them; pass it to forward_state"
-            )
-        rows, counts = (node_set, None) if assume_unique else np.unique(node_set, return_counts=True)
-        g = _Gather(rows, counts, (), (rows, None))
-
-    dZ = _loss_grad_rows(state.values[-1], labels, g, len(node_set), objective)
+    Z = state.values[-1]
+    rows, counts = (node_set, None) if assume_unique else np.unique(node_set, return_counts=True)
+    dZ = np.zeros(Z.shape)
+    dZ[rows] = _loss_grad_rows(Z[rows], labels[rows], counts, len(node_set), objective)
     if params.W1 is not None:
-        dQ, r1 = _hop_product(A, g, 0, dZ, g.rows)
-        H = _take(state.values[2], g.at[1])
+        P, _, H, Q, _ = state.values
+        dQ = A @ dZ
         dW1 = H.T @ dQ
         dS0 = _rowwise(dQ, params.W1.T) * (H > 0.0)  # H > 0 exactly where S0 > 0
-        dP, r2 = _hop_product(A, g, 1, dS0, r1)
-        dW0 = _take(X, r2).T @ dP
-        dX = _full(dP, r2, n) @ params.W0.T if want_dX else None
-        dA = (
-            _adjacency_entry_grads(
-                adj,
-                [(_full(dZ, g.rows, n), state.values[3]), (_full(dS0, r1, n), state.values[0])],
-            )
-            if want_dA
-            else None
-        )
+        dP = A @ dS0
+        dW0 = X.T @ dP
+        dX = dP @ params.W0.T if want_dX else None
+        dA = _adjacency_entry_grads(adj, [(dZ, Q), (dS0, P)]) if want_dA else None
         _check_finite("backward gradients", dW0, dW1, dX)
         return GradientBundle.from_grads(dW0, dW1, dA, dX)
 
     # Linear propagation model: Z = A^k (X W0).
-    dus = [(dZ, g.rows)]
-    for h in range(params.k):
-        dus.append(_hop_product(A, g, h, *dus[-1]))
-    dus.reverse()  # dus[t] = dLoss/dU_t, with its rows
-    du0, r0 = dus[0]
-    dW0 = _take(X, r0).T @ du0
-    dX = _full(du0, r0, n) @ params.W0.T if want_dX else None
+    dus = [dZ]
+    for _ in range(params.k):
+        dus.append(A @ dus[-1])
+    dus.reverse()  # dus[t] = dLoss/dU_t
+    dW0 = X.T @ dus[0]
+    dX = dus[0] @ params.W0.T if want_dX else None
     dA = (
-        _adjacency_entry_grads(
-            adj, [(_full(*dus[t + 1], n), state.values[t]) for t in range(params.k)]
-        )
+        _adjacency_entry_grads(adj, [(dus[t + 1], state.values[t]) for t in range(params.k)])
         if want_dA
         else None
     )
     _check_finite("backward gradients", dW0, dX)
     return GradientBundle.from_grads(dW0, None, dA, dX)
+
+
+def sweep(
+    params: ParamSet, adj: NormalizedAdjacency, X: np.ndarray, labels: np.ndarray, batches: list
+) -> list[GradientBundle] | None:
+    """Each batch's mean cross-entropy weight gradients, in one pass over
+    all batches, or None when the batches should take ``backward``'s full
+    products instead.
+
+    ``batches`` are arrays of distinct node ids, as drawn without
+    replacement. This is the one place that decides whether products are
+    limited to the rows a batch reaches: on an A of at least
+    _LIMITED_MIN_NNZ entries whose every batch passes the share rule at
+    every hop (see ``_gathers``). One ``_gathers`` call then finds every
+    batch's fields, and its blocks of A, laid end to end, make one
+    block-diagonal matrix per hop: for the GCN, ``X W0`` is taken on the
+    fields two hops out, ``S0``, ``H`` and ``Q`` one hop out and the logits
+    on the batches, each product through scipy's CSC kernel; the loss
+    gradient on each batch's rows is divided by that batch's length; and
+    ``dQ``, ``dS0`` and ``dP`` go back through the CSR kernel. Each batch's
+    ``dW1 = H_b.T dQ_b`` and ``dW0 = X_b.T dP_b`` are GEMMs over its own
+    slices. The linear model of depth k works the same way over k hops.
+    Only the rows of X in the deepest fields are read.
+
+    Every output row sums the same entries of A, in the same ascending
+    column order, as the full product ``A @ M``, so each bundle is
+    bit-identical to ``backward`` with ``assume_unique`` while the
+    row-restricted GEMMs stay on OpenBLAS's small-matrix kernel (m*n*k <=
+    10**6, every weight at least two wide), and agrees within rounding
+    beyond it. Nothing is checked for finiteness: a non-finite input
+    leaves non-finite gradients in the bundles of the batches that read it.
+    """
+    A, gcn = adj.matrix, params.W1 is not None
+    depth = 2 if gcn else params.k
+    found = _gathers(A, batches, depth) if A.nnz >= _LIMITED_MIN_NNZ and depth >= 1 else None
+    if found is None:
+        return None
+    fields, bounds, blocks = found
+
+    def forward_product(h, M):  # A @ M at hop h, for M on fields[h + 1]
+        return matvecs(sparsetools.csc_matvecs, len(fields[h]), blocks[h], M)
+
+    def reverse_product(h, M):  # A @ M at hop h, for M on fields[h]
+        return matvecs(sparsetools.csr_matvecs, len(fields[h + 1]), blocks[h], M)
+
+    def part(M, h, b):  # batch b's rows of M, held on fields[h]
+        return M[bounds[h][b]:bounds[h][b + 1]]
+
+    sizes = np.diff(bounds[0])
+    Xf = X[fields[depth]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = _rowwise(Xf, params.W0)
+        if gcn:
+            H = np.maximum(forward_product(1, U), 0.0)
+            U = forward_product(0, _rowwise(H, params.W1))
+        else:
+            for h in range(depth - 1, -1, -1):
+                U = forward_product(h, U)
+        dU = _loss_grad_rows(U, labels[fields[0]], None, np.repeat(sizes, sizes)[:, None],
+                             "masked_ce")
+        if gcn:
+            dQ = reverse_product(0, dU)
+            dU = reverse_product(1, _rowwise(dQ, params.W1.T) * (H > 0.0))
+        else:
+            for h in range(depth):
+                dU = reverse_product(h, dU)
+        return [
+            GradientBundle.from_grads(
+                part(Xf, depth, b).T @ part(dU, depth, b),
+                part(H, 1, b).T @ part(dQ, 1, b) if gcn else None,
+            )
+            for b in range(len(batches))
+        ]
 
 
 def sgd_step(params: ParamSet, grad: GradientBundle) -> ParamSet:

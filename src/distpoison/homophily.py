@@ -436,4 +436,5 @@ def write_histogram_csv(clean: np.ndarray, perturbed: np.ndarray, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "count_clean", "count_perturbed"])
         for k in range(len(edges) - 1):
-            writer.writerow([repr(edges[k]), repr(edges[k + 1]), int(c_clean[k]), int(c_pert[k])])
+            writer.writerow([repr(float(edges[k])), repr(float(edges[k + 1])), int(c_clean[k]),
+                             int(c_pert[k])])

@@ -31,7 +31,7 @@ from distpoison.experiment import (
     run_experiment,
     scaling_benchmark,
 )
-from distpoison import gnn
+from distpoison import distributed
 from distpoison.gnn import ParamSet, check_gradients
 from distpoison.graph import (
     Partition,
@@ -220,19 +220,25 @@ def large_sbm_config(n: int, model: str) -> ExperimentConfig:
 @pytest.mark.parametrize("name, n, model", [("victim_n6400", 6400, "gcn"),
                                             ("sgc2_n1600", 1600, "sgc")])
 def test_limited_path_worker_norms(name, n, model, monkeypatch):
-    # The n = 200 runs above never take the limited products. At n = 6,400
-    # both views' states are limited; at n = 1,600 the clean view's state is
-    # full while each batch's products are limited.
-    taken = {"limited": 0, "full": 0}
-    real = gnn._reverse_product
+    # The n = 200 runs above never take the limited products. At n = 1,600
+    # and 6,400 every view-epoch is one sweep over its workers' batches, and
+    # no worker takes a full reverse pass.
+    taken = {"swept": 0, "full": 0}
+    real_sweep, real_backward = distributed.sweep, distributed.backward
 
-    def spy(A, M, step):
-        taken["full" if step is None else "limited"] += 1
-        return real(A, M, step)
+    def sweep_spy(*args):
+        bundles = real_sweep(*args)
+        taken["full" if bundles is None else "swept"] += 1
+        return bundles
 
-    monkeypatch.setattr(gnn, "_reverse_product", spy)
+    def backward_spy(*args, **kwargs):
+        taken["full"] += 1
+        return real_backward(*args, **kwargs)
+
+    monkeypatch.setattr(distributed, "sweep", sweep_spy)
+    monkeypatch.setattr(distributed, "backward", backward_spy)
     assert_reference_worker_norms(name, run_experiment(large_sbm_config(n, model)))
-    assert taken["limited"] > 0 and taken["full"] == 0
+    assert taken["swept"] > 0 and taken["full"] == 0
 
 
 def test_criterion_3_attack_efficacy(efficacy_runs):

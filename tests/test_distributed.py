@@ -1,5 +1,10 @@
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distpoison.distributed as dist
 import distpoison.gnn as gnn
@@ -12,7 +17,8 @@ from distpoison.distributed import (
     write_divergence_csv,
     write_telemetry_csv,
 )
-from distpoison.gnn import GradientBundle, ParamSet, backward, sgd_step
+from conftest import scipy_csr
+from distpoison.gnn import GradientBundle, ParamSet, backward, forward_state, sgd_step
 from distpoison.graph import generate_sbm, normalize_adjacency, partition_nodes
 
 
@@ -134,16 +140,23 @@ class TestTrainDistributed:
                 assert r.worker_norms == r0.worker_norms
 
     def test_one_forward_per_view_per_epoch(self, monkeypatch):
-        # Three workers, one of them poisoned: two views, so two forward
-        # passes per epoch, each over the union of its view's batches, and
-        # still one reverse pass per worker.
-        forwards = []
-        real_forward = dist.forward_state
+        # Three workers, one of them poisoned: two views. On this small graph
+        # each view-epoch asks for one sweep over its workers' batches, gets
+        # None, and builds one full forward state; each worker still takes
+        # its own reverse pass.
+        sweeps, forwards = [], []
+        real_sweep, real_forward = dist.sweep, dist.forward_state
 
-        def forward_spy(params, adj, X, batches=None):
-            forwards.append((id(adj), batches))
-            return real_forward(params, adj, X, batches)
+        def sweep_spy(params, adj, X, labels, batches):
+            bundles = real_sweep(params, adj, X, labels, batches)
+            sweeps.append((id(adj), batches, bundles))
+            return bundles
 
+        def forward_spy(params, adj, X):
+            forwards.append(id(adj))
+            return real_forward(params, adj, X)
+
+        monkeypatch.setattr(dist, "sweep", sweep_spy)
         monkeypatch.setattr(dist, "forward_state", forward_spy)
         passes = spy_passes(monkeypatch)
         g = sbm_all_train(5, [6, 6, 6])
@@ -152,57 +165,50 @@ class TestTrainDistributed:
             poisoned=feature_blast(g, 0), poisoned_worker=1,
         )
         assert len(passes) == 3 * 4
+        assert all(bundles is None for _, _, bundles in sweeps)
+        assert forwards == [adj for adj, _, _ in sweeps]
         assert len(forwards) == 2 * 4
-        clean, poisoned = (adj for adj, _ in forwards[:2])
+        clean, poisoned = forwards[:2]
         assert clean != poisoned
         assert [adj for adj, _, _ in passes] == [clean, poisoned, clean] * 4
         batches = [[b for _, b, _ in passes[3 * e : 3 * e + 3]] for e in range(4)]
         for epoch, (b0, b1, b2) in enumerate(batches):
-            (_, clean_batches), (_, poisoned_batches) = forwards[2 * epoch : 2 * epoch + 2]
+            (_, clean_batches, _), (_, poisoned_batches, _) = sweeps[2 * epoch : 2 * epoch + 2]
             for got, want in ((clean_batches, [b0, b2]), (poisoned_batches, [b1])):
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
 
     def test_one_field_search_per_view_per_epoch(self, monkeypatch):
-        # On a graph large enough for limited products, the forward state
-        # finds every field of a view's epoch with one _gathers call: each
-        # batch's gathers, and the blocks of the batches' union as one more
-        # batch. No reverse pass searches again, and the forward products
-        # take no reverse product.
+        # On a graph large enough for limited products, each view-epoch is
+        # one sweep: one _gathers call over that view's batches, with no
+        # union batch, and no worker takes a reverse pass of its own.
         g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
         assert normalize_adjacency(g).matrix.nnz >= gnn._LIMITED_MIN_NNZ
-        searches, products, in_pass = [], {"pass": 0, "other": 0}, [False]
-        real_gathers, real_product = gnn._gathers, gnn._reverse_product
-        real_backward = dist.backward
+        sweeps, searches = [], []
+        real_sweep, real_gathers = dist.sweep, gnn._gathers
 
-        def gathers_spy(A, batches, *args):
-            assert not in_pass[0], "a reverse pass searched for its own fields"
-            searches.append(len(batches))
-            return real_gathers(A, batches, *args)
+        def sweep_spy(params, adj, X, labels, batches):
+            sweeps.append(batches)
+            bundles = real_sweep(params, adj, X, labels, batches)
+            assert bundles is not None
+            return bundles
 
-        def product_spy(A, M, step):
-            products["pass" if in_pass[0] else "other"] += step is not None
-            return real_product(A, M, step)
+        def gathers_spy(A, batches, depth):
+            searches.append(batches)
+            return real_gathers(A, batches, depth)
 
-        def backward_spy(*args, **kwargs):
-            in_pass[0] = True
-            try:
-                return real_backward(*args, **kwargs)
-            finally:
-                in_pass[0] = False
-
+        monkeypatch.setattr(dist, "sweep", sweep_spy)
         monkeypatch.setattr(gnn, "_gathers", gathers_spy)
-        monkeypatch.setattr(gnn, "_reverse_product", product_spy)
-        monkeypatch.setattr(dist, "backward", backward_spy)
+        passes = spy_passes(monkeypatch)
         train_distributed(
             g, partition_nodes(g, 3), fresh_params(g), epochs=3, batch_size=8, seed=0,
             poisoned=feature_blast(g, 0), poisoned_worker=1,
         )
-        # The clean view: workers 0 and 2 and their union; the poisoned view:
-        # worker 1 alone, its batch its own union.
-        assert searches == [3, 1] * 3
-        assert products["pass"] > 0 and products["other"] == 0
+        # The clean view: workers 0 and 2; the poisoned view: worker 1.
+        assert [len(b) for b in searches] == [2, 1] * 3
+        assert all(got is want for got, want in zip(searches, sweeps))
+        assert len(searches) == len(sweeps) and passes == []
 
     def test_all_workers_share_global_params(self, monkeypatch):
         # Recompute each worker's recorded gradient from the single global
@@ -253,6 +259,151 @@ class TestTrainDistributed:
         part = partition_nodes(g, 2)
         with pytest.raises(TrainingError, match="worker"):
             train_distributed(g, part, fresh_params(g), epochs=1, batch_size=2, seed=0)
+
+
+@functools.lru_cache(maxsize=None)
+def large_sbm(seed):
+    """A 1,600-node four-block SBM at the reference degree (about 6.4): its A
+    holds more than _LIMITED_MIN_NNZ entries. Callers copy before editing."""
+    return generate_sbm(seed, [400] * 4, 5 / 400, 0.5 / 400, feature_dim=8, noise=1.0)
+
+
+def model_params(model, seed):
+    """GCN (hidden 16) or SGC weights for 8 features and 4 classes; a model
+    name is "gcn" or "sgc<k>"."""
+    if model == "gcn":
+        return ParamSet.init_gcn(8, 16, 4, seed=seed, learning_rate=0.3)
+    return ParamSet.init_sgc(8, 4, seed=seed, learning_rate=0.3, k=int(model[-1]))
+
+
+def epoch_batches(g, part, batch_size, seed, epochs):
+    """Each epoch's batch per worker, drawn as ``train_distributed`` draws them."""
+    rngs = [np.random.default_rng((seed, w)) for w in range(part.n)]
+    pools = [part.training_pool(g, w) for w in range(part.n)]
+    return [[rng.choice(pool, size=min(batch_size, len(pool)), replace=False)
+             for rng, pool in zip(rngs, pools)] for _ in range(epochs)]
+
+
+def assert_same_weight_grads(got, want):
+    assert len(got.weight_grads()) == len(want.weight_grads())
+    for a, b in zip(got.weight_grads(), want.weight_grads()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.l2_norm == want.l2_norm
+
+
+class TestSweep:
+    """Each view-epoch's sweep against ``backward`` on a full state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graph_seed=st.integers(0, 2),
+        seed=st.integers(0, 10**6),
+        model=st.sampled_from(["gcn", "sgc1", "sgc2", "sgc3"]),
+        workers=st.integers(1, 6),
+        batch_size=st.integers(1, 12),
+        two_views=st.booleans(),
+    )
+    def test_bundles_equal_full_backward(
+        self, graph_seed, seed, model, workers, batch_size, two_views
+    ):
+        # Per-worker batches drawn without replacement; with two views the
+        # poisoned worker's graph loses 20 edges and one node's features grow.
+        g = large_sbm(graph_seed)
+        poisoned = None
+        if two_views:
+            poisoned = feature_blast(g, seed % g.num_nodes)
+            edges = g.edge_array()
+            cut = np.random.default_rng(seed).choice(len(edges), 20, replace=False)
+            poisoned.edit(removed=edges[cut])
+        calls, real = [], dist.sweep
+
+        def spy(params, adj, X, labels, batches):
+            bundles = real(params, adj, X, labels, batches)
+            calls.append((params, adj, X, batches, bundles))
+            return bundles
+
+        with mock.patch.object(dist, "sweep", spy):
+            train_distributed(
+                g, partition_nodes(g, workers), model_params(model, seed), epochs=2,
+                batch_size=batch_size, seed=seed, poisoned=poisoned,
+                poisoned_worker=seed % workers,
+            )
+        assert calls
+        for params, adj, X, batches, bundles in calls:
+            if bundles is None:
+                continue
+            assert len(bundles) == len(batches)
+            state = forward_state(params, adj, X)
+            for batch, bundle in zip(batches, bundles):
+                assert_same_weight_grads(
+                    bundle, backward(params, adj, X, g.labels, batch, state=state,
+                                     assume_unique=True)
+                )
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc2"])
+    def test_hub_batch_takes_the_full_path(self, model):
+        # A hub joined to 600 more nodes is one of 16 training nodes, so one
+        # worker's batch holds it: its rows one hop out hold more than 1/8 of
+        # A's entries. That view takes one full state and a reverse pass per
+        # worker; the other worker's view, without the hub's edges, sweeps.
+        # Every worker's norm and the final weights equal the plain loop's.
+        g = large_sbm(0).copy()
+        hub = 0
+        free = np.setdiff1d(np.arange(1, g.num_nodes), g.neighbors(hub))
+        g.edit(added=[(hub, int(v)) for v in free[:600]])
+        train = np.concatenate([[hub], np.flatnonzero(g.train_mask)[1:16]])
+        g.train_mask[:] = False
+        g.train_mask[train] = True
+        part = partition_nodes(g, 2)
+        hub_worker = int(part.assignment[hub])
+        poisoned = feature_blast(g, 5)
+        poisoned.edit(removed=[(hub, int(v)) for v in free[:600]])
+        params0 = model_params(model, 2)
+        taken, real = [], dist.sweep
+
+        def spy(*args):
+            bundles = real(*args)
+            taken.append(bundles is not None)
+            return bundles
+
+        with mock.patch.object(dist, "sweep", spy):
+            final, records = train_distributed(
+                g, part, params0, epochs=3, batch_size=16, seed=4, poisoned=poisoned,
+                poisoned_worker=1 - hub_worker,
+            )
+        views = {hub_worker: g, 1 - hub_worker: poisoned}
+        # Each worker is alone on its view, so the views are asked in worker order.
+        assert taken == [w != hub_worker for w in range(2)] * 3
+        current = params0
+        for epoch, batches in enumerate(epoch_batches(g, part, 16, 4, 3)):
+            bundles = [
+                backward(current, normalize_adjacency(views[w]), views[w].features, g.labels,
+                         batches[w])
+                for w in range(2)
+            ]
+            assert records[epoch].worker_norms == [b.l2_norm for b in bundles]
+            current = sgd_step(current, aggregate_gradients(bundles))
+        assert [w.tobytes() for w in current.weights()] == [w.tobytes() for w in final.weights()]
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc2"])
+    def test_non_finite_feature_names_its_worker(self, model):
+        # A NaN feature that only worker 2's batch reaches, two hops out: the
+        # sweep reads no other feature row, so worker 2 is named, not the
+        # first worker of the view.
+        g = large_sbm(1).copy()
+        part = partition_nodes(g, 3)
+        batches = epoch_batches(g, part, 8, 0, 1)[0]
+        A = scipy_csr(normalize_adjacency(g).matrix)
+
+        def field(rows):  # the nodes within two hops of rows
+            for _ in range(2):
+                rows = np.unique(A[rows].indices)
+            return rows
+
+        v = np.setdiff1d(field(batches[2]), np.union1d(field(batches[0]), field(batches[1])))[0]
+        g.features[v, 3] = np.nan
+        with pytest.raises(TrainingError, match="worker 2 produced non-finite gradients at epoch 0"):
+            train_distributed(g, part, model_params(model, 0), epochs=1, batch_size=8, seed=0)
 
 
 class TestDivergence:

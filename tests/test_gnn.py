@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,6 @@ import gnn_oracle
 from conftest import dense_normalized, make_graph, random_instance, scipy_csr
 from distpoison import gnn
 from distpoison.gnn import (
-    ForwardState,
     GradientBundle,
     NumericalError,
     ParamSet,
@@ -20,6 +20,7 @@ from distpoison.gnn import (
     forward_state,
     masked_ce_loss,
     sgd_step,
+    sweep,
 )
 from distpoison.graph import build_graph, generate_sbm, normalize_adjacency
 
@@ -267,19 +268,6 @@ def oracle_backward(params, adj, X, labels, node_set, **kw):
     return bundle
 
 
-def count_limited_products():
-    """Patch ``_reverse_product`` to count (limited, full) products taken."""
-    seen = {"limited": 0, "full": 0}
-    real = gnn._reverse_product
-
-    def spy(A, M, rows):
-        out, reached = real(A, M, rows)
-        seen["full" if reached is None else "limited"] += 1
-        return out, reached
-
-    return seen, mock.patch.object(gnn, "_reverse_product", spy)
-
-
 class TestBackwardOracle:
     """``backward`` against the reverse pass as first written, bit for bit."""
 
@@ -291,16 +279,12 @@ class TestBackwardOracle:
         picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=10),
         removals=st.integers(0, 6),
         isolate=st.booleans(),
-        batch_state=st.booleans(),
-        limits=st.sampled_from([(None, None), (0, 8), (0, 1)]),
+        with_state=st.booleans(),
         objective=st.sampled_from(["masked_ce", "attack"]),
         want=st.booleans(),
     )
-    # A lone isolated node: every block is one row, which numpy would hand to GEMV.
-    @example(seed=0, n=11, model="gcn", picks=[0], removals=0, isolate=True,
-             batch_state=True, limits=(0, 8), objective="masked_ce", want=False)
     def test_matches_oracle(
-        self, seed, n, model, picks, removals, isolate, batch_state, limits, objective, want
+        self, seed, n, model, picks, removals, isolate, with_state, objective, want
     ):
         g, rng = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
         for _ in range(min(removals, g.num_edges)):
@@ -310,156 +294,18 @@ class TestBackwardOracle:
             for v in g.neighbors(0):
                 g.remove_edge(0, int(v))
         adj = normalize_adjacency(g)
-        if model == "gcn":
-            params = ParamSet.init_gcn(3, 5, 3, seed=seed)
-        else:
-            params = ParamSet.init_sgc(3, 3, seed=seed, k=int(model[-1]))
+        params = model_params(model, 3, 3, seed)
         node_set = [p % n for p in picks]  # repeats allowed
         kw = dict(want_dA=want, want_dX=want, objective=objective)
 
         want_bundle = oracle_backward(params, adj, g.features, g.labels, node_set, **kw)
-        min_nnz, share = limits
-        if min_nnz is None:
-            min_nnz, share = gnn._LIMITED_MIN_NNZ, gnn._LIMITED_SHARE
-        seen, spy = count_limited_products()
-        with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", min_nnz), \
-                mock.patch.object(gnn, "_LIMITED_SHARE", share):
-            # A state built for the batch decides its products; without one
-            # every product is full.
-            state = forward_state(params, adj, g.features, [node_set]) if batch_state else None
-            got = backward(params, adj, g.features, g.labels, node_set, state=state, **kw)
-            if len(set(node_set)) == len(node_set):
-                unique = backward(params, adj, g.features, g.labels, node_set,
-                                  state=state, assume_unique=True, **kw)
-                assert_same_bundle(unique, want_bundle)
-        if state is None:
-            assert seen["limited"] == 0
-        elif share == 1 and not want:  # want_dA replaces a limited state by a full one
-            assert seen["full"] == 0  # every product took the limited path
+        state = forward_state(params, adj, g.features) if with_state else None
+        got = backward(params, adj, g.features, g.labels, node_set, state=state, **kw)
+        if len(set(node_set)) == len(node_set):
+            unique = backward(params, adj, g.features, g.labels, node_set,
+                              state=state, assume_unique=True, **kw)
+            assert_same_bundle(unique, want_bundle)
         assert_same_bundle(got, want_bundle)
-
-    @pytest.mark.parametrize("model", ["gcn", "sgc"])
-    def test_unique_batch_in_any_order(self, model):
-        # Twelve batch nodes share neighbour 0, so row 0 of the first reverse
-        # product sums twelve terms. A limited product must add them in
-        # ascending order, as the CSR product does, whatever the batch's order.
-        rng = np.random.default_rng(7)
-        edges = [(0, v) for v in range(1, 13)] + [(v, v + 12) for v in range(1, 13)]
-        g = build_graph(edges, rng.standard_normal((25, 3)), rng.integers(0, 3, 25))
-        adj = normalize_adjacency(g)
-        if model == "gcn":
-            params = ParamSet.init_gcn(3, 5, 3, seed=7)
-        else:
-            params = ParamSet.init_sgc(3, 3, seed=7, k=2)
-        batch = rng.permutation(np.arange(1, 13))
-        want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, batch)
-        seen, spy = count_limited_products()
-        with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", 0), \
-                mock.patch.object(gnn, "_LIMITED_SHARE", 1):
-            state = forward_state(params, adj, g.features, [batch])
-            got = backward(params, adj, g.features, g.labels, batch, state=state,
-                           assume_unique=True)
-        assert seen["full"] == 0
-        assert_same_bundle(got, want_bundle)
-
-    @pytest.mark.parametrize("model", ["gcn", "sgc"])
-    def test_both_sides_of_the_path_choice(self, model):
-        # 3,200 nodes at degree about 6.5: large enough that a state built
-        # for an 8-node batch starts it on the limited products (the third
-        # SGC hop reaches too much of A and goes full), while one built for
-        # every training node keeps the full ones throughout.
-        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
-        adj = normalize_adjacency(g)
-        assert adj.matrix.nnz >= gnn._LIMITED_MIN_NNZ
-        if model == "gcn":
-            params = ParamSet.init_gcn(8, 16, 4, seed=1)
-        else:
-            params = ParamSet.init_sgc(8, 4, seed=1, k=3)
-        rng = np.random.default_rng(0)
-        small = rng.choice(np.flatnonzero(g.train_mask), size=8, replace=False)
-        for node_set, limited in ((small, True), (np.flatnonzero(g.train_mask), False)):
-            state = forward_state(params, adj, g.features, [node_set])
-            want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, node_set)
-            seen, spy = count_limited_products()
-            with spy:
-                got = backward(params, adj, g.features, g.labels, node_set, state=state)
-            assert (seen["limited"] > 0) == limited
-            assert_same_bundle(got, want_bundle)
-            # A batch in draw order, taken as unique: sorted for the limited products.
-            got = backward(
-                params, adj, g.features, g.labels, node_set, state=state, assume_unique=True
-            )
-            assert_same_bundle(got, want_bundle)
-
-    @pytest.mark.parametrize("model", ["gcn", "sgc"])
-    def test_limited_pass_reads_only_its_field(self, model):
-        # The state built for the batch holds each intermediate on the rows
-        # its field names; every intermediate the pass should not read and
-        # every feature row outside the batch's two-hop field is NaN. A pass
-        # that read one would carry the NaN into its gradients.
-        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
-        adj = normalize_adjacency(g)
-        if model == "gcn":
-            params = ParamSet.init_gcn(8, 16, 4, seed=1)
-        else:
-            params = ParamSet.init_sgc(8, 4, seed=1, k=2)
-        batch = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 8, replace=False)
-        fields = receptive_fields(adj, batch, 2)  # fields[t]: the rows t hops from the batch
-        state = forward_state(params, adj, g.features, [batch])
-        hops = (2, 1, 1, 1, 0) if model == "gcn" else (2, 1, 0)
-        assert len(state.fields) == len(hops)
-        for f, h in zip(state.fields, hops):
-            np.testing.assert_array_equal(f, fields[h])
-
-        def nan(M):
-            return np.full_like(M, np.nan)
-
-        if model == "gcn":
-            P, S0, H, Q, Z = state.values
-            poisoned = (nan(P), nan(S0), H, nan(Q), Z)
-        else:
-            us = state.values
-            poisoned = (nan(us[0]), nan(us[1]), us[2])
-        X = np.full_like(g.features, np.nan)
-        X[fields[2]] = g.features[fields[2]]
-        want_bundle = gnn_oracle.backward(params, adj, g.features, g.labels, batch)
-        seen, spy = count_limited_products()
-        with spy:
-            got = backward(params, adj, X, g.labels, batch,
-                           state=ForwardState(poisoned, state.fields, state.gathers))
-        assert seen == {"limited": 2, "full": 0}
-        assert_same_bundle(got, want_bundle)
-
-    @pytest.mark.parametrize("feature_dim", [64, 1])
-    def test_other_blas_kernels_agree_to_rounding(self, feature_dim):
-        # At n = 3,200 the full X.T @ dP leaves OpenBLAS's small-matrix GEMM
-        # kernel: with 64 features it sums over n in blocks (m*n*k > 10**6),
-        # with one it is a GEMV. Either may group the terms differently from
-        # the row-restricted product.
-        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=64, noise=1.0)
-        adj = normalize_adjacency(g)
-        X = g.features[:, :feature_dim].copy()
-        params = ParamSet.init_gcn(feature_dim, 16, 4, seed=1)
-        batch = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 8, replace=False)
-        want_bundle = gnn_oracle.backward(params, adj, X, g.labels, batch)
-        seen, spy = count_limited_products()
-        with spy:
-            got = backward(params, adj, X, g.labels, batch,
-                           state=forward_state(params, adj, X, [batch]))
-        assert seen == {"limited": 2, "full": 0}
-        np.testing.assert_allclose(got.dW0, want_bundle.dW0, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(got.dW1, want_bundle.dW1, rtol=1e-12, atol=1e-15)
-        assert got.l2_norm == pytest.approx(want_bundle.l2_norm, rel=1e-12)
-
-    def test_small_graph_takes_full_products(self):
-        # The reference experiment's size (200 nodes) stays on the full path.
-        g = generate_sbm(0, [50] * 4, 0.1, 0.01, feature_dim=8, noise=1.2)
-        adj = normalize_adjacency(g)
-        params = ParamSet.init_gcn(8, 16, 4, seed=0)
-        seen, spy = count_limited_products()
-        with spy:
-            backward(params, adj, g.features, g.labels, [0, 1, 2])
-        assert seen == {"limited": 0, "full": 2}
 
     def test_state_is_forward_logits(self):
         g, _ = random_instance(3)
@@ -468,7 +314,7 @@ class TestBackwardOracle:
             state = forward_state(params, adj, g.features)
             np.testing.assert_array_equal(state.values[-1], forward(params, adj, g.features))
             assert len(state.values) == (5 if params.W1 is not None else params.k + 1)
-            assert not state.limited
+            assert all(len(v) == g.num_nodes for v in state.values)
 
     def test_state_rejects_non_finite_inputs(self):
         g, _ = random_instance(4)
@@ -486,139 +332,204 @@ def receptive_fields(adj, rows, depth):
     return fields
 
 
-def oracle_state(params, adj, X):
-    if params.W1 is None:
-        return gnn_oracle.sgc_state(params, scipy_csr(adj.matrix), X, params.k)
-    return gnn_oracle.gcn_state(params, scipy_csr(adj.matrix), X)
+def model_params(model, feature_dim, classes, seed):
+    """GCN (hidden 5) or SGC weights for a model name "gcn" or "sgc<k>"."""
+    if model == "gcn":
+        return ParamSet.init_gcn(feature_dim, 5, classes, seed=seed)
+    return ParamSet.init_sgc(feature_dim, classes, seed=seed, k=int(model[-1]))
 
 
-class TestLimitedForward:
-    """``forward_state`` over a batch union against the forward pass as first written."""
+def depth_of(params):
+    return 2 if params.W1 is not None else params.k
+
+
+def draw_batches(batch_picks, n):
+    """Batches of distinct node ids, in draw order, from lists of picks."""
+    return [np.array(list(dict.fromkeys(p % n for p in picks))) for picks in batch_picks]
+
+
+def assert_sweep_matches_oracle(params, adj, X, labels, batches, oracle_X=None):
+    """``sweep`` takes the batches, and each bundle equals the oracle's pass
+    on ``oracle_X`` (X when None)."""
+    bundles = sweep(params, adj, X, labels, batches)
+    assert bundles is not None and len(bundles) == len(batches)
+    for batch, bundle in zip(batches, bundles):
+        want = gnn_oracle.backward(params, adj, X if oracle_X is None else oracle_X, labels, batch)
+        assert_same_bundle(bundle, want)
+
+
+def large_sbm():
+    """3,200 nodes at degree about 6.5: above _LIMITED_MIN_NNZ."""
+    return generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+
+
+class TestSweepOracle:
+    """``sweep``'s bundles against the reverse pass as first written, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
         n=st.integers(2, 24),
         model=st.sampled_from(["gcn", "sgc1", "sgc2", "sgc3"]),
-        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
-        batch_picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+        batch_picks=st.lists(
+            st.lists(st.integers(0, 10**6), min_size=1, max_size=8), min_size=1, max_size=5
+        ),
         isolate=st.booleans(),
         share=st.sampled_from([1, 2, 8]),
-        objective=st.sampled_from(["masked_ce", "attack"]),
-        want=st.booleans(),
     )
-    def test_matches_oracle(
-        self, seed, n, model, picks, batch_picks, isolate, share, objective, want
-    ):
-        g, rng = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
+    # A lone isolated node: every field is one row, which numpy would hand to GEMV.
+    @example(seed=0, n=11, model="gcn", batch_picks=[[0]], isolate=True, share=1)
+    def test_matches_oracle(self, seed, n, model, batch_picks, isolate, share):
+        # Dense random graphs; batches may share nodes and neighbours. The
+        # sweep is taken exactly when every batch's rows h hops out hold at
+        # most 1/share of A's entries, for every h below the depth.
+        g, _ = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
         if isolate:
             for v in g.neighbors(0):
                 g.remove_edge(0, int(v))
         adj = normalize_adjacency(g)
-        if model == "gcn":
-            params, depth = ParamSet.init_gcn(3, 5, 3, seed=seed), 2
-        else:
-            params = ParamSet.init_sgc(3, 3, seed=seed, k=int(model[-1]))
-            depth = params.k
-        union = [p % n for p in picks]  # repeats allowed
-        batch = [union[p % len(union)] for p in batch_picks]  # inside the union, repeats too
-        kw = dict(want_dA=want, want_dX=want, objective=objective)
+        params = model_params(model, 3, 3, seed)
+        batches = draw_batches(batch_picks, n)
+        A = scipy_csr(adj.matrix)
+        fails = any(A[f].nnz * share > A.nnz for b in batches
+                    for f in receptive_fields(adj, b, depth_of(params) - 1))
         with mock.patch.object(gnn, "_LIMITED_MIN_NNZ", 0), \
                 mock.patch.object(gnn, "_LIMITED_SHARE", share):
-            state = forward_state(params, adj, g.features, [union, batch])
-            got = backward(params, adj, g.features, g.labels, batch, state=state, **kw)
-            outside = np.setdiff1d(np.arange(n), union)
-            if len(outside) and state.limited:
-                with pytest.raises(ValueError):
-                    backward(params, adj, g.features, g.labels, [outside[0]], state=state)
-        # Field h is the nodes h hops from the union, from the logits down,
-        # for as long as the product rule holds; share 1 always holds, and
-        # then X W0 is held on the deepest field.
-        fields = receptive_fields(adj, union, depth)
-        held = [f for f in state.fields[::-1] if f is not None]
-        if params.W1 is not None:
-            held = held[:2] + held[4:]  # S0, H and Q share one field
-        assert len(held) <= depth + 1
-        if share == 1:
-            assert len(held) == depth + 1
-        for f, want_f in zip(held, fields):
-            np.testing.assert_array_equal(f, want_f)
-        full = oracle_state(params, adj, g.features)
-        assert len(state.values) == len(full)
-        for value, field, want_value in zip(state.values, state.fields, full):
-            np.testing.assert_array_equal(value, want_value if field is None else want_value[field])
-        assert_same_bundle(
-            got, oracle_backward(params, adj, g.features, g.labels, batch, **kw)
-        )
+            if fails:
+                assert sweep(params, adj, g.features, g.labels, batches) is None
+            else:
+                assert_sweep_matches_oracle(params, adj, g.features, g.labels, batches)
 
-    @pytest.mark.parametrize("model", ["gcn", "sgc"])
-    def test_reads_only_the_union_field(self, model, monkeypatch):
-        # Features outside the rows the union's logits depend on are NaN. The
-        # full-X input check would reject them, so it is switched off here;
-        # a limited forward or reverse pass that read one of those rows would
-        # carry a NaN into a held row or a gradient.
-        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+    @pytest.mark.parametrize("model", ["gcn", "sgc1", "sgc2", "sgc3"])
+    def test_unique_batch_in_any_order(self, model):
+        # Twelve batch nodes share neighbour 0, so row 0 of the first reverse
+        # product sums twelve terms. The sweep must add them in ascending
+        # order, as the CSR product does, whatever the batch's order.
+        rng = np.random.default_rng(7)
+        edges = [(0, v) for v in range(1, 13)] + [(v, v + 12) for v in range(1, 13)]
+        g = build_graph(edges, rng.standard_normal((25, 3)), rng.integers(0, 3, 25))
+        params = model_params(model, 3, 3, 7)
+        batches = [rng.permutation(np.arange(1, 13)), rng.permutation(np.arange(1, 25))[:5]]
+        with mock.patch.object(gnn, "_LIMITED_MIN_NNZ", 0), \
+                mock.patch.object(gnn, "_LIMITED_SHARE", 1):
+            assert_sweep_matches_oracle(params, normalize_adjacency(g), g.features, g.labels,
+                                        batches)
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc2"])
+    def test_both_sides_of_the_path_choice(self, model):
+        # Under the default thresholds an 8-node batch is swept, while every
+        # training node at once reaches too much of A and is left to
+        # backward's full products.
+        g = large_sbm()
         adj = normalize_adjacency(g)
-        if model == "gcn":
-            params = ParamSet.init_gcn(8, 16, 4, seed=1)
-        else:
-            params = ParamSet.init_sgc(8, 4, seed=1, k=2)
+        assert adj.matrix.nnz >= gnn._LIMITED_MIN_NNZ
+        params = model_params(model, 8, 4, 1)
+        train = np.flatnonzero(g.train_mask)
+        small = np.random.default_rng(0).choice(train, size=8, replace=False)
+        assert_sweep_matches_oracle(params, adj, g.features, g.labels, [small])
+        assert sweep(params, adj, g.features, g.labels, [small, train]) is None
+        got = backward(params, adj, g.features, g.labels, train,
+                       state=forward_state(params, adj, g.features), assume_unique=True)
+        assert_same_bundle(got, gnn_oracle.backward(params, adj, g.features, g.labels, train))
+
+    @pytest.mark.parametrize("model", ["gcn", "sgc1", "sgc2"])
+    def test_reads_only_its_fields(self, model):
+        # Every feature row outside the batches' deepest fields is NaN. A
+        # sweep that read one would carry the NaN into a gradient.
+        g = large_sbm()
+        adj = normalize_adjacency(g)
+        params = model_params(model, 8, 4, 1)
         union = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 24, replace=False)
-        X = np.full_like(g.features, np.nan)
-        field = receptive_fields(adj, union, 2)[2]
-        X[field] = g.features[field]
         batches = np.split(union, 3)
-        clean = forward_state(params, adj, g.features, batches)
-        batch = batches[0]
-        want_bundle = backward(params, adj, g.features, g.labels, batch, state=clean)
-        monkeypatch.setattr(gnn, "_check_finite", lambda *args: None)
-        got = forward_state(params, adj, X, batches)
-        assert all(f is not None for f in got.fields[1:])
-        for value, want_value in zip(got.values[1:], clean.values[1:]):
-            assert np.isfinite(value).all()
-            np.testing.assert_array_equal(value, want_value)
-        assert_same_bundle(backward(params, adj, X, g.labels, batch, state=got), want_bundle)
+        X = np.full_like(g.features, np.nan)
+        for batch in batches:
+            field = receptive_fields(adj, batch, depth_of(params))[-1]
+            X[field] = g.features[field]
+        assert np.isnan(X).any()
+        assert_sweep_matches_oracle(params, adj, X, g.labels, batches, oracle_X=g.features)
 
-    def test_want_dA_builds_a_full_state(self):
-        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
+    @pytest.mark.parametrize("model", ["gcn", "sgc1", "sgc2", "sgc3"])
+    def test_default_thresholds(self, model):
+        # The hub's neighbours, split over four batches, share the hub; three
+        # more batches are drawn from the training nodes. At depth 3 the
+        # batches reach too much of A, and backward's full products serve.
+        g = large_sbm()
         adj = normalize_adjacency(g)
-        params = ParamSet.init_gcn(8, 16, 4, seed=1)
-        batch = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 4, replace=False)
-        state = forward_state(params, adj, g.features, [batch])
-        assert state.limited
-        got = backward(params, adj, g.features, g.labels, batch, want_dA=True, state=state)
-        want_bundle = oracle_backward(params, adj, g.features, g.labels, batch, want_dA=True)
-        assert_same_bundle(got, want_bundle)
-
-    def test_limited_state_rejects_other_node_sets(self):
-        # A limited state serves the batches it was built for and no other
-        # node set: not a batch's reordering, part of it, or the union.
-        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
-        adj = normalize_adjacency(g)
-        params = ParamSet.init_gcn(8, 16, 4, seed=1)
+        params = model_params(model, 8, 4, 1)
+        hub = int(np.argmax(g.degrees()))
         rng = np.random.default_rng(0)
-        batches = list(rng.choice(np.flatnonzero(g.train_mask), (2, 8), replace=False))
-        state = forward_state(params, adj, g.features, batches)
-        assert state.limited
-        for node_set in (batches[0][::-1], batches[0][:4], np.concatenate(batches)):
-            with pytest.raises(ValueError, match="not one of them"):
-                backward(params, adj, g.features, g.labels, node_set, state=state)
+        ring = rng.permutation(g.neighbors(hub))[:12]
+        rest = np.setdiff1d(np.flatnonzero(g.train_mask), ring)
+        batches = [*np.array_split(ring, 4), *rng.choice(rest, (3, 8), replace=False)]
+        if model != "sgc3":
+            assert_sweep_matches_oracle(params, adj, g.features, g.labels, batches)
+            return
+        assert sweep(params, adj, g.features, g.labels, batches) is None
+        state = forward_state(params, adj, g.features)
+        for batch in batches:
+            got = backward(params, adj, g.features, g.labels, batch, state=state)
+            assert_same_bundle(got, gnn_oracle.backward(params, adj, g.features, g.labels, batch))
 
-    def test_small_graph_gathers_nothing(self):
-        # The reference experiment's size (200 nodes) keeps every row.
+    @pytest.mark.parametrize("feature_dim", [64, 1])
+    def test_other_blas_kernels_agree_to_rounding(self, feature_dim):
+        # The oracle's full X.T @ dP leaves OpenBLAS's small-matrix GEMM
+        # kernel: with 64 features it sums over n in blocks (m*n*k > 10**6),
+        # with one it is a GEMV. Either may group the terms differently from
+        # the sweep's row-restricted product.
+        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=64, noise=1.0)
+        adj = normalize_adjacency(g)
+        X = g.features[:, :feature_dim].copy()
+        params = ParamSet.init_gcn(feature_dim, 16, 4, seed=1)
+        batch = np.random.default_rng(0).choice(np.flatnonzero(g.train_mask), 8, replace=False)
+        want_bundle = gnn_oracle.backward(params, adj, X, g.labels, batch)
+        (got,) = sweep(params, adj, X, g.labels, [batch])
+        np.testing.assert_allclose(got.dW0, want_bundle.dW0, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.dW1, want_bundle.dW1, rtol=1e-12, atol=1e-15)
+        assert got.l2_norm == pytest.approx(want_bundle.l2_norm, rel=1e-12)
+
+    def test_small_graph_takes_full_products(self):
+        # The reference experiment's size (200 nodes) stays on the full path.
         g = generate_sbm(0, [50] * 4, 0.1, 0.01, feature_dim=8, noise=1.2)
         adj = normalize_adjacency(g)
         assert adj.matrix.nnz < gnn._LIMITED_MIN_NNZ
-        state = forward_state(ParamSet.init_gcn(8, 16, 4, seed=0), adj, g.features,
-                              [np.array([0, 1])])
-        assert not state.limited and state.gathers is None
+        params = ParamSet.init_gcn(8, 16, 4, seed=0)
+        assert sweep(params, adj, g.features, g.labels, [np.array([0, 1, 2])]) is None
 
 
-def model_params(model, feature_dim, classes, seed):
-    """GCN (hidden 5) or SGC weights for a model name "gcn" or "sgc<k>"."""
-    if model == "gcn":
-        return ParamSet.init_gcn(feature_dim, 5, classes, seed=seed)
-    return ParamSet.init_sgc(feature_dim, classes, seed=seed, k=int(model[-1]))
+class TestGathers:
+    """``_gathers``'s fields and blocks against scipy's row slicing."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 24),
+        depth=st.integers(1, 3),
+        batch_picks=st.lists(
+            st.lists(st.integers(0, 10**6), min_size=1, max_size=8), min_size=1, max_size=5
+        ),
+        isolate=st.booleans(),
+    )
+    def test_matches_scipy(self, seed, n, depth, batch_picks, isolate):
+        g, _ = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
+        if isolate:
+            for v in g.neighbors(0):
+                g.remove_edge(0, int(v))
+        adj = normalize_adjacency(g)
+        A = scipy_csr(adj.matrix)
+        batches = draw_batches(batch_picks, n)
+        with mock.patch.object(gnn, "_LIMITED_SHARE", 1):
+            fields, bounds, blocks = gnn._gathers(adj.matrix, batches, depth)
+        assert len(fields) == len(bounds) == depth + 1 and len(blocks) == depth
+        want = [receptive_fields(adj, b, depth) for b in batches]
+        for h in range(depth + 1):
+            assert bounds[h][0] == 0 and bounds[h][-1] == len(fields[h])
+            for b, fb in enumerate(want):
+                np.testing.assert_array_equal(fields[h][bounds[h][b]:bounds[h][b + 1]], fb[h])
+        for h, (indptr, cols, data) in enumerate(blocks):
+            got = sp.csr_matrix((data, cols, indptr), shape=(len(fields[h + 1]), len(fields[h])))
+            assert got.has_canonical_format  # each row's columns strictly ascending
+            block = sp.block_diag([A[fb[h + 1]][:, fb[h]] for fb in want], format="csr")
+            np.testing.assert_array_equal(got.toarray(), block.toarray())
 
 
 @pytest.mark.parametrize("bound", [50, 2**60])  # packed positions; too wide to pack
@@ -628,75 +539,6 @@ def test_stable_sort_is_a_stable_argsort(bound):
     want = np.argsort(keys, kind="stable")
     np.testing.assert_array_equal(order, want)
     np.testing.assert_array_equal(ordered, keys[want])
-
-
-class TestSharedGathers:
-    """Reverse passes on one state built for several batches, against the oracle."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        n=st.integers(2, 24),
-        model=st.sampled_from(["gcn", "sgc1", "sgc2", "sgc3"]),
-        cuts=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
-        extra_picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
-        limits=st.sampled_from([(0, 1), (0, 2), (0, 8), (None, None)]),
-        objective=st.sampled_from(["masked_ce", "attack"]),
-        want_dX=st.booleans(),
-    )
-    def test_matches_oracle(
-        self, seed, n, model, cuts, extra_picks, limits, objective, want_dX
-    ):
-        # Disjoint batches of a dense random graph share neighbours; the
-        # extra batch is a subset of their union with repeats.
-        g, rng = random_instance(seed, n=n, p=0.3, feature_dim=3, num_classes=3)
-        adj = normalize_adjacency(g)
-        params = model_params(model, 3, 3, seed)
-        nodes = rng.permutation(n)[: max(1, n * 2 // 3)]
-        bounds = sorted({0, len(nodes), *(c % len(nodes) for c in cuts)})
-        batches = [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
-        extra = [nodes[p % len(nodes)] for p in extra_picks]
-        min_nnz, share = limits
-        if min_nnz is None:
-            min_nnz, share = gnn._LIMITED_MIN_NNZ, gnn._LIMITED_SHARE
-        kw = dict(want_dX=want_dX, objective=objective)
-        seen, spy = count_limited_products()
-        with spy, mock.patch.object(gnn, "_LIMITED_MIN_NNZ", min_nnz), \
-                mock.patch.object(gnn, "_LIMITED_SHARE", share):
-            state = forward_state(params, adj, g.features, batches + [extra])
-            assert (state.gathers is not None) == (min_nnz == 0)
-            got = [backward(params, adj, g.features, g.labels, b, state=state,
-                            assume_unique=True, **kw) for b in batches]
-            got.append(backward(params, adj, g.features, g.labels, extra, state=state, **kw))
-        if share == 1:
-            assert seen["full"] == 0
-        for b, bundle in zip(batches + [extra], got):
-            assert_same_bundle(
-                bundle, gnn_oracle.backward(params, adj, g.features, g.labels, b, **kw)
-            )
-
-    @pytest.mark.parametrize("model", ["gcn", "sgc1", "sgc2", "sgc3"])
-    def test_default_thresholds(self, model):
-        # 3,200 nodes at degree about 6.5 under the default thresholds. The
-        # hub's neighbours, split over four batches, share the hub; three
-        # more batches are drawn from the training nodes.
-        g = generate_sbm(5, [800] * 4, 5 / 800, 0.5 / 800, feature_dim=8, noise=1.0)
-        adj = normalize_adjacency(g)
-        params = model_params(model, 8, 4, 1)
-        hub = int(np.argmax(g.degrees()))
-        rng = np.random.default_rng(0)
-        ring = rng.permutation(g.neighbors(hub))[:12]
-        rest = np.setdiff1d(np.flatnonzero(g.train_mask), ring)
-        batches = [*np.array_split(ring, 4), *rng.choice(rest, (3, 8), replace=False)]
-        extra = np.concatenate([batches[0], batches[0], batches[-1][:3]])  # repeats
-        state = forward_state(params, adj, g.features, batches + [extra])
-        assert len(state.gathers) == len(batches) + 1
-        seen, spy = count_limited_products()
-        with spy:
-            for b in batches + [extra]:
-                got = backward(params, adj, g.features, g.labels, b, state=state)
-                assert_same_bundle(got, gnn_oracle.backward(params, adj, g.features, g.labels, b))
-        assert seen["limited"] > 0
 
 
 class TestSGDStep:

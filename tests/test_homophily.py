@@ -591,9 +591,15 @@ def test_histogram_csv(tmp_path):
     gp = g.copy()
     gp.features[0] *= 3.0
     out = tmp_path / "hist.csv"
-    write_histogram_csv(homophily_values(g), homophily_values(gp), out)
+    clean, perturbed = homophily_values(g), homophily_values(gp)
+    write_histogram_csv(clean, perturbed, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count_clean,count_perturbed"
     assert len(lines) == 33  # header + 32 bins
     total_clean = sum(int(line.split(",")[2]) for line in lines[1:])
     assert total_clean == g.num_nodes
+    # Both edge columns are plain numbers that round-trip the shared edges.
+    edges = np.histogram_bin_edges(np.concatenate([clean, perturbed]), bins=32)
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(r[0]) for r in rows] == edges[:-1].tolist()
+    assert [float(r[1]) for r in rows] == edges[1:].tolist()
